@@ -36,6 +36,7 @@ from .potentials import (
 )
 from .quadrature import default_polar_order
 from .scatter import resonance_sweep
+from .sphharm import fibonacci_shell
 from .spectral import (
     calderon_residual,
     mnp_spectra,
@@ -110,8 +111,14 @@ class RunConfig:
             radius = radius_from_json(spec)
         else:
             raise ConfigError("surface needs 'radius' entries or 'sphere'", "surface")
-        L_quad = int(spec.get("L_quad", self.L))
-        return build_surface(radius, max(L_quad, self.L))
+        return build_surface(radius, self.L_quad)
+
+    @property
+    def L_quad(self):
+        """Grid degree of the run: the surface's L_quad, raised to L if below."""
+        if self.surface is None:
+            return None
+        return max(int(self.surface.get("L_quad", self.L)), self.L)
 
 
 def config_hash(data) -> str:
@@ -120,7 +127,7 @@ def config_hash(data) -> str:
     ).hexdigest()[:16]
 
 
-def report_version_and_provenance(cfg=None, tol=None, seed=0, threads=None, L_quad=None):
+def report_version_and_provenance(cfg=None, tol=None, seed=0, L_quad=None):
     """Provenance lines embedded in every artifact header."""
     import scipy
 
@@ -132,7 +139,6 @@ def report_version_and_provenance(cfg=None, tol=None, seed=0, threads=None, L_qu
         f"L_quad: {L_quad if L_quad is not None else 'n/a'}",
         f"tolerance: {tol if tol is not None else 'default'}",
         f"seed: {seed}",
-        f"threads: {threads if threads is not None else 'default'}",
     ]
     if cfg is not None:
         lines.append(f"config_hash: {config_hash(cfg)}")
@@ -176,19 +182,7 @@ def _materials(cfg, default_tau=0.5):
 
 def _shell_points(spec):
     """Deterministic spiral point cloud from {count, radius} entries."""
-    pts = []
-    for entry in spec:
-        n, rad = int(entry["count"]), float(entry["radius"])
-        k = np.arange(n) + 0.5
-        th = np.arccos(1.0 - 2.0 * k / n)
-        ph = np.pi * (1.0 + np.sqrt(5.0)) * k
-        pts.append(
-            rad
-            * np.stack(
-                [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1
-            )
-        )
-    return np.vstack(pts)
+    return np.vstack([fibonacci_shell(int(e["count"]), float(e["radius"])) for e in spec])
 
 
 # --------------------------------------------------------------------------
@@ -399,16 +393,14 @@ _HANDLERS = {
 }
 
 
-def run(config, outdir=".", tol=None, seed=0, threads=None) -> int:
+def run(config, outdir=".", tol=None, seed=0) -> int:
     """Execute a validated config; returns the process exit status."""
     try:
         cfg = RunConfig.from_dict(config)
     except (ConfigError, StarShapeError, ResolutionError) as exc:
         _emit_error(outdir, 1, exc)
         return 1
-    header = report_version_and_provenance(
-        config, tol, seed, threads, L_quad=cfg.L if cfg.L else None
-    )
+    header = report_version_and_provenance(config, tol, seed, cfg.L_quad)
     rng = np.random.default_rng(seed)
     try:
         return _HANDLERS[cfg.command](cfg, outdir, header, rng, tol)
@@ -442,21 +434,6 @@ def _emit_error(outdir, code, exc):
         pass
 
 
-def _apply_threads(threads):
-    if threads is None:
-        threads = os.environ.get("MNP_THREADS")
-    if threads is None:
-        return None
-    threads = int(threads)
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(threads)
-    except ImportError:
-        os.environ["OMP_NUM_THREADS"] = str(threads)
-    return threads
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mnpspr", description="boundary-operator spectra and plasmon scans"
@@ -464,10 +441,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--tol", type=float, default=None, help="tolerance override")
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    threads = _apply_threads(args.threads)
     try:
         with open(args.config) as fh:
             config = json.load(fh)
@@ -475,7 +450,7 @@ def main(argv=None) -> int:
         _emit_error(args.out, 1, ConfigError(f"cannot read config: {exc}"))
         return 1
     os.makedirs(args.out, exist_ok=True)
-    return run(config, args.out, args.tol, args.seed, threads)
+    return run(config, args.out, args.tol, args.seed)
 
 
 if __name__ == "__main__":

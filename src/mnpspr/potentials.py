@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import PolarPatch, assemble_scalar_values, near_singular_eval, ring_rotated_geometry
-from .sphharm import num_coeffs, sh_degrees, ynm_matrix
-from .surface import ShCoeffs, SurfaceGrid, TangentField, tubular_distance
+from .quadrature import assemble_scalar_values, near_singular_eval, rings
+from .sphharm import num_coeffs, ynm_matrix
+from .surface import ShCoeffs, SurfaceGrid, TangentField, contravariant, tubular_distance
 
 
 class KindError(ValueError):
@@ -126,8 +126,6 @@ class MaterialConfig:
 # scalar operator assembly (cached per grid)
 # --------------------------------------------------------------------------
 
-_scalar_cache = {}
-
 
 def grid_signature(grid: SurfaceGrid) -> str:
     import hashlib
@@ -138,29 +136,26 @@ def grid_signature(grid: SurfaceGrid) -> str:
     return h.hexdigest()[:16]
 
 
-def _galerkin_pair(grid: SurfaceGrid, values, L):
+def _galerkin_operator(kind, grid: SurfaceGrid, values, L, meta=None):
+    """Mass-normalized Galerkin matrix from node values (Op Y_j)(x_i)."""
     nc = num_coeffs(L)
-    return np.conj(grid.Y[:, :nc]).T @ (grid.area_weights[:, None] * values)
+    G = np.conj(grid.Y[:, :nc]).T @ (grid.area_weights[:, None] * values)
+    W = grid.mass_matrix()[:nc, :nc]
+    return OperatorMatrix(kind, L, np.linalg.solve(W, G), G, grid_signature(grid), meta or {})
 
 
 def scalar_operators(grid: SurfaceGrid, L: int, n_polar=None):
-    """Assemble (and cache) the static scalar operators S, K, K* at degree L."""
-    key = (grid_signature(grid), L, n_polar)
-    if key not in _scalar_cache:
+    """The static scalar operators S, K, K* at degree L, built once per grid."""
+
+    def build():
         if L > grid.L_quad:
             raise ValueError(f"operator degree {L} exceeds grid capacity")
         vals = assemble_scalar_values(grid, L, n_polar)
-        nc = num_coeffs(L)
-        W = grid.mass_matrix()[:nc, :nc]
-        ops = {}
-        for kind in ("S", "K", "Kstar"):
-            G = _galerkin_pair(grid, vals[kind], L)
-            ops[kind] = OperatorMatrix(
-                kind, L, np.linalg.solve(W, G), G, grid_signature(grid)
-            )
+        ops = {kind: _galerkin_operator(kind, grid, vals[kind], L) for kind in ("S", "K", "Kstar")}
         _check_scalar_invariants(ops)
-        _scalar_cache[key] = ops
-    return _scalar_cache[key]
+        return ops
+
+    return grid.cached(("scalar", L, n_polar), build)
 
 
 def _check_scalar_invariants(ops):
@@ -187,32 +182,9 @@ def assemble_scalar(kind: str, grid: SurfaceGrid, L: int, k=None, n_polar=None):
     if kind == "Sk":
         if k is None:
             raise ValueError("Sk needs a wavenumber")
-        return _assemble_helmholtz_single(grid, L, k, n_polar)
+        vals = assemble_scalar_values(grid, L, n_polar, k)["Sk"]
+        return _galerkin_operator("Sk", grid, vals, L, {"k": complex(k)})
     return scalar_operators(grid, L, n_polar)[kind]
-
-
-def _assemble_helmholtz_single(grid, L, k, n_polar=None):
-    patch = PolarPatch(grid, n_polar)
-    nc = num_coeffs(L)
-    nphi = grid.n_phi
-    _, mslots = sh_degrees(L)
-    vals = np.zeros((grid.n_nodes, nc), dtype=complex)
-    for t in range(grid.n_theta):
-        th0, ph0, frame = ring_rotated_geometry(grid, patch, t)
-        Yref = ynm_matrix(th0, ph0, L)
-        q = th0.size
-        sl = slice(t * nphi, (t + 1) * nphi)
-        ypos = frame["position"].reshape(nphi, q, 3)
-        wjac = patch.weights[None, :] * frame["jacobian"].reshape(nphi, q)
-        r = np.linalg.norm(grid.positions[sl][:, None, :] - ypos, axis=-1)
-        ker = -np.exp(1j * k * r) / (4.0 * np.pi * r) * wjac
-        rows = ker @ Yref
-        vals[sl] = rows * np.exp(1j * np.outer(grid.phis[sl], mslots))
-    W = grid.mass_matrix()[:nc, :nc]
-    G = _galerkin_pair(grid, vals, L)
-    return OperatorMatrix(
-        "Sk", L, np.linalg.solve(W, G), G, grid_signature(grid), {"k": complex(k)}
-    )
 
 
 # --------------------------------------------------------------------------
@@ -240,19 +212,11 @@ def mnp_grad_apply(X: ShCoeffs, K_mat: OperatorMatrix) -> ShCoeffs:
     return ShCoeffs(K_mat.L, _drop_mean(-(K_mat.entries @ X.padded(K_mat.L))), True)
 
 
-def galerkin_laplacian(grid: SurfaceGrid, L: int) -> np.ndarray:
-    """Coefficient matrix of the surface Laplacian truncated at degree L."""
-    nc = num_coeffs(L)
-    W = grid.mass_matrix()[:nc, :nc]
-    K = grid.stiffness_matrix()[:nc, :nc]
-    return -np.linalg.solve(W, K)
-
-
 def apply_N(g: TangentField, S_mat: OperatorMatrix, grid: SurfaceGrid) -> TangentField:
     """vcurl S[curl_S g]; annihilates gradient fields, output is pure curl."""
     if g.flavor != "curl":
         raise FlavorError("N acts on curl-trace fields")
-    D = galerkin_laplacian(grid, S_mat.L)
+    D = grid.laplace_matrix(S_mat.L)
     pot = -(S_mat.entries @ (D @ g.V.padded(S_mat.L)))
     return TangentField(
         ShCoeffs.zeros(S_mat.L, True), ShCoeffs(S_mat.L, _drop_mean(pot), True), "curl"
@@ -263,7 +227,7 @@ def apply_Q(f: TangentField, S_mat: OperatorMatrix, grid: SurfaceGrid) -> Tangen
     """grad S[div_S f]; annihilates curl fields, output is pure gradient."""
     if f.flavor != "div":
         raise FlavorError("Q acts on div-trace fields")
-    D = galerkin_laplacian(grid, S_mat.L)
+    D = grid.laplace_matrix(S_mat.L)
     pot = S_mat.entries @ (D @ f.X.padded(S_mat.L))
     return TangentField(
         ShCoeffs(S_mat.L, _drop_mean(pot), True), ShCoeffs.zeros(S_mat.L, True), "div"
@@ -333,28 +297,30 @@ def offboundary_eval(density, k, x, which, grid: SurfaceGrid, quad="auto", n_pol
     return out[0] if single else out
 
 
-def _offboundary_kernel_apply(k, rvec, which, dens_vals, weights):
+def _layer_integrand(k, rvec, which, dens):
+    """Kernel of `which` times the density at each source, before the sum.
+
+    rvec = x - y (..., 3); dens (...) for scalar kinds, (..., 3) otherwise.
+    """
     if which == "S":
         g, _ = helmholtz_point_kernels(k, rvec)
-        return np.sum(weights * g * dens_vals, axis=-1)
+        return g * dens
     if which == "gradS":
-        g, grad = helmholtz_point_kernels(k, rvec)
-        return np.sum((weights * dens_vals)[..., None] * grad, axis=-2)
+        _, grad = helmholtz_point_kernels(k, rvec)
+        return dens[..., None] * grad
     if which == "curlS_vec":
-        g, grad = helmholtz_point_kernels(k, rvec)
-        return np.sum(weights[..., None] * np.cross(grad, dens_vals), axis=-2)
+        _, grad = helmholtz_point_kernels(k, rvec)
+        return np.cross(grad, dens)
     if which == "curlcurlS_vec":
-        g, grad, hess = helmholtz_point_kernels(k, rvec, want_hessian=True)
-        term = np.einsum("...cd,...d->...c", hess, dens_vals)
-        term += (k**2 * g)[..., None] * dens_vals
-        return np.sum(weights[..., None] * term, axis=-2)
+        g, _, hess = helmholtz_point_kernels(k, rvec, want_hessian=True)
+        return np.einsum("...cd,...d->...c", hess, dens) + (k**2 * g)[..., None] * dens
     raise KindError(f"unknown evaluation kind {which!r}")
 
 
 def _offboundary_nodes(density, k, pts, which, grid):
     dens = _density_node_values(density, grid)
-    rvec = pts[:, None, :] - grid.positions[None, :, :]
-    return _offboundary_kernel_apply(k, rvec, which, dens, grid.area_weights[None, :])
+    vals = _layer_integrand(k, pts[:, None, :] - grid.positions[None, :, :], which, dens)
+    return np.einsum("pn...,n->p...", vals, grid.area_weights)
 
 
 def _offboundary_near(density, k, p, which, grid, n_polar):
@@ -365,20 +331,7 @@ def _offboundary_near(density, k, p, which, grid, n_polar):
             dens = grid.scalar_values_at(density, rot["theta"], rot["phi"])
         else:
             raise TypeError("near evaluation needs a coefficient-space density")
-        rvec = p[None, :] - rot["position"]
-        if which == "S":
-            g, _ = helmholtz_point_kernels(k, rvec)
-            return g * dens
-        if which == "gradS":
-            g, grad = helmholtz_point_kernels(k, rvec)
-            return dens[:, None] * grad
-        if which == "curlS_vec":
-            g, grad = helmholtz_point_kernels(k, rvec)
-            return np.cross(grad, dens)
-        if which == "curlcurlS_vec":
-            g, grad, hess = helmholtz_point_kernels(k, rvec, want_hessian=True)
-            return np.einsum("qcd,qd->qc", hess, dens) + (k**2 * g)[:, None] * dens
-        raise KindError(f"unknown evaluation kind {which!r}")
+        return _layer_integrand(k, p[None, :] - rot["position"], which, dens)
 
     return near_singular_eval(grid, p, integrand, n_polar=n_polar)
 
@@ -387,7 +340,6 @@ def _offboundary_near(density, k, p, which, grid, n_polar):
 # smooth correction operators for the scaled scattering system
 # --------------------------------------------------------------------------
 
-_vector_cache = {}
 
 
 def tangent_mass_stack(grid: SurfaceGrid, L: int):
@@ -402,7 +354,7 @@ def tangent_mass_stack(grid: SurfaceGrid, L: int):
 
 
 def _vector_bases_assembled(grid: SurfaceGrid, L: int, n_polar=None):
-    """Raw integral tensors for the three correction kernels.
+    """Raw integral tensors for the three correction kernels, built once per grid.
 
     Returns dict kind -> Vals (n_nodes, 2(nc-1), 3): the kernel integral of
     every stacked basis field (gradient block first, curl block second),
@@ -412,75 +364,50 @@ def _vector_bases_assembled(grid: SurfaceGrid, L: int, n_polar=None):
       L1  : int (1/2)[I/r + R R^T / r^3] phi
       L2  : int (2/3) phi
     """
-    key = (grid_signature(grid), L, n_polar)
-    if key in _vector_cache:
-        return _vector_cache[key]
-    patch = PolarPatch(grid, n_polar or max(L + 12, 22))
-    nc = num_coeffs(L)
-    d = nc - 1
-    nphi = grid.n_phi
-    q = patch.weights.size
-    _, mslots = sh_degrees(L)
-    out = {
-        kind: np.zeros((grid.n_nodes, 2 * d, 3), dtype=complex)
-        for kind in VECTOR_KINDS
-    }
-    for t in range(grid.n_theta):
-        th0, ph0, frame = ring_rotated_geometry(grid, patch, t)
-        Y, Yt, Yp = ynm_matrix(th0, ph0, L, derivatives=True)
-        st = np.sin(th0)
-        Yth = Yt  # d/dtheta
-        Yph = Yp * st[:, None]  # plain d/dphi
-        sl = slice(t * nphi, (t + 1) * nphi)
-        ypos = frame["position"].reshape(nphi, q, 3)
-        ynu = frame["normal"].reshape(nphi, q, 3)
-        wjac = patch.weights[None, :] * frame["jacobian"].reshape(nphi, q)
-        tth = frame["t_theta"].reshape(nphi, q, 3)
-        tph = frame["t_phi"].reshape(nphi, q, 3)
-        E = frame["E"].reshape(nphi, q)
-        F = frame["F"].reshape(nphi, q)
-        G = frame["G"].reshape(nphi, q)
-        det = E * G - F**2
-        # grad Y_j = (dY_j/dtheta) alpha + (dY_j/dphi) beta at each point
-        alpha = (G[..., None] * tth - F[..., None] * tph) / det[..., None]
-        beta = (E[..., None] * tph - F[..., None] * tth) / det[..., None]
-        # curl basis = -nu x grad: same weights with rotated frame vectors
-        alpha_c = -np.cross(ynu, alpha)
-        beta_c = -np.cross(ynu, beta)
 
-        rvec = grid.positions[sl][:, None, :] - ypos
-        r = np.linalg.norm(rvec, axis=-1)
-        uhat = rvec / r[..., None]
-        nu_x = grid.normals[sl]
-        phase = np.exp(1j * np.outer(grid.phis[sl], mslots))
+    def build():
+        nc = num_coeffs(L)
+        d = nc - 1
+        out = {kind: np.zeros((grid.n_nodes, 2 * d, 3), dtype=complex) for kind in VECTOR_KINDS}
+        for ring in rings(grid, L, n_polar or max(L + 12, 22)):
+            _, Yth, Yp = ynm_matrix(ring.theta, ring.phi, L, derivatives=True)
+            Yph = Yp * np.sin(ring.theta)[:, None]  # plain d/dphi
+            # grad Y_j = (dY_j/dtheta) alpha + (dY_j/dphi) beta at each point;
+            # the curl basis -nu x grad has the same weights on rotated vectors
+            alpha, beta = contravariant(ring.frame)
+            alpha_c = -np.cross(ring.frame["normal"], alpha)
+            beta_c = -np.cross(ring.frame["normal"], beta)
+            rvec, r, wjac = ring.rvec, ring.r, ring.wjac
+            nphi, q = r.shape
+            uhat = rvec / r[..., None]
+            nu_x = grid.normals[ring.nodes]
 
-        # Mk2 includes its nu_x cross product (the triple-product form is
-        # automatically tangential); L1/L2 get theirs applied later.
-        def mk2_apply(vec):
-            nu_dot_phi = np.einsum("tj,tqj->tq", nu_x, vec)
-            nu_dot_u = np.einsum("tj,tqj->tq", nu_x, uhat)
-            return (
-                uhat * nu_dot_phi[..., None] - vec * nu_dot_u[..., None]
-            ) / (8.0 * np.pi)
+            # Mk2 includes its nu_x cross product (the triple-product form is
+            # automatically tangential); L1/L2 get theirs applied later.
+            def mk2_apply(vec):
+                nu_dot_phi = np.einsum("tj,tqj->tq", nu_x, vec)
+                nu_dot_u = np.einsum("tj,tqj->tq", nu_x, uhat)
+                return (uhat * nu_dot_phi[..., None] - vec * nu_dot_u[..., None]) / (8.0 * np.pi)
 
-        def l1_apply(vec):
-            rr_phi = np.einsum("tqj,tqj->tq", rvec, vec)
-            return 0.5 * (vec / r[..., None] + rvec * (rr_phi / r**3)[..., None])
+            def l1_apply(vec):
+                rr_phi = np.einsum("tqj,tqj->tq", rvec, vec)
+                return 0.5 * (vec / r[..., None] + rvec * (rr_phi / r**3)[..., None])
 
-        def l2_apply(vec):
-            return (2.0 / 3.0) * vec
+            def l2_apply(vec):
+                return (2.0 / 3.0) * vec
 
-        def contract(fn, vec_a, vec_b):
-            A = (fn(vec_a) * wjac[..., None]).transpose(0, 2, 1).reshape(nphi * 3, q)
-            B = (fn(vec_b) * wjac[..., None]).transpose(0, 2, 1).reshape(nphi * 3, q)
-            rows = (A @ Yth + B @ Yph).reshape(nphi, 3, nc) * phase[:, None, :]
-            return rows[:, :, 1:].transpose(0, 2, 1)  # (nphi, d, 3)
+            def contract(fn, vec_a, vec_b):
+                A = (fn(vec_a) * wjac[..., None]).transpose(0, 2, 1).reshape(nphi * 3, q)
+                B = (fn(vec_b) * wjac[..., None]).transpose(0, 2, 1).reshape(nphi * 3, q)
+                rows = (A @ Yth + B @ Yph).reshape(nphi, 3, nc) * ring.phase[:, None, :]
+                return rows[:, :, 1:].transpose(0, 2, 1)  # (nphi, d, 3)
 
-        for kind, fn in (("Mk2", mk2_apply), ("L1", l1_apply), ("L2", l2_apply)):
-            out[kind][sl, :d, :] = contract(fn, alpha, beta)
-            out[kind][sl, d:, :] = contract(fn, alpha_c, beta_c)
-    _vector_cache[key] = out
-    return out
+            for kind, fn in (("Mk2", mk2_apply), ("L1", l1_apply), ("L2", l2_apply)):
+                out[kind][ring.nodes, :d, :] = contract(fn, alpha, beta)
+                out[kind][ring.nodes, d:, :] = contract(fn, alpha_c, beta_c)
+        return out
+
+    return grid.cached(("vector", L, n_polar), build)
 
 
 def assemble_correction(

@@ -16,9 +16,11 @@ import numpy as np
 
 from .sphharm import (
     cartesian_to_angles,
+    num_coeffs,
     polar_patch_rule,
     rotation_to,
     sh_degrees,
+    unit_vectors,
     ynm_matrix,
 )
 from .surface import SurfaceGrid
@@ -29,116 +31,90 @@ def default_polar_order(L: int) -> int:
 
 
 class PolarPatch:
-    """Fixed polar rule plus per-target rotation bookkeeping."""
+    """Fixed polar rule whose pole can be moved to any parameter direction."""
 
     def __init__(self, grid: SurfaceGrid, n_polar=None, n_azimuth=None):
-        self.grid = grid
         nt = n_polar or default_polar_order(grid.L_quad)
-        na = n_azimuth or 2 * nt
-        self.n_polar = nt
-        th, ph, w = polar_patch_rule(nt, na)
-        st = np.sin(th)
-        self.base_dirs = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=-1)
-        self.weights = w
+        th, ph, self.weights = polar_patch_rule(nt, n_azimuth or 2 * nt)
+        self.base_dirs, _, _ = unit_vectors(th, ph)
 
-    def rotate(self, theta, phi):
-        """Surface data at the patch points rotated under (theta, phi).
-
-        Returns dict with the rotated parameter angles, positions, normals,
-        jacobian and quadrature weights (parameter measure).
-        """
-        R = rotation_to(theta, phi)
-        dirs = self.base_dirs @ R.T
-        th, ph, _ = cartesian_to_angles(dirs)
-        frame = self.grid.frame_at(th, ph)
-        return {
-            "theta": th,
-            "phi": ph,
-            "position": frame["position"],
-            "normal": frame["normal"],
-            "jacobian": frame["jacobian"],
-            "weights": self.weights,
-            "frame": frame,
-        }
+    def angles(self, theta, phi):
+        """Parameter angles of the patch points with the pole moved to (theta, phi)."""
+        th, ph, _ = cartesian_to_angles(self.base_dirs @ rotation_to(theta, phi).T)
+        return th, ph
 
 
-def laplace_scalar_kernels(x, nu_x, y, nu_y):
-    """Static single-layer / adjoint double-layer / double-layer kernels.
+class Ring:
+    """Rotated-patch geometry shared by the n_phi targets of one grid ring.
 
-    Kernel conventions (G = -1/(4 pi |x-y|)):
-      S     : G(x, y)
-      Kstar : dG/dnu_x = nu_x . (x - y) / (4 pi |x-y|^3)
-      K     : dG/dnu_y = nu_y . (y - x) / (4 pi |x-y|^3)
+    Arrays over (n_phi, Q) source points: frame (frame_at keys), wjac
+    (weights x jacobian), rvec = target - source and r = |rvec|.  theta, phi
+    (Q,) are the reference patch angles, nodes the ring's slice of the grid
+    and phase (n_phi, nc) the azimuthal factors exp(i m phi_target).
     """
-    rvec = x[None, :] - y
-    r = np.linalg.norm(rvec, axis=-1)
-    r3 = r**3
-    gs = -1.0 / (4.0 * np.pi * r)
-    kstar = np.einsum("j,ij->i", nu_x, rvec) / (4.0 * np.pi * r3)
-    kk = -np.einsum("ij,ij->i", nu_y, rvec) / (4.0 * np.pi * r3)
-    return gs, kstar, kk
+
+    def __init__(self, theta, phi, nodes, frame, wjac, rvec, r, phase):
+        self.theta, self.phi, self.nodes = theta, phi, nodes
+        self.frame, self.wjac, self.rvec, self.r, self.phase = frame, wjac, rvec, r, phase
 
 
-def ring_rotated_geometry(grid: SurfaceGrid, patch: PolarPatch, t: int):
-    """Rotated-patch geometry for the whole azimuth ring of colatitude t.
+def rings(grid: SurfaceGrid, L: int, n_polar=None):
+    """Per-ring geometry of the rotated polar rule, one ring at a time.
 
     The grid nodes on one ring differ only by a rotation about the z axis,
     under which the harmonic basis picks up the phase exp(i m phi).  The
     basis matrix at the ring's reference patch is therefore shared by all
-    n_phi targets of the ring.
-
-    Returns (theta (Q,), phi0 (Q,), frames dict for all (n_phi, Q) points).
+    n_phi targets of the ring: a ring's Galerkin rows are
+    (kernel x wjac) @ Y(theta, phi) times phase.
     """
-    theta_t = grid.thetas[t * grid.n_phi]
-    R = rotation_to(theta_t, 0.0)
-    dirs = patch.base_dirs @ R.T
-    th0, ph0, _ = cartesian_to_angles(dirs)
-    nphi = grid.n_phi
-    phis = grid.phis[t * nphi : (t + 1) * nphi]
-    th_all = np.broadcast_to(th0, (nphi, th0.size)).ravel()
-    ph_all = (ph0[None, :] + phis[:, None]).ravel()
-    frame = grid.frame_at(th_all, ph_all)
-    return th0, ph0, frame
+    patch = PolarPatch(grid, n_polar)
+    nphi, q = grid.n_phi, patch.weights.size
+    _, mslots = sh_degrees(L)
+    for t in range(grid.n_theta):
+        nodes = slice(t * nphi, (t + 1) * nphi)
+        th0, ph0 = patch.angles(grid.thetas[nodes.start], 0.0)
+        phis = grid.phis[nodes]
+        th_all = np.broadcast_to(th0, (nphi, q)).ravel()
+        frame = grid.frame_at(th_all, (ph0[None, :] + phis[:, None]).ravel())
+        frame = {key: v.reshape((nphi, q) + v.shape[1:]) for key, v in frame.items()}
+        rvec = grid.positions[nodes][:, None, :] - frame["position"]
+        yield Ring(
+            th0, ph0, nodes, frame, patch.weights[None, :] * frame["jacobian"],
+            rvec, np.linalg.norm(rvec, axis=-1), np.exp(1j * np.outer(phis, mslots)),
+        )
 
 
-def assemble_scalar_values(grid: SurfaceGrid, L: int, n_polar=None):
-    """Values (Op Y_j)(x_i) for Op in {S, Kstar, K} at all grid nodes.
+def assemble_scalar_values(grid: SurfaceGrid, L: int, n_polar=None, k=None):
+    """Values (Op Y_j)(x_i) of the scalar layer operators at all grid nodes.
 
+    Op in {S, Kstar, K} for the static kernels (G = -1/(4 pi |x-y|)):
+      S     : G(x, y)
+      Kstar : dG/dnu_x = nu_x . (x - y) / (4 pi |x-y|^3)
+      K     : dG/dnu_y = nu_y . (y - x) / (4 pi |x-y|^3)
+    With a wavenumber k, only Sk: -exp(ik|x-y|) / (4 pi |x-y|).
     Returns dict of (n_nodes, (L+1)^2) complex arrays.  The densities are the
     parameter-sphere harmonics; integration is in the surface measure.
     """
-    patch = PolarPatch(grid, n_polar)
-    nc = (L + 1) ** 2
-    q = patch.weights.size
-    nphi = grid.n_phi
-    _, mslots = sh_degrees(L)
-    out = {
-        "S": np.zeros((grid.n_nodes, nc), dtype=complex),
-        "Kstar": np.zeros((grid.n_nodes, nc), dtype=complex),
-        "K": np.zeros((grid.n_nodes, nc), dtype=complex),
-    }
-    for t in range(grid.n_theta):
-        th0, ph0, frame = ring_rotated_geometry(grid, patch, t)
-        Yref = ynm_matrix(th0, ph0, L)  # basis at the ring's reference patch
-        sl = slice(t * nphi, (t + 1) * nphi)
-        ypos = frame["position"].reshape(nphi, q, 3)
-        ynu = frame["normal"].reshape(nphi, q, 3)
-        wjac = patch.weights[None, :] * frame["jacobian"].reshape(nphi, q)
-
-        rvec = grid.positions[sl][:, None, :] - ypos
-        r = np.linalg.norm(rvec, axis=-1)
-        inv4pir3 = 1.0 / (4.0 * np.pi * r**3)
-        gs = -1.0 / (4.0 * np.pi * r)
-        kstar = np.einsum("tj,tqj->tq", grid.normals[sl], rvec) * inv4pir3
-        kk = -np.einsum("tqj,tqj->tq", ynu, rvec) * inv4pir3
-
-        kernels = np.stack([gs * wjac, kstar * wjac, kk * wjac], axis=1)
-        rows = kernels.reshape(3 * nphi, q).astype(complex) @ Yref
-        rows = rows.reshape(nphi, 3, nc)
-        phase = np.exp(1j * np.outer(grid.phis[sl], mslots))
-        out["S"][sl] = rows[:, 0] * phase
-        out["Kstar"][sl] = rows[:, 1] * phase
-        out["K"][sl] = rows[:, 2] * phase
+    kinds = ("S", "Kstar", "K") if k is None else ("Sk",)
+    nc = num_coeffs(L)
+    out = {kind: np.zeros((grid.n_nodes, nc), dtype=complex) for kind in kinds}
+    for ring in rings(grid, L, n_polar):
+        r = ring.r
+        if k is None:
+            inv4pir3 = 1.0 / (4.0 * np.pi * r**3)
+            kernels = (
+                -1.0 / (4.0 * np.pi * r),
+                np.einsum("tj,tqj->tq", grid.normals[ring.nodes], ring.rvec) * inv4pir3,
+                -np.einsum("tqj,tqj->tq", ring.frame["normal"], ring.rvec) * inv4pir3,
+            )
+        else:
+            kernels = (-np.exp(1j * k * r) / (4.0 * np.pi * r),)
+        nphi, q = r.shape
+        stacked = np.stack([ker * ring.wjac for ker in kernels], axis=1)
+        rows = stacked.reshape(len(kinds) * nphi, q).astype(complex)
+        rows = (rows @ ynm_matrix(ring.theta, ring.phi, L)).reshape(nphi, len(kinds), nc)
+        for i, kind in enumerate(kinds):
+            out[kind][ring.nodes] = rows[:, i] * ring.phase
     return out
 
 
@@ -153,9 +129,10 @@ def near_singular_eval(grid: SurfaceGrid, x, integrand, n_polar=320, n_azimuth=N
     th0, ph0, _ = cartesian_to_angles(np.asarray(x, dtype=float))
     na = n_azimuth or max(2 * grid.L_quad + 16, 48)
     patch = PolarPatch(grid, n_polar, na)
-    rot = patch.rotate(float(th0[0]), float(ph0[0]))
+    th, ph = patch.angles(float(th0[0]), float(ph0[0]))
+    rot = dict(grid.frame_at(th, ph), theta=th, phi=ph)
     vals = integrand(rot)
-    w = rot["weights"] * rot["jacobian"]
+    w = patch.weights * rot["jacobian"]
     if vals.ndim == 1:
         return np.sum(w * vals)
     return np.tensordot(w, vals, axes=(0, 0))

@@ -23,7 +23,6 @@ from .potentials import (
     OperatorMatrix,
     ResonanceError,
     assemble_correction,
-    galerkin_laplacian,
     grid_signature,
     helmholtz_point_kernels,
     offboundary_eval,
@@ -86,7 +85,7 @@ def static_magnetic_block(grid: SurfaceGrid, L: int):
     ops = scalar_operators(grid, L)
     nc = num_coeffs(L)
     d = nc - 1
-    D = galerkin_laplacian(grid, L)[1:, 1:]
+    D = grid.laplace_matrix(L)[1:, 1:]
     Kst = ops["Kstar"].entries[1:, 1:]
     Kc = ops["K"].entries[1:, 1:]
     M = np.zeros((2 * d, 2 * d), dtype=complex)

@@ -30,7 +30,6 @@ from .potentials import (
     FlavorError,
     OperatorMatrix,
     RegularizationError,
-    galerkin_laplacian,
 )
 from .sphharm import num_coeffs, sh_degrees
 from .surface import ShCoeffs, SurfaceGrid, TangentField, random_band_limited
@@ -146,7 +145,6 @@ def _gram_cache(S_mat: OperatorMatrix, grid: SurfaceGrid):
         ge = GSinv @ e
         P = np.eye(nc) - np.outer(e, ge.conj()) / (e @ GSinv @ e)
         cache["Ghat"] = _hermitize(P.conj().T @ GSinv @ P)
-        cache["D"] = galerkin_laplacian(grid, S_mat.L)
         cache["GS"] = GS
     return cache
 
@@ -159,8 +157,7 @@ def quotient_gram_matrix(S_mat: OperatorMatrix, grid: SurfaceGrid):
 
 def symmetrizer_gram_matrix(S_mat: OperatorMatrix, grid: SurfaceGrid):
     """Positive matrix of -<Lap pot, S Lap pot> on mean-free coefficients."""
-    cache = _gram_cache(S_mat, grid)
-    D, GS = cache["D"], cache["GS"]
+    D, GS = grid.laplace_matrix(S_mat.L), _gram_cache(S_mat, grid)["GS"]
     M = -(D.conj().T @ GS @ D)
     return _hermitize(M[1:, 1:])
 
@@ -193,7 +190,7 @@ def gram(kind: str, a: TangentField, b: TangentField, S_mat: OperatorMatrix, gri
     pb = _gram_potential(kind, b).padded(S_mat.L)
     if kind in ("curl_Ninv", "grad_Qinv"):
         return complex(-(pa.conj() @ (cache["Ghat"] @ pb)))
-    D, GS = cache["D"], cache["GS"]
+    D, GS = grid.laplace_matrix(S_mat.L), cache["GS"]
     return complex(-((D @ pa).conj() @ (GS @ (D @ pb))))
 
 
@@ -217,7 +214,7 @@ def mnp_spectra(np_set: SpectralSet, S_mat: OperatorMatrix, grid: SurfaceGrid):
     keep = np.abs(np_set.eigenvalues - 0.5) > HALF_EXCLUSION_TOL
     dropped = np.count_nonzero(~keep)
     if dropped != 1:
-        log.info("excluded %d eigenvalue(s) at 1/2 from the curl subspace", dropped)
+        log.warning("excluded %d eigenvalue(s) at 1/2 from the curl subspace", dropped)
     mu = np_set.eigenvalues[keep]
     theta = np_set.vectors[:, keep]
     pots = S_mat.entries @ theta
@@ -303,7 +300,7 @@ def trace_norm(fld: TangentField, grid: SurfaceGrid):
         sobolev_coeff_norm(grid.analysis(vals[:, c], L).coeffs, L) ** 2
         for c in range(3)
     )
-    D = galerkin_laplacian(grid, max(fld.X.L, fld.V.L))
+    D = grid.laplace_matrix(max(fld.X.L, fld.V.L))
     if fld.flavor == "div":
         scal = D @ fld.X.coeffs
     else:
@@ -320,7 +317,7 @@ def calderon_residual(which: str, test: TangentField, ops, grid: SurfaceGrid):
     is what the assembled matrices are tested on here.
     """
     S, K, Kstar = ops["S"], ops["K"], ops["Kstar"]
-    D = galerkin_laplacian(grid, S.L)
+    D = grid.laplace_matrix(S.L)
     if which == "curl":
         if test.flavor != "curl":
             raise FlavorError("curl identity needs a curl-flavor test field")
@@ -393,8 +390,8 @@ def curl_field_expansion(g: TangentField, curl_set: SpectralSet, ops, grid, J=No
     # pairing int conj(phi_j).g = pot_j^H K_stiff pot_g
     coeffs = pots.conj().T @ (K_st @ Wg)
     # synthesis family: potentials of N^{-1} phi_j, dual to -phi_j
-    cache = _gram_cache(S, grid)
-    D = cache["D"]
+    _gram_cache(S, grid)  # refuses an S too ill-conditioned to solve with
+    D = grid.laplace_matrix(S.L)
     u = np.linalg.solve(S.pairing, grid.mass_matrix()[:nc, :nc] @ pots)
     U = np.zeros_like(pots)
     U[1:, :] = np.linalg.solve(D[1:, 1:], -u[1:, :])

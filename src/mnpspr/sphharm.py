@@ -151,6 +151,14 @@ def unit_vectors(theta, phi):
     return rhat, that, phat
 
 
+def fibonacci_shell(count, radius):
+    """Deterministic spiral of `count` near-uniform points on a sphere, (count, 3)."""
+    k = np.arange(count) + 0.5
+    theta = np.arccos(1.0 - 2.0 * k / count)
+    rhat, _, _ = unit_vectors(theta, np.pi * (1.0 + np.sqrt(5.0)) * k)
+    return radius * rhat
+
+
 def cartesian_to_angles(points):
     """(theta, phi, r) for an array of 3-vectors, shape (P, 3)."""
     p = np.atleast_2d(points)

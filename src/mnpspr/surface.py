@@ -29,6 +29,7 @@ from .sphharm import (
     num_coeffs,
     sh_degrees,
     sh_index,
+    unit_vectors,
     ynm_matrix,
 )
 
@@ -125,12 +126,25 @@ class TangentField:
         return TangentField(self.X.copy(), self.V.copy(), self.flavor)
 
 
+def contravariant(frame):
+    """Contravariant frame (grad_S theta, grad_S phi) of a frame_at dict.
+
+    grad_S u = (du/dtheta) grad_S theta + (du/dphi) grad_S phi, from the
+    first fundamental form E, F, G of the parametrization.
+    """
+    E, F, G = (frame[k][..., None] for k in ("E", "F", "G"))
+    t_theta, t_phi = frame["t_theta"], frame["t_phi"]
+    det = E * G - F**2
+    return (G * t_theta - F * t_phi) / det, (E * t_phi - F * t_theta) / det
+
+
 class SurfaceGrid:
     """Immutable discretized star-shaped surface with quadrature data.
 
     Attributes (all per node, nodes ordered theta-major):
       positions (N,3), normals (N,3), area_weights (N,), param_weights (N,),
-      jacobian (N,), tangent_theta/tangent_phi (N,3), metric E, F, G (N,).
+      jacobian (N,), tangent_theta/tangent_phi (N,3), metric E, F, G (N,),
+      contravariant (grad_S theta, grad_S phi) pair of (N,3).
     """
 
     def __init__(self, radius_coeffs: ShCoeffs, L_quad: int):
@@ -163,6 +177,7 @@ class SurfaceGrid:
         self.metric_E = frame["E"]
         self.metric_F = frame["F"]
         self.metric_G = frame["G"]
+        self.contravariant = contravariant(frame)
         self.area_weights = self.param_weights * self.jacobian
         self.area = float(np.sum(self.area_weights))
 
@@ -172,10 +187,13 @@ class SurfaceGrid:
         )
         # meridian node spacing, the resolution scale of near-boundary guards
         self.max_spacing = float(np.max(self.rho) * np.pi / self.n_theta)
-        self._grad_basis = None
-        self._curl_basis = None
-        self._stiffness = None
-        self._mass = None
+        self._memo = {}
+
+    def cached(self, key, build):
+        """build() memoized under key; the value lives as long as the grid."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # -- radial function and frames at arbitrary parameter points ----------
 
@@ -194,11 +212,8 @@ class SurfaceGrid:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         rho, rho_t, rho_p = self.radius_at(theta, phi)
-        st, ct = np.sin(theta), np.cos(theta)
-        sp, cp = np.sin(phi), np.cos(phi)
-        rhat = np.stack([st * cp, st * sp, ct], axis=-1)
-        that = np.stack([ct * cp, ct * sp, -st], axis=-1)
-        phat = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
+        st = np.sin(theta)
+        rhat, that, phat = unit_vectors(theta, phi)
 
         position = rho[:, None] * rhat
         t_theta = rho_t[:, None] * rhat + rho[:, None] * that
@@ -250,9 +265,9 @@ class SurfaceGrid:
 
     def mass_matrix(self):
         """Hermitian Gram of the parameter basis in L^2 of the surface."""
-        if self._mass is None:
-            self._mass = np.conj(self.Y).T @ (self.area_weights[:, None] * self.Y)
-        return self._mass
+        return self.cached(
+            "mass", lambda: np.conj(self.Y).T @ (self.area_weights[:, None] * self.Y)
+        )
 
     # -- surface differential operators ---------------------------------------
     #
@@ -265,12 +280,9 @@ class SurfaceGrid:
     def grad(self, coeffs: ShCoeffs):
         """Surface gradient as 3-vectors per node."""
         ut, up_s = self.synthesis_derivs(coeffs)
-        st = np.sin(self.thetas)
-        up = up_s * st  # plain du/dphi
-        g = self.metric_E * self.metric_G - self.metric_F**2
-        a = (self.metric_G * ut - self.metric_F * up) / g
-        b = (self.metric_E * up - self.metric_F * ut) / g
-        return a[:, None] * self.tangent_theta + b[:, None] * self.tangent_phi
+        up = up_s * np.sin(self.thetas)  # plain du/dphi
+        alpha, beta = self.contravariant
+        return ut[:, None] * alpha + up[:, None] * beta
 
     def vec_curl(self, coeffs: ShCoeffs):
         """Rotated surface gradient  -normal x grad."""
@@ -278,35 +290,30 @@ class SurfaceGrid:
 
     def grad_basis(self):
         """Node values of grad Y_j for every basis function, (N, NC, 3)."""
-        if self._grad_basis is None:
-            st = np.sin(self.thetas)
-            g = self.metric_E * self.metric_G - self.metric_F**2
-            ut = self.Yt
-            up = self.Yp * st[:, None]
-            a = (self.metric_G[:, None] * ut - self.metric_F[:, None] * up) / g[:, None]
-            b = (self.metric_E[:, None] * up - self.metric_F[:, None] * ut) / g[:, None]
-            self._grad_basis = (
-                a[:, :, None] * self.tangent_theta[:, None, :]
-                + b[:, :, None] * self.tangent_phi[:, None, :]
-            )
-        return self._grad_basis
+
+        def build():
+            up = self.Yp * np.sin(self.thetas)[:, None]
+            alpha, beta = self.contravariant
+            return self.Yt[:, :, None] * alpha[:, None, :] + up[:, :, None] * beta[:, None, :]
+
+        return self.cached("grad_basis", build)
 
     def curl_basis(self):
         """Node values of vcurl Y_j = -normal x grad Y_j, (N, NC, 3)."""
-        if self._curl_basis is None:
-            gb = self.grad_basis()
-            self._curl_basis = -np.cross(
-                self.normals[:, None, :], gb, axisa=2, axisb=2
-            )
-        return self._curl_basis
+        return self.cached(
+            "curl_basis",
+            lambda: -np.cross(self.normals[:, None, :], self.grad_basis(), axisa=2, axisb=2),
+        )
 
     def stiffness_matrix(self):
         """int grad(conj Y_i) . grad(Y_j) ds; Hermitian, PSD, kernel = constants."""
-        if self._stiffness is None:
+
+        def build():
             gb = self.grad_basis()
             wgb = self.area_weights[:, None, None] * gb
-            self._stiffness = np.einsum("pic,pjc->ij", np.conj(wgb), gb)
-        return self._stiffness
+            return np.einsum("pic,pjc->ij", np.conj(wgb), gb)
+
+        return self.cached("stiffness", build)
 
     def _weak_coeffs(self, pairings):
         return np.linalg.solve(self.mass_matrix(), pairings)
@@ -331,9 +338,19 @@ class SurfaceGrid:
         """Laplace-Beltrami node values, as div(grad)."""
         return self.Y @ (self.laplace_matrix() @ coeffs.padded(self.L_quad))
 
-    def laplace_matrix(self):
-        """Coefficient-space Laplace-Beltrami matrix, -M^{-1} K_stiff."""
-        return -np.linalg.solve(self.mass_matrix(), self.stiffness_matrix())
+    def laplace_matrix(self, L=None):
+        """Coefficient-space Laplace-Beltrami matrix -M^{-1} K_stiff at degree L.
+
+        Mass and stiffness are truncated to degree L (default: the grid's
+        capacity) before the solve.
+        """
+        nc = num_coeffs(self.L_quad if L is None else L)
+        return self.cached(
+            ("laplace", nc),
+            lambda: -np.linalg.solve(
+                self.mass_matrix()[:nc, :nc], self.stiffness_matrix()[:nc, :nc]
+            ),
+        )
 
     def solve_laplace(self, coeffs: ShCoeffs):
         """Mean-free solution of  Delta u = f  on the grid's full degree."""
@@ -361,13 +378,7 @@ class SurfaceGrid:
         _, Yt, Yp = ynm_matrix(theta, phi, L, derivatives=True)
         frame = self.frame_at(theta, phi)
         st = np.sin(theta)
-        det = frame["E"] * frame["G"] - frame["F"] ** 2
-        alpha = (
-            frame["G"][:, None] * frame["t_theta"] - frame["F"][:, None] * frame["t_phi"]
-        ) / det[:, None]
-        beta = (
-            frame["E"][:, None] * frame["t_phi"] - frame["F"][:, None] * frame["t_theta"]
-        ) / det[:, None]
+        alpha, beta = contravariant(frame)
 
         def gradient(c):
             ut = Yt[:, : num_coeffs(c.L)] @ c.coeffs

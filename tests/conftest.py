@@ -3,6 +3,7 @@ import pytest
 
 from mnpspr.potentials import scalar_operators
 from mnpspr.spectral import mnp_spectra, np_spectrum
+from mnpspr.sphharm import fibonacci_shell  # noqa: F401  (shared by the test modules)
 from mnpspr.surface import perturbed_sphere, sphere_surface
 
 
@@ -47,15 +48,6 @@ def pert12_spectra(pert12, pert12_ops):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
-
-
-def fibonacci_shell(count, radius):
-    k = np.arange(count) + 0.5
-    th = np.arccos(1.0 - 2.0 * k / count)
-    ph = np.pi * (1.0 + np.sqrt(5.0)) * k
-    return radius * np.stack(
-        [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1
-    )
 
 
 def fd_curl(F, x, h=1e-3):

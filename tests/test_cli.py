@@ -101,8 +101,17 @@ class TestProvenance:
         assert "config_hash:" in text
         assert "L_quad: 8" in text
 
+    def test_header_reports_grid_degree(self, tmp_path):
+        code, out = run_cli(
+            tmp_path, {"command": "spectrum", "surface": {"sphere": 1.0, "L_quad": 12}, "L": 8}
+        )
+        assert code == 0
+        head = (out / "spectrum.csv").read_text().splitlines()[:12]
+        assert "# L_quad: 12" in head
+        assert "# quadrature: rotated-polar-gl (n_polar=30)" in head
+
     def test_provenance_lines(self):
-        lines = report_version_and_provenance({"command": "spectrum"}, None, 0, None, 8)
+        lines = report_version_and_provenance({"command": "spectrum"}, None, 0, 8)
         assert any("mnpspr" in l for l in lines)
         assert any("config_hash" in l for l in lines)
 

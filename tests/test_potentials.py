@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -13,7 +16,6 @@ from mnpspr.potentials import (
     apply_Q,
     assemble_correction,
     assemble_scalar,
-    galerkin_laplacian,
     helmholtz_point_kernels,
     mnp_curl_apply,
     mnp_grad_apply,
@@ -31,6 +33,19 @@ def funk_hecke_eigenvalue(kernel_of_t, n):
     val, _ = quad(lambda t: kernel_of_t(t) * eval_legendre(n, t), -1.0, 1.0,
                   limit=200, epsabs=1e-12, epsrel=1e-12)
     return 2.0 * np.pi * val
+
+
+class TestOperatorLifetime:
+    def test_repeated_requests_share_operators(self, sphere10):
+        assert scalar_operators(sphere10, 10) is scalar_operators(sphere10, 10)
+        assert sphere10.laplace_matrix(6) is sphere10.laplace_matrix(6)
+
+    def test_operators_freed_with_grid(self):
+        g = sphere_surface(1.0, 4)
+        ref = weakref.ref(scalar_operators(g, 4)["S"])
+        del g
+        gc.collect()
+        assert ref() is None
 
 
 class TestScalarAssembly:
@@ -397,7 +412,7 @@ class TestDivergenceIntertwining:
 
         L = pert12.L_quad
         M = static_magnetic_block(pert12, L)
-        D = galerkin_laplacian(pert12, L)[1:, 1:]
+        D = pert12.laplace_matrix(L)[1:, 1:]
         Kst = scalar_operators(pert12, L)["Kstar"].entries[1:, 1:]
         d = D.shape[0]
         lhs = D @ M[:d, :d]

@@ -76,6 +76,16 @@ class TestMnpSpectra:
         assert curl.meta["excluded_half"] == 1
         assert np.max(curl.eigenvalues) < 0.5 - 1e-3
 
+    def test_unexpected_half_count_warns(self, sphere10, sphere10_ops, caplog):
+        nps = np_spectrum(sphere10_ops["S"], sphere10_ops["Kstar"])
+        nps.eigenvalues = nps.eigenvalues.copy()
+        nps.eigenvalues[1] = 0.5
+        with caplog.at_level("WARNING", logger="mnpspr.spectral"):
+            curl, _ = mnp_spectra(nps, sphere10_ops["S"], sphere10)
+        assert curl.meta["excluded_half"] == 2
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "excluded 2 eigenvalue(s) at 1/2" in caplog.text
+
     def test_apply_and_compare(self, pert12_spectra, pert12_ops):
         _, curl, _ = pert12_spectra
         errs = []
@@ -216,7 +226,7 @@ class TestCompleteness:
 
         _, curl, _ = pert12_spectra
         S = pert12_ops["S"]
-        D = __import__("mnpspr.potentials", fromlist=["galerkin_laplacian"]).galerkin_laplacian(pert12, S.L)
+        D = pert12.laplace_matrix(S.L)
         Kst = pert12_ops["Kstar"].entries
         for j in (0, 3, 11):
             W = curl.vectors[:, j]
