@@ -34,7 +34,7 @@ from .potentials import (
     offboundary_eval,
     scalar_operators,
 )
-from .quadrature import default_polar_order
+from .quadrature import correction_polar_order, default_polar_order
 from .scatter import resonance_sweep
 from .sphharm import fibonacci_shell
 from .spectral import (
@@ -63,14 +63,28 @@ class ConfigError(ValueError):
         self.field = field
 
 
+def _integer(value, name):
+    """value as an int; a ConfigError naming the field unless it is integral."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{name} must be an integer, got {value!r}", name)
+    return int(value)
+
+
 @dataclass
 class RunConfig:
-    """Validated batch-run configuration."""
+    """Validated batch-run configuration.
+
+    L_quad is the grid degree of the run: the surface's L_quad raised to L
+    if below, or mie-check's own L_quad entry (default 16).
+    """
 
     command: str
     raw: dict
     surface: dict = None
     L: int = None
+    L_quad: int = None
     materials: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
 
@@ -82,15 +96,20 @@ class RunConfig:
         if command not in COMMANDS:
             raise ConfigError(f"unknown or missing command {command!r}", "command")
         cfg = cls(command=command, raw=data)
-        if command != "mie-check":
+        if command == "mie-check":
+            cfg.L_quad = _integer(data.get("L_quad", 16), "L_quad")
+        else:
             if "surface" not in data:
                 raise ConfigError("missing surface specification", "surface")
+            if not isinstance(data["surface"], dict):
+                raise ConfigError("surface must be a JSON object", "surface")
             cfg.surface = data["surface"]
             if "L" not in data:
                 raise ConfigError("missing truncation degree L", "L")
-            cfg.L = int(data["L"])
+            cfg.L = _integer(data["L"], "L")
             if not (1 <= cfg.L <= 60):
                 raise ConfigError("L out of the documented range [1, 60]", "L")
+            cfg.L_quad = max(_integer(cfg.surface.get("L_quad", cfg.L), "surface.L_quad"), cfg.L)
         cfg.materials = data.get("materials", {})
         if "omega" in cfg.materials and cfg.materials["omega"] <= 0:
             raise ConfigError("omega must be positive", "materials.omega")
@@ -113,13 +132,6 @@ class RunConfig:
             raise ConfigError("surface needs 'radius' entries or 'sphere'", "surface")
         return build_surface(radius, self.L_quad)
 
-    @property
-    def L_quad(self):
-        """Grid degree of the run: the surface's L_quad, raised to L if below."""
-        if self.surface is None:
-            return None
-        return max(int(self.surface.get("L_quad", self.L)), self.L)
-
 
 def config_hash(data) -> str:
     return hashlib.sha256(
@@ -128,14 +140,24 @@ def config_hash(data) -> str:
 
 
 def report_version_and_provenance(cfg=None, tol=None, seed=0, L_quad=None):
-    """Provenance lines embedded in every artifact header."""
+    """Provenance lines embedded in every artifact header.
+
+    cfg is the raw config dict; its command selects the quadrature line.
+    """
     import scipy
 
+    command = cfg.get("command") if isinstance(cfg, dict) else None
+    quadrature = "quadrature: rotated-polar-gl"
+    if command == "mie-check":
+        quadrature = "quadrature: surface-grid nodes (no polar rule)"
+    elif L_quad is not None:
+        quadrature += f" (n_polar={default_polar_order(L_quad)})"
+        if command == "scatter":
+            quadrature += f", corrections (n_polar={correction_polar_order(L_quad)})"
     lines = [
         f"mnpspr {__version__}",
         f"numpy {np.__version__}, scipy {scipy.__version__}",
-        "quadrature: rotated-polar-gl "
-        + (f"(n_polar={default_polar_order(L_quad)})" if L_quad else "(n_polar=L+18)"),
+        quadrature,
         f"L_quad: {L_quad if L_quad is not None else 'n/a'}",
         f"tolerance: {tol if tol is not None else 'default'}",
         f"seed: {seed}",
@@ -342,7 +364,7 @@ def cmd_mie_check(cfg, outdir, header, rng, tol):
     n_max = int(cfg.params.get("n_max", 5))
     k = float(cfg.params.get("k", 1.0))
     radius = float(cfg.params.get("radius", 1.0))
-    L_quad = int(cfg.params.get("L_quad", 16))
+    L_quad = cfg.L_quad
     grid = build_surface(ShCoeffs.constant(radius), L_quad)
     tol = 1e-6 if tol is None else tol
     rows = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import assemble_scalar_values, near_singular_eval, rings
+from .quadrature import assemble_scalar_values, correction_polar_order, near_singular_eval, rings
 from .sphharm import num_coeffs, ynm_matrix
 from .surface import ShCoeffs, SurfaceGrid, TangentField, contravariant, tubular_distance
 
@@ -326,7 +326,7 @@ def _offboundary_nodes(density, k, pts, which, grid):
 def _offboundary_near(density, k, p, which, grid, n_polar):
     def integrand(rot):
         if isinstance(density, TangentField):
-            dens = grid.tangent_values_at(density, rot["theta"], rot["phi"])
+            dens = grid.tangent_values_at(density, rot["theta"], rot["phi"], frame=rot)
         elif isinstance(density, ShCoeffs):
             dens = grid.scalar_values_at(density, rot["theta"], rot["phi"])
         else:
@@ -341,7 +341,6 @@ def _offboundary_near(density, k, p, which, grid, n_polar):
 # --------------------------------------------------------------------------
 
 
-
 def tangent_mass_stack(grid: SurfaceGrid, L: int):
     """Gram of the stacked (grad, curl) potential basis, mean-free slots."""
     nc = num_coeffs(L)
@@ -353,23 +352,34 @@ def tangent_mass_stack(grid: SurfaceGrid, L: int):
     return W
 
 
-def _vector_bases_assembled(grid: SurfaceGrid, L: int, n_polar=None):
-    """Raw integral tensors for the three correction kernels, built once per grid.
+def correction_unit_matrices(grid: SurfaceGrid, L: int):
+    """Galerkin matrices of the correction kernels at unit scale, built once per grid.
 
-    Returns dict kind -> Vals (n_nodes, 2(nc-1), 3): the kernel integral of
-    every stacked basis field (gradient block first, curl block second),
-    before the leading nu_x cross product and material constants.
-    Kernels are assembled with unit constants:
-      Mk2 : (1/(8 pi)) int [uhat (nu_x . phi) - phi (nu_x . uhat)] / 1
-      L1  : int (1/2)[I/r + R R^T / r^3] phi
-      L2  : int (2/3) phi
+    Returns dict kind -> OperatorMatrix on the stacked potential basis
+    (gradient block first, curl block second, degree >= 1 slots), with unit
+    material constants and the leading nu_x cross product applied:
+      Mk2 : (1/(8 pi)) int [uhat (nu_x . phi) - phi (nu_x . uhat)]
+      L1  : nu_x x int (1/2)[I/r + R R^T / r^3] phi
+      L2  : nu_x x int (2/3) phi
+    Each ring's kernel integrals are projected on the stacked test basis as
+    soon as they are built, so the per-node integral tensors are never held
+    whole.  The arrays are read-only: every material shares them.
     """
 
     def build():
         nc = num_coeffs(L)
         d = nc - 1
-        out = {kind: np.zeros((grid.n_nodes, 2 * d, 3), dtype=complex) for kind in VECTOR_KINDS}
-        for ring in rings(grid, L, n_polar or max(L + 12, 22)):
+        # conjugated, area-weighted test fields, (n_nodes, 3, 2d)
+        test = np.concatenate(
+            [grid.grad_basis()[:, 1:nc].transpose(0, 2, 1),
+             grid.curl_basis()[:, 1:nc].transpose(0, 2, 1)],
+            axis=2,
+        )
+        np.conj(test, out=test)
+        test *= grid.area_weights[:, None, None]
+        # pairings of the three kernels side by side: [Mk2 | L1 | L2]
+        G = np.zeros((2 * d, 3 * 2 * d), dtype=complex)
+        for ring in rings(grid, L, correction_polar_order(L)):
             _, Yth, Yp = ynm_matrix(ring.theta, ring.phi, L, derivatives=True)
             Yph = Yp * np.sin(ring.theta)[:, None]  # plain d/dphi
             # grad Y_j = (dY_j/dtheta) alpha + (dY_j/dphi) beta at each point;
@@ -382,8 +392,7 @@ def _vector_bases_assembled(grid: SurfaceGrid, L: int, n_polar=None):
             uhat = rvec / r[..., None]
             nu_x = grid.normals[ring.nodes]
 
-            # Mk2 includes its nu_x cross product (the triple-product form is
-            # automatically tangential); L1/L2 get theirs applied later.
+            # the triple-product form of Mk2 already carries nu_x
             def mk2_apply(vec):
                 nu_dot_phi = np.einsum("tj,tqj->tq", nu_x, vec)
                 nu_dot_u = np.einsum("tj,tqj->tq", nu_x, uhat)
@@ -400,14 +409,28 @@ def _vector_bases_assembled(grid: SurfaceGrid, L: int, n_polar=None):
                 A = (fn(vec_a) * wjac[..., None]).transpose(0, 2, 1).reshape(nphi * 3, q)
                 B = (fn(vec_b) * wjac[..., None]).transpose(0, 2, 1).reshape(nphi * 3, q)
                 rows = (A @ Yth + B @ Yph).reshape(nphi, 3, nc) * ring.phase[:, None, :]
-                return rows[:, :, 1:].transpose(0, 2, 1)  # (nphi, d, 3)
+                return rows[:, :, 1:]  # (nphi, 3, d)
 
-            for kind, fn in (("Mk2", mk2_apply), ("L1", l1_apply), ("L2", l2_apply)):
-                out[kind][ring.nodes, :d, :] = contract(fn, alpha, beta)
-                out[kind][ring.nodes, d:, :] = contract(fn, alpha_c, beta_c)
-        return out
+            blocks = []
+            for fn, cross in ((mk2_apply, False), (l1_apply, True), (l2_apply, True)):
+                vals = np.concatenate(
+                    [contract(fn, alpha, beta), contract(fn, alpha_c, beta_c)], axis=2
+                )
+                if cross:
+                    vals = np.cross(nu_x[:, :, None], vals, axisa=1, axisb=1, axisc=1)
+                blocks.append(vals.reshape(nphi * 3, 2 * d))
+            G += test[ring.nodes].reshape(nphi * 3, 2 * d).T @ np.hstack(blocks)
+        entries = np.linalg.solve(tangent_mass_stack(grid, L), G)
+        entries.flags.writeable = False
+        G.flags.writeable = False
+        sig = grid_signature(grid)
+        cols = [slice(2 * d * i, 2 * d * (i + 1)) for i in range(len(VECTOR_KINDS))]
+        return {
+            kind: OperatorMatrix(kind, L, entries[:, c], G[:, c], sig)
+            for kind, c in zip(VECTOR_KINDS, cols)
+        }
 
-    return grid.cached(("vector", L, n_polar), build)
+    return grid.cached(("corrections", L), build)
 
 
 def assemble_correction(
@@ -417,46 +440,28 @@ def assemble_correction(
 
     Mk2 carries the factor k^2 of the chosen wavenumber; L1/L2 carry the
     material constants C_j = i^j (k_c^{j+1} - k_e^{j+1}) / (4 pi omega (j-1)!).
-    Ordering of the stacked basis: gradient potentials then curl potentials,
-    degree >= 1 slots only.
+    The result is that scale times the grid's unit-scale matrix
+    (`correction_unit_matrices`).  Ordering of the stacked basis: gradient
+    potentials then curl potentials, degree >= 1 slots only.
     """
     if kind not in VECTOR_KINDS:
         raise KindError(f"unknown correction kind {kind!r}")
-    vals = _vector_bases_assembled(grid, L)[kind]
     k_e, k_c = materials.k_e, materials.k_c
     if kind == "Mk2":
         scale = materials.wavenumber(wavenumber) ** 2
-        cross = False  # the triple-product kernel already carries nu_x
     elif kind == "L1":
         # constants from the direct delta-expansion of the kernel
         # difference: i^{j+1} (k_c^{j+1} - k_e^{j+1}) / (4 pi omega (j-1)!),
         # verified against the transmission conditions of the full system
         scale = -(k_c**2 - k_e**2) / (4.0 * np.pi * materials.omega)
-        cross = True
     else:
         scale = -1j * (k_c**3 - k_e**3) / (4.0 * np.pi * materials.omega)
-        cross = True
-    field_vals = scale * vals
-    if cross:
-        field_vals = np.cross(
-            grid.normals[:, None, :], field_vals, axisa=2, axisb=2
-        )
-    # Galerkin rows against the stacked test basis
-    nc = num_coeffs(L)
-    d = nc - 1
-    gb = grid.grad_basis()[:, 1:nc, :]
-    cb = grid.curl_basis()[:, 1:nc, :]
-    w = grid.area_weights[:, None, None]
-    G = np.zeros((2 * d, 2 * d), dtype=complex)
-    G[:d, :] = np.einsum("pic,pjc->ij", np.conj(gb) * w, field_vals)
-    G[d:, :] = np.einsum("pic,pjc->ij", np.conj(cb) * w, field_vals)
-    W = tangent_mass_stack(grid, L)
-    entries = np.linalg.solve(W, G)
+    unit = correction_unit_matrices(grid, L)[kind]
     return OperatorMatrix(
         kind,
         L,
-        entries,
-        G,
-        grid_signature(grid),
+        scale * unit.entries,
+        scale * unit.pairing,
+        unit.grid_id,
         {"wavenumber": wavenumber, "scale": complex(scale)},
     )

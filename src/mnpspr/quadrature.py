@@ -30,6 +30,11 @@ def default_polar_order(L: int) -> int:
     return max(L + 18, 24)
 
 
+def correction_polar_order(L: int) -> int:
+    """Polar order of the smooth correction kernels at degree L."""
+    return max(L + 12, 22)
+
+
 class PolarPatch:
     """Fixed polar rule whose pole can be moved to any parameter direction."""
 

@@ -10,13 +10,23 @@ On the potential pair [X; V] the static operator is realized through the
 scalar reductions (curl block: K, gradient block: -Lap^{-1} K* Lap); the
 cross coupling from gradients into the curl subspace has no scalar
 reduction and vanishes on spheres, where all quantitative sweeps run.
+Every system carries meta["cross_coupling"] = "dropped"; on any other
+surface assemble_system also logs a warning.
+
+The system is affine in its material parameters.  Offline, once per grid
+and degree, the grid memo keeps M and the correction kernels L1, L2 and
+Mk2 at unit scale.  Online, each (tau, delta) point scales and adds those
+matrices, factors the result once, and takes both the solve and the
+1-norm condition estimate from that LU.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .potentials import (
     MaterialConfig,
@@ -31,6 +41,8 @@ from .potentials import (
 from .sphharm import num_coeffs
 from .surface import ShCoeffs, SurfaceGrid, TangentField
 from .spectral import trace_norm
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -80,18 +92,23 @@ def static_magnetic_block(grid: SurfaceGrid, L: int):
 
     Curl block: the K coefficient matrix; gradient block: -Lap^{-1} K* Lap
     (from the divergence intertwining).  Block-diagonal: the gradient-to-
-    curl coupling is dropped (exact on spheres).
+    curl coupling is dropped (exact on spheres).  Built once per grid and
+    degree; the returned array is read-only.
     """
-    ops = scalar_operators(grid, L)
-    nc = num_coeffs(L)
-    d = nc - 1
-    D = grid.laplace_matrix(L)[1:, 1:]
-    Kst = ops["Kstar"].entries[1:, 1:]
-    Kc = ops["K"].entries[1:, 1:]
-    M = np.zeros((2 * d, 2 * d), dtype=complex)
-    M[:d, :d] = -np.linalg.solve(D, Kst @ D)
-    M[d:, d:] = Kc
-    return M
+
+    def build():
+        ops = scalar_operators(grid, L)
+        d = num_coeffs(L) - 1
+        D = grid.laplace_matrix(L)[1:, 1:]
+        Kst = ops["Kstar"].entries[1:, 1:]
+        Kc = ops["K"].entries[1:, 1:]
+        M = np.zeros((2 * d, 2 * d), dtype=complex)
+        M[:d, :d] = -np.linalg.solve(D, Kst @ D)
+        M[d:, d:] = Kc
+        M.flags.writeable = False
+        return M
+
+    return grid.cached(("magnetic", L), build)
 
 
 def assemble_system(grid: SurfaceGrid, materials: MaterialConfig, order: int) -> BlockSystem:
@@ -125,8 +142,14 @@ def assemble_system(grid: SurfaceGrid, materials: MaterialConfig, order: int) ->
             A[2 * d :, 2 * d :] += dia2
         A[: 2 * d, 2 * d :] = off
         A[2 * d :, : 2 * d] = off
+    if np.any(grid.radius_coeffs.coeffs[1:] != 0):
+        log.warning(
+            "non-spherical surface: the gradient-to-curl block of M is dropped, "
+            "so the scattering system is approximate"
+        )
     return BlockSystem(
-        A, order, delta, tau, materials.omega, L, grid_signature(grid), materials, diag
+        A, order, delta, tau, materials.omega, L, grid_signature(grid), materials, diag,
+        {"cross_coupling": "dropped"},
     )
 
 
@@ -169,19 +192,21 @@ def _unstack(vec, L):
 def solve_scatter(system: BlockSystem, rhs: RHSVector):
     """Solve the scaled system; returns (psi, omega*phi) densities and cond.
 
-    A singular matrix raises a resonance error carrying the spectral shift.
+    The matrix is factored once (LAPACK getrf); the solve (getrs) and cond,
+    the 1-norm condition estimate 1/gecon, both come from that LU.  A
+    singular matrix raises a resonance error carrying the spectral shift.
     """
-    b = rhs.stacked(system.L)
-    cond = float(np.linalg.cond(system.matrix))
-    try:
-        sol = np.linalg.solve(system.matrix, b)
-    except np.linalg.LinAlgError as exc:
+    A = np.asarray(system.matrix, dtype=complex)
+    lu, piv, info = lapack.zgetrf(A)
+    if info > 0:
         raise ResonanceError(
             "scaled system singular at an exact resonance",
             eigenvalue=resonance_shift(system.tau),
-        ) from exc
+        )
+    rcond, _ = lapack.zgecon(lu, np.linalg.norm(A, 1), norm="1")
+    sol, _ = lapack.zgetrs(lu, piv, rhs.stacked(system.L))
     psi, omega_phi = _unstack(sol, system.L)
-    return (psi, omega_phi), cond
+    return (psi, omega_phi), float(np.inf if rcond == 0 else 1.0 / rcond)
 
 
 def pair_norm(a: TangentField, b: TangentField, grid: SurfaceGrid):

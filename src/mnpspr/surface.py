@@ -370,13 +370,17 @@ class SurfaceGrid:
         """Values of a coefficient vector at arbitrary parameter points."""
         return ynm_matrix(theta, phi, coeffs.L) @ coeffs.coeffs
 
-    def tangent_values_at(self, f: TangentField, theta, phi):
-        """Helmholtz-potential field at arbitrary parameter points."""
+    def tangent_values_at(self, f: TangentField, theta, phi, frame=None):
+        """Helmholtz-potential field at arbitrary parameter points.
+
+        frame, if given, is frame_at(theta, phi) already evaluated.
+        """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         L = max(f.X.L, f.V.L)
         _, Yt, Yp = ynm_matrix(theta, phi, L, derivatives=True)
-        frame = self.frame_at(theta, phi)
+        if frame is None:
+            frame = self.frame_at(theta, phi)
         st = np.sin(theta)
         alpha, beta = contravariant(frame)
 

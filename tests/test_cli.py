@@ -176,3 +176,48 @@ class TestOtherCommands:
         assert code == 0
         payload = json.loads((out / "decay.json").read_text())
         assert payload["plateau"] is True
+
+
+class TestConfigTypes:
+    @staticmethod
+    def error_field(tmp_path, config):
+        code, out = run_cli(tmp_path, config)
+        assert code == 1
+        return json.loads((out / "error.json").read_text())["error"]["field"]
+
+    def test_non_integer_L(self, tmp_path):
+        cfg = {"command": "spectrum", "surface": SPHERE8, "L": 8.5}
+        assert self.error_field(tmp_path, cfg) == "L"
+
+    def test_non_integer_L_quad(self, tmp_path):
+        cfg = {"command": "spectrum", "surface": {"sphere": 1.0, "L_quad": "x"}, "L": 8}
+        assert self.error_field(tmp_path, cfg) == "surface.L_quad"
+
+    def test_surface_not_an_object(self, tmp_path):
+        cfg = {"command": "spectrum", "surface": [1.0], "L": 8}
+        assert self.error_field(tmp_path, cfg) == "surface"
+
+
+class TestHeaderReportsUsedSettings:
+    def test_mie_check_grid_and_rule(self, tmp_path):
+        code, out = run_cli(tmp_path, {"command": "mie-check", "n_max": 1, "L_quad": 12})
+        assert code == 0
+        head = (out / "mie_check.csv").read_text().splitlines()[:12]
+        assert "# L_quad: 12" in head
+        assert "# quadrature: surface-grid nodes (no polar rule)" in head
+
+    def test_scatter_correction_order(self, tmp_path):
+        code, out = run_cli(
+            tmp_path,
+            {
+                "command": "scatter",
+                "surface": SPHERE8,
+                "L": 8,
+                "tau_list": [0.5],
+                "delta_list": [0.1],
+                "order": 2,
+            },
+        )
+        assert code == 0
+        head = (out / "scatter.csv").read_text().splitlines()[:12]
+        assert "# quadrature: rotated-polar-gl (n_polar=26), corrections (n_polar=22)" in head

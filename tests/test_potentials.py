@@ -428,3 +428,22 @@ class TestExports:
         entry00 = row0[0] + 1j * row0[1]
         assert abs(entry00 - sphere10_ops["S"].entries[0, 0]) < 1e-15
         assert len(d["rows"]) == num_coeffs(10)
+
+
+class TestNearFrames:
+    def test_one_frame_per_near_point(self, sphere10, monkeypatch):
+        # the tangential density reuses the patch frame of the quadrature
+        from mnpspr.surface import SurfaceGrid
+
+        calls = []
+        frame_at = SurfaceGrid.frame_at
+
+        def counting(self, theta, phi):
+            calls.append(np.size(theta))
+            return frame_at(self, theta, phi)
+
+        monkeypatch.setattr(SurfaceGrid, "frame_at", counting)
+        dens = mode_tangent_field(SphereMode(2, 1, 0, 1.0), 6)
+        pts = np.array([[0.0, 0.0, 1.05], [0.6, 0.0, 0.9]])
+        offboundary_eval(dens, 1.0, pts, "curlS_vec", sphere10, quad="near", n_polar=40)
+        assert len(calls) == len(pts)
