@@ -64,12 +64,20 @@ class ConfigError(ValueError):
 
 
 def _integer(value, name):
-    """value as an int; a ConfigError naming the field unless it is integral."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-        isinstance(value, float) and not value.is_integer()
-    ):
-        raise ConfigError(f"{name} must be an integer, got {value!r}", name)
-    return int(value)
+    """value as an int; a ConfigError naming the field unless it is integral.
+
+    Integral numbers and strings of an integer ("8") are accepted.
+    """
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}", name)
 
 
 @dataclass

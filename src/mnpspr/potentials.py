@@ -326,7 +326,7 @@ def _offboundary_nodes(density, k, pts, which, grid):
 def _offboundary_near(density, k, p, which, grid, n_polar):
     def integrand(rot):
         if isinstance(density, TangentField):
-            dens = grid.tangent_values_at(density, rot["theta"], rot["phi"], frame=rot)
+            dens = grid.tangent_values_at(density, rot)
         elif isinstance(density, ShCoeffs):
             dens = grid.scalar_values_at(density, rot["theta"], rot["phi"])
         else:
@@ -377,7 +377,7 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
         )
         np.conj(test, out=test)
         test *= grid.area_weights[:, None, None]
-        # pairings of the three kernels side by side: [Mk2 | L1 | L2]
+        # pairings of the three kernels side by side, in VECTOR_KINDS order
         G = np.zeros((2 * d, 3 * 2 * d), dtype=complex)
         for ring in rings(grid, L, correction_polar_order(L)):
             _, Yth, Yp = ynm_matrix(ring.theta, ring.phi, L, derivatives=True)
@@ -411,8 +411,10 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
                 rows = (A @ Yth + B @ Yph).reshape(nphi, 3, nc) * ring.phase[:, None, :]
                 return rows[:, :, 1:]  # (nphi, 3, d)
 
+            kernels = {"Mk2": (mk2_apply, False), "L1": (l1_apply, True), "L2": (l2_apply, True)}
             blocks = []
-            for fn, cross in ((mk2_apply, False), (l1_apply, True), (l2_apply, True)):
+            for kind in VECTOR_KINDS:
+                fn, cross = kernels[kind]
                 vals = np.concatenate(
                     [contract(fn, alpha, beta), contract(fn, alpha_c, beta_c)], axis=2
                 )

@@ -11,7 +11,7 @@ scalar reductions (curl block: K, gradient block: -Lap^{-1} K* Lap); the
 cross coupling from gradients into the curl subspace has no scalar
 reduction and vanishes on spheres, where all quantitative sweeps run.
 Every system carries meta["cross_coupling"] = "dropped"; on any other
-surface assemble_system also logs a warning.
+surface assemble_system also logs a warning, once per grid.
 
 The system is affine in its material parameters.  Offline, once per grid
 and degree, the grid memo keeps M and the correction kernels L1, L2 and
@@ -143,9 +143,14 @@ def assemble_system(grid: SurfaceGrid, materials: MaterialConfig, order: int) ->
         A[: 2 * d, 2 * d :] = off
         A[2 * d :, : 2 * d] = off
     if np.any(grid.radius_coeffs.coeffs[1:] != 0):
-        log.warning(
-            "non-spherical surface: the gradient-to-curl block of M is dropped, "
-            "so the scattering system is approximate"
+        # a property of the grid, reported once however many points a sweep takes
+        grid.cached(
+            ("cross_coupling_warned",),
+            lambda: log.warning(
+                "non-spherical surface: the gradient-to-curl block of M is dropped, "
+                "so the scattering system is approximate"
+            )
+            or True,
         )
     return BlockSystem(
         A, order, delta, tau, materials.omega, L, grid_signature(grid), materials, diag,

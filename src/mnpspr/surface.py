@@ -370,17 +370,15 @@ class SurfaceGrid:
         """Values of a coefficient vector at arbitrary parameter points."""
         return ynm_matrix(theta, phi, coeffs.L) @ coeffs.coeffs
 
-    def tangent_values_at(self, f: TangentField, theta, phi, frame=None):
+    def tangent_values_at(self, f: TangentField, frame):
         """Helmholtz-potential field at arbitrary parameter points.
 
-        frame, if given, is frame_at(theta, phi) already evaluated.
+        frame is a frame_at(theta, phi) dict that also holds the points'
+        "theta" and "phi".
         """
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
+        theta = np.atleast_1d(np.asarray(frame["theta"], dtype=float))
         L = max(f.X.L, f.V.L)
-        _, Yt, Yp = ynm_matrix(theta, phi, L, derivatives=True)
-        if frame is None:
-            frame = self.frame_at(theta, phi)
+        _, Yt, Yp = ynm_matrix(theta, frame["phi"], L, derivatives=True)
         st = np.sin(theta)
         alpha, beta = contravariant(frame)
 

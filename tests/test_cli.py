@@ -193,6 +193,12 @@ class TestConfigTypes:
         cfg = {"command": "spectrum", "surface": {"sphere": 1.0, "L_quad": "x"}, "L": 8}
         assert self.error_field(tmp_path, cfg) == "surface.L_quad"
 
+    def test_integer_string_L(self, tmp_path):
+        cfg = {"command": "spectrum", "surface": {"sphere": 1.0, "L_quad": "8"}, "L": "8"}
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 0
+        assert not (out / "error.json").exists()
+
     def test_surface_not_an_object(self, tmp_path):
         cfg = {"command": "spectrum", "surface": [1.0], "L": 8}
         assert self.error_field(tmp_path, cfg) == "surface"
