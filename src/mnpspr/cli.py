@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -27,7 +28,6 @@ from .mie import SphereMode, exact_sphere_potential, mode_tangent_field
 from .plasmon import PlasmonMode, localization_scan
 from .potentials import (
     AssemblyAccuracyError,
-    MaterialConfig,
     NearBoundaryError,
     RegularizationError,
     ResonanceError,
@@ -80,6 +80,10 @@ def _integer(value, name):
     raise ConfigError(f"{name} must be an integer, got {value!r}", name)
 
 
+def _is_number(value):
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
 @dataclass
 class RunConfig:
     """Validated batch-run configuration.
@@ -119,6 +123,17 @@ class RunConfig:
                 raise ConfigError("L out of the documented range [1, 60]", "L")
             cfg.L_quad = max(_integer(cfg.surface.get("L_quad", cfg.L), "surface.L_quad"), cfg.L)
         cfg.materials = data.get("materials", {})
+        if not isinstance(cfg.materials, dict):
+            raise ConfigError("materials must be a JSON object", "materials")
+        for key in ("omega", "tau", "delta"):
+            if key in cfg.materials and not _is_number(cfg.materials[key]):
+                raise ConfigError(f"materials.{key} must be a number", f"materials.{key}")
+        for key in ("tau_list", "delta_list"):
+            values = data.get(key, [])
+            if not isinstance(values, list) or not all(map(_is_number, values)):
+                raise ConfigError(f"{key} must be a list of numbers", key)
+        if any(t <= 0 or t == 1 for t in data.get("tau_list", [])):
+            raise ConfigError("tau_list entries must be positive and differ from 1", "tau_list")
         if "omega" in cfg.materials and cfg.materials["omega"] <= 0:
             raise ConfigError("omega must be positive", "materials.omega")
         if "delta" in cfg.materials and cfg.materials["delta"] < 0:
@@ -199,15 +214,6 @@ def write_json(path, header_lines, payload):
     with open(path, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def _materials(cfg, default_tau=0.5):
-    m = cfg.materials
-    return MaterialConfig.negative_preset(
-        float(m.get("tau", default_tau)),
-        float(m.get("omega", 1.0)),
-        float(m.get("delta", 0.05)),
-    )
 
 
 def _shell_points(spec):

@@ -17,8 +17,8 @@ from numbers import Rational
 
 import numpy as np
 
-from .mie import SphereMode, exact_sphere_potential, mode_tangent_field
-from .potentials import MaterialConfig, helmholtz_point_kernels, offboundary_eval
+from .mie import SphereMode, exact_sphere_potential
+from .potentials import MaterialConfig, offboundary_eval
 from .spectral import SpectralSet
 from .surface import ShCoeffs, SurfaceGrid, TangentField, tubular_distance
 from .sphharm import cartesian_to_angles
@@ -98,9 +98,8 @@ def _is_inside(x, grid: SurfaceGrid):
 def plasmon_field(mode: PlasmonMode, x, grid: SurfaceGrid, materials=None, quad="auto"):
     """Electric and magnetic mode fields at a point off the boundary.
 
-    E = mu curl S[phi] + curlcurl S[phi], H = -(i/omega) curlcurl S[phi]
-    - (i k^2/(omega mu)) curl S[phi], with (mu, k) from the exterior or
-    interior material depending on the side of the surface.
+    The fields of `_mode_fields`, with (mu, k) from the exterior or interior
+    material depending on the side of the surface.
     """
     mats = materials or mode.materials
     x = np.asarray(x, dtype=float)
@@ -108,17 +107,20 @@ def plasmon_field(mode: PlasmonMode, x, grid: SurfaceGrid, materials=None, quad=
         inside = np.linalg.norm(x) < mode.sphere.radius
     else:
         inside = _is_inside(x, grid)
-    if inside:
-        mu, k = mats.mu_c, mats.k_c
-    else:
-        mu, k = mats.mu_e, mats.k_e
-    k = complex(k).real if abs(complex(k).imag) < 1e-14 else complex(k)
+    k = mats.side(inside)[1]
     if mode.sphere is not None:
         curl = exact_sphere_potential(mode.sphere, k, x, "curlS")
         curlcurl = exact_sphere_potential(mode.sphere, k, x, "curlcurlS")
     else:
         curl = offboundary_eval(mode.density, k, x, "curlS_vec", grid, quad=quad)
         curlcurl = offboundary_eval(mode.density, k, x, "curlcurlS_vec", grid, quad=quad)
+    return _mode_fields(mats, inside, curl, curlcurl)
+
+
+def _mode_fields(mats: MaterialConfig, inside, curl, curlcurl):
+    """E = mu curl S[phi] + curlcurl S[phi], H = -(i/omega) curlcurl S[phi]
+    - (i k^2/(omega mu)) curl S[phi], with (mu, k) of the side."""
+    mu, k = mats.side(inside)
     E = mu * curl + curlcurl
     H = -1j / mats.omega * curlcurl - 1j * k**2 / (mats.omega * mu) * curl
     return E, H
@@ -176,37 +178,32 @@ class DecayReport:
 
 
 def _field_batch(modes, points, grid, quad):
-    """E, H for every (mode, point); exterior kernels are shared across modes."""
+    """E, H for every (mode, point), one kernel evaluation per side and wavenumber.
+
+    Outside, every mode has k = k_e and shares one evaluation; inside, each
+    mode has its own k_c.  Sphere modes take the closed form point by point.
+    """
     pts = np.asarray(points, dtype=float)
     inside = np.array([_is_inside(p, grid) for p in pts])
-    n_modes, n_pts = len(modes), pts.shape[0]
-    E = np.zeros((n_modes, n_pts, 3), dtype=complex)
-    H = np.zeros((n_modes, n_pts, 3), dtype=complex)
-
-    general = [(j, m) for j, m in enumerate(modes) if m.sphere is None]
-    if general and np.any(~inside):
-        # exterior wavenumber is mode-independent: one kernel tensor
-        k_e = float(np.real(general[0][1].materials.k_e))
-        rvec = pts[~inside][:, None, :] - grid.positions[None, :, :]
-        g, gr, he = helmholtz_point_kernels(k_e, rvec, want_hessian=True)
-        w = grid.area_weights
-        for mj, m in general:
-            dens = grid.tangent_values(m.density)
-            curl = np.einsum("pnc,n->pc", np.cross(gr, dens), w)
-            cc = np.einsum("pncd,nd->pc", he, dens * w[:, None])
-            cc += k_e**2 * np.einsum("pn,nc->pc", g * w[None, :], dens)
-            mu = m.materials.mu_e
-            E[mj, ~inside] = mu * curl + cc
-            H[mj, ~inside] = (
-                -1j / m.materials.omega * cc
-                - 1j * k_e**2 / (m.materials.omega * mu) * curl
+    E = np.zeros((len(modes), len(pts), 3), dtype=complex)
+    H = np.zeros_like(E)
+    groups = {}
+    for j, m in enumerate(modes):
+        if m.sphere is not None:
+            for p, x in enumerate(pts):
+                E[j, p], H[j, p] = plasmon_field(m, x, grid, quad=quad)
+            continue
+        for side in {bool(s) for s in inside}:
+            groups.setdefault((side, m.materials.side(side)[1]), []).append(j)
+    for (side, k), js in groups.items():
+        cols = inside == side
+        dens = [modes[j].density for j in js]
+        curl = offboundary_eval(dens, k, pts[cols], "curlS_vec", grid, quad=quad)
+        curlcurl = offboundary_eval(dens, k, pts[cols], "curlcurlS_vec", grid, quad=quad)
+        for i, j in enumerate(js):
+            E[j, cols], H[j, cols] = _mode_fields(
+                modes[j].materials, side, curl[..., i], curlcurl[..., i]
             )
-    for mj, m in enumerate(modes):
-        cols = (
-            range(n_pts) if m.sphere is not None else np.nonzero(inside)[0]
-        )
-        for p in cols:
-            E[mj, p], H[mj, p] = plasmon_field(m, pts[p], grid, quad=quad)
     return E, H
 
 

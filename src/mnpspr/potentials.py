@@ -121,6 +121,11 @@ class MaterialConfig:
     def wavenumber(self, which: str):
         return {"e": self.k_e, "c": self.k_c}[which]
 
+    def side(self, inside):
+        """(mu, k) of the interior or exterior material; k real up to round-off."""
+        mu, k = (self.mu_c, complex(self.k_c)) if inside else (self.mu_e, complex(self.k_e))
+        return mu, (k.real if abs(k.imag) < 1e-14 else k)
+
 
 # --------------------------------------------------------------------------
 # scalar operator assembly (cached per grid)
@@ -260,24 +265,67 @@ def helmholtz_point_kernels(k, rvec, want_hessian=False):
     return g, grad, hess
 
 
-def _density_node_values(density, grid):
+# points per node-rule block: bounds the (points x nodes x 3 x 3) kernel tensor
+POINT_BLOCK = 32
+
+
+def _layer_sum(k, rvec, which, wdens):
+    """Layer potential `which` at P targets, summed over N sources.
+
+    rvec = x - y, shape (P, N, 3).  wdens stacks J densities times the
+    quadrature weights: (N, J) for the scalar kinds S and gradS, (N, 3, J)
+    for curlS_vec and curlcurlS_vec.  Returns (P, J) for S, else (P, 3, J).
+    The one home of the off-boundary kernels; node and near rules call it.
+    """
+    if which == "S":
+        g, _ = helmholtz_point_kernels(k, rvec)
+        return g @ wdens
+    if which == "gradS":
+        _, grad = helmholtz_point_kernels(k, rvec)
+        return np.einsum("pnc,nj->pcj", grad, wdens, optimize=True)
+    if which == "curlS_vec":
+        # grad G x d as the matrix of the cross product with grad G
+        _, grad = helmholtz_point_kernels(k, rvec)
+        ker = np.cross(grad[..., None, :], np.eye(3)).swapaxes(-1, -2)
+    elif which == "curlcurlS_vec":
+        g, _, hess = helmholtz_point_kernels(k, rvec, want_hessian=True)
+        ker = hess + (k**2 * g)[..., None, None] * np.eye(3)
+    else:
+        raise KindError(f"unknown evaluation kind {which!r}")
+    return np.einsum("pncd,ndj->pcj", ker, wdens, optimize=True)
+
+
+def _density_values(density, grid: SurfaceGrid, patch=None):
+    """Values of a density at the grid nodes, or at the points of a near-rule patch."""
+    if patch is None:
+        if isinstance(density, TangentField):
+            return grid.tangent_values(density)
+        return grid.synthesis(density) if isinstance(density, ShCoeffs) else np.asarray(density)
     if isinstance(density, TangentField):
-        return grid.tangent_values(density)
+        return grid.tangent_values_at(density, patch)
     if isinstance(density, ShCoeffs):
-        return grid.synthesis(density)
-    return np.asarray(density)
+        return grid.scalar_values_at(density, patch["theta"], patch["phi"])
+    raise TypeError("near evaluation needs a coefficient-space density")
+
+
+def _weighted(values, w):
+    """Densities stacked on a trailing axis, times the quadrature weights w (N,)."""
+    v = np.stack(values, axis=-1)
+    return v * w.reshape(w.shape + (1,) * (v.ndim - 1))
 
 
 def offboundary_eval(density, k, x, which, grid: SurfaceGrid, quad="auto", n_polar=320):
     """Layer-potential evaluation at points off the boundary.
 
     which in {S, gradS} (scalar density) or {curlS_vec, curlcurlS_vec}
-    (tangential density).  quad='auto' uses the surface grid as quadrature
+    (tangential density).  A list of densities shares one kernel
+    evaluation; their results are stacked on a trailing axis.  quad='auto'
+    uses the surface grid as quadrature, in blocks of POINT_BLOCK points,
     and refuses points closer than 3 x the node spacing; quad='near'
     switches to a polar rule concentrated under each evaluation point.
     """
+    dens = density if isinstance(density, list) else [density]
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    single = np.asarray(x).ndim == 1
     if quad == "auto":
         guard = 3.0 * grid.max_spacing
         for p in pts:
@@ -287,53 +335,25 @@ def offboundary_eval(density, k, x, which, grid: SurfaceGrid, quad="auto", n_pol
                     f"point at distance {d:.3g} inside quadrature guard "
                     f"{guard:.3g}; pass quad='near' for a refined rule"
                 )
-        out = _offboundary_nodes(density, k, pts, which, grid)
+        wdens = _weighted([_density_values(d, grid) for d in dens], grid.area_weights)
+        out = np.concatenate([
+            _layer_sum(k, pts[i : i + POINT_BLOCK, None, :] - grid.positions, which, wdens)
+            for i in range(0, len(pts), POINT_BLOCK)
+        ])
     elif quad == "near":
-        out = np.array(
-            [_offboundary_near(density, k, p, which, grid, n_polar) for p in pts]
-        )
+
+        def near(p):
+            def integrand(patch, w):
+                wd = _weighted([_density_values(d, grid, patch) for d in dens], w)
+                return _layer_sum(k, (p - patch["position"])[None], which, wd)[0]
+
+            return near_singular_eval(grid, p, integrand, n_polar=n_polar)
+
+        out = np.array([near(p) for p in pts])
     else:
         raise ValueError(f"unknown quad mode {quad!r}")
-    return out[0] if single else out
-
-
-def _layer_integrand(k, rvec, which, dens):
-    """Kernel of `which` times the density at each source, before the sum.
-
-    rvec = x - y (..., 3); dens (...) for scalar kinds, (..., 3) otherwise.
-    """
-    if which == "S":
-        g, _ = helmholtz_point_kernels(k, rvec)
-        return g * dens
-    if which == "gradS":
-        _, grad = helmholtz_point_kernels(k, rvec)
-        return dens[..., None] * grad
-    if which == "curlS_vec":
-        _, grad = helmholtz_point_kernels(k, rvec)
-        return np.cross(grad, dens)
-    if which == "curlcurlS_vec":
-        g, _, hess = helmholtz_point_kernels(k, rvec, want_hessian=True)
-        return np.einsum("...cd,...d->...c", hess, dens) + (k**2 * g)[..., None] * dens
-    raise KindError(f"unknown evaluation kind {which!r}")
-
-
-def _offboundary_nodes(density, k, pts, which, grid):
-    dens = _density_node_values(density, grid)
-    vals = _layer_integrand(k, pts[:, None, :] - grid.positions[None, :, :], which, dens)
-    return np.einsum("pn...,n->p...", vals, grid.area_weights)
-
-
-def _offboundary_near(density, k, p, which, grid, n_polar):
-    def integrand(rot):
-        if isinstance(density, TangentField):
-            dens = grid.tangent_values_at(density, rot)
-        elif isinstance(density, ShCoeffs):
-            dens = grid.scalar_values_at(density, rot["theta"], rot["phi"])
-        else:
-            raise TypeError("near evaluation needs a coefficient-space density")
-        return _layer_integrand(k, p[None, :] - rot["position"], which, dens)
-
-    return near_singular_eval(grid, p, integrand, n_polar=n_polar)
+    out = out if isinstance(density, list) else out[..., 0]
+    return out[0] if np.asarray(x).ndim == 1 else out
 
 
 # --------------------------------------------------------------------------

@@ -127,17 +127,14 @@ def near_singular_eval(grid: SurfaceGrid, x, integrand, n_polar=320, n_azimuth=N
     """Quadrature of a surface integrand peaked under an off-surface point.
 
     The polar patch is centered at the parameter direction of x, where the
-    nearly singular kernel concentrates.  `integrand(pointdata)` receives the
-    rotated patch data and returns values (Q,) or (Q, k); the surface measure
-    (jacobian x weights) is applied here.
+    nearly singular kernel concentrates.  `integrand(patch, w)` receives the
+    Q patch points (frame_at keys plus their "theta" and "phi") and their
+    weights w (Q,), the rule's weights times the surface jacobian, and
+    returns the weighted sum over the patch, which is returned as is.
     """
     th0, ph0, _ = cartesian_to_angles(np.asarray(x, dtype=float))
     na = n_azimuth or max(2 * grid.L_quad + 16, 48)
     patch = PolarPatch(grid, n_polar, na)
     th, ph = patch.angles(float(th0[0]), float(ph0[0]))
     rot = dict(grid.frame_at(th, ph), theta=th, phi=ph)
-    vals = integrand(rot)
-    w = patch.weights * rot["jacobian"]
-    if vals.ndim == 1:
-        return np.sum(w * vals)
-    return np.tensordot(w, vals, axes=(0, 0))
+    return integrand(rot, patch.weights * rot["jacobian"])

@@ -74,7 +74,6 @@ class BlockSystem:
     L: int
     grid_id: str
     materials: MaterialConfig
-    diag_block: np.ndarray = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -153,7 +152,7 @@ def assemble_system(grid: SurfaceGrid, materials: MaterialConfig, order: int) ->
             or True,
         )
     return BlockSystem(
-        A, order, delta, tau, materials.omega, L, grid_signature(grid), materials, diag,
+        A, order, delta, tau, materials.omega, L, grid_signature(grid), materials,
         {"cross_coupling": "dropped"},
     )
 
@@ -267,21 +266,15 @@ def eval_scattered_fields(densities, x, materials: MaterialConfig, grid: Surface
     from .plasmon import _is_inside
 
     inside = _is_inside(x, grid)
-    if inside:
-        mu, k = materials.mu_c, materials.k_c
-    else:
-        mu, k = materials.mu_e, materials.k_e
-    k = complex(k).real if abs(complex(k).imag) < 1e-14 else complex(k)
+    mu, k = materials.side(inside)
     delta = materials.delta
     ks = delta * k  # the reference geometry carries the scaled wavenumber
-    curl_psi = offboundary_eval(psi, ks, x, "curlS_vec", grid, quad=quad)
-    cc_psi = offboundary_eval(psi, ks, x, "curlcurlS_vec", grid, quad=quad)
-    curl_phi = offboundary_eval(phi, ks, x, "curlS_vec", grid, quad=quad)
-    cc_phi = offboundary_eval(phi, ks, x, "curlcurlS_vec", grid, quad=quad)
-    E = mu * curl_psi + cc_phi / delta
+    curl = offboundary_eval([psi, phi], ks, x, "curlS_vec", grid, quad=quad)
+    curlcurl = offboundary_eval([psi, phi], ks, x, "curlcurlS_vec", grid, quad=quad)
+    E = mu * curl[..., 0] + curlcurl[..., 1] / delta
     H = (
-        -1j / (materials.omega * delta) * cc_psi
-        - 1j * k**2 / (materials.omega * mu) * curl_phi
+        -1j / (materials.omega * delta) * curlcurl[..., 0]
+        - 1j * k**2 / (materials.omega * mu) * curl[..., 1]
     )
     if incident is not None and not inside:
         Ei, Hi = incident(x)

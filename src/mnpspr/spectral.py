@@ -155,13 +155,6 @@ def quotient_gram_matrix(S_mat: OperatorMatrix, grid: SurfaceGrid):
     return _hermitize(-cache["Ghat"][1:, 1:])
 
 
-def symmetrizer_gram_matrix(S_mat: OperatorMatrix, grid: SurfaceGrid):
-    """Positive matrix of -<Lap pot, S Lap pot> on mean-free coefficients."""
-    D, GS = grid.laplace_matrix(S_mat.L), _gram_cache(S_mat, grid)["GS"]
-    M = -(D.conj().T @ GS @ D)
-    return _hermitize(M[1:, 1:])
-
-
 GRAM_KINDS = ("curl_Ninv", "grad_Qinv", "curl_N", "grad_Q")
 
 

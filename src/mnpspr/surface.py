@@ -352,14 +352,6 @@ class SurfaceGrid:
             ),
         )
 
-    def solve_laplace(self, coeffs: ShCoeffs):
-        """Mean-free solution of  Delta u = f  on the grid's full degree."""
-        rhs = self.mass_matrix() @ coeffs.padded(self.L_quad)
-        K = self.stiffness_matrix()
-        out = np.zeros(num_coeffs(self.L_quad), dtype=complex)
-        out[1:] = np.linalg.solve(-K[1:, 1:], rhs[1:])
-        return ShCoeffs(self.L_quad, out, mean_free=True)
-
     # -- tangential fields ----------------------------------------------------
 
     def tangent_values(self, f: TangentField):

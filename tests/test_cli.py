@@ -227,3 +227,25 @@ class TestHeaderReportsUsedSettings:
         assert code == 0
         head = (out / "scatter.csv").read_text().splitlines()[:12]
         assert "# quadrature: rotated-polar-gl (n_polar=26), corrections (n_polar=22)" in head
+
+
+class TestMaterialsConfig:
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            ({"materials": [1]}, "materials"),
+            ({"materials": {"omega": "x"}}, "materials.omega"),
+            ({"materials": {"tau": "x"}}, "materials.tau"),
+            ({"materials": {"delta": "0.1"}}, "materials.delta"),
+            ({"tau_list": ["a"]}, "tau_list"),
+            ({"tau_list": 0.5}, "tau_list"),
+            ({"delta_list": [0.1, None]}, "delta_list"),
+            ({"tau_list": [0.5, 1]}, "tau_list"),
+            ({"tau_list": [-0.5]}, "tau_list"),
+        ],
+    )
+    def test_rejected_with_field(self, tmp_path, extra, field):
+        cfg = {"command": "spectrum", "surface": SPHERE8, "L": 8, **extra}
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 1
+        assert json.loads((out / "error.json").read_text())["error"]["field"] == field
