@@ -84,6 +84,86 @@ def _is_number(value):
     return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
+def _number(value, name):
+    """value as a float; a ConfigError naming the field unless it is a finite number."""
+    if not _is_number(value):
+        raise ConfigError(f"{name} must be a number, got {value!r}", name)
+    return float(value)
+
+
+def _object(value, name):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object", name)
+    return value
+
+
+def _entries(spec, name, types):
+    """Copy of the object spec with each present key of types converted by its type."""
+    out = dict(_object(spec, name))
+    for key, conv in types.items():
+        if key in out:
+            out[key] = conv(out[key], f"{name}.{key}")
+    return out
+
+
+def _required(spec, name, keys):
+    for key in keys:
+        if key not in spec:
+            raise ConfigError(f"{name} needs a {key!r} entry", f"{name}.{key}")
+    return spec
+
+
+def _vector3(value, name):
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"{name} must be a list of 3 numbers", name)
+    return [_number(v, name) for v in value]
+
+
+def _points(value, name):
+    """Shell specs [{count, radius}, ...] with an integer count >= 1 and a numeric radius."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of {{count, radius}} objects", name)
+    shells = []
+    for i, shell in enumerate(value):
+        where = f"{name}[{i}]"
+        shell = _entries(shell, where, {"count": _integer, "radius": _number})
+        _required(shell, where, ("count", "radius"))
+        if shell["count"] < 1:
+            raise ConfigError(f"{where}.count must be at least 1", f"{where}.count")
+        shells.append(shell)
+    return shells
+
+
+def _plasmon_mode(value, name):
+    """A sphere mode {l, n, m[, radius]} or an eigenmode {index}, with integer entries."""
+    if not value:
+        raise ConfigError("plasmon needs a 'mode' entry", name)
+    spec = _entries(value, name, {"l": _integer, "n": _integer, "m": _integer,
+                                  "index": _integer, "radius": _number})
+    return _required(spec, name, ("l", "n", "m") if "l" in spec else ("index",))
+
+
+def _order(value, name):
+    order = _integer(value, name)
+    if order not in (0, 1, 2):
+        raise ConfigError(f"{name} must be 0, 1 or 2", name)
+    return order
+
+
+def _source(value, name):
+    return _required(_entries(value, name, {"s": _vector3, "p": _vector3}), name, ("s", "p"))
+
+
+# per command: the typed entries of the config and their conversions
+_PARAMS = {
+    "calderon": {"n_tests": _integer},
+    "plasmon": {"points": _points},
+    "decay": {"points": _points, "eps": _number},
+    "scatter": {"order": _order, "source": _source},
+    "mie-check": {"n_max": _integer, "k": _number, "radius": _number},
+}
+
+
 @dataclass
 class RunConfig:
     """Validated batch-run configuration.
@@ -113,21 +193,16 @@ class RunConfig:
         else:
             if "surface" not in data:
                 raise ConfigError("missing surface specification", "surface")
-            if not isinstance(data["surface"], dict):
-                raise ConfigError("surface must be a JSON object", "surface")
-            cfg.surface = data["surface"]
+            cfg.surface = _object(data["surface"], "surface")
             if "L" not in data:
                 raise ConfigError("missing truncation degree L", "L")
             cfg.L = _integer(data["L"], "L")
             if not (1 <= cfg.L <= 60):
                 raise ConfigError("L out of the documented range [1, 60]", "L")
             cfg.L_quad = max(_integer(cfg.surface.get("L_quad", cfg.L), "surface.L_quad"), cfg.L)
-        cfg.materials = data.get("materials", {})
-        if not isinstance(cfg.materials, dict):
-            raise ConfigError("materials must be a JSON object", "materials")
-        for key in ("omega", "tau", "delta"):
-            if key in cfg.materials and not _is_number(cfg.materials[key]):
-                raise ConfigError(f"materials.{key} must be a number", f"materials.{key}")
+        cfg.materials = _entries(
+            data.get("materials", {}), "materials", dict.fromkeys(("omega", "tau", "delta"), _number)
+        )
         for key in ("tau_list", "delta_list"):
             values = data.get(key, [])
             if not isinstance(values, list) or not all(map(_is_number, values)):
@@ -143,6 +218,11 @@ class RunConfig:
             for k, v in data.items()
             if k not in ("command", "surface", "L", "materials", "output")
         }
+        for key, conv in _PARAMS.get(command, {}).items():
+            if key in cfg.params:
+                cfg.params[key] = conv(cfg.params[key], key)
+        if command == "plasmon":
+            cfg.params["mode"] = _plasmon_mode(cfg.params.get("mode"), "mode")
         return cfg
 
     def build_grid(self) -> SurfaceGrid:
@@ -218,7 +298,7 @@ def write_json(path, header_lines, payload):
 
 def _shell_points(spec):
     """Deterministic spiral point cloud from {count, radius} entries."""
-    return np.vstack([fibonacci_shell(int(e["count"]), float(e["radius"])) for e in spec])
+    return np.vstack([fibonacci_shell(e["count"], e["radius"]) for e in spec])
 
 
 # --------------------------------------------------------------------------
@@ -252,7 +332,7 @@ def cmd_spectrum(cfg, outdir, header, rng, tol):
 def cmd_calderon(cfg, outdir, header, rng, tol):
     grid = cfg.build_grid()
     ops = scalar_operators(grid, cfg.L)
-    n_tests = int(cfg.params.get("n_tests", 10))
+    n_tests = cfg.params.get("n_tests", 10)
     rows = []
     worst = 0.0
     for i in range(n_tests):
@@ -289,20 +369,17 @@ def cmd_calderon(cfg, outdir, header, rng, tol):
 def cmd_plasmon(cfg, outdir, header, rng, tol):
     grid = cfg.build_grid()
     omega = float(cfg.materials.get("omega", 1.0))
-    spec = cfg.params.get("mode")
-    if not spec:
-        raise ConfigError("plasmon needs a 'mode' entry", "mode")
+    spec = cfg.params["mode"]
     if "l" in spec:
         mode = PlasmonMode.from_sphere(
-            int(spec["l"]), int(spec["n"]), int(spec["m"]),
-            float(spec.get("radius", 1.0)), omega,
+            spec["l"], spec["n"], spec["m"], spec.get("radius", 1.0), omega,
             float(cfg.materials.get("delta", 0.05)),
         )
     else:
         ops = scalar_operators(grid, cfg.L)
         curl, _ = mnp_spectra(np_spectrum(ops["S"], ops["Kstar"]), ops["S"], grid)
         mode = PlasmonMode.from_eigenmode(
-            int(spec["index"]), curl, omega, float(cfg.materials.get("delta", 0.05))
+            spec["index"], curl, omega, float(cfg.materials.get("delta", 0.05))
         )
     points = _shell_points(cfg.params.get("points", [{"count": 20, "radius": 2.0}]))
     from .plasmon import plasmon_field
@@ -342,7 +419,7 @@ def cmd_decay(cfg, outdir, header, rng, tol):
             "points", [{"count": 40, "radius": 3.0}, {"count": 10, "radius": 0.25}]
         )
     )
-    eps = float(cfg.params.get("eps", 0.5))
+    eps = cfg.params.get("eps", 0.5)
     report = localization_scan(modes, points, eps, grid)
     write_csv(
         os.path.join(outdir, "decay.csv"),
@@ -359,7 +436,7 @@ def cmd_scatter(cfg, outdir, header, rng, tol):
     omega = float(cfg.materials.get("omega", 1.0))
     tau_list = cfg.params.get("tau_list", [0.5])
     delta_list = cfg.params.get("delta_list", [0.1, 0.05, 0.025])
-    order = int(cfg.params.get("order", 2))
+    order = cfg.params.get("order", 2)
     src = cfg.params.get("source", {"s": [0.0, 0.0, 6.0], "p": [1.0, 0.0, 0.0]})
     rows = resonance_sweep(
         grid, tau_list, delta_list, omega, order,
@@ -375,9 +452,9 @@ def cmd_scatter(cfg, outdir, header, rng, tol):
 
 
 def cmd_mie_check(cfg, outdir, header, rng, tol):
-    n_max = int(cfg.params.get("n_max", 5))
-    k = float(cfg.params.get("k", 1.0))
-    radius = float(cfg.params.get("radius", 1.0))
+    n_max = cfg.params.get("n_max", 5)
+    k = cfg.params.get("k", 1.0)
+    radius = cfg.params.get("radius", 1.0)
     L_quad = cfg.L_quad
     grid = build_surface(ShCoeffs.constant(radius), L_quad)
     tol = 1e-6 if tol is None else tol

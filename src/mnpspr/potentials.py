@@ -295,17 +295,17 @@ def _layer_sum(k, rvec, which, wdens):
     return np.einsum("pncd,ndj->pcj", ker, wdens, optimize=True)
 
 
-def _density_values(density, grid: SurfaceGrid, patch=None):
-    """Values of a density at the grid nodes, or at the points of a near-rule patch."""
+def _density_values(dens, grid: SurfaceGrid, patch=None):
+    """Values of densities at the grid nodes, or at the points of a near-rule patch."""
     if patch is None:
-        if isinstance(density, TangentField):
-            return grid.tangent_values(density)
-        return grid.synthesis(density) if isinstance(density, ShCoeffs) else np.asarray(density)
-    if isinstance(density, TangentField):
-        return grid.tangent_values_at(density, patch)
-    if isinstance(density, ShCoeffs):
-        return grid.scalar_values_at(density, patch["theta"], patch["phi"])
-    raise TypeError("near evaluation needs a coefficient-space density")
+        return [
+            grid.tangent_values(d) if isinstance(d, TangentField)
+            else grid.synthesis(d) if isinstance(d, ShCoeffs) else np.asarray(d)
+            for d in dens
+        ]
+    if not all(isinstance(d, (ShCoeffs, TangentField)) for d in dens):
+        raise TypeError("near evaluation needs a coefficient-space density")
+    return grid.values_at(dens, patch)
 
 
 def _weighted(values, w):
@@ -335,7 +335,7 @@ def offboundary_eval(density, k, x, which, grid: SurfaceGrid, quad="auto", n_pol
                     f"point at distance {d:.3g} inside quadrature guard "
                     f"{guard:.3g}; pass quad='near' for a refined rule"
                 )
-        wdens = _weighted([_density_values(d, grid) for d in dens], grid.area_weights)
+        wdens = _weighted(_density_values(dens, grid), grid.area_weights)
         out = np.concatenate([
             _layer_sum(k, pts[i : i + POINT_BLOCK, None, :] - grid.positions, which, wdens)
             for i in range(0, len(pts), POINT_BLOCK)
@@ -344,7 +344,7 @@ def offboundary_eval(density, k, x, which, grid: SurfaceGrid, quad="auto", n_pol
 
         def near(p):
             def integrand(patch, w):
-                wd = _weighted([_density_values(d, grid, patch) for d in dens], w)
+                wd = _weighted(_density_values(dens, grid, patch), w)
                 return _layer_sum(k, (p - patch["position"])[None], which, wd)[0]
 
             return near_singular_eval(grid, p, integrand, n_polar=n_polar)

@@ -73,15 +73,14 @@ def rings(grid: SurfaceGrid, L: int, n_polar=None):
     (kernel x wjac) @ Y(theta, phi) times phase.
     """
     patch = PolarPatch(grid, n_polar)
-    nphi, q = grid.n_phi, patch.weights.size
+    nphi = grid.n_phi
     _, mslots = sh_degrees(L)
     for t in range(grid.n_theta):
         nodes = slice(t * nphi, (t + 1) * nphi)
         th0, ph0 = patch.angles(grid.thetas[nodes.start], 0.0)
         phis = grid.phis[nodes]
-        th_all = np.broadcast_to(th0, (nphi, q)).ravel()
-        frame = grid.frame_at(th_all, (ph0[None, :] + phis[:, None]).ravel())
-        frame = {key: v.reshape((nphi, q) + v.shape[1:]) for key, v in frame.items()}
+        # the ring's points share the Q colatitudes th0: one Legendre pass
+        frame = grid.frame_at(th0, ph0[None, :] + phis[:, None])
         rvec = grid.positions[nodes][:, None, :] - frame["position"]
         yield Ring(
             th0, ph0, nodes, frame, patch.weights[None, :] * frame["jacobian"],

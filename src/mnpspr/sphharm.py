@@ -33,12 +33,18 @@ def sh_degrees(L: int):
     return n, m
 
 
-def _legendre_blocks(x, s, L):
+def safe_sin(s):
+    """sin(theta) clamped at 1e-14: the pole branch of every 1/sin(theta)."""
+    return np.where(s < 1e-14, 1e-14, s)
+
+
+def _legendre_blocks(x, s, L, derivatives=False):
     """Fully normalized associated Legendre Pbar_n^m(x) for 0 <= m <= n <= L.
 
     x = cos(theta), s = sin(theta) >= 0, arrays of shape (P,).
     Returns per-m blocks: list over m of arrays (P, L+1-m) for n = m..L.
     Condon-Shortley phase included; values stay O(1) (no factorials).
+    With derivatives, returns (blocks, dblocks), dblocks holding dPbar/dtheta.
     """
     P = x.size
     blocks = []
@@ -55,7 +61,20 @@ def _legendre_blocks(x, s, L):
             b = np.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
             blk[:, n - m] = a * (x * blk[:, n - m - 1] - b * blk[:, n - m - 2])
         blocks.append(blk)
-    return blocks
+    if not derivatives:
+        return blocks
+
+    # sin(theta) dPbar/dtheta = n x Pbar_n^m - c_nm Pbar_{n-1}^m,
+    # c_nm = sqrt((n^2 - m^2)(2n+1)/(2n-1)); safe away from the poles.
+    inv_s = (1.0 / safe_sin(s))[:, None]
+    dblocks = []
+    for m, blk in enumerate(blocks):
+        n = np.arange(m, L + 1, dtype=float)
+        c = np.sqrt(np.maximum(n * n - m * m, 0.0) * (2.0 * n + 1.0) / np.maximum(2.0 * n - 1.0, 1.0))
+        lower = np.zeros_like(blk)
+        lower[:, 1:] = blk[:, :-1]
+        dblocks.append((n[None, :] * x[:, None] * blk - c[None, :] * lower) * inv_s)
+    return blocks, dblocks
 
 
 def _column_indices(L, m):
@@ -83,48 +102,61 @@ def ynm_matrix(theta, phi, L, derivatives=False):
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    x = np.cos(theta)
     s = np.sin(theta)
-    blocks = _legendre_blocks(x, s, L)
+    legendre = _legendre_blocks(np.cos(theta), s, L, derivatives)
+    blocks, dblocks = legendre if derivatives else (legendre, None)
     nc = num_coeffs(L)
-    Y = np.empty((theta.size, nc), dtype=complex)
+    out = [np.empty((theta.size, nc), dtype=complex) for _ in range(3 if derivatives else 1)]
+    inv_s = (1.0 / safe_sin(s))[:, None] if derivatives else None
     eiphi = np.exp(1j * phi)
     eim = np.ones_like(eiphi)
     for m in range(L + 1):
         if m > 0:
             eim = eim * eiphi
         pos, neg = _column_indices(L, m)
-        vals = blocks[m] * eim[:, None]
-        Y[:, pos] = vals
-        if m > 0:
-            Y[:, neg] = (-1.0) ** m * np.conj(vals)
-    if not derivatives:
-        return Y
+        vals = [blocks[m] * eim[:, None]]
+        if derivatives:
+            vals += [dblocks[m] * eim[:, None], (1j * m) * blocks[m] * eim[:, None] * inv_s]
+        for M, v in zip(out, vals):
+            M[:, pos] = v
+            if m > 0:
+                M[:, neg] = (-1.0) ** m * np.conj(v)
+    return tuple(out) if derivatives else out[0]
 
-    # sin(theta) dPbar/dtheta = n x Pbar_n^m - c_nm Pbar_{n-1}^m,
-    # c_nm = sqrt((n^2 - m^2)(2n+1)/(2n-1)); safe away from the poles.
-    s_safe = np.where(s < 1e-14, 1e-14, s)
-    inv_s = (1.0 / s_safe)[:, None]
-    Yt = np.empty_like(Y)
-    Yp = np.empty_like(Y)
+
+def synthesis_at(coeffs, L, theta, phi):
+    """(f, df/dtheta, df/dphi) of f = sum_j coeffs_j Y_j, Legendre then Fourier.
+
+    theta broadcasts against phi.  The Legendre factors are evaluated on
+    theta's own points only and contracted per order m with the
+    coefficients into A_m(theta); f and its derivatives are the sums over
+    the 2L+1 orders of A_m exp(i m phi) on the broadcast shape.  Points
+    that share a colatitude, such as the rotated patches of one grid ring,
+    share their Legendre work.  Complex arrays of the broadcast shape.
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    shape = np.broadcast_shapes(theta.shape, phi.shape)
+    blocks, dblocks = _legendre_blocks(
+        np.cos(theta).ravel(), np.sin(theta).ravel(), L, derivatives=True
+    )
+    f, f_t, f_p = (np.zeros(shape, dtype=complex) for _ in range(3))
+    eiphi = np.exp(1j * phi)
     eim = np.ones_like(eiphi)
     for m in range(L + 1):
         if m > 0:
             eim = eim * eiphi
         pos, neg = _column_indices(L, m)
-        n = np.arange(m, L + 1, dtype=float)
-        c = np.sqrt(np.maximum(n * n - m * m, 0.0) * (2.0 * n + 1.0) / np.maximum(2.0 * n - 1.0, 1.0))
-        lower = np.zeros_like(blocks[m])
-        lower[:, 1:] = blocks[m][:, :-1]
-        dp = (n[None, :] * x[:, None] * blocks[m] - c[None, :] * lower) * inv_s
-        vt = dp * eim[:, None]
-        vp = (1j * m) * blocks[m] * eim[:, None] * inv_s
-        Yt[:, pos] = vt
-        Yp[:, pos] = vp
+        orders = [(m, coeffs[pos], eim)]
         if m > 0:
-            Yt[:, neg] = (-1.0) ** m * np.conj(vt)
-            Yp[:, neg] = (-1.0) ** m * np.conj(vp)
-    return Y, Yt, Yp
+            # Y_n^{-m} = (-1)^m Pbar_n^m exp(-i m phi)
+            orders.append((-m, (-1.0) ** m * coeffs[neg], np.conj(eim)))
+        for mm, c, e in orders:
+            ae = (blocks[m] @ c).reshape(theta.shape) * e
+            f += ae
+            f_t += (dblocks[m] @ c).reshape(theta.shape) * e
+            f_p += (1j * mm) * ae
+    return f, f_t, f_p
 
 
 def ynm(n, m, direction):
@@ -142,13 +174,18 @@ def ynm(n, m, direction):
 
 
 def unit_vectors(theta, phi):
-    """Cartesian (rhat, theta-hat, phi-hat) frames; arrays (P, 3)."""
+    """Cartesian (rhat, theta-hat, phi-hat) frames; theta broadcasts against phi.
+
+    Arrays of the broadcast shape plus a trailing axis of 3.
+    """
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
-    rhat = np.stack([st * cp, st * sp, ct], axis=-1)
-    that = np.stack([ct * cp, ct * sp, -st], axis=-1)
-    phat = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-    return rhat, that, phat
+    shape = np.broadcast_shapes(np.shape(st), np.shape(sp))
+
+    def stack(*parts):
+        return np.stack([np.broadcast_to(p, shape) for p in parts], axis=-1)
+
+    return stack(st * cp, st * sp, ct), stack(ct * cp, ct * sp, -st), stack(-sp, cp, 0.0)
 
 
 def fibonacci_shell(count, radius):

@@ -24,11 +24,12 @@ import numpy as np
 
 from .sphharm import (
     FOUR_PI,
-    cartesian_to_angles,
     gauss_legendre_ring,
     num_coeffs,
+    safe_sin,
     sh_degrees,
     sh_index,
+    synthesis_at,
     unit_vectors,
     ynm_matrix,
 )
@@ -198,38 +199,35 @@ class SurfaceGrid:
     # -- radial function and frames at arbitrary parameter points ----------
 
     def radius_at(self, theta, phi):
-        """rho and its angular derivatives (rho, drho/dtheta, drho/dphi)."""
-        Y, Yt, Yp = ynm_matrix(theta, phi, self.L_geo, derivatives=True)
-        c = self.radius_coeffs.coeffs
-        st = np.sin(np.atleast_1d(np.asarray(theta, dtype=float)))
-        rho = (Y @ c).real
-        rho_t = (Yt @ c).real
-        rho_p = (Yp @ c).real * st
-        return rho, rho_t, rho_p
+        """rho and its angular derivatives (rho, drho/dtheta, drho/dphi).
+
+        theta broadcasts against phi; the Legendre factors are evaluated
+        on theta's points only (see `synthesis_at`).
+        """
+        return tuple(f.real for f in synthesis_at(self.radius_coeffs.coeffs, self.L_geo, theta, phi))
 
     def frame_at(self, theta, phi):
-        """Surface frame quantities at arbitrary parameter points."""
+        """Surface frame quantities at parameter points; theta broadcasts against phi.
+
+        Arrays of the broadcast shape, with a trailing axis of 3 for vectors.
+        """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         rho, rho_t, rho_p = self.radius_at(theta, phi)
         st = np.sin(theta)
         rhat, that, phat = unit_vectors(theta, phi)
 
-        position = rho[:, None] * rhat
-        t_theta = rho_t[:, None] * rhat + rho[:, None] * that
-        t_phi = rho_p[:, None] * rhat + (rho * st)[:, None] * phat
-        E = np.einsum("ij,ij->i", t_theta, t_theta)
-        F = np.einsum("ij,ij->i", t_theta, t_phi)
-        G = np.einsum("ij,ij->i", t_phi, t_phi)
+        position = rho[..., None] * rhat
+        t_theta = rho_t[..., None] * rhat + rho[..., None] * that
+        t_phi = rho_p[..., None] * rhat + (rho * st)[..., None] * phat
+        E = np.einsum("...j,...j->...", t_theta, t_theta)
+        F = np.einsum("...j,...j->...", t_theta, t_phi)
+        G = np.einsum("...j,...j->...", t_phi, t_phi)
+        rho_p_s = rho_p / safe_sin(st)
         # |grad_S rho|^2 on the parameter sphere
-        st_safe = np.where(st < 1e-14, 1e-14, st)
-        grad_rho2 = rho_t**2 + (rho_p / st_safe) ** 2
+        grad_rho2 = rho_t**2 + rho_p_s**2
         jac = rho * np.sqrt(rho**2 + grad_rho2)
-        normal = (
-            rho[:, None] * rhat
-            - rho_t[:, None] * that
-            - (rho_p / st_safe)[:, None] * phat
-        )
+        normal = rho[..., None] * rhat - rho_t[..., None] * that - rho_p_s[..., None] * phat
         normal = normal / np.linalg.norm(normal, axis=-1, keepdims=True)
         return {
             "rho": rho,
@@ -360,17 +358,23 @@ class SurfaceGrid:
 
     def scalar_values_at(self, coeffs: ShCoeffs, theta, phi):
         """Values of a coefficient vector at arbitrary parameter points."""
-        return ynm_matrix(theta, phi, coeffs.L) @ coeffs.coeffs
+        return self.values_at([coeffs], {"theta": theta, "phi": phi})[0]
 
-    def tangent_values_at(self, f: TangentField, frame):
-        """Helmholtz-potential field at arbitrary parameter points.
+    def values_at(self, densities, frame):
+        """Values of ShCoeffs and TangentField densities at arbitrary parameter points.
 
         frame is a frame_at(theta, phi) dict that also holds the points'
-        "theta" and "phi".
+        "theta" and "phi" (only those two when every density is scalar).
+        One basis evaluation at the list's largest degree serves every
+        density, with derivatives when one of them is tangential.
         """
         theta = np.atleast_1d(np.asarray(frame["theta"], dtype=float))
-        L = max(f.X.L, f.V.L)
-        _, Yt, Yp = ynm_matrix(theta, frame["phi"], L, derivatives=True)
+        tangent = any(isinstance(d, TangentField) for d in densities)
+        L = max(max(d.X.L, d.V.L) if isinstance(d, TangentField) else d.L for d in densities)
+        basis = ynm_matrix(theta, frame["phi"], L, derivatives=tangent)
+        if not tangent:
+            return [basis[:, : num_coeffs(d.L)] @ d.coeffs for d in densities]
+        Y, Yt, Yp = basis
         st = np.sin(theta)
         alpha, beta = contravariant(frame)
 
@@ -379,9 +383,12 @@ class SurfaceGrid:
             up = (Yp[:, : num_coeffs(c.L)] @ c.coeffs) * st
             return ut[:, None] * alpha + up[:, None] * beta
 
-        out = gradient(f.X)
-        out += -np.cross(frame["normal"], gradient(f.V))
-        return out
+        def value(d):
+            if isinstance(d, TangentField):
+                return gradient(d.X) - np.cross(frame["normal"], gradient(d.V))
+            return Y[:, : num_coeffs(d.L)] @ d.coeffs
+
+        return [value(d) for d in densities]
 
     def helmholtz_decompose(self, field_nodes, L=None, flavor="div"):
         """Project a tangential node field onto Helmholtz potentials.

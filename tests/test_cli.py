@@ -249,3 +249,44 @@ class TestMaterialsConfig:
         code, out = run_cli(tmp_path, cfg)
         assert code == 1
         assert json.loads((out / "error.json").read_text())["error"]["field"] == field
+
+
+class TestTypedParameters:
+    """Every typed command entry is checked in RunConfig.from_dict: exit 1, field named."""
+
+    @pytest.mark.parametrize(
+        "command, extra, field",
+        [
+            ("decay", {"points": [{"count": "x", "radius": 3.0}]}, "points[0].count"),
+            ("decay", {"points": [{"count": 4, "radius": 3.0}, {"count": 0, "radius": 1}]},
+             "points[1].count"),
+            ("decay", {"points": [{"count": 4, "radius": "3"}]}, "points[0].radius"),
+            ("decay", {"points": [{"count": 4}]}, "points[0].radius"),
+            ("decay", {"points": {"count": 4, "radius": 3.0}}, "points"),
+            ("decay", {"eps": "0.5"}, "eps"),
+            ("plasmon", {}, "mode"),
+            ("plasmon", {"mode": [1, 1, 0]}, "mode"),
+            ("plasmon", {"mode": {"l": "x", "n": 1, "m": 0}}, "mode.l"),
+            ("plasmon", {"mode": {"l": 1, "n": 1.5, "m": 0}}, "mode.n"),
+            ("plasmon", {"mode": {"l": 1, "n": 1}}, "mode.m"),
+            ("plasmon", {"mode": {"l": 1, "n": 1, "m": 0, "radius": "1"}}, "mode.radius"),
+            ("plasmon", {"mode": {"index": "a"}}, "mode.index"),
+            ("plasmon", {"mode": {"index": 0}, "points": [{"count": None, "radius": 2}]},
+             "points[0].count"),
+            ("calderon", {"n_tests": "many"}, "n_tests"),
+            ("scatter", {"order": "two"}, "order"),
+            ("scatter", {"order": 3}, "order"),
+            ("scatter", {"source": "dipole"}, "source"),
+            ("scatter", {"source": {"s": ["a", 0, 6], "p": [1, 0, 0]}}, "source.s"),
+            ("scatter", {"source": {"s": [0, 0, 6], "p": [1, 0]}}, "source.p"),
+            ("scatter", {"source": {"s": [0, 0, 6]}}, "source.p"),
+            ("mie-check", {"n_max": "x"}, "n_max"),
+            ("mie-check", {"k": "1"}, "k"),
+            ("mie-check", {"radius": None}, "radius"),
+        ],
+    )
+    def test_rejected_with_field(self, tmp_path, command, extra, field):
+        base = {} if command == "mie-check" else {"surface": {"sphere": 1.0, "L_quad": 4}, "L": 4}
+        code, out = run_cli(tmp_path, {"command": command, **base, **extra})
+        assert code == 1
+        assert json.loads((out / "error.json").read_text())["error"]["field"] == field

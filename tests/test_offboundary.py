@@ -95,3 +95,31 @@ class TestScanUsesOffboundaryPath:
                 E, H = plasmon_field(mode, x, grid, quad="near")
                 assert abs(rep.e_point_mags[row, p] - np.linalg.norm(E)) <= 1e-10 * np.linalg.norm(E)
                 assert abs(rep.h_point_mags[row, p] - np.linalg.norm(H)) <= 1e-10 * np.linalg.norm(H)
+
+
+class TestNearPatchBasis:
+    """The near rule evaluates the patch basis once per point for a density list."""
+
+    @pytest.mark.parametrize("kind", ("S", "curlS_vec"))
+    def test_one_patch_basis_per_point(self, pert8_modes, rng, monkeypatch, kind):
+        import mnpspr.surface as surface
+
+        grid, _ = pert8_modes
+        dens = densities(kind, rng)
+        pts = np.array([[0.0, 0.0, 1.1], [0.7, 0.0, 0.8]])
+        singles = [
+            offboundary_eval(d, 1.3, pts, kind, grid, quad="near", n_polar=40) for d in dens
+        ]
+        sizes = []
+        ynm_matrix = surface.ynm_matrix
+
+        def counting(theta, phi, L, derivatives=False):
+            sizes.append(np.size(theta))
+            return ynm_matrix(theta, phi, L, derivatives)
+
+        monkeypatch.setattr(surface, "ynm_matrix", counting)
+        stacked = offboundary_eval(dens, 1.3, pts, kind, grid, quad="near", n_polar=40)
+        q = 40 * 48  # n_polar x the default azimuth count at L_quad = 8
+        assert sizes.count(q) == len(pts)
+        for i, one in enumerate(singles):
+            assert rel_err(stacked[..., i], one) < 1e-13

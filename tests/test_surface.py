@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mnpspr.sphharm import sh_index, ynm_matrix
+from mnpspr.sphharm import sh_degrees, sh_index, ynm_matrix
 from mnpspr.surface import (
     ResolutionError,
     ShCoeffs,
@@ -203,3 +203,85 @@ def test_harmonics_match_scipy():
     Y = ynm_matrix(np.array([th]), np.array([ph]), 6)
     for n, m in ((0, 0), (3, -2), (5, 3), (6, -6)):
         assert abs(Y[0, sh_index(n, m)] - sph_harm_y(n, m, th, ph)) < 1e-13
+
+
+def _real_band_limited_surface(L_quad=8):
+    """rho = 1 + 0.05 Re(sum of random degree-4 harmonics), every order present."""
+    rng = np.random.default_rng(5)
+    c = random_band_limited(rng, 4, mean_free=True).coeffs
+    n, m = sh_degrees(4)
+    # coefficients of the real part: c'_{n,m} = (c_{n,m} + (-1)^m conj(c_{n,-m})) / 2
+    real = 0.5 * (c + (-1.0) ** m * np.conj(c[sh_index(n, -m)]))
+    real = 0.05 * real / np.max(np.abs(real))
+    real[0] = np.sqrt(FOUR_PI)
+    return build_surface(ShCoeffs(4, real), L_quad)
+
+
+BROADCAST_SURFACES = {
+    "pert_Y31": lambda: perturbed_sphere(0.2, 3, 1),
+    "random_deg4": _real_band_limited_surface,
+}
+
+
+def _broadcast_points():
+    """Q colatitudes with both poles and a point of sin(theta) < 1e-14, T x Q azimuths."""
+    rng = np.random.default_rng(11)
+    th = np.concatenate([[0.0, np.pi, 1e-15], rng.uniform(0.0, np.pi, 37)])
+    ph = rng.uniform(-np.pi, 2.0 * np.pi, (6, th.size))
+    return th, ph
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestBroadcastGeometry:
+    """frame_at/radius_at on theta (Q,) against phi (T, Q), as one grid ring uses them."""
+
+    @pytest.mark.parametrize("name", sorted(BROADCAST_SURFACES))
+    def test_frame_equals_flattened_points(self, name):
+        grid = BROADCAST_SURFACES[name]()
+        th, ph = _broadcast_points()
+        ring = grid.frame_at(th, ph)
+        flat = grid.frame_at(np.broadcast_to(th, ph.shape).ravel(), ph.ravel())
+        for key, value in flat.items():
+            assert ring[key].shape == ph.shape + value.shape[1:]
+            assert _rel(ring[key].reshape(value.shape), value) < 1e-14, key
+
+    @pytest.mark.parametrize("name", sorted(BROADCAST_SURFACES))
+    def test_radius_equals_basis_contraction(self, name):
+        grid = BROADCAST_SURFACES[name]()
+        th, ph = _broadcast_points()
+        th_flat = np.broadcast_to(th, ph.shape).ravel()
+        Y, Yt, Yp = ynm_matrix(th_flat, ph.ravel(), grid.L_geo, derivatives=True)
+        c = grid.radius_coeffs.coeffs
+        reference = ((Y @ c).real, (Yt @ c).real, (Yp @ c).real * np.sin(th_flat))
+        for got, want in zip(grid.radius_at(th, ph), reference):
+            assert got.shape == ph.shape
+            assert _rel(got.ravel(), want) < 1e-14
+
+
+class TestRingSharedLegendre:
+    def test_no_basis_evaluation_beyond_the_patch(self, monkeypatch):
+        """A ring's n_phi x Q rotated points share the Legendre work of its Q colatitudes."""
+        import mnpspr.sphharm as sphharm
+        import mnpspr.surface as surface
+        from mnpspr.quadrature import PolarPatch, rings
+
+        grid = perturbed_sphere(0.2, 3, 1, L_quad=6)
+        q = PolarPatch(grid).weights.size
+        sizes = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                sizes.append(np.size(args[0]))
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(surface, "ynm_matrix", counting(surface.ynm_matrix))
+        monkeypatch.setattr(sphharm, "_legendre_blocks", counting(sphharm._legendre_blocks))
+        n_rings = sum(1 for _ in rings(grid, 6))
+        assert n_rings == grid.n_theta
+        assert len(sizes) >= n_rings
+        assert max(sizes) <= q < grid.n_phi * q
