@@ -11,7 +11,7 @@ statistic for o(j^{-kappa}) behavior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Rational
 
@@ -90,31 +90,26 @@ class PlasmonMode:
 
 
 def _is_inside(x, grid: SurfaceGrid):
-    th, ph, r = cartesian_to_angles(np.asarray(x, dtype=float))
-    rho, _, _ = grid.radius_at(th, ph)
-    return bool(r[0] < rho[0])
+    """Whether a point, or each row of a (P, 3) array, lies inside the surface.
+
+    A single point gives a bool, an array of points one bool per point.
+    """
+    x = np.asarray(x, dtype=float)
+    th, ph, r = cartesian_to_angles(x)
+    inside = r < grid.radius_at(th, ph)[0]
+    return bool(inside[0]) if x.ndim == 1 else inside
 
 
 def plasmon_field(mode: PlasmonMode, x, grid: SurfaceGrid, materials=None, quad="auto"):
     """Electric and magnetic mode fields at a point off the boundary.
 
-    The fields of `_mode_fields`, with (mu, k) from the exterior or interior
-    material depending on the side of the surface.
+    `_field_batch` for one mode at one point; `materials` replaces the
+    mode's own.
     """
-    mats = materials or mode.materials
-    x = np.asarray(x, dtype=float)
-    if mode.sphere is not None:
-        inside = np.linalg.norm(x) < mode.sphere.radius
-    else:
-        inside = _is_inside(x, grid)
-    k = mats.side(inside)[1]
-    if mode.sphere is not None:
-        curl = exact_sphere_potential(mode.sphere, k, x, "curlS")
-        curlcurl = exact_sphere_potential(mode.sphere, k, x, "curlcurlS")
-    else:
-        curl = offboundary_eval(mode.density, k, x, "curlS_vec", grid, quad=quad)
-        curlcurl = offboundary_eval(mode.density, k, x, "curlcurlS_vec", grid, quad=quad)
-    return _mode_fields(mats, inside, curl, curlcurl)
+    if materials is not None:
+        mode = replace(mode, materials=materials)
+    E, H = _field_batch([mode], np.asarray(x, dtype=float)[None], grid, quad)
+    return E[0, 0], H[0, 0]
 
 
 def _mode_fields(mats: MaterialConfig, inside, curl, curlcurl):
@@ -178,29 +173,44 @@ class DecayReport:
 
 
 def _field_batch(modes, points, grid, quad):
-    """E, H for every (mode, point), one kernel evaluation per side and wavenumber.
+    """E, H for every (mode, point), with (mu, k) of the side of each point.
 
-    Outside, every mode has k = k_e and shares one evaluation; inside, each
-    mode has its own k_c.  Sphere modes take the closed form point by point.
+    Each side takes one `offboundary_eval` call for every mode at once, with
+    one wavenumber per mode: k_e outside, the mode's own k_c inside.  On
+    the grid rule each density is synthesized at the nodes once for both
+    sides.  Sphere modes take the closed form point by point.
     """
     pts = np.asarray(points, dtype=float)
-    inside = np.array([_is_inside(p, grid) for p in pts])
     E = np.zeros((len(modes), len(pts), 3), dtype=complex)
     H = np.zeros_like(E)
-    groups = {}
+    general = []
     for j, m in enumerate(modes):
-        if m.sphere is not None:
-            for p, x in enumerate(pts):
-                E[j, p], H[j, p] = plasmon_field(m, x, grid, quad=quad)
+        if m.sphere is None:
+            general.append(j)
             continue
-        for side in {bool(s) for s in inside}:
-            groups.setdefault((side, m.materials.side(side)[1]), []).append(j)
-    for (side, k), js in groups.items():
+        for p, x in enumerate(pts):
+            inside = np.linalg.norm(x) < m.sphere.radius
+            k = m.materials.side(inside)[1]
+            curl, curlcurl = (
+                exact_sphere_potential(m.sphere, k, x, w) for w in ("curlS", "curlcurlS")
+            )
+            E[j, p], H[j, p] = _mode_fields(m.materials, inside, curl, curlcurl)
+    if not general:
+        return E, H
+    inside = _is_inside(pts, grid)
+    dens = [modes[j].density for j in general]
+    if quad == "auto":
+        # the grid rule takes node values: one synthesis serves both sides
+        dens = [grid.tangent_values(d) for d in dens]
+    for side in (False, True):
         cols = inside == side
-        dens = [modes[j].density for j in js]
-        curl = offboundary_eval(dens, k, pts[cols], "curlS_vec", grid, quad=quad)
-        curlcurl = offboundary_eval(dens, k, pts[cols], "curlcurlS_vec", grid, quad=quad)
-        for i, j in enumerate(js):
+        if not cols.any():
+            continue
+        ks = np.array([modes[j].materials.side(side)[1] for j in general])
+        curl, curlcurl = offboundary_eval(
+            dens, ks, pts[cols], ("curlS_vec", "curlcurlS_vec"), grid, quad=quad
+        )
+        for i, j in enumerate(general):
             E[j, cols], H[j, cols] = _mode_fields(
                 modes[j].materials, side, curl[..., i], curlcurl[..., i]
             )
@@ -218,7 +228,7 @@ def localization_scan(modes, points, eps, grid: SurfaceGrid, quad="auto",
     exceedance statistic of the electric norms.
     """
     pts = np.asarray(points, dtype=float)
-    dists = np.array([tubular_distance(p, grid) for p in pts])
+    dists = tubular_distance(pts, grid)
     if np.any(dists <= eps):
         bad = int(np.argmin(dists))
         raise ValueError(

@@ -244,6 +244,20 @@ def apply_Q(f: TangentField, S_mat: OperatorMatrix, grid: SurfaceGrid) -> Tangen
 # --------------------------------------------------------------------------
 
 
+def _radial(k, r, order):
+    """(g, g', ..., g^(order)) of G(k; r) = -exp(ikr)/(4 pi r) in r, order <= 2.
+
+    k broadcasts against r: one wavenumber, or one per density on a
+    trailing axis of r.
+    """
+    kr = k * r
+    eikr = np.exp(1j * kr)
+    out = [-eikr / (4.0 * np.pi * r), eikr * (1.0 - 1j * kr) / (4.0 * np.pi * r**2)]
+    if order > 1:
+        out.append(eikr * (kr**2 + 2j * kr - 2.0) / (4.0 * np.pi * r**3))
+    return out
+
+
 def helmholtz_point_kernels(k, rvec, want_hessian=False):
     """G(k; x, y) = -exp(ik|x-y|)/(4 pi |x-y|) and its x-derivatives.
 
@@ -251,48 +265,108 @@ def helmholtz_point_kernels(k, rvec, want_hessian=False):
     (G, gradG, hessG) with gradG shape (..., 3), hessG (..., 3, 3).
     """
     r = np.linalg.norm(rvec, axis=-1)
-    eikr = np.exp(1j * k * r)
-    g = -eikr / (4.0 * np.pi * r)
-    gp = eikr * (1.0 - 1j * k * r) / (4.0 * np.pi * r**2)
+    g, gp, *gpp = _radial(k, r, 2 if want_hessian else 1)
     rhat = rvec / r[..., None]
     grad = gp[..., None] * rhat
     if not want_hessian:
         return g, grad
-    gpp = eikr * (k**2 * r**2 + 2j * k * r - 2.0) / (4.0 * np.pi * r**3)
     outer = rhat[..., :, None] * rhat[..., None, :]
     eye = np.eye(3)
-    hess = (gpp - gp / r)[..., None, None] * outer + (gp / r)[..., None, None] * eye
+    hess = (gpp[0] - gp / r)[..., None, None] * outer + (gp / r)[..., None, None] * eye
     return g, grad, hess
 
 
-# points per node-rule block: bounds the (points x nodes x 3 x 3) kernel tensor
+# points per grid-rule pass at a shared wavenumber
 POINT_BLOCK = 32
 
 
-def _layer_sum(k, rvec, which, wdens):
-    """Layer potential `which` at P targets, summed over N sources.
+def _layer_sum(k, rvec, kinds, wdens):
+    """Layer potentials `kinds` at P targets, summed over N sources.
 
     rvec = x - y, shape (P, N, 3).  wdens stacks J densities times the
     quadrature weights: (N, J) for the scalar kinds S and gradS, (N, 3, J)
-    for curlS_vec and curlcurlS_vec.  Returns (P, J) for S, else (P, 3, J).
-    The one home of the off-boundary kernels; node and near rules call it.
+    for curlS_vec and curlcurlS_vec.  k is one wavenumber, or one per
+    density, shape (J,).  Each kernel is radial factors of r = |x - y|
+    times rhat terms:
+      S             = sum_n g d
+      gradS         = sum_n g' rhat d
+      curlS_vec     = sum_n g' rhat x d
+      curlcurlS_vec = sum_n (g'' - g'/r) rhat (rhat . d) + (g'/r + k^2 g) d
+    A shared k gives (P, N) factors, contracted with the densities by
+    matmul; per-density k gives (P, N, J) factors, multiplied into the
+    densities and summed over the nodes.  Returns one array per kind:
+    (P, J) for S, else (P, 3, J).  The one home of the off-boundary
+    kernels; node and near rules call it.
     """
-    if which == "S":
-        g, _ = helmholtz_point_kernels(k, rvec)
-        return g @ wdens
-    if which == "gradS":
-        _, grad = helmholtz_point_kernels(k, rvec)
-        return np.einsum("pnc,nj->pcj", grad, wdens, optimize=True)
-    if which == "curlS_vec":
-        # grad G x d as the matrix of the cross product with grad G
-        _, grad = helmholtz_point_kernels(k, rvec)
-        ker = np.cross(grad[..., None, :], np.eye(3)).swapaxes(-1, -2)
-    elif which == "curlcurlS_vec":
-        g, _, hess = helmholtz_point_kernels(k, rvec, want_hessian=True)
-        ker = hess + (k**2 * g)[..., None, None] * np.eye(3)
-    else:
-        raise KindError(f"unknown evaluation kind {which!r}")
-    return np.einsum("pncd,ndj->pcj", ker, wdens, optimize=True)
+    r = np.linalg.norm(rvec, axis=-1)
+    rhat = rvec / r[..., None]
+    per = np.ndim(k) > 0
+    if per:
+        r = r[..., None]
+    g, gp, *gpp = _radial(k, r, 2 if "curlcurlS_vec" in kinds else 1)
+    rhat_t = rhat.transpose(0, 2, 1)
+
+    def rhat_moment(f, d):
+        """sum_n f rhat d for one density component d (N, J): (P, 3, J)."""
+        return rhat_t @ (f * d) if per else (rhat_t * f[:, None, :]) @ d
+
+    out = []
+    for kind in kinds:
+        if kind == "S":
+            out.append(np.einsum("pnj,nj->pj", g, wdens) if per else g @ wdens)
+        elif kind == "gradS":
+            out.append(rhat_moment(gp, wdens))
+        elif kind == "curlS_vec":
+            # a[b][:, c] = sum_n g' rhat_c d_b, and (rhat x d)_c = rhat_a d_b - rhat_b d_a
+            # for (c, a, b) cyclic
+            a = [rhat_moment(gp, wdens[:, b]) for b in range(3)]
+            out.append(np.stack(
+                [a[2][:, 1] - a[1][:, 2], a[0][:, 2] - a[2][:, 0], a[1][:, 0] - a[0][:, 1]], axis=1
+            ))
+        elif kind == "curlcurlS_vec":
+            # the two terms cancel near the surface: combine them at each node
+            radial, iso = gpp[0] - gp / r, gp / r + k**2 * g
+            if per:
+                along = radial * sum(rhat[..., b, None] * wdens[:, b] for b in range(3))
+                out.append(np.stack(
+                    [(rhat[..., c, None] * along + iso * wdens[:, c]).sum(axis=1)
+                     for c in range(3)],
+                    axis=1,
+                ))
+            else:
+                # row c of the 3 x 3 kernel at every (point, node), one matmul per row
+                rows = []
+                for c in range(3):
+                    ker = (radial * rhat[..., c])[..., None] * rhat
+                    ker[..., c] += iso
+                    rows.append(ker.reshape(len(ker), -1) @ wdens.reshape(-1, wdens.shape[-1]))
+                out.append(np.stack(rows, axis=1))
+        else:
+            raise KindError(f"unknown evaluation kind {kind!r}")
+    return out
+
+
+def _passes(k, targets, sources, kinds, wdens, block):
+    """`_layer_sum` at targets (P, 3) from sources (N, 3), in passes of bounded size.
+
+    A shared k takes `block` targets and every density per pass.  One
+    wavenumber per density puts a density axis on the kernel factors, so a
+    pass takes at most `block` (target, density) pairs: its (P, N, J)
+    temporaries, at most nine alive at a time, then hold no more elements
+    than a (block, N, 3, 3) kernel tensor.
+    """
+    P, J = len(targets), wdens.shape[-1]
+    per = np.ndim(k) > 0
+    jb = min(J, block) if per else J
+    pb = block // jb if per else block
+    out = [np.empty((P, J) if kind == "S" else (P, 3, J), dtype=complex) for kind in kinds]
+    for i in range(0, P, pb):
+        rvec = targets[i : i + pb, None, :] - sources
+        for j in range(0, J, jb):
+            part = _layer_sum(k[j : j + jb] if per else k, rvec, kinds, wdens[..., j : j + jb])
+            for o, v in zip(out, part):
+                o[i : i + pb, ..., j : j + jb] = v
+    return out
 
 
 def _density_values(dens, grid: SurfaceGrid, patch=None):
@@ -310,50 +384,72 @@ def _density_values(dens, grid: SurfaceGrid, patch=None):
 
 def _weighted(values, w):
     """Densities stacked on a trailing axis, times the quadrature weights w (N,)."""
-    v = np.stack(values, axis=-1)
-    return v * w.reshape(w.shape + (1,) * (v.ndim - 1))
+    v = np.stack(values, axis=-1).astype(complex, copy=False)
+    v *= w.reshape(w.shape + (1,) * (v.ndim - 1))
+    return v
 
 
 def offboundary_eval(density, k, x, which, grid: SurfaceGrid, quad="auto", n_polar=320):
     """Layer-potential evaluation at points off the boundary.
 
     which in {S, gradS} (scalar density) or {curlS_vec, curlcurlS_vec}
-    (tangential density).  A list of densities shares one kernel
-    evaluation; their results are stacked on a trailing axis.  quad='auto'
-    uses the surface grid as quadrature, in blocks of POINT_BLOCK points,
-    and refuses points closer than 3 x the node spacing; quad='near'
-    switches to a polar rule concentrated under each evaluation point.
+    (tangential density); a tuple of kinds of one density type shares the
+    kernel factors and gives a tuple of results.  A density is ShCoeffs or
+    a TangentField, or on the grid rule its node values.  A list of
+    densities shares one evaluation; their results are stacked on a
+    trailing axis.  k is one wavenumber, or an array with one per density
+    of the list.  quad='auto' uses the surface grid as quadrature and
+    refuses points closer than 3 x the node spacing; quad='near' switches
+    to a polar rule concentrated under each evaluation point.
+
+    Memory is bounded by element count.  A shared k gives (P, N) kernel
+    factors for P points and N nodes or patch points: the grid rule takes
+    POINT_BLOCK points per pass, the near rule one.  Per-density
+    wavenumbers give (P, N, J) factors for J densities, so a pass takes as
+    many (point, density) pairs as a shared-k pass takes points: for 120
+    densities, 32 densities of one point on the grid rule and one density
+    on the near rule.  At most nine such temporaries are alive at once, so
+    together they hold no more elements than a (POINT_BLOCK, N, 3, 3)
+    tensor on the grid rule, or a (1, N, 3, 3) one on the near rule.
     """
     dens = density if isinstance(density, list) else [density]
+    kinds = which if isinstance(which, tuple) else (which,)
+    if {kind in ("curlS_vec", "curlcurlS_vec") for kind in kinds} == {True, False}:
+        raise KindError(f"kinds {kinds} need different density types")
+    k = np.asarray(k)
+    if k.ndim:
+        if k.shape != (len(dens),):
+            raise ValueError(f"{k.size} wavenumbers for {len(dens)} densities")
+        if np.all(k == k[0]):
+            k = k[0]  # a shared wavenumber keeps the matmul contraction
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if quad == "auto":
         guard = 3.0 * grid.max_spacing
-        for p in pts:
-            d = tubular_distance(p, grid)
-            if d <= guard:
-                raise NearBoundaryError(
-                    f"point at distance {d:.3g} inside quadrature guard "
-                    f"{guard:.3g}; pass quad='near' for a refined rule"
-                )
+        dist = tubular_distance(pts, grid)
+        if np.any(dist <= guard):
+            raise NearBoundaryError(
+                f"point at distance {dist[np.argmax(dist <= guard)]:.3g} inside quadrature "
+                f"guard {guard:.3g}; pass quad='near' for a refined rule"
+            )
         wdens = _weighted(_density_values(dens, grid), grid.area_weights)
-        out = np.concatenate([
-            _layer_sum(k, pts[i : i + POINT_BLOCK, None, :] - grid.positions, which, wdens)
-            for i in range(0, len(pts), POINT_BLOCK)
-        ])
+        out = _passes(k, pts, grid.positions, kinds, wdens, POINT_BLOCK)
     elif quad == "near":
 
         def near(p):
             def integrand(patch, w):
                 wd = _weighted(_density_values(dens, grid, patch), w)
-                return _layer_sum(k, (p - patch["position"])[None], which, wd)[0]
+                return _passes(k, p[None], patch["position"], kinds, wd, 1)
 
             return near_singular_eval(grid, p, integrand, n_polar=n_polar)
 
-        out = np.array([near(p) for p in pts])
+        out = [np.concatenate(part) for part in zip(*(near(p) for p in pts))]
     else:
         raise ValueError(f"unknown quad mode {quad!r}")
-    out = out if isinstance(density, list) else out[..., 0]
-    return out[0] if np.asarray(x).ndim == 1 else out
+    if not isinstance(density, list):
+        out = [o[..., 0] for o in out]
+    if np.asarray(x).ndim == 1:
+        out = [o[0] for o in out]
+    return tuple(out) if isinstance(which, tuple) else out[0]
 
 
 # --------------------------------------------------------------------------

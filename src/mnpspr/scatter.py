@@ -269,8 +269,9 @@ def eval_scattered_fields(densities, x, materials: MaterialConfig, grid: Surface
     mu, k = materials.side(inside)
     delta = materials.delta
     ks = delta * k  # the reference geometry carries the scaled wavenumber
-    curl = offboundary_eval([psi, phi], ks, x, "curlS_vec", grid, quad=quad)
-    curlcurl = offboundary_eval([psi, phi], ks, x, "curlcurlS_vec", grid, quad=quad)
+    curl, curlcurl = offboundary_eval(
+        [psi, phi], ks, x, ("curlS_vec", "curlcurlS_vec"), grid, quad=quad
+    )
     E = mu * curl[..., 0] + curlcurl[..., 1] / delta
     H = (
         -1j / (materials.omega * delta) * curlcurl[..., 0]

@@ -501,10 +501,15 @@ def surface_diff(kind, inp, grid: SurfaceGrid):
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
-def tubular_distance(x, grid: SurfaceGrid) -> float:
-    """Node-sampled distance from a point to the surface."""
+def tubular_distance(x, grid: SurfaceGrid):
+    """Node-sampled distance to the surface of a point, or of each row of a (P, 3) array.
+
+    A single point gives a float, an array of points one distance per point.
+    Points are taken one at a time, so memory does not grow with their count.
+    """
     x = np.asarray(x, dtype=float)
-    return float(np.min(np.linalg.norm(grid.positions - x[None, :], axis=1)))
+    d = np.array([np.min(np.linalg.norm(grid.positions - p, axis=1)) for p in np.atleast_2d(x)])
+    return float(d[0]) if x.ndim == 1 else d
 
 
 def random_band_limited(rng, L, smoothness=2.0, mean_free=True):

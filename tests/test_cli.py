@@ -290,3 +290,56 @@ class TestTypedParameters:
         code, out = run_cli(tmp_path, {"command": command, **base, **extra})
         assert code == 1
         assert json.loads((out / "error.json").read_text())["error"]["field"] == field
+
+
+class TestPlasmonModeRange:
+    """Out-of-range plasmon mode entries exit 1, write error.json and name the field."""
+
+    SURFACE = {"surface": {"sphere": 1.0, "L_quad": 4}, "L": 4}  # 24 curl modes
+
+    @pytest.mark.parametrize(
+        "mode, field",
+        [
+            ({"l": 3, "n": 1, "m": 0}, "mode.l"),
+            ({"l": 0, "n": 1, "m": 0}, "mode.l"),
+            ({"l": 1, "n": 0, "m": 0}, "mode.n"),
+            ({"l": 2, "n": -2, "m": 0}, "mode.n"),
+            ({"l": 2, "n": 2, "m": 3}, "mode.m"),
+            ({"l": 2, "n": 2, "m": -3}, "mode.m"),
+            ({"l": 1, "n": 1, "m": 0, "radius": 0.0}, "mode.radius"),
+            ({"index": 999}, "mode.index"),
+            ({"index": 24}, "mode.index"),
+            ({"index": -1}, "mode.index"),
+        ],
+    )
+    def test_rejected_with_field(self, tmp_path, mode, field):
+        cfg = {"command": "plasmon", **self.SURFACE, "mode": mode,
+               "points": [{"count": 2, "radius": 2.0}]}
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 1
+        assert json.loads((out / "error.json").read_text())["error"]["field"] == field
+
+    def test_rows_equal_plasmon_field(self, tmp_path):
+        from mnpspr.plasmon import PlasmonMode, plasmon_field
+        from mnpspr.potentials import scalar_operators
+        from mnpspr.spectral import mnp_spectra, np_spectrum
+        from mnpspr.sphharm import fibonacci_shell
+        from mnpspr.surface import sphere_surface
+
+        cfg = {"command": "plasmon", "surface": {"sphere": 1.0, "L_quad": 6}, "L": 6,
+               "mode": {"index": 23},
+               "points": [{"count": 3, "radius": 2.0}, {"count": 2, "radius": 0.2}]}
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 0
+        rows = [l.split(",") for l in read_csv_body(out / "plasmon.csv")
+                if not l.startswith("#")][1:]
+        grid = sphere_surface(1.0, 6)
+        ops = scalar_operators(grid, 6)
+        curl, _ = mnp_spectra(np_spectrum(ops["S"], ops["Kstar"]), ops["S"], grid)
+        mode = PlasmonMode.from_eigenmode(23, curl)
+        pts = np.vstack([fibonacci_shell(3, 2.0), fibonacci_shell(2, 0.2)])
+        assert len(rows) == len(pts)
+        for row, x in zip(rows, pts):
+            E, H = plasmon_field(mode, x, grid)
+            assert abs(float(row[5]) - np.linalg.norm(E)) <= 1e-12 * np.linalg.norm(E)
+            assert abs(float(row[6]) - np.linalg.norm(H)) <= 1e-12 * np.linalg.norm(H)

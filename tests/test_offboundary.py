@@ -8,8 +8,15 @@ import numpy as np
 import pytest
 
 from mnpspr.mie import SphereMode, mode_tangent_field
+from mnpspr import plasmon
 from mnpspr.plasmon import PlasmonMode, localization_scan, plasmon_field
-from mnpspr.potentials import POINT_BLOCK, NearBoundaryError, offboundary_eval, scalar_operators
+from mnpspr.potentials import (
+    POINT_BLOCK,
+    KindError,
+    NearBoundaryError,
+    offboundary_eval,
+    scalar_operators,
+)
 from mnpspr.spectral import mnp_spectra, np_spectrum
 from mnpspr.surface import ShCoeffs, perturbed_sphere, random_band_limited, tubular_distance
 
@@ -123,3 +130,175 @@ class TestNearPatchBasis:
         assert sizes.count(q) == len(pts)
         for i, one in enumerate(singles):
             assert rel_err(stacked[..., i], one) < 1e-13
+
+
+def many_densities(kind, rng):
+    """More densities than one grid-rule pass takes with per-density wavenumbers."""
+    if kind in ("S", "gradS"):
+        return [random_band_limited(rng, 6, mean_free=False) for _ in range(40)]
+    return [
+        mode_tangent_field(SphereMode(l, n, m, 1.0), 8)
+        for l in (1, 2) for n in range(1, 5) for m in range(-n, n + 1)
+    ]
+
+
+class TestPerDensityWavenumbers:
+    """A k array, one wavenumber per density, equals one scalar-k call per density."""
+
+    GRID_POINTS = np.vstack([fibonacci_shell(4, 2.0), fibonacci_shell(3, 0.4)])
+    NEAR_POINTS = np.array([[0.0, 0.0, 1.05], [0.6, 0.0, 0.9]])
+
+    @staticmethod
+    def wavenumbers(n):
+        ks = np.linspace(0.4, 2.2, n).astype(complex)
+        ks[1] += 0.1j
+        return ks
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_node_rule(self, sphere10, rng, kind):
+        dens = many_densities(kind, rng)
+        assert len(dens) > POINT_BLOCK
+        ks = self.wavenumbers(len(dens))
+        batched = offboundary_eval(dens, ks, self.GRID_POINTS, kind, sphere10)
+        for i, (d, k) in enumerate(zip(dens, ks)):
+            one = offboundary_eval(d, k, self.GRID_POINTS, kind, sphere10)
+            assert rel_err(batched[..., i], one) < 1e-13
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_near_rule(self, sphere10, rng, kind):
+        dens = many_densities(kind, rng)[:12]
+        ks = self.wavenumbers(len(dens))
+        batched = offboundary_eval(
+            dens, ks, self.NEAR_POINTS, kind, sphere10, quad="near", n_polar=40
+        )
+        for i, (d, k) in enumerate(zip(dens, ks)):
+            one = offboundary_eval(d, k, self.NEAR_POINTS, kind, sphere10, quad="near", n_polar=40)
+            assert rel_err(batched[..., i], one) < 1e-13
+
+    def test_equal_wavenumbers_equal_a_scalar_k(self, sphere10, rng):
+        dens = many_densities("curlcurlS_vec", rng)[:5]
+        shared = offboundary_eval(dens, 1.3, self.GRID_POINTS, "curlcurlS_vec", sphere10)
+        same = offboundary_eval(dens, np.full(5, 1.3), self.GRID_POINTS, "curlcurlS_vec", sphere10)
+        assert np.array_equal(shared, same)
+
+    def test_wrong_count_is_rejected(self, sphere10, rng):
+        dens = many_densities("curlS_vec", rng)[:3]
+        with pytest.raises(ValueError, match="2 wavenumbers for 3 densities"):
+            offboundary_eval(dens, [1.0, 2.0], self.GRID_POINTS, "curlS_vec", sphere10)
+
+
+class TestKindTuples:
+    """A tuple of kinds gives the single-kind results, in the order asked."""
+
+    @pytest.mark.parametrize("kinds", [("S", "gradS"), ("curlS_vec", "curlcurlS_vec"),
+                                       ("curlcurlS_vec", "curlS_vec")])
+    @pytest.mark.parametrize("quad", ["auto", "near"])
+    def test_tuple_equals_single_kinds(self, sphere10, rng, kinds, quad):
+        dens = many_densities(kinds[0], rng)[:6]
+        pts = TestPerDensityWavenumbers.NEAR_POINTS if quad == "near" else np.array(
+            [[0.0, 0.0, 2.0], [0.3, 0.1, 0.2]]
+        )
+        for k in (1.3, np.linspace(0.5, 1.5, len(dens))):
+            both = offboundary_eval(dens, k, pts, kinds, sphere10, quad=quad, n_polar=40)
+            assert isinstance(both, tuple) and len(both) == 2
+            for kind, got in zip(kinds, both):
+                one = offboundary_eval(dens, k, pts, kind, sphere10, quad=quad, n_polar=40)
+                assert rel_err(got, one) < 1e-15
+
+    def test_single_point_single_density(self, sphere10, rng):
+        dens = many_densities("curlS_vec", rng)[0]
+        curl, curlcurl = offboundary_eval(
+            dens, 1.0, np.array([0.0, 0.0, 2.0]), ("curlS_vec", "curlcurlS_vec"), sphere10
+        )
+        assert curl.shape == curlcurl.shape == (3,)
+
+    def test_mixed_density_types_are_rejected(self, sphere10, rng):
+        dens = many_densities("S", rng)[0]
+        with pytest.raises(KindError):
+            offboundary_eval(dens, 1.0, np.array([0.0, 0.0, 2.0]), ("S", "curlS_vec"), sphere10)
+
+
+@pytest.fixture(scope="module")
+def pert8_family():
+    """Every curl plasmon mode of rho = 1 + 0.05 Re Y_2^0 at L = L_quad = 8."""
+    grid = perturbed_sphere(0.05, 2, 0, 8)
+    ops = scalar_operators(grid, 8)
+    curl, _ = mnp_spectra(np_spectrum(ops["S"], ops["Kstar"]), ops["S"], grid)
+    return grid, [PlasmonMode.from_eigenmode(j, curl) for j in range(len(curl))]
+
+
+BOTH_SIDES = np.vstack([fibonacci_shell(6, 2.5), fibonacci_shell(4, 0.3)])
+
+
+class TestOneCallPerSide:
+    @pytest.mark.parametrize("count", [1, 7, 80])
+    def test_field_batch_calls(self, pert8_family, monkeypatch, count):
+        grid, modes = pert8_family
+        calls = []
+        evaluate = plasmon.offboundary_eval
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].shape)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(plasmon, "offboundary_eval", counting)
+        E, H = plasmon._field_batch(modes[:count], BOTH_SIDES, grid, "auto")
+        assert len(calls) == 2
+        assert sorted(shape[0] for shape in calls) == [4, 6]
+        assert E.shape == H.shape == (count, len(BOTH_SIDES), 3)
+
+    def test_field_batch_equals_plasmon_field(self, pert8_family):
+        grid, modes = pert8_family
+        family = modes[::9]
+        E, H = plasmon._field_batch(family, BOTH_SIDES, grid, "auto")
+        for j, mode in enumerate(family):
+            for p, x in enumerate(BOTH_SIDES):
+                Ep, Hp = plasmon_field(mode, x, grid)
+                assert np.linalg.norm(E[j, p] - Ep) <= 1e-12 * np.linalg.norm(Ep)
+                assert np.linalg.norm(H[j, p] - Hp) <= 1e-12 * np.linalg.norm(Hp)
+
+
+class TestPointArrays:
+    """tubular_distance and _is_inside take a (P, 3) array: one value per point."""
+
+    def test_equal_per_point(self, pert8_family):
+        grid, _ = pert8_family
+        pts = np.vstack([fibonacci_shell(9, r) for r in (0.3, 0.97, 1.02, 1.5, 3.0)])
+        pts = np.vstack([pts, grid.positions[:5]])
+        dists = tubular_distance(pts, grid)
+        inside = plasmon._is_inside(pts, grid)
+        assert dists.shape == inside.shape == (len(pts),)
+        assert 0 < inside.sum() < len(pts)
+        for p, x in enumerate(pts):
+            d, a = tubular_distance(x, grid), plasmon._is_inside(x, grid)
+            assert type(d) is float and type(a) is bool
+            assert d == dists[p] and a == inside[p]
+
+
+class TestScanMemory:
+    """The traced peak of a scan over every curl mode stays under the previous path's.
+
+    The bounds are the tracemalloc peaks of the same scans with one
+    off-boundary call per mode inside: 7.75 MB on the grid rule (40
+    exterior and 10 interior points, 324 nodes) and 180.25 MB on the near
+    rule (one point each side, 15360 patch points).  Evaluating all 80
+    per-mode wavenumbers of a pass at once, unblocked, exceeds both.
+    """
+
+    @pytest.mark.parametrize(
+        "quad, shells, bound_mb",
+        [("auto", ((40, 2.5), (10, 0.3)), 7.8), ("near", ((1, 2.5), (1, 0.3)), 181.0)],
+    )
+    def test_peak_under_bound(self, pert8_family, quad, shells, bound_mb):
+        import tracemalloc
+
+        grid, modes = pert8_family
+        pts = np.vstack([fibonacci_shell(n, r) for n, r in shells])
+        localization_scan(modes[:2], pts, 0.5, grid, quad=quad)  # the grid's lazy caches
+        tracemalloc.start()
+        try:
+            localization_scan(modes, pts, 0.5, grid, quad=quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6
