@@ -221,11 +221,11 @@ def localization_scan(modes, points, eps, grid: SurfaceGrid, quad="auto",
                       plateau_threshold=0.05, kappa=0.5):
     """Field-norm survey of a mode family over a fixed point cloud.
 
-    Modes are ordered by |eigenvalue| descending.  Every point must keep
-    distance > eps from the surface.  The report carries per-mode norms,
-    the partial sums of squared norms, a plateau flag (last-quartile growth
-    below the threshold), a fitted log-decay rate, and the o(j^{-kappa})
-    exceedance statistic of the electric norms.
+    Modes, at least two, are ordered by |eigenvalue| descending.  Every
+    point must keep distance > eps from the surface.  The report carries
+    per-mode norms, the partial sums of squared norms, a plateau flag
+    (last-quartile growth below the threshold), a fitted log-decay rate,
+    and the o(j^{-kappa}) exceedance statistic of the electric norms.
     """
     pts = np.asarray(points, dtype=float)
     dists = tubular_distance(pts, grid)
@@ -234,6 +234,8 @@ def localization_scan(modes, points, eps, grid: SurfaceGrid, quad="auto",
         raise ValueError(
             f"point {bad} at distance {dists[bad]:.3g} inside the {eps:.3g}-tube"
         )
+    if len(modes) < 2:
+        raise ValueError(f"a decay rate needs at least two modes, got {len(modes)}")
     modes = sorted(modes, key=lambda m: -abs(m.lam))
     E, H = _field_batch(modes, pts, grid, quad)
     e_mags = np.linalg.norm(E, axis=2)

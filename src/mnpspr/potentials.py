@@ -149,18 +149,18 @@ def _galerkin_operator(kind, grid: SurfaceGrid, values, L, meta=None):
     return OperatorMatrix(kind, L, np.linalg.solve(W, G), G, grid_signature(grid), meta or {})
 
 
-def scalar_operators(grid: SurfaceGrid, L: int, n_polar=None):
+def scalar_operators(grid: SurfaceGrid, L: int):
     """The static scalar operators S, K, K* at degree L, built once per grid."""
 
     def build():
         if L > grid.L_quad:
             raise ValueError(f"operator degree {L} exceeds grid capacity")
-        vals = assemble_scalar_values(grid, L, n_polar)
+        vals = assemble_scalar_values(grid, L)
         ops = {kind: _galerkin_operator(kind, grid, vals[kind], L) for kind in ("S", "K", "Kstar")}
         _check_scalar_invariants(ops)
         return ops
 
-    return grid.cached(("scalar", L, n_polar), build)
+    return grid.cached(("scalar", L), build)
 
 
 def _check_scalar_invariants(ops):
@@ -176,7 +176,7 @@ def _check_scalar_invariants(ops):
         raise AssemblyAccuracyError("K / K* discrete duality violated")
 
 
-def assemble_scalar(kind: str, grid: SurfaceGrid, L: int, k=None, n_polar=None):
+def assemble_scalar(kind: str, grid: SurfaceGrid, L: int, k=None):
     """Galerkin matrix of a scalar layer operator.
 
     kind in {S, K, Kstar} for the static kernels; 'Sk' gives the Helmholtz
@@ -187,9 +187,9 @@ def assemble_scalar(kind: str, grid: SurfaceGrid, L: int, k=None, n_polar=None):
     if kind == "Sk":
         if k is None:
             raise ValueError("Sk needs a wavenumber")
-        vals = assemble_scalar_values(grid, L, n_polar, k)["Sk"]
+        vals = assemble_scalar_values(grid, L, k)["Sk"]
         return _galerkin_operator("Sk", grid, vals, L, {"k": complex(k)})
-    return scalar_operators(grid, L, n_polar)[kind]
+    return scalar_operators(grid, L)[kind]
 
 
 # --------------------------------------------------------------------------
@@ -473,28 +473,34 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
 
     Returns dict kind -> OperatorMatrix on the stacked potential basis
     (gradient block first, curl block second, degree >= 1 slots), with unit
-    material constants and the leading nu_x cross product applied:
-      Mk2 : (1/(8 pi)) int [uhat (nu_x . phi) - phi (nu_x . uhat)]
-      L1  : nu_x x int (1/2)[I/r + R R^T / r^3] phi
-      L2  : nu_x x int (2/3) phi
-    Each ring's kernel integrals are projected on the stacked test basis as
-    soon as they are built, so the per-node integral tensors are never held
-    whole.  The arrays are read-only: every material shares them.
+    material constants.  Every kernel acts as nu_x x int K(x, y) phi(y) ds(y):
+      Mk2 : K phi = (uhat x phi) / (8 pi)
+      L1  : K phi = (1/2) [phi / r + R (R . phi) / r^3]
+      L2  : K phi = (2/3) phi
+    By t . (nu x v) = (t x nu) . v, nu_x moves onto the test fields t; for a
+    tangent t it maps the grad basis to the curl basis and the curl basis to
+    minus the grad basis.  The rotated polar rule projects the Mk2 and L1
+    kernels one ring at a time, so the per-node integral tensors are never
+    held whole.  L2's integral is the same vector (2/3) int phi_j ds at
+    every target, so its pairing is the rank-3 product
+    (2/3) (sum_x t_i x nu_x) . int phi_j ds, with the grid rule.  The arrays
+    are read-only: every material shares them.
     """
 
     def build():
         nc = num_coeffs(L)
         d = nc - 1
-        # conjugated, area-weighted test fields, (n_nodes, 3, 2d)
-        test = np.concatenate(
-            [grid.grad_basis()[:, 1:nc].transpose(0, 2, 1),
-             grid.curl_basis()[:, 1:nc].transpose(0, 2, 1)],
-            axis=2,
-        )
+        w = grid.area_weights
+        grad, curl = grid.grad_basis()[:, 1:nc], grid.curl_basis()[:, 1:nc]
+        # conjugated, area-weighted test fields crossed with nu_x, (n_nodes, 3, 2d)
+        test = np.concatenate([curl.transpose(0, 2, 1), -grad.transpose(0, 2, 1)], axis=2)
         np.conj(test, out=test)
-        test *= grid.area_weights[:, None, None]
-        # pairings of the three kernels side by side, in VECTOR_KINDS order
+        test *= w[:, None, None]
+        # pairings of the kernels side by side, in VECTOR_KINDS order
         G = np.zeros((2 * d, 3 * 2 * d), dtype=complex)
+        # int phi_j ds by the grid rule, (2d, 3)
+        phi_int = np.concatenate([np.tensordot(w, grad, axes=1), np.tensordot(w, curl, axes=1)])
+        G[:, 4 * d :] = (2.0 / 3.0) * test.sum(axis=0).T @ phi_int.T
         for ring in rings(grid, L, correction_polar_order(L)):
             _, Yth, Yp = ynm_matrix(ring.theta, ring.phi, L, derivatives=True)
             Yph = Yp * np.sin(ring.theta)[:, None]  # plain d/dphi
@@ -506,38 +512,27 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
             rvec, r, wjac = ring.rvec, ring.r, ring.wjac
             nphi, q = r.shape
             uhat = rvec / r[..., None]
-            nu_x = grid.normals[ring.nodes]
-
-            # the triple-product form of Mk2 already carries nu_x
-            def mk2_apply(vec):
-                nu_dot_phi = np.einsum("tj,tqj->tq", nu_x, vec)
-                nu_dot_u = np.einsum("tj,tqj->tq", nu_x, uhat)
-                return (uhat * nu_dot_phi[..., None] - vec * nu_dot_u[..., None]) / (8.0 * np.pi)
-
-            def l1_apply(vec):
-                rr_phi = np.einsum("tqj,tqj->tq", rvec, vec)
-                return 0.5 * (vec / r[..., None] + rvec * (rr_phi / r**3)[..., None])
-
-            def l2_apply(vec):
-                return (2.0 / 3.0) * vec
+            # K phi of the ring-projected kinds, in VECTOR_KINDS order
+            kernels = (
+                lambda vec: np.cross(uhat, vec) / (8.0 * np.pi),
+                lambda vec: 0.5 * (
+                    vec / r[..., None]
+                    + rvec * (np.einsum("tqj,tqj->tq", rvec, vec) / r**3)[..., None]
+                ),
+            )
 
             def contract(fn, vec_a, vec_b):
                 A = (fn(vec_a) * wjac[..., None]).transpose(0, 2, 1).reshape(nphi * 3, q)
                 B = (fn(vec_b) * wjac[..., None]).transpose(0, 2, 1).reshape(nphi * 3, q)
                 rows = (A @ Yth + B @ Yph).reshape(nphi, 3, nc) * ring.phase[:, None, :]
-                return rows[:, :, 1:]  # (nphi, 3, d)
+                return rows[:, :, 1:].reshape(nphi * 3, d)
 
-            kernels = {"Mk2": (mk2_apply, False), "L1": (l1_apply, True), "L2": (l2_apply, True)}
-            blocks = []
-            for kind in VECTOR_KINDS:
-                fn, cross = kernels[kind]
-                vals = np.concatenate(
-                    [contract(fn, alpha, beta), contract(fn, alpha_c, beta_c)], axis=2
-                )
-                if cross:
-                    vals = np.cross(nu_x[:, :, None], vals, axisa=1, axisb=1, axisc=1)
-                blocks.append(vals.reshape(nphi * 3, 2 * d))
-            G += test[ring.nodes].reshape(nphi * 3, 2 * d).T @ np.hstack(blocks)
+            vals = [
+                block
+                for fn in kernels
+                for block in (contract(fn, alpha, beta), contract(fn, alpha_c, beta_c))
+            ]
+            G[:, : 4 * d] += test[ring.nodes].reshape(nphi * 3, 2 * d).T @ np.hstack(vals)
         entries = np.linalg.solve(tangent_mass_stack(grid, L), G)
         entries.flags.writeable = False
         G.flags.writeable = False

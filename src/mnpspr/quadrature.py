@@ -88,7 +88,7 @@ def rings(grid: SurfaceGrid, L: int, n_polar=None):
         )
 
 
-def assemble_scalar_values(grid: SurfaceGrid, L: int, n_polar=None, k=None):
+def assemble_scalar_values(grid: SurfaceGrid, L: int, k=None):
     """Values (Op Y_j)(x_i) of the scalar layer operators at all grid nodes.
 
     Op in {S, Kstar, K} for the static kernels (G = -1/(4 pi |x-y|)):
@@ -102,7 +102,7 @@ def assemble_scalar_values(grid: SurfaceGrid, L: int, n_polar=None, k=None):
     kinds = ("S", "Kstar", "K") if k is None else ("Sk",)
     nc = num_coeffs(L)
     out = {kind: np.zeros((grid.n_nodes, nc), dtype=complex) for kind in kinds}
-    for ring in rings(grid, L, n_polar):
+    for ring in rings(grid, L):
         r = ring.r
         if k is None:
             inv4pir3 = 1.0 / (4.0 * np.pi * r**3)

@@ -238,16 +238,8 @@ def weak_resonance_indicator(system: BlockSystem, mode, grid: SurfaceGrid):
         ShCoeffs(system.L, system.omega * v.V.padded(system.L), True),
         "div",
     )
-    stacked = np.concatenate(
-        [
-            v.X.coeffs[1:],
-            v.V.coeffs[1:],
-            system.omega * v.X.coeffs[1:],
-            system.omega * v.V.coeffs[1:],
-        ]
-    )
     scale = pair_norm(v, scaled, grid)
-    out = system.matrix @ (stacked / scale)
+    out = system.matrix @ (RHSVector(v, scaled).stacked(system.L) / scale)
     first, second = _unstack(out, system.L)
     return pair_norm(first, second, grid)
 

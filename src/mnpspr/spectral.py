@@ -129,8 +129,9 @@ def np_spectrum(S_mat: OperatorMatrix, Kstar_mat: OperatorMatrix) -> SpectralSet
 
 
 def _gram_cache(S_mat: OperatorMatrix, grid: SurfaceGrid):
-    cache = S_mat.meta.setdefault("gram_cache", {})
-    if "Ghat" not in cache:
+    """Quotient Gram "Ghat" and Hermitian pairing "GS" of the grid's S, once per degree."""
+
+    def build():
         nc = num_coeffs(S_mat.L)
         W = grid.mass_matrix()[:nc, :nc]
         GS = _hermitize(S_mat.pairing)
@@ -144,9 +145,9 @@ def _gram_cache(S_mat: OperatorMatrix, grid: SurfaceGrid):
         e[0] = 1.0
         ge = GSinv @ e
         P = np.eye(nc) - np.outer(e, ge.conj()) / (e @ GSinv @ e)
-        cache["Ghat"] = _hermitize(P.conj().T @ GSinv @ P)
-        cache["GS"] = GS
-    return cache
+        return {"Ghat": _hermitize(P.conj().T @ GSinv @ P), "GS": GS}
+
+    return grid.cached(("gram", S_mat.L), build)
 
 
 def quotient_gram_matrix(S_mat: OperatorMatrix, grid: SurfaceGrid):

@@ -144,8 +144,7 @@ class SurfaceGrid:
 
     Attributes (all per node, nodes ordered theta-major):
       positions (N,3), normals (N,3), area_weights (N,), param_weights (N,),
-      jacobian (N,), tangent_theta/tangent_phi (N,3), metric E, F, G (N,),
-      contravariant (grad_S theta, grad_S phi) pair of (N,3).
+      jacobian (N,), contravariant (grad_S theta, grad_S phi) pair of (N,3).
     """
 
     def __init__(self, radius_coeffs: ShCoeffs, L_quad: int):
@@ -173,11 +172,6 @@ class SurfaceGrid:
         self.positions = frame["position"]
         self.normals = frame["normal"]
         self.jacobian = frame["jacobian"]
-        self.tangent_theta = frame["t_theta"]
-        self.tangent_phi = frame["t_phi"]
-        self.metric_E = frame["E"]
-        self.metric_F = frame["F"]
-        self.metric_G = frame["G"]
         self.contravariant = contravariant(frame)
         self.area_weights = self.param_weights * self.jacobian
         self.area = float(np.sum(self.area_weights))

@@ -56,7 +56,7 @@ def test_criterion_01_sphere_spectra():
     """K*, M_curl, M*_grad sphere eigenvalues at L=16 within 1e-6, under 30 s."""
     t0 = time.monotonic()
     grid = sphere_surface(1.0, 16)
-    ops = scalar_operators(grid, 16, n_polar=35)  # fresh assembly, uncached
+    ops = scalar_operators(grid, 16)  # fresh assembly, uncached
     nps = np_spectrum(ops["S"], ops["Kstar"])
     curl, grad = mnp_spectra(nps, ops["S"], grid)
     elapsed = time.monotonic() - t0

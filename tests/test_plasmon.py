@@ -127,6 +127,12 @@ class TestLocalizationScan:
         with pytest.raises(ValueError):
             localization_scan(modes, np.array([[1.2, 0.0, 0.0]]), 0.5, pert12)
 
+    def test_one_mode_has_no_decay_rate(self, pert12, pert12_spectra):
+        _, curl, _ = pert12_spectra
+        modes = [PlasmonMode.from_eigenmode(0, curl)]
+        with pytest.raises(ValueError, match="at least two modes"):
+            localization_scan(modes, fibonacci_shell(5, 3.0), 0.5, pert12)
+
     def test_csv_rows_shape(self, pert12, pert12_spectra):
         _, curl, _ = pert12_spectra
         modes = [PlasmonMode.from_eigenmode(j, curl) for j in (0, 1)]

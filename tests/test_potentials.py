@@ -16,6 +16,7 @@ from mnpspr.potentials import (
     apply_Q,
     assemble_correction,
     assemble_scalar,
+    correction_unit_matrices,
     helmholtz_point_kernels,
     mnp_curl_apply,
     mnp_grad_apply,
@@ -23,9 +24,15 @@ from mnpspr.potentials import (
     scalar_operators,
     tangent_mass_stack,
 )
-from mnpspr.sphharm import num_coeffs, polar_patch_rule, sh_index
+from mnpspr.sphharm import num_coeffs, polar_patch_rule, sh_degrees, sh_index, ynm_matrix
 from mnpspr.specfun import vector_sph_matrix
-from mnpspr.surface import ShCoeffs, TangentField, random_band_limited, sphere_surface
+from mnpspr.surface import (
+    ShCoeffs,
+    TangentField,
+    perturbed_sphere,
+    random_band_limited,
+    sphere_surface,
+)
 
 
 def funk_hecke_eigenvalue(kernel_of_t, n):
@@ -44,6 +51,20 @@ class TestOperatorLifetime:
         g = sphere_surface(1.0, 4)
         ref = weakref.ref(scalar_operators(g, 4)["S"])
         del g
+        gc.collect()
+        assert ref() is None
+
+    def test_gram_data_lives_on_the_grid(self):
+        from mnpspr.spectral import _gram_cache, quotient_gram_matrix
+
+        g = sphere_surface(1.0, 4)
+        S = scalar_operators(g, 4)["S"]
+        quotient_gram_matrix(S, g)
+        assert S.meta == {}
+        cache = _gram_cache(S, g)
+        assert _gram_cache(S, g) is cache
+        ref = weakref.ref(cache["Ghat"])
+        del g, S, cache
         gc.collect()
         assert ref() is None
 
@@ -306,6 +327,34 @@ class TestCorrections:
         L2 = assemble_correction("L2", sphere10, mats, 6)
         assert np.max(np.abs(L1.entries)) == 0.0
         assert np.max(np.abs(L2.entries)) == 0.0
+
+    def test_l2_against_sphere_integrals(self, sphere10):
+        # oracle: L2 pairs test field t_i with nu_x x c_j, c_j = (2/3) int phi_j ds.
+        # int vcurl Y ds = 0 on a closed surface; on the unit sphere
+        # int grad_S Y ds = 2 int Y rhat ds, zero unless Y has degree 1, and a
+        # degree-1 Y(xhat) = a . xhat with a_c = Y(e_c) gives (4 pi / 3) a
+        L = sphere10.L_quad
+        nc = num_coeffs(L)
+        d = nc - 1
+        a = ynm_matrix(np.array([np.pi / 2, np.pi / 2, 0.0]), np.array([0.0, np.pi / 2, 0.0]), L)
+        c = np.zeros((3, 2 * d), dtype=complex)
+        c[:, :d] = np.where(sh_degrees(L)[0][1:] == 1, (16.0 * np.pi / 9.0) * a[:, 1:], 0.0)
+        test = np.concatenate(
+            [sphere10.grad_basis()[:, 1:nc], sphere10.curl_basis()[:, 1:nc]], axis=1
+        ).conj() * sphere10.area_weights[:, None, None]
+        nu_c = np.cross(sphere10.normals[:, :, None], c[None], axisa=1, axisb=1, axisc=1)
+        exact = np.einsum("nic,ncj->ij", test, nu_c)
+        got = correction_unit_matrices(sphere10, L)["L2"].pairing
+        assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact)
+
+    def test_l2_is_rank_three_off_the_sphere(self):
+        grid = perturbed_sphere(0.2, 2, 0, 12)
+        P = correction_unit_matrices(grid, 12)["L2"].pairing
+        sv = np.linalg.svd(P, compute_uv=False)
+        assert np.all(sv[3:] <= 1e-13 * sv[0])
+        # int vcurl Y ds = 0: the curl columns vanish on any closed surface
+        d = num_coeffs(12) - 1
+        assert np.linalg.norm(P[:, d:]) <= 1e-12 * np.linalg.norm(P)
 
     def test_mk2_against_independent_quadrature(self, sphere10):
         # oracle: direct fine polar quadrature of the curl-of-(distance *
