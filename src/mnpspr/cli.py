@@ -19,13 +19,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .mie import SphereMode, exact_sphere_potential, mode_tangent_field
-from .plasmon import PlasmonMode, localization_scan
+from .plasmon import PlasmonMode, _field_batch, localization_scan
 from .potentials import (
     AssemblyAccuracyError,
     NearBoundaryError,
@@ -52,9 +53,8 @@ from .surface import (
     build_surface,
     radius_from_json,
     random_band_limited,
+    tubular_distance,
 )
-
-COMMANDS = ("spectrum", "calderon", "plasmon", "decay", "scatter", "mie-check")
 
 
 class ConfigError(ValueError):
@@ -80,97 +80,149 @@ def _integer(value, name):
     raise ConfigError(f"{name} must be an integer, got {value!r}", name)
 
 
-def _is_number(value):
-    return type(value) is int or (type(value) is float and math.isfinite(value))
-
-
 def _number(value, name):
     """value as a float; a ConfigError naming the field unless it is a finite number."""
-    if not _is_number(value):
-        raise ConfigError(f"{name} must be a number, got {value!r}", name)
-    return float(value)
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return float(value)
+    raise ConfigError(f"{name} must be a number, got {value!r}", name)
 
 
-def _object(value, name):
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a JSON object", name)
-    return value
-
-
-def _entries(spec, name, types):
-    """Copy of the object spec with each present key of types converted by its type."""
-    out = dict(_object(spec, name))
-    for key, conv in types.items():
-        if key in out:
-            out[key] = conv(out[key], f"{name}.{key}")
-    return out
-
-
-def _required(spec, name, keys):
-    for key in keys:
-        if key not in spec:
-            raise ConfigError(f"{name} needs a {key!r} entry", f"{name}.{key}")
-    return spec
-
-
-def _vector3(value, name):
-    if not isinstance(value, list) or len(value) != 3:
-        raise ConfigError(f"{name} must be a list of 3 numbers", name)
+def _numbers(value, name):
+    """A list of numbers; a bad entry names the whole list."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of numbers", name)
     return [_number(v, name) for v in value]
 
 
-def _points(value, name):
-    """Shell specs [{count, radius}, ...] with an integer count >= 1 and a numeric radius."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list of {{count, radius}} objects", name)
-    shells = []
-    for i, shell in enumerate(value):
-        where = f"{name}[{i}]"
-        shell = _entries(shell, where, {"count": _integer, "radius": _number})
-        _required(shell, where, ("count", "radius"))
-        if shell["count"] < 1:
-            raise ConfigError(f"{where}.count must be at least 1", f"{where}.count")
-        shells.append(shell)
-    return shells
+def _coefficient(value, name):
+    """One radius entry [n, m, re, im]: integers n >= 0 and |m| <= n, numbers re and im."""
+    if not isinstance(value, list) or len(value) != 4:
+        raise ConfigError(f"{name} must be a list [n, m, re, im]", name)
+    n = _integer(value[0], f"{name}[0]")
+    m = _integer(value[1], f"{name}[1]")
+    if n < 0:
+        raise ConfigError(f"{name}[0] must be at least 0", f"{name}[0]")
+    if abs(m) > n:
+        raise ConfigError(f"{name}[1] must satisfy |m| <= n", f"{name}[1]")
+    return [n, m, _number(value[2], f"{name}[2]"), _number(value[3], f"{name}[3]")]
 
 
-def _plasmon_mode(value, name):
-    """A sphere mode {l, n, m[, radius]} or an eigenmode {index}, with integer entries."""
-    if not value:
-        raise ConfigError("plasmon needs a 'mode' entry", name)
-    spec = _entries(value, name, {"l": _integer, "n": _integer, "m": _integer,
-                                  "index": _integer, "radius": _number})
-    _required(spec, name, ("l", "n", "m") if "l" in spec else ("index",))
-    if "l" in spec:
-        for key, ok, rule in (
-            ("l", spec["l"] in (1, 2), "be 1 or 2"),
-            ("n", spec["n"] >= 1, "be at least 1"),
-            ("m", abs(spec["m"]) <= spec["n"], "satisfy |m| <= n"),
-            ("radius", spec.get("radius", 1.0) > 0, "be positive"),
-        ):
-            if not ok:
-                raise ConfigError(f"{name}.{key} must {rule}", f"{name}.{key}")
-    return spec
+def _list_of(conversion):
+    """Conversion of a list whose i-th item takes `conversion` as field name[i]."""
+
+    def convert(value, name):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list", name)
+        return [conversion(item, f"{name}[{i}]") for i, item in enumerate(value)]
+
+    return convert
 
 
-def _order(value, name):
-    order = _integer(value, name)
-    if order not in (0, 1, 2):
-        raise ConfigError(f"{name} must be 0, 1 or 2", name)
-    return order
+_REQUIRED = object()  # default of an entry that the config must give
 
 
-def _source(value, name):
-    return _required(_entries(value, name, {"s": _vector3, "p": _vector3}), name, ("s", "p"))
+def _entries(spec, name, table):
+    """The object spec typed and range-checked by table, with its defaults filled in.
+
+    table maps each key to (conversion, rule, default).  rule is None or a
+    (test, wording) pair; test(value, entries) sees the converted value and
+    the entries converted before it.  default is _REQUIRED, None for an entry
+    that may be left out, or a value in config form, which is converted and
+    checked like a given one.  Keys that table does not list are dropped.
+    """
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be a JSON object", name)
+    out = {}
+    for key, (conversion, rule, default) in table.items():
+        where = f"{name}.{key}" if name else key
+        if key in spec:
+            value = spec[key]
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing entry {where}", where)
+        elif default is None:
+            continue
+        else:
+            value = default
+        out[key] = conversion(value, where)
+        if rule is not None and not rule[0](out[key], out):
+            raise ConfigError(f"{where} must {rule[1]}", where)
+    return out
 
 
-# per command: the typed entries of the config and their conversions
-_PARAMS = {
-    "calderon": {"n_tests": _integer},
-    "plasmon": {"points": _points},
-    "decay": {"points": _points, "eps": _number},
-    "scatter": {"order": _order, "source": _source},
-    "mie-check": {"n_max": _integer, "k": _number, "radius": _number},
+def _mode(value, name):
+    """A sphere mode {l, n, m[, radius]} or an eigenmode {index}."""
+    sphere = isinstance(value, dict) and "l" in value
+    return _entries(value, name, _SPHERE_MODE if sphere else _EIGENMODE)
+
+
+# settings tables, key -> (conversion, rule, default), read by _entries
+_POSITIVE = (lambda x, _: x > 0, "be positive")
+_AT_LEAST_1 = (lambda x, _: x >= 1, "be at least 1")
+_NONEMPTY = (lambda x, _: len(x) > 0, "not be empty")
+_THREE = (lambda x, _: len(x) == 3, "have 3 entries")
+_HAS_SHAPE = (lambda s, _: "sphere" in s or "radius" in s, "have a 'sphere' or 'radius' entry")
+_TAUS = (lambda taus, _: all(t > 0 and t != 1 for t in taus), "have positive entries other than 1")
+_DELTAS = (lambda deltas, _: all(d > 0 for d in deltas), "have positive entries")
+
+_SURFACE = {
+    "sphere": (_number, _POSITIVE, None),
+    "radius": (_list_of(_coefficient), _NONEMPTY, None),
+    "L_quad": (_integer, None, None),
+}
+_MATERIALS = {
+    "omega": (_number, _POSITIVE, 1.0),
+    "tau": (_number, None, None),
+    "delta": (_number, (lambda x, _: x >= 0, "be nonnegative"), 0.05),
+}
+_SHELL = {
+    "count": (_integer, _AT_LEAST_1, _REQUIRED),
+    "radius": (_number, None, _REQUIRED),
+}
+_SPHERE_MODE = {
+    "l": (_integer, (lambda l, _: l in (1, 2), "be 1 or 2"), _REQUIRED),
+    "n": (_integer, _AT_LEAST_1, _REQUIRED),
+    "m": (_integer, (lambda m, mode: abs(m) <= mode["n"], "satisfy |m| <= n"), _REQUIRED),
+    "radius": (_number, _POSITIVE, 1.0),
+}
+_EIGENMODE = {"index": (_integer, None, _REQUIRED)}
+_SOURCE = {
+    "s": (_numbers, _THREE, _REQUIRED),
+    "p": (_numbers, _THREE, _REQUIRED),
+}
+_points = _list_of(partial(_entries, table=_SHELL))
+
+# entries of every command but mie-check
+_GRID = {
+    "surface": (partial(_entries, table=_SURFACE), _HAS_SHAPE, _REQUIRED),
+    "L": (_integer, (lambda L, _: 1 <= L <= 60, "lie in the documented range [1, 60]"), _REQUIRED),
+}
+# entries of every command
+_SHARED = {
+    "materials": (partial(_entries, table=_MATERIALS), None, {}),
+    "tau_list": (_numbers, _TAUS, [0.5]),
+    "delta_list": (_numbers, _DELTAS, [0.1, 0.05, 0.025]),
+}
+_CALDERON = {**_GRID, "n_tests": (_integer, _AT_LEAST_1, 10)}
+_PLASMON = {
+    **_GRID,
+    "mode": (_mode, None, _REQUIRED),
+    "points": (_points, _NONEMPTY, [{"count": 20, "radius": 2.0}]),
+}
+_DECAY = {
+    **_GRID,
+    "points": (_points, _NONEMPTY, [{"count": 40, "radius": 3.0}, {"count": 10, "radius": 0.25}]),
+    "eps": (_number, None, 0.5),
+}
+_SCATTER = {
+    **_GRID,
+    "order": (_integer, (lambda order, _: order in (0, 1, 2), "be 0, 1 or 2"), 2),
+    "source": (partial(_entries, table=_SOURCE), None, {"s": [0, 0, 6], "p": [1, 0, 0]}),
+}
+_MIE_CHECK = {
+    "n_max": (_integer, _AT_LEAST_1, 5),
+    "k": (_number, _POSITIVE, 1.0),
+    "radius": (_number, _POSITIVE, 1.0),
+    "L_quad": (_integer, _AT_LEAST_1, 16),
 }
 
 
@@ -178,71 +230,39 @@ _PARAMS = {
 class RunConfig:
     """Validated batch-run configuration.
 
-    L_quad is the grid degree of the run: the surface's L_quad raised to L
-    if below, or mie-check's own L_quad entry (default 16).
+    params holds every setting the command reads, typed, range-checked and
+    with the defaults of its tables filled in.  surface is the typed surface
+    spec, for mie-check the sphere of its radius.  L_quad is the grid degree:
+    the surface's L_quad raised to L if below, or mie-check's L_quad entry.
     """
 
     command: str
-    raw: dict
-    surface: dict = None
-    L: int = None
-    L_quad: int = None
-    materials: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
+    params: dict
+    surface: dict
+    L_quad: int
+    tol: float = None
+    seed: int = 0
 
     @classmethod
-    def from_dict(cls, data):
+    def from_dict(cls, data, tol=None, seed=0):
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         command = data.get("command")
         if command not in COMMANDS:
             raise ConfigError(f"unknown or missing command {command!r}", "command")
-        cfg = cls(command=command, raw=data)
+        params = _entries(data, None, {**_HANDLERS[command][1], **_SHARED})
         if command == "mie-check":
-            cfg.L_quad = _integer(data.get("L_quad", 16), "L_quad")
+            surface, L_quad = {"sphere": params["radius"]}, params["L_quad"]
         else:
-            if "surface" not in data:
-                raise ConfigError("missing surface specification", "surface")
-            cfg.surface = _object(data["surface"], "surface")
-            if "L" not in data:
-                raise ConfigError("missing truncation degree L", "L")
-            cfg.L = _integer(data["L"], "L")
-            if not (1 <= cfg.L <= 60):
-                raise ConfigError("L out of the documented range [1, 60]", "L")
-            cfg.L_quad = max(_integer(cfg.surface.get("L_quad", cfg.L), "surface.L_quad"), cfg.L)
-        cfg.materials = _entries(
-            data.get("materials", {}), "materials", dict.fromkeys(("omega", "tau", "delta"), _number)
-        )
-        for key in ("tau_list", "delta_list"):
-            values = data.get(key, [])
-            if not isinstance(values, list) or not all(map(_is_number, values)):
-                raise ConfigError(f"{key} must be a list of numbers", key)
-        if any(t <= 0 or t == 1 for t in data.get("tau_list", [])):
-            raise ConfigError("tau_list entries must be positive and differ from 1", "tau_list")
-        if "omega" in cfg.materials and cfg.materials["omega"] <= 0:
-            raise ConfigError("omega must be positive", "materials.omega")
-        if "delta" in cfg.materials and cfg.materials["delta"] < 0:
-            raise ConfigError("delta must be nonnegative", "materials.delta")
-        cfg.params = {
-            k: v
-            for k, v in data.items()
-            if k not in ("command", "surface", "L", "materials", "output")
-        }
-        for key, conv in _PARAMS.get(command, {}).items():
-            if key in cfg.params:
-                cfg.params[key] = conv(cfg.params[key], key)
-        if command == "plasmon":
-            cfg.params["mode"] = _plasmon_mode(cfg.params.get("mode"), "mode")
-        return cfg
+            surface, L = params["surface"], params["L"]
+            L_quad = max(surface.get("L_quad", L), L)
+        return cls(command, params, surface, L_quad, tol, seed)
 
     def build_grid(self) -> SurfaceGrid:
-        spec = self.surface
-        if "sphere" in spec:
-            radius = ShCoeffs.constant(float(spec["sphere"]))
-        elif "radius" in spec:
-            radius = radius_from_json(spec)
+        if "sphere" in self.surface:
+            radius = ShCoeffs.constant(self.surface["sphere"])
         else:
-            raise ConfigError("surface needs 'radius' entries or 'sphere'", "surface")
+            radius = radius_from_json(self.surface)
         return build_surface(radius, self.L_quad)
 
 
@@ -311,95 +331,71 @@ def _shell_points(spec):
     return np.vstack([fibonacci_shell(e["count"], e["radius"]) for e in spec])
 
 
+def _curl_set(grid, L):
+    """The symmetrized spectrum of the magnetic operator on the curl subspace."""
+    ops = scalar_operators(grid, L)
+    return mnp_spectra(np_spectrum(ops["S"], ops["Kstar"]), ops["S"], grid)[0]
+
+
 # --------------------------------------------------------------------------
-# commands
+# commands: (cfg, grid) -> (artifacts, breach).  artifacts maps a file name
+# to (columns, rows) for a .csv, or to a payload for a .json; breach is None
+# or the message of a tolerance breach, which exits 2 once they are written.
 # --------------------------------------------------------------------------
 
 
-def cmd_spectrum(cfg, outdir, header, rng, tol):
-    grid = cfg.build_grid()
-    ops = scalar_operators(grid, cfg.L)
+_FIELD_COLUMNS = ["mode", "lambda", "tau", "point", "dist", "abs_E", "abs_H"]
+
+
+def cmd_spectrum(cfg, grid):
+    ops = scalar_operators(grid, cfg.params["L"])
     nps = np_spectrum(ops["S"], ops["Kstar"])
     curl, grad = mnp_spectra(nps, ops["S"], grid)
-    rows = []
-    for tag, st in (("Kstar", nps), ("M_curl", curl), ("Mstar_grad", grad)):
-        for j, lam, mult in st.eigenvalue_table():
-            rows.append((tag, j, lam, mult))
-    write_csv(
-        os.path.join(outdir, "spectrum.csv"),
-        header,
-        ["operator", "j", "lambda", "multiplicity_cluster"],
-        rows,
-    )
-    write_json(
-        os.path.join(outdir, "spectrum.json"),
-        header,
-        {"sets": [nps.to_json_dict(), curl.to_json_dict(), grad.to_json_dict()]},
-    )
-    return 0
+    sets = (nps, curl, grad)
+    rows = [(st.operator, *row) for st in sets for row in st.eigenvalue_table()]
+    return {
+        "spectrum.csv": (["operator", "j", "lambda", "multiplicity_cluster"], rows),
+        "spectrum.json": {"sets": [st.to_json_dict() for st in sets]},
+    }, None
 
 
-def cmd_calderon(cfg, outdir, header, rng, tol):
-    grid = cfg.build_grid()
-    ops = scalar_operators(grid, cfg.L)
-    n_tests = cfg.params.get("n_tests", 10)
+def cmd_calderon(cfg, grid):
+    L = cfg.params["L"]
+    ops = scalar_operators(grid, L)
+    rng = np.random.default_rng(cfg.seed)
     rows = []
-    worst = 0.0
-    for i in range(n_tests):
-        t = TangentField.from_potentials(
-            V=random_band_limited(rng, max(cfg.L - 3, 1), 2.5), L=cfg.L, flavor="curl"
-        )
-        r = calderon_residual("curl", t, ops, grid)
-        rows.append(("curl", i, r))
-        t2 = TangentField.from_potentials(
-            X=random_band_limited(rng, max(cfg.L - 3, 1), 2.5), L=cfg.L, flavor="div"
-        )
-        r2 = calderon_residual("grad", t2, ops, grid)
-        rows.append(("grad", i, r2))
-        worst = max(worst, r, r2)
+    for i in range(cfg.params["n_tests"]):
+        for identity, potential, flavor in (("curl", "V", "curl"), ("grad", "X", "div")):
+            coeffs = random_band_limited(rng, max(L - 3, 1), 2.5)
+            t = TangentField.from_potentials(**{potential: coeffs}, L=L, flavor=flavor)
+            rows.append((identity, i, calderon_residual(identity, t, ops, grid)))
+    worst = max(row[2] for row in rows)
     scal = scalar_calderon_residual(ops)
-    write_csv(
-        os.path.join(outdir, "calderon.csv"),
-        header,
-        ["identity", "test", "residual"],
-        rows,
-    )
-    write_json(
-        os.path.join(outdir, "calderon.json"),
-        header,
-        {"worst_residual": worst, "scalar_residual": scal, "tolerance": tol},
-    )
-    if tol is not None and worst > tol:
-        raise AssemblyAccuracyError(
-            f"commutation residual {worst:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return 0
+    breach = None
+    if cfg.tol is not None and worst > cfg.tol:
+        breach = f"commutation residual {worst:.3e} exceeds tolerance {cfg.tol:.3e}"
+    return {
+        "calderon.csv": (["identity", "test", "residual"], rows),
+        "calderon.json": {"worst_residual": worst, "scalar_residual": scal, "tolerance": cfg.tol},
+    }, breach
 
 
-def cmd_plasmon(cfg, outdir, header, rng, tol):
-    grid = cfg.build_grid()
-    omega = float(cfg.materials.get("omega", 1.0))
-    spec = cfg.params["mode"]
+def cmd_plasmon(cfg, grid):
+    materials, spec = cfg.params["materials"], cfg.params["mode"]
     if "l" in spec:
         mode = PlasmonMode.from_sphere(
-            spec["l"], spec["n"], spec["m"], spec.get("radius", 1.0), omega,
-            float(cfg.materials.get("delta", 0.05)),
+            spec["l"], spec["n"], spec["m"], spec["radius"], materials["omega"], materials["delta"]
         )
     else:
-        ops = scalar_operators(grid, cfg.L)
-        curl, _ = mnp_spectra(np_spectrum(ops["S"], ops["Kstar"]), ops["S"], grid)
+        L = cfg.params["L"]
+        curl = _curl_set(grid, L)
         if not 0 <= spec["index"] < len(curl):
-            raise ConfigError(
-                f"mode.index must lie in [0, {len(curl)}), the curl modes at L = {cfg.L}",
-                "mode.index",
-            )
+            message = f"mode.index must lie in [0, {len(curl)}), the curl modes at L = {L}"
+            raise ConfigError(message, "mode.index")
         mode = PlasmonMode.from_eigenmode(
-            spec["index"], curl, omega, float(cfg.materials.get("delta", 0.05))
+            spec["index"], curl, materials["omega"], materials["delta"]
         )
-    points = _shell_points(cfg.params.get("points", [{"count": 20, "radius": 2.0}]))
-    from .plasmon import _field_batch
-    from .surface import tubular_distance
-
+    points = _shell_points(cfg.params["points"])
     E, H = _field_batch([mode], points, grid, "auto")
     dists = tubular_distance(points, grid)
     mode_id = str(mode.index if mode.index is not None else mode.sphere)
@@ -408,140 +404,104 @@ def cmd_plasmon(cfg, outdir, header, rng, tol):
          float(np.linalg.norm(E[0, p_id])), float(np.linalg.norm(H[0, p_id])))
         for p_id in range(len(points))
     ]
-    write_csv(
-        os.path.join(outdir, "plasmon.csv"),
-        header,
-        ["mode", "lambda", "tau", "point", "dist", "abs_E", "abs_H"],
-        rows,
-    )
-    return 0
+    return {"plasmon.csv": (_FIELD_COLUMNS, rows)}, None
 
 
-def cmd_decay(cfg, outdir, header, rng, tol):
-    grid = cfg.build_grid()
-    omega = float(cfg.materials.get("omega", 1.0))
-    ops = scalar_operators(grid, cfg.L)
-    curl, _ = mnp_spectra(np_spectrum(ops["S"], ops["Kstar"]), ops["S"], grid)
+def cmd_decay(cfg, grid):
+    curl = _curl_set(grid, cfg.params["L"])
+    omega = cfg.params["materials"]["omega"]
     modes = [PlasmonMode.from_eigenmode(j, curl, omega) for j in range(len(curl))]
-    points = _shell_points(
-        cfg.params.get(
-            "points", [{"count": 40, "radius": 3.0}, {"count": 10, "radius": 0.25}]
-        )
-    )
-    eps = cfg.params.get("eps", 0.5)
-    report = localization_scan(modes, points, eps, grid)
-    write_csv(
-        os.path.join(outdir, "decay.csv"),
-        header,
-        ["mode", "lambda", "tau", "point", "dist", "abs_E", "abs_H"],
-        report.csv_rows(),
-    )
-    write_json(os.path.join(outdir, "decay.json"), header, report.to_json_dict())
-    return 0
+    points = _shell_points(cfg.params["points"])
+    report = localization_scan(modes, points, cfg.params["eps"], grid)
+    return {
+        "decay.csv": (_FIELD_COLUMNS, report.csv_rows()),
+        "decay.json": report.to_json_dict(),
+    }, None
 
 
-def cmd_scatter(cfg, outdir, header, rng, tol):
-    grid = cfg.build_grid()
-    omega = float(cfg.materials.get("omega", 1.0))
-    tau_list = cfg.params.get("tau_list", [0.5])
-    delta_list = cfg.params.get("delta_list", [0.1, 0.05, 0.025])
-    order = cfg.params.get("order", 2)
-    src = cfg.params.get("source", {"s": [0.0, 0.0, 6.0], "p": [1.0, 0.0, 0.0]})
+def cmd_scatter(cfg, grid):
+    p = cfg.params
+    s = np.asarray(p["source"]["s"])
+    reach = np.max(grid.rho)  # the bound that dipole_incident_trace enforces
+    if np.linalg.norm(s) <= reach:
+        message = f"source.s must lie outside the particle, beyond radius {reach:.6g}"
+        raise ConfigError(message, "source.s")
     rows = resonance_sweep(
-        grid, tau_list, delta_list, omega, order,
-        np.asarray(src["s"], dtype=float), np.asarray(src["p"], dtype=float),
+        grid, p["tau_list"], p["delta_list"], p["materials"]["omega"], p["order"],
+        s, np.asarray(p["source"]["p"]),
     )
-    write_csv(
-        os.path.join(outdir, "scatter.csv"),
-        header,
-        ["tau", "delta", "indicator", "solution_norm", "condition"],
-        rows,
-    )
-    return 0
+    columns = ["tau", "delta", "indicator", "solution_norm", "condition"]
+    return {"scatter.csv": (columns, rows)}, None
 
 
-def cmd_mie_check(cfg, outdir, header, rng, tol):
-    n_max = cfg.params.get("n_max", 5)
-    k = cfg.params.get("k", 1.0)
-    radius = cfg.params.get("radius", 1.0)
-    L_quad = cfg.L_quad
-    grid = build_surface(ShCoeffs.constant(radius), L_quad)
-    tol = 1e-6 if tol is None else tol
+def cmd_mie_check(cfg, grid):
+    n_max, k, radius = cfg.params["n_max"], cfg.params["k"], cfg.params["radius"]
+    tol = 1e-6 if cfg.tol is None else cfg.tol
     rows = []
-    worst = 0.0
     kinds = ("curlS", "curlcurlS")
     for l in (1, 2):
-        errs = {}
+        # kind-major, the row order of the artifact
+        errs = {(which, side): 0.0 for which in kinds for side in ("exterior", "interior")}
         for side, rfac in (("exterior", 2.0), ("interior", 0.5)):
             x = rfac * radius * np.array([0.6, 0.64, 0.48])
             for n in range(1, n_max + 1):
                 mode = SphereMode(l, n, min(1, n), radius)
-                dens = mode_tangent_field(mode, min(L_quad, n_max + 7))
+                dens = mode_tangent_field(mode, min(cfg.L_quad, n_max + 7))
                 nums = offboundary_eval(dens, k, x, tuple(w + "_vec" for w in kinds), grid)
                 for which, num in zip(kinds, nums):
                     ex = exact_sphere_potential(mode, k, x, which)
                     err = float(np.max(np.abs(num - ex)) / np.max(np.abs(ex)))
-                    errs[which, side] = max(errs.get((which, side), 0.0), err)
-        for which in kinds:
-            for side in ("exterior", "interior"):
-                err = errs[which, side]
-                rows.append((l, which, side, err, err <= tol))
-                worst = max(worst, err)
-    n_pass = sum(1 for r in rows if r[4])
-    write_csv(
-        os.path.join(outdir, "mie_check.csv"),
-        header,
-        ["family", "kind", "side", "max_rel_err", "pass"],
-        rows,
-    )
-    write_json(
-        os.path.join(outdir, "mie_check.json"),
-        header,
-        {
+                    errs[which, side] = max(errs[which, side], err)
+        rows += [(l, which, side, err, err <= tol) for (which, side), err in errs.items()]
+    worst = max(row[3] for row in rows)
+    n_pass = sum(row[4] for row in rows)
+    breach = None
+    if n_pass != 8:
+        breach = f"only {n_pass}/8 oracle comparisons met {tol:g} (worst {worst:.3e})"
+    return {
+        "mie_check.csv": (["family", "kind", "side", "max_rel_err", "pass"], rows),
+        "mie_check.json": {
             "report": f"{n_pass}/8 exact-formula oracles pass <= {tol:g}",
             "worst": worst,
             "n_max": n_max,
         },
-    )
-    if n_pass != 8:
-        raise AssemblyAccuracyError(
-            f"only {n_pass}/8 oracle comparisons met {tol:g} (worst {worst:.3e})"
-        )
-    return 0
+    }, breach
 
 
+# command -> (handler, the table of its entries besides _SHARED)
 _HANDLERS = {
-    "spectrum": cmd_spectrum,
-    "calderon": cmd_calderon,
-    "plasmon": cmd_plasmon,
-    "decay": cmd_decay,
-    "scatter": cmd_scatter,
-    "mie-check": cmd_mie_check,
+    "spectrum": (cmd_spectrum, _GRID),
+    "calderon": (cmd_calderon, _CALDERON),
+    "plasmon": (cmd_plasmon, _PLASMON),
+    "decay": (cmd_decay, _DECAY),
+    "scatter": (cmd_scatter, _SCATTER),
+    "mie-check": (cmd_mie_check, _MIE_CHECK),
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run(config, outdir=".", tol=None, seed=0) -> int:
-    """Execute a validated config; returns the process exit status."""
+    """Execute a config; returns the process exit status."""
     try:
-        cfg = RunConfig.from_dict(config)
+        cfg = RunConfig.from_dict(config, tol, seed)
+        handler = _HANDLERS[cfg.command][0]
+        artifacts, breach = handler(cfg, cfg.build_grid())
+        header = report_version_and_provenance(config, tol, seed, cfg.L_quad)
+        for name, body in artifacts.items():
+            path = os.path.join(outdir, name)
+            if name.endswith(".csv"):
+                write_csv(path, header, *body)
+            else:
+                write_json(path, header, body)
+        if breach is not None:
+            raise AssemblyAccuracyError(breach)
     except (ConfigError, StarShapeError, ResolutionError) as exc:
         _emit_error(outdir, 1, exc)
         return 1
-    header = report_version_and_provenance(config, tol, seed, cfg.L_quad)
-    rng = np.random.default_rng(seed)
-    try:
-        return _HANDLERS[cfg.command](cfg, outdir, header, rng, tol)
-    except (ConfigError, StarShapeError, ResolutionError, KeyError) as exc:
-        _emit_error(outdir, 1, exc)
-        return 1
-    except (
-        AssemblyAccuracyError,
-        NearBoundaryError,
-        RegularizationError,
-        ResonanceError,
-    ) as exc:
+    except (AssemblyAccuracyError, NearBoundaryError, RegularizationError, ResonanceError) as exc:
         _emit_error(outdir, 2, exc)
         return 2
+    return 0
 
 
 def _emit_error(outdir, code, exc):

@@ -18,10 +18,14 @@ from numbers import Rational
 import numpy as np
 
 from .mie import SphereMode, exact_sphere_potential
-from .potentials import MaterialConfig, offboundary_eval
+from .potentials import MaterialConfig, NearBoundaryError, offboundary_eval
 from .spectral import SpectralSet
 from .surface import ShCoeffs, SurfaceGrid, TangentField, tubular_distance
 from .sphharm import cartesian_to_angles
+
+
+PLATEAU_THRESHOLD = 0.05  # largest last-quartile share of the partial sums on a plateau
+KAPPA = 0.5  # localization_scan's exceedance statistic tests o(j^{-KAPPA}) decay
 
 
 class ResonanceExclusionError(ValueError):
@@ -217,21 +221,21 @@ def _field_batch(modes, points, grid, quad):
     return E, H
 
 
-def localization_scan(modes, points, eps, grid: SurfaceGrid, quad="auto",
-                      plateau_threshold=0.05, kappa=0.5):
+def localization_scan(modes, points, eps, grid: SurfaceGrid, quad="auto"):
     """Field-norm survey of a mode family over a fixed point cloud.
 
     Modes, at least two, are ordered by |eigenvalue| descending.  Every
-    point must keep distance > eps from the surface.  The report carries
-    per-mode norms, the partial sums of squared norms, a plateau flag
-    (last-quartile growth below the threshold), a fitted log-decay rate,
-    and the o(j^{-kappa}) exceedance statistic of the electric norms.
+    point must keep distance > eps from the surface, or NearBoundaryError
+    is raised.  The report carries per-mode norms, the partial sums of
+    squared norms, a plateau flag (last-quartile growth at most
+    PLATEAU_THRESHOLD), a fitted log-decay rate, and the o(j^{-KAPPA})
+    exceedance statistic of the electric norms.
     """
     pts = np.asarray(points, dtype=float)
     dists = tubular_distance(pts, grid)
     if np.any(dists <= eps):
         bad = int(np.argmin(dists))
-        raise ValueError(
+        raise NearBoundaryError(
             f"point {bad} at distance {dists[bad]:.3g} inside the {eps:.3g}-tube"
         )
     if len(modes) < 2:
@@ -251,7 +255,7 @@ def localization_scan(modes, points, eps, grid: SurfaceGrid, quad="auto",
     # the exceedance test is applied to the max-normalized sequence so the
     # sigma grid has a scale-free meaning
     stat = almost_sure_statistic(
-        e_norms / np.max(e_norms), kappa, sigma_grid=[0.9, 0.7, 0.5], N_grid=n_grid
+        e_norms / np.max(e_norms), KAPPA, sigma_grid=[0.9, 0.7, 0.5], N_grid=n_grid
     )
     ids = [m.index if m.index is not None else str(m.sphere) for m in modes]
     return DecayReport(
@@ -264,7 +268,7 @@ def localization_scan(modes, points, eps, grid: SurfaceGrid, quad="auto",
         e_point_mags=e_mags,
         h_point_mags=h_mags,
         partial_sums=sums,
-        plateau=bool(growth <= plateau_threshold),
+        plateau=bool(growth <= PLATEAU_THRESHOLD),
         plateau_fraction=float(growth),
         fitted_rate=float(fit[0]),
         statistic=stat,

@@ -122,7 +122,7 @@ def assemble_scalar_values(grid: SurfaceGrid, L: int, k=None):
     return out
 
 
-def near_singular_eval(grid: SurfaceGrid, x, integrand, n_polar=320, n_azimuth=None):
+def near_singular_eval(grid: SurfaceGrid, x, integrand, n_polar=320):
     """Quadrature of a surface integrand peaked under an off-surface point.
 
     The polar patch is centered at the parameter direction of x, where the
@@ -132,8 +132,7 @@ def near_singular_eval(grid: SurfaceGrid, x, integrand, n_polar=320, n_azimuth=N
     returns the weighted sum over the patch, which is returned as is.
     """
     th0, ph0, _ = cartesian_to_angles(np.asarray(x, dtype=float))
-    na = n_azimuth or max(2 * grid.L_quad + 16, 48)
-    patch = PolarPatch(grid, n_polar, na)
+    patch = PolarPatch(grid, n_polar, max(2 * grid.L_quad + 16, 48))
     th, ph = patch.angles(float(th0[0]), float(ph0[0]))
     rot = dict(grid.frame_at(th, ph), theta=th, phi=ph)
     return integrand(rot, patch.weights * rot["jacobian"])

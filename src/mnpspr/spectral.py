@@ -228,43 +228,29 @@ def mnp_spectra(np_set: SpectralSet, S_mat: OperatorMatrix, grid: SurfaceGrid):
     return curl, grad
 
 
-def curl_subspace_operator(ops, grid: SurfaceGrid):
-    """Quotient potential map of the magnetic operator on the curl subspace.
+def _subspace_operator(op, ops, grid: SurfaceGrid):
+    """Quotient potential map of a restricted magnetic operator, and its Gram.
 
-    Returns (A, G): the mean-free block of the K coefficient matrix and the
-    positive Gram in which it is self-adjoint.
+    Returns (A, G): the mean-free block of the K coefficient matrix for
+    M_curl, or of -K for Mstar_grad, and the positive Gram in which it is
+    self-adjoint.
     """
+    if op not in ("M_curl", "Mstar_grad"):
+        raise ValueError(f"unknown operator {op!r}")
     A = ops["K"].entries[1:, 1:]
-    G = quotient_gram_matrix(ops["S"], grid)
-    return A, G
-
-
-def grad_subspace_operator(ops, grid: SurfaceGrid):
-    """Quotient potential map of the adjoint operator on gradients: -K."""
-    A = -ops["K"].entries[1:, 1:]
-    G = quotient_gram_matrix(ops["S"], grid)
-    return A, G
+    return (A if op == "M_curl" else -A), quotient_gram_matrix(ops["S"], grid)
 
 
 def subspace_spectrum(ops, grid: SurfaceGrid, which="M_curl"):
     """Independent symmetrized eigensolve of the restricted magnetic maps."""
-    A, G = (
-        curl_subspace_operator(ops, grid)
-        if which == "M_curl"
-        else grad_subspace_operator(ops, grid)
-    )
+    A, G = _subspace_operator(which, ops, grid)
     lam = sla.eigh(_hermitize(G @ A), G, eigvals_only=True)
     return np.sort(lam)[::-1]
 
 
 def self_adjointness_residual(op: str, grid: SurfaceGrid, ops, gram_weight="natural"):
     """|| G A - A^H G || / || G A || for the restricted magnetic operators."""
-    if op == "M_curl":
-        A, G = curl_subspace_operator(ops, grid)
-    elif op == "Mstar_grad":
-        A, G = grad_subspace_operator(ops, grid)
-    else:
-        raise ValueError(f"unknown operator {op!r}")
+    A, G = _subspace_operator(op, ops, grid)
     if gram_weight == "identity":
         G = np.eye(A.shape[0])
     GA = G @ A

@@ -426,12 +426,12 @@ class SurfaceGrid:
 
 
 def radius_from_json(spec):
-    """Radial ShCoeffs from {"radius": [[n, m, re, im], ...], "L_quad": int}."""
+    """Radial ShCoeffs from typed {"radius": [[n, m, re, im], ...]}: ints n >= 0, |m| <= n."""
     entries = spec["radius"]
-    L = max(int(e[0]) for e in entries)
+    L = max(n for n, _, _, _ in entries)
     c = np.zeros(num_coeffs(L), dtype=complex)
     for n, m, re, im in entries:
-        c[sh_index(int(n), int(m))] = re + 1j * im
+        c[sh_index(n, m)] = re + 1j * im
     return ShCoeffs(L, c)
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mnpspr.cli import main, report_version_and_provenance, run
+from mnpspr.cli import RunConfig, main, report_version_and_provenance, run
 
 SPHERE8 = {"sphere": 1.0, "L_quad": 8}
 
@@ -283,6 +283,34 @@ class TestTypedParameters:
             ("mie-check", {"n_max": "x"}, "n_max"),
             ("mie-check", {"k": "1"}, "k"),
             ("mie-check", {"radius": None}, "radius"),
+            ("spectrum", {"surface": {"sphere": "x", "L_quad": 4}}, "surface.sphere"),
+            ("spectrum", {"surface": {"sphere": "1.0", "L_quad": 4}}, "surface.sphere"),
+            ("spectrum", {"surface": {"sphere": -1, "L_quad": 4}}, "surface.sphere"),
+            ("spectrum", {"surface": {"radius": "x", "L_quad": 4}}, "surface.radius"),
+            ("spectrum", {"surface": {"radius": [], "L_quad": 4}}, "surface.radius"),
+            ("spectrum", {"surface": {"radius": [[0, 0, "a", 0]], "L_quad": 4}},
+             "surface.radius[0][2]"),
+            ("spectrum", {"surface": {"radius": [[0, 0, 3.5]], "L_quad": 4}}, "surface.radius[0]"),
+            ("spectrum", {"surface": {"radius": [[1, 3, 0.1, 0], [0, 0, 3.5, 0]], "L_quad": 4}},
+             "surface.radius[0][1]"),
+            ("spectrum", {"surface": {"radius": [[0, 0, 3.5449077018, 0], [2, -3, 0.1, 0]],
+                                      "L_quad": 4}}, "surface.radius[1][1]"),
+            ("spectrum", {"surface": {"radius": [[0, 0, 3.5449077018, 0], [1.7, 0, 0.1, 0]],
+                                      "L_quad": 4}}, "surface.radius[1][0]"),
+            ("spectrum", {"surface": {"radius": [[-1, 0, 3.5, 0]], "L_quad": 4}},
+             "surface.radius[0][0]"),
+            ("mie-check", {"k": 0}, "k"),
+            ("mie-check", {"k": -1.0}, "k"),
+            ("mie-check", {"n_max": 0}, "n_max"),
+            ("mie-check", {"radius": 0}, "radius"),
+            ("mie-check", {"radius": -1.0}, "radius"),
+            ("mie-check", {"L_quad": 0}, "L_quad"),
+            ("scatter", {"source": {"s": [0, 0, 0.5], "p": [1, 0, 0]}}, "source.s"),
+            ("scatter", {"delta_list": [0.1, -0.1]}, "delta_list"),
+            ("scatter", {"delta_list": [0.0]}, "delta_list"),
+            ("calderon", {"n_tests": 0}, "n_tests"),
+            ("decay", {"points": []}, "points"),
+            ("plasmon", {"mode": {"index": 0}, "points": []}, "points"),
         ],
     )
     def test_rejected_with_field(self, tmp_path, command, extra, field):
@@ -343,3 +371,40 @@ class TestPlasmonModeRange:
             E, H = plasmon_field(mode, x, grid)
             assert abs(float(row[5]) - np.linalg.norm(E)) <= 1e-12 * np.linalg.norm(E)
             assert abs(float(row[6]) - np.linalg.norm(H)) <= 1e-12 * np.linalg.norm(H)
+
+
+class TestSettingsDefaults:
+    """With only its required entries, a command's params hold the README's defaults."""
+
+    SHARED = {
+        "materials": {"omega": 1.0, "delta": 0.05},
+        "tau_list": [0.5],
+        "delta_list": [0.1, 0.05, 0.025],
+    }
+    GRID = {"surface": {"sphere": 1.0}, "L": 4}
+
+    @pytest.mark.parametrize(
+        "command, required, defaults",
+        [
+            ("spectrum", GRID, {}),
+            ("calderon", GRID, {"n_tests": 10}),
+            ("plasmon", {**GRID, "mode": {"l": 1, "n": 1, "m": 0}},
+             {"mode": {"l": 1, "n": 1, "m": 0, "radius": 1.0},
+              "points": [{"count": 20, "radius": 2.0}]}),
+            ("decay", GRID, {"points": [{"count": 40, "radius": 3.0},
+                                        {"count": 10, "radius": 0.25}], "eps": 0.5}),
+            ("scatter", GRID, {"order": 2, "source": {"s": [0.0, 0.0, 6.0], "p": [1.0, 0.0, 0.0]}}),
+            ("mie-check", {}, {"n_max": 5, "k": 1.0, "radius": 1.0, "L_quad": 16}),
+        ],
+    )
+    def test_params_hold_the_defaults(self, command, required, defaults):
+        params = RunConfig.from_dict({"command": command, **required}).params
+        assert params == {**required, **defaults, **self.SHARED}
+
+
+def test_decay_point_in_tube_exits_two(tmp_path):
+    cfg = {"command": "decay", "surface": {"sphere": 1.0, "L_quad": 4}, "L": 4, "eps": 0.5,
+           "points": [{"count": 4, "radius": 1.2}]}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 2
+    assert json.loads((out / "error.json").read_text())["error"]["type"] == "NearBoundaryError"
