@@ -39,9 +39,10 @@ for l in (1, 2):
 print("\n== jump of the normal derivative of the scalar single layer ==")
 print(" n   exterior extrap   interior extrap   +-1/2 + 1/(2(2n+1))")
 ts = np.array([0.1, 0.05, 0.025, 0.0125])
+th, ph, _ = cartesian_to_angles(xhat)
 for n in range(0, 4):
     dens = ShCoeffs.unit(n, 0, L=8)
-    y = grid.scalar_values_at(dens, *cartesian_to_angles(xhat)[:2])[0].real
+    y = grid.values_at([dens], {"theta": th, "phi": ph})[0, 0].real
     vp, vm = [], []
     for t in ts:
         gp = offboundary_eval(dens, 0.0, (1 + t) * xhat, "gradS", grid, quad="near")

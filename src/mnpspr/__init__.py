@@ -19,10 +19,7 @@ from .surface import (
     TangentField,
     build_surface,
     perturbed_sphere,
-    sh_analysis,
-    sh_synthesis,
     sphere_surface,
-    surface_diff,
     tubular_distance,
 )
 from .specfun import RadialKind, VectorHarmonic, radial, radial_asymptotic_ratio, vector_sph, ynm

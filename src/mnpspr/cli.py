@@ -36,7 +36,7 @@ from .potentials import (
     scalar_operators,
 )
 from .quadrature import correction_polar_order, default_polar_order
-from .scatter import resonance_sweep
+from .scatter import SourcePlacementError, resonance_sweep
 from .sphharm import fibonacci_shell
 from .spectral import (
     calderon_residual,
@@ -171,7 +171,6 @@ _SURFACE = {
 }
 _MATERIALS = {
     "omega": (_number, _POSITIVE, 1.0),
-    "tau": (_number, None, None),
     "delta": (_number, (lambda x, _: x >= 0, "be nonnegative"), 0.05),
 }
 _SHELL = {
@@ -421,14 +420,9 @@ def cmd_decay(cfg, grid):
 
 def cmd_scatter(cfg, grid):
     p = cfg.params
-    s = np.asarray(p["source"]["s"])
-    reach = np.max(grid.rho)  # the bound that dipole_incident_trace enforces
-    if np.linalg.norm(s) <= reach:
-        message = f"source.s must lie outside the particle, beyond radius {reach:.6g}"
-        raise ConfigError(message, "source.s")
     rows = resonance_sweep(
         grid, p["tau_list"], p["delta_list"], p["materials"]["omega"], p["order"],
-        s, np.asarray(p["source"]["p"]),
+        np.asarray(p["source"]["s"]), np.asarray(p["source"]["p"]),
     )
     columns = ["tau", "delta", "indicator", "solution_norm", "condition"]
     return {"scatter.csv": (columns, rows)}, None
@@ -497,6 +491,9 @@ def run(config, outdir=".", tol=None, seed=0) -> int:
             raise AssemblyAccuracyError(breach)
     except (ConfigError, StarShapeError, ResolutionError) as exc:
         _emit_error(outdir, 1, exc)
+        return 1
+    except SourcePlacementError as exc:
+        _emit_error(outdir, 1, ConfigError(str(exc), "source.s"))
         return 1
     except (AssemblyAccuracyError, NearBoundaryError, RegularizationError, ResonanceError) as exc:
         _emit_error(outdir, 2, exc)

@@ -18,7 +18,7 @@ from numbers import Rational
 import numpy as np
 
 from .mie import SphereMode, exact_sphere_potential
-from .potentials import MaterialConfig, NearBoundaryError, offboundary_eval
+from .potentials import MaterialConfig, NearBoundaryError, em_fields, offboundary_eval
 from .spectral import SpectralSet
 from .surface import ShCoeffs, SurfaceGrid, TangentField, tubular_distance
 from .sphharm import cartesian_to_angles
@@ -116,15 +116,6 @@ def plasmon_field(mode: PlasmonMode, x, grid: SurfaceGrid, materials=None, quad=
     return E[0, 0], H[0, 0]
 
 
-def _mode_fields(mats: MaterialConfig, inside, curl, curlcurl):
-    """E = mu curl S[phi] + curlcurl S[phi], H = -(i/omega) curlcurl S[phi]
-    - (i k^2/(omega mu)) curl S[phi], with (mu, k) of the side."""
-    mu, k = mats.side(inside)
-    E = mu * curl + curlcurl
-    H = -1j / mats.omega * curlcurl - 1j * k**2 / (mats.omega * mu) * curl
-    return E, H
-
-
 @dataclass
 class DecayReport:
     """Per-mode field norms over a point cloud and localization summaries."""
@@ -181,8 +172,8 @@ def _field_batch(modes, points, grid, quad):
 
     Each side takes one `offboundary_eval` call for every mode at once, with
     one wavenumber per mode: k_e outside, the mode's own k_c inside.  On
-    the grid rule each density is synthesized at the nodes once for both
-    sides.  Sphere modes take the closed form point by point.
+    the grid rule one `values_at` pass at the nodes serves both sides.
+    Sphere modes take the closed form point by point.
     """
     pts = np.asarray(points, dtype=float)
     E = np.zeros((len(modes), len(pts), 3), dtype=complex)
@@ -198,14 +189,14 @@ def _field_batch(modes, points, grid, quad):
             curl, curlcurl = (
                 exact_sphere_potential(m.sphere, k, x, w) for w in ("curlS", "curlcurlS")
             )
-            E[j, p], H[j, p] = _mode_fields(m.materials, inside, curl, curlcurl)
+            E[j, p], H[j, p] = em_fields(m.materials, inside, (curl, curl), (curlcurl, curlcurl))
     if not general:
         return E, H
     inside = _is_inside(pts, grid)
     dens = [modes[j].density for j in general]
     if quad == "auto":
-        # the grid rule takes node values: one synthesis serves both sides
-        dens = [grid.tangent_values(d) for d in dens]
+        # the grid rule takes stacked node values: one values_at pass serves both sides
+        dens = grid.values_at(dens)
     for side in (False, True):
         cols = inside == side
         if not cols.any():
@@ -215,9 +206,8 @@ def _field_batch(modes, points, grid, quad):
             dens, ks, pts[cols], ("curlS_vec", "curlcurlS_vec"), grid, quad=quad
         )
         for i, j in enumerate(general):
-            E[j, cols], H[j, cols] = _mode_fields(
-                modes[j].materials, side, curl[..., i], curlcurl[..., i]
-            )
+            c, cc = curl[..., i], curlcurl[..., i]
+            E[j, cols], H[j, cols] = em_fields(modes[j].materials, side, (c, c), (cc, cc))
     return E, H
 
 

@@ -11,8 +11,11 @@ operators:
     M*[grad X]  has potential  -K[X]       (gradient subspace),
     N[g] = vcurl S[curl_S g],   Q[f] = grad_S S[div_S f].
 
-Off-boundary field evaluation and the smooth small-radius correction
-operators are provided for the scattering layer.
+Off-boundary evaluation takes its densities' values from
+`SurfaceGrid.values_at`: stacked node values on the grid rule, patch values
+on the near rule.  `em_fields` turns the vector single layers of a density
+pair into E and H for the plasmon and scattering layers alike.  The smooth
+small-radius correction operators are provided for the scattering layer.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .quadrature import assemble_scalar_values, correction_polar_order, near_singular_eval, rings
 from .sphharm import num_coeffs, ynm_matrix
-from .surface import ShCoeffs, SurfaceGrid, TangentField, contravariant, tubular_distance
+from .surface import ShCoeffs, SurfaceGrid, TangentField, tangent_frame, tubular_distance
 
 
 class KindError(ValueError):
@@ -369,38 +372,26 @@ def _passes(k, targets, sources, kinds, wdens, block):
     return out
 
 
-def _density_values(dens, grid: SurfaceGrid, patch=None):
-    """Values of densities at the grid nodes, or at the points of a near-rule patch."""
-    if patch is None:
-        return [
-            grid.tangent_values(d) if isinstance(d, TangentField)
-            else grid.synthesis(d) if isinstance(d, ShCoeffs) else np.asarray(d)
-            for d in dens
-        ]
-    if not all(isinstance(d, (ShCoeffs, TangentField)) for d in dens):
-        raise TypeError("near evaluation needs a coefficient-space density")
-    return grid.values_at(dens, patch)
-
-
-def _weighted(values, w):
-    """Densities stacked on a trailing axis, times the quadrature weights w (N,)."""
-    v = np.stack(values, axis=-1).astype(complex, copy=False)
-    v *= w.reshape(w.shape + (1,) * (v.ndim - 1))
-    return v
+def _weigh(values, w):
+    """values (N, ...) times the quadrature weights w (N,), in place."""
+    values *= w.reshape(w.shape + (1,) * (values.ndim - 1))
+    return values
 
 
 def offboundary_eval(density, k, x, which, grid: SurfaceGrid, quad="auto", n_polar=320):
     """Layer-potential evaluation at points off the boundary.
 
-    which in {S, gradS} (scalar density) or {curlS_vec, curlcurlS_vec}
-    (tangential density); a tuple of kinds of one density type shares the
-    kernel factors and gives a tuple of results.  A density is ShCoeffs or
-    a TangentField, or on the grid rule its node values.  A list of
-    densities shares one evaluation; their results are stacked on a
-    trailing axis.  k is one wavenumber, or an array with one per density
-    of the list.  quad='auto' uses the surface grid as quadrature and
-    refuses points closer than 3 x the node spacing; quad='near' switches
-    to a polar rule concentrated under each evaluation point.
+    which in {S, gradS} (ShCoeffs densities) or {curlS_vec, curlcurlS_vec}
+    (TangentField densities); a tuple of kinds of one density type shares
+    the kernel factors and gives a tuple of results.  density is one
+    density, a list of them, or on the grid rule their stacked node values
+    `grid.values_at(list)`; a list or a stacked array shares one evaluation
+    and puts its results on a trailing axis.  A density of the other type
+    raises KindError.  k is one wavenumber, or an array with one per
+    density.  quad='auto' uses the surface grid as quadrature and refuses
+    points closer than 3 x the node spacing; quad='near' switches to a
+    polar rule concentrated under each evaluation point.  The caller's
+    arrays are not modified.
 
     Memory is bounded by element count.  A shared k gives (P, N) kernel
     factors for P points and N nodes or patch points: the grid rule takes
@@ -412,14 +403,32 @@ def offboundary_eval(density, k, x, which, grid: SurfaceGrid, quad="auto", n_pol
     together they hold no more elements than a (POINT_BLOCK, N, 3, 3)
     tensor on the grid rule, or a (1, N, 3, 3) one on the near rule.
     """
-    dens = density if isinstance(density, list) else [density]
     kinds = which if isinstance(which, tuple) else (which,)
-    if {kind in ("curlS_vec", "curlcurlS_vec") for kind in kinds} == {True, False}:
+    tangent = {kind in ("curlS_vec", "curlcurlS_vec") for kind in kinds}
+    if len(tangent) > 1:
         raise KindError(f"kinds {kinds} need different density types")
+    tangent = tangent.pop()
+    stacked = isinstance(density, np.ndarray)
+    if stacked:
+        if quad == "near" or density.ndim != (3 if tangent else 2):
+            raise KindError(
+                f"{kinds[0]} takes stacked node values on the grid rule only, (N, 3, J) of "
+                f"TangentField or (N, J) of ShCoeffs densities; got {density.shape} on {quad!r}"
+            )
+        n_dens = density.shape[-1]
+    else:
+        dens = density if isinstance(density, list) else [density]
+        want = TangentField if tangent else ShCoeffs
+        for d in dens:
+            if not isinstance(d, want):
+                raise KindError(
+                    f"{kinds[0]} needs {want.__name__} densities, got {type(d).__name__}"
+                )
+        n_dens = len(dens)
     k = np.asarray(k)
     if k.ndim:
-        if k.shape != (len(dens),):
-            raise ValueError(f"{k.size} wavenumbers for {len(dens)} densities")
+        if k.shape != (n_dens,):
+            raise ValueError(f"{k.size} wavenumbers for {n_dens} densities")
         if np.all(k == k[0]):
             k = k[0]  # a shared wavenumber keeps the matmul contraction
     pts = np.atleast_2d(np.asarray(x, dtype=float))
@@ -431,13 +440,13 @@ def offboundary_eval(density, k, x, which, grid: SurfaceGrid, quad="auto", n_pol
                 f"point at distance {dist[np.argmax(dist <= guard)]:.3g} inside quadrature "
                 f"guard {guard:.3g}; pass quad='near' for a refined rule"
             )
-        wdens = _weighted(_density_values(dens, grid), grid.area_weights)
-        out = _passes(k, pts, grid.positions, kinds, wdens, POINT_BLOCK)
+        values = density.astype(complex) if stacked else grid.values_at(dens)
+        out = _passes(k, pts, grid.positions, kinds, _weigh(values, grid.area_weights), POINT_BLOCK)
     elif quad == "near":
 
         def near(p):
             def integrand(patch, w):
-                wd = _weighted(_density_values(dens, grid, patch), w)
+                wd = _weigh(grid.values_at(dens, patch), w)
                 return _passes(k, p[None], patch["position"], kinds, wd, 1)
 
             return near_singular_eval(grid, p, integrand, n_polar=n_polar)
@@ -445,11 +454,27 @@ def offboundary_eval(density, k, x, which, grid: SurfaceGrid, quad="auto", n_pol
         out = [np.concatenate(part) for part in zip(*(near(p) for p in pts))]
     else:
         raise ValueError(f"unknown quad mode {quad!r}")
-    if not isinstance(density, list):
+    if not (stacked or isinstance(density, list)):
         out = [o[..., 0] for o in out]
     if np.asarray(x).ndim == 1:
         out = [o[0] for o in out]
     return tuple(out) if isinstance(which, tuple) else out[0]
+
+
+def em_fields(materials: MaterialConfig, inside, curl, curlcurl, delta=1.0):
+    """Electric and magnetic fields of a density pair (psi, phi) on one side.
+
+    curl = (curl S[psi], curl S[phi]) and curlcurl likewise: vector single
+    layers at the side's wavenumber, on the reference geometry.  With
+    (mu, k) of the side,
+        E = mu curl S[psi] + curlcurl S[phi] / delta,
+        H = -(i / (omega delta)) curlcurl S[psi] - (i k^2 / (omega mu)) curl S[phi].
+    A plasmon mode field is the case psi = phi, delta = 1.
+    """
+    mu, k = materials.side(inside)
+    E = mu * curl[0] + curlcurl[1] / delta
+    H = -1j / (materials.omega * delta) * curlcurl[0] - 1j * k**2 / (materials.omega * mu) * curl[1]
+    return E, H
 
 
 # --------------------------------------------------------------------------
@@ -503,12 +528,8 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
         G[:, 4 * d :] = (2.0 / 3.0) * test.sum(axis=0).T @ phi_int.T
         for ring in rings(grid, L, correction_polar_order(L)):
             _, Yth, Yp = ynm_matrix(ring.theta, ring.phi, L, derivatives=True)
-            Yph = Yp * np.sin(ring.theta)[:, None]  # plain d/dphi
-            # grad Y_j = (dY_j/dtheta) alpha + (dY_j/dphi) beta at each point;
-            # the curl basis -nu x grad has the same weights on rotated vectors
-            alpha, beta = contravariant(ring.frame)
-            alpha_c = -np.cross(ring.frame["normal"], alpha)
-            beta_c = -np.cross(ring.frame["normal"], beta)
+            # grad Y_j and vcurl Y_j weigh the frame's vector pairs by the same derivatives
+            alpha, sin_beta, alpha_c, sin_beta_c = tangent_frame(dict(ring.frame, theta=ring.theta))
             rvec, r, wjac = ring.rvec, ring.r, ring.wjac
             nphi, q = r.shape
             uhat = rvec / r[..., None]
@@ -524,13 +545,13 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
             def contract(fn, vec_a, vec_b):
                 A = (fn(vec_a) * wjac[..., None]).transpose(0, 2, 1).reshape(nphi * 3, q)
                 B = (fn(vec_b) * wjac[..., None]).transpose(0, 2, 1).reshape(nphi * 3, q)
-                rows = (A @ Yth + B @ Yph).reshape(nphi, 3, nc) * ring.phase[:, None, :]
+                rows = (A @ Yth + B @ Yp).reshape(nphi, 3, nc) * ring.phase[:, None, :]
                 return rows[:, :, 1:].reshape(nphi * 3, d)
 
             vals = [
                 block
                 for fn in kernels
-                for block in (contract(fn, alpha, beta), contract(fn, alpha_c, beta_c))
+                for block in (contract(fn, alpha, sin_beta), contract(fn, alpha_c, sin_beta_c))
             ]
             G[:, : 4 * d] += test[ring.nodes].reshape(nphi * 3, 2 * d).T @ np.hstack(vals)
         entries = np.linalg.solve(tangent_mass_stack(grid, L), G)

@@ -33,6 +33,7 @@ from .potentials import (
     OperatorMatrix,
     ResonanceError,
     assemble_correction,
+    em_fields,
     grid_signature,
     helmholtz_point_kernels,
     offboundary_eval,
@@ -43,6 +44,10 @@ from .surface import ShCoeffs, SurfaceGrid, TangentField
 from .spectral import trace_norm
 
 log = logging.getLogger(__name__)
+
+
+class SourcePlacementError(ValueError):
+    """A dipole source lies inside the sphere that bounds the particle."""
 
 
 @dataclass
@@ -166,8 +171,11 @@ def dipole_incident_trace(source, p, materials: MaterialConfig, grid: SurfaceGri
     """
     s = np.asarray(source, dtype=float)
     p = np.asarray(p, dtype=float)
-    if np.linalg.norm(s) <= np.max(grid.rho):
-        raise ValueError("dipole source must lie outside the particle")
+    reach = np.max(grid.rho)
+    if np.linalg.norm(s) <= reach:
+        raise SourcePlacementError(
+            f"dipole source must lie outside the particle, beyond radius {reach:.6g}"
+        )
     delta = materials.delta
     k = delta * complex(materials.k_e).real
     rvec = grid.positions - s[None, :]
@@ -258,17 +266,14 @@ def eval_scattered_fields(densities, x, materials: MaterialConfig, grid: Surface
     from .plasmon import _is_inside
 
     inside = _is_inside(x, grid)
-    mu, k = materials.side(inside)
     delta = materials.delta
-    ks = delta * k  # the reference geometry carries the scaled wavenumber
+    ks = delta * materials.side(inside)[1]  # the reference geometry carries the scaled wavenumber
     curl, curlcurl = offboundary_eval(
         [psi, phi], ks, x, ("curlS_vec", "curlcurlS_vec"), grid, quad=quad
     )
-    E = mu * curl[..., 0] + curlcurl[..., 1] / delta
-    H = (
-        -1j / (materials.omega * delta) * curlcurl[..., 0]
-        - 1j * k**2 / (materials.omega * mu) * curl[..., 1]
-    )
+    # the trailing axis is (psi, phi)
+    pairs = (np.moveaxis(curl, -1, 0), np.moveaxis(curlcurl, -1, 0))
+    E, H = em_fields(materials, inside, *pairs, delta)
     if incident is not None and not inside:
         Ei, Hi = incident(x)
         E = E + Ei
@@ -299,8 +304,9 @@ def resonance_sweep(grid, tau_list, delta_list, omega, order, source, p):
     for tau in tau_list:
         for delta in delta_list:
             mats = MaterialConfig.negative_preset(tau, omega, delta)
-            system = assemble_system(grid, mats, order)
+            # first: it rejects a source inside the particle before any assembly
             rhs = dipole_incident_trace(source, p, mats, grid)
+            system = assemble_system(grid, mats, order)
             sol, cond = solve_scatter(system, rhs)
             sol_norm = pair_norm(sol[0], sol[1], grid)
             mode = PlasmonMode.from_sphere(2, 1, 0, 1.0, omega, delta)

@@ -11,8 +11,12 @@ the *parameter* sphere; tangential fields by a pair of scalar potentials
 
     field = grad_S X  +  vcurl_S V,      vcurl_S = -normal x grad_S.
 
-All differential operators are evaluated analytically from the first
-fundamental form of the parametrization.
+`SurfaceGrid.values_at` is the one place where densities become point
+values: a list of ShCoeffs or of TangentField, at the grid nodes or at the
+points of any frame, into one stacked array.  grad_S and vcurl_S are read
+off one tangent frame (`tangent_frame`), built analytically from the first
+fundamental form of the parametrization; div, scal_curl and the Laplacian
+are weak forms against the basis fields that frame gives.
 """
 
 from __future__ import annotations
@@ -127,16 +131,30 @@ class TangentField:
         return TangentField(self.X.copy(), self.V.copy(), self.flavor)
 
 
-def contravariant(frame):
-    """Contravariant frame (grad_S theta, grad_S phi) of a frame_at dict.
+def tangent_frame(frame):
+    """grad_S and vcurl_S of a scalar at the points of a frame_at dict.
 
-    grad_S u = (du/dtheta) grad_S theta + (du/dphi) grad_S phi, from the
-    first fundamental form E, F, G of the parametrization.
+    The dict also holds the points' "theta".  Returns the vector fields
+    (alpha, sin_beta, alpha_c, sin_beta_c), each (..., 3), such that
+
+        grad_S u  = u_theta alpha   + (u_phi / sin theta) sin_beta,
+        vcurl_S u = u_theta alpha_c + (u_phi / sin theta) sin_beta_c,
+
+    which takes ynm_matrix's derivative pair (dY/dtheta, (1/sin) dY/dphi)
+    as it comes.  (alpha, beta) = (grad_S theta, grad_S phi) is the
+    contravariant frame of the first fundamental form E, F, G, and
+    sin_beta = sin(theta) beta.  With nu = (t_theta x t_phi) / sqrt(det),
+    nu x t_theta = sqrt(det) beta and nu x t_phi = -sqrt(det) alpha, so
+    x_c = -nu x x is alpha_c = -t_phi / sqrt(det), beta_c = t_theta / sqrt(det),
+    where sqrt(det) = sin(theta) times the jacobian.
     """
-    E, F, G = (frame[k][..., None] for k in ("E", "F", "G"))
+    E, F, G, jac = (frame[k][..., None] for k in ("E", "F", "G", "jacobian"))
+    st = np.sin(frame["theta"])[..., None]
     t_theta, t_phi = frame["t_theta"], frame["t_phi"]
     det = E * G - F**2
-    return (G * t_theta - F * t_phi) / det, (E * t_phi - F * t_theta) / det
+    alpha = (G * t_theta - F * t_phi) / det
+    sin_beta = st * (E * t_phi - F * t_theta) / det
+    return alpha, sin_beta, -t_phi / (st * jac), t_theta / jac
 
 
 class SurfaceGrid:
@@ -144,7 +162,8 @@ class SurfaceGrid:
 
     Attributes (all per node, nodes ordered theta-major):
       positions (N,3), normals (N,3), area_weights (N,), param_weights (N,),
-      jacobian (N,), contravariant (grad_S theta, grad_S phi) pair of (N,3).
+      jacobian (N,), and tangent_frame, the four (N,3) fields of
+      `tangent_frame` at the nodes.
     """
 
     def __init__(self, radius_coeffs: ShCoeffs, L_quad: int):
@@ -172,7 +191,7 @@ class SurfaceGrid:
         self.positions = frame["position"]
         self.normals = frame["normal"]
         self.jacobian = frame["jacobian"]
-        self.contravariant = contravariant(frame)
+        self.tangent_frame = tangent_frame(dict(frame, theta=self.thetas))
         self.area_weights = self.param_weights * self.jacobian
         self.area = float(np.sum(self.area_weights))
 
@@ -239,7 +258,7 @@ class SurfaceGrid:
 
     def synthesis(self, coeffs: ShCoeffs):
         """Node values of a coefficient vector."""
-        return self.Y[:, : num_coeffs(coeffs.L)] @ coeffs.coeffs
+        return self.values_at([coeffs])[:, 0]
 
     def analysis(self, values, L=None):
         """Harmonic coefficients of node values; exact for band-limited input."""
@@ -250,52 +269,77 @@ class SurfaceGrid:
         c = np.conj(self.Y[:, :nc]).T @ (self.param_weights * np.asarray(values))
         return ShCoeffs(L, c)
 
-    def synthesis_derivs(self, coeffs: ShCoeffs):
-        """(du/dtheta, (1/sin) du/dphi) node values of a coefficient vector."""
-        nc = num_coeffs(coeffs.L)
-        return self.Yt[:, :nc] @ coeffs.coeffs, self.Yp[:, :nc] @ coeffs.coeffs
-
     def mass_matrix(self):
         """Hermitian Gram of the parameter basis in L^2 of the surface."""
         return self.cached(
             "mass", lambda: np.conj(self.Y).T @ (self.area_weights[:, None] * self.Y)
         )
 
+    # -- densities at points ---------------------------------------------------
+
+    def values_at(self, densities, frame=None):
+        """Values of a list of ShCoeffs, or of a list of TangentField, stacked.
+
+        frame=None gives the grid nodes, from the cached node basis.  A
+        frame_at(theta, phi) dict that also holds the points' "theta" and
+        "phi" (only those two when the densities are scalar) gives its
+        points, from one basis evaluation at the list's largest degree.
+        Returns (P, J) for J scalar densities, (P, 3, J) for tangential
+        ones; each density is written into that one array.
+        """
+        tangent = isinstance(densities[0], TangentField)
+        if any(isinstance(d, TangentField) != tangent for d in densities):
+            raise TypeError("values_at takes a list of ShCoeffs or a list of TangentField")
+        if frame is None:
+            Y, Yt, Yp = self.Y, self.Yt, self.Yp
+            vectors = self.tangent_frame
+        else:
+            L = max(max(d.X.L, d.V.L) if tangent else d.L for d in densities)
+            basis = ynm_matrix(frame["theta"], frame["phi"], L, derivatives=tangent)
+            if tangent:
+                Yt, Yp = basis[1:]
+                vectors = tangent_frame(frame)
+                del basis  # frees Y, which tangential values do not use
+            else:
+                Y = basis
+        n = len(Yt if tangent else Y)
+        out = np.empty((n, 3, len(densities)) if tangent else (n, len(densities)), dtype=complex)
+        for j, d in enumerate(densities):
+            if tangent:
+                # (u_theta, u_phi / sin) of X, then of V, weigh the frame's four fields
+                derivs = [D[:, : num_coeffs(c.L)] @ c.coeffs for c in (d.X, d.V) for D in (Yt, Yp)]
+                out[:, :, j] = sum(u[:, None] * v for u, v in zip(derivs, vectors))
+            else:
+                out[:, j] = Y[:, : num_coeffs(d.L)] @ d.coeffs
+        return out
+
+    def tangent_values(self, f: TangentField):
+        """Node 3-vectors of a Helmholtz-potential field."""
+        return self.values_at([f])[..., 0]
+
     # -- surface differential operators ---------------------------------------
     #
-    # grad and vec_curl are pointwise-exact from the first fundamental form.
-    # div, scal_curl and the Laplacian use the weak (Galerkin) form against
-    # gradient / rotated-gradient basis fields: this avoids differentiating
-    # pole-singular covariant components and makes the composition identities
-    # hold to quadrature accuracy.
+    # The basis fields grad Y_j and vcurl Y_j are pointwise-exact from the
+    # first fundamental form.  div, scal_curl and the Laplacian use the weak
+    # (Galerkin) form against them: this avoids differentiating pole-singular
+    # covariant components and makes the composition identities hold to
+    # quadrature accuracy.
 
-    def grad(self, coeffs: ShCoeffs):
-        """Surface gradient as 3-vectors per node."""
-        ut, up_s = self.synthesis_derivs(coeffs)
-        up = up_s * np.sin(self.thetas)  # plain du/dphi
-        alpha, beta = self.contravariant
-        return ut[:, None] * alpha + up[:, None] * beta
-
-    def vec_curl(self, coeffs: ShCoeffs):
-        """Rotated surface gradient  -normal x grad."""
-        return -np.cross(self.normals, self.grad(coeffs))
+    def _basis_fields(self, key, vec_theta, vec_phi):
+        """Y_theta vec_theta + (Y_phi / sin) vec_phi for every basis function, (N, NC, 3)."""
+        return self.cached(
+            key,
+            lambda: self.Yt[:, :, None] * vec_theta[:, None, :]
+            + self.Yp[:, :, None] * vec_phi[:, None, :],
+        )
 
     def grad_basis(self):
         """Node values of grad Y_j for every basis function, (N, NC, 3)."""
-
-        def build():
-            up = self.Yp * np.sin(self.thetas)[:, None]
-            alpha, beta = self.contravariant
-            return self.Yt[:, :, None] * alpha[:, None, :] + up[:, :, None] * beta[:, None, :]
-
-        return self.cached("grad_basis", build)
+        return self._basis_fields("grad_basis", *self.tangent_frame[:2])
 
     def curl_basis(self):
         """Node values of vcurl Y_j = -normal x grad Y_j, (N, NC, 3)."""
-        return self.cached(
-            "curl_basis",
-            lambda: -np.cross(self.normals[:, None, :], self.grad_basis(), axisa=2, axisb=2),
-        )
+        return self._basis_fields("curl_basis", *self.tangent_frame[2:])
 
     def stiffness_matrix(self):
         """int grad(conj Y_i) . grad(Y_j) ds; Hermitian, PSD, kernel = constants."""
@@ -307,28 +351,21 @@ class SurfaceGrid:
 
         return self.cached("stiffness", build)
 
-    def _weak_coeffs(self, pairings):
-        return np.linalg.solve(self.mass_matrix(), pairings)
+    def _pairing(self, basis, field_nodes):
+        """int conj(b_i) . field ds for every basis field b_i, by the grid rule."""
+        return np.einsum(
+            "pic,pc->i", np.conj(basis), self.area_weights[:, None] * np.asarray(field_nodes)
+        )
 
     def div(self, field_nodes):
         """Surface divergence of a tangential node field (values per node)."""
-        gb = self.grad_basis()
-        pair = -np.einsum(
-            "pic,pc->i", np.conj(gb), self.area_weights[:, None] * field_nodes
-        )
-        return self.Y @ self._weak_coeffs(pair)
+        pair = -self._pairing(self.grad_basis(), field_nodes)
+        return self.Y @ np.linalg.solve(self.mass_matrix(), pair)
 
     def scal_curl(self, field_nodes):
         """Scalar surface curl  normal . (nabla x field)."""
-        cb = self.curl_basis()
-        pair = np.einsum(
-            "pic,pc->i", np.conj(cb), self.area_weights[:, None] * field_nodes
-        )
-        return self.Y @ self._weak_coeffs(pair)
-
-    def laplace_beltrami(self, coeffs: ShCoeffs):
-        """Laplace-Beltrami node values, as div(grad)."""
-        return self.Y @ (self.laplace_matrix() @ coeffs.padded(self.L_quad))
+        pair = self._pairing(self.curl_basis(), field_nodes)
+        return self.Y @ np.linalg.solve(self.mass_matrix(), pair)
 
     def laplace_matrix(self, L=None):
         """Coefficient-space Laplace-Beltrami matrix -M^{-1} K_stiff at degree L.
@@ -344,46 +381,6 @@ class SurfaceGrid:
             ),
         )
 
-    # -- tangential fields ----------------------------------------------------
-
-    def tangent_values(self, f: TangentField):
-        """Node 3-vectors of a Helmholtz-potential field."""
-        return self.grad(f.X) + self.vec_curl(f.V)
-
-    def scalar_values_at(self, coeffs: ShCoeffs, theta, phi):
-        """Values of a coefficient vector at arbitrary parameter points."""
-        return self.values_at([coeffs], {"theta": theta, "phi": phi})[0]
-
-    def values_at(self, densities, frame):
-        """Values of ShCoeffs and TangentField densities at arbitrary parameter points.
-
-        frame is a frame_at(theta, phi) dict that also holds the points'
-        "theta" and "phi" (only those two when every density is scalar).
-        One basis evaluation at the list's largest degree serves every
-        density, with derivatives when one of them is tangential.
-        """
-        theta = np.atleast_1d(np.asarray(frame["theta"], dtype=float))
-        tangent = any(isinstance(d, TangentField) for d in densities)
-        L = max(max(d.X.L, d.V.L) if isinstance(d, TangentField) else d.L for d in densities)
-        basis = ynm_matrix(theta, frame["phi"], L, derivatives=tangent)
-        if not tangent:
-            return [basis[:, : num_coeffs(d.L)] @ d.coeffs for d in densities]
-        Y, Yt, Yp = basis
-        st = np.sin(theta)
-        alpha, beta = contravariant(frame)
-
-        def gradient(c):
-            ut = Yt[:, : num_coeffs(c.L)] @ c.coeffs
-            up = (Yp[:, : num_coeffs(c.L)] @ c.coeffs) * st
-            return ut[:, None] * alpha + up[:, None] * beta
-
-        def value(d):
-            if isinstance(d, TangentField):
-                return gradient(d.X) - np.cross(frame["normal"], gradient(d.V))
-            return Y[:, : num_coeffs(d.L)] @ d.coeffs
-
-        return [value(d) for d in densities]
-
     def helmholtz_decompose(self, field_nodes, L=None, flavor="div"):
         """Project a tangential node field onto Helmholtz potentials.
 
@@ -392,15 +389,12 @@ class SurfaceGrid:
         degree-L_quad potential basis.
         """
         L = self.L_quad if L is None else L
-        w = self.area_weights[:, None] * np.asarray(field_nodes)
-        gpair = np.einsum("pic,pc->i", np.conj(self.grad_basis()), w)
-        cpair = np.einsum("pic,pc->i", np.conj(self.curl_basis()), w)
         K = self.stiffness_matrix()
         nc_full = num_coeffs(self.L_quad)
         X = np.zeros(nc_full, dtype=complex)
         V = np.zeros(nc_full, dtype=complex)
-        X[1:] = np.linalg.solve(K[1:, 1:], gpair[1:])
-        V[1:] = np.linalg.solve(K[1:, 1:], cpair[1:])
+        X[1:] = np.linalg.solve(K[1:, 1:], self._pairing(self.grad_basis(), field_nodes)[1:])
+        V[1:] = np.linalg.solve(K[1:, 1:], self._pairing(self.curl_basis(), field_nodes)[1:])
         nc = num_coeffs(L)
         return TangentField(
             ShCoeffs(L, X[:nc], mean_free=True),
@@ -464,35 +458,6 @@ def perturbed_sphere(amplitude=0.05, n=2, m=0, L_quad=12) -> SurfaceGrid:
         c[sh_index(n, m)] += 0.5 * amplitude
         c[sh_index(n, -m)] += 0.5 * amplitude * (-1.0) ** m
     return build_surface(ShCoeffs(n, c), L_quad)
-
-
-def sh_analysis(node_values, grid: SurfaceGrid, L: int) -> ShCoeffs:
-    """Harmonic analysis of node values on the parameter sphere."""
-    return grid.analysis(node_values, L)
-
-
-def sh_synthesis(coeffs: ShCoeffs, grid: SurfaceGrid):
-    """Node values of a coefficient vector (inverse of sh_analysis)."""
-    return grid.synthesis(coeffs)
-
-
-def surface_diff(kind, inp, grid: SurfaceGrid):
-    """Surface differential operator dispatch.
-
-    kind in {grad, vec_curl, scal_curl, div, laplace_beltrami}; scalar kinds
-    take ShCoeffs, field kinds take a TangentField or node 3-vectors.
-    """
-    if kind in ("grad", "vec_curl", "laplace_beltrami"):
-        if not isinstance(inp, ShCoeffs):
-            raise TypeError(f"{kind} expects scalar coefficients")
-        return getattr(grid, kind)(inp)
-    if kind in ("div", "scal_curl"):
-        if isinstance(inp, TangentField):
-            inp = grid.tangent_values(inp)
-        elif isinstance(inp, ShCoeffs):
-            raise TypeError(f"{kind} expects a tangential field")
-        return getattr(grid, kind)(inp)
-    raise ValueError(f"unknown operator kind {kind!r}")
 
 
 def tubular_distance(x, grid: SurfaceGrid):

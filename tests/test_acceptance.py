@@ -279,10 +279,11 @@ def test_criterion_12_jump_relations(sphere16):
 
     ts = np.array([0.1, 0.05, 0.025, 0.0125])
     xhat = PROBE
+    th, ph, _ = cartesian_to_angles(xhat)
     worst = 0.0
     for n in range(0, 4):
         dens = ShCoeffs.unit(n, 0, L=8)
-        y = sphere16.scalar_values_at(dens, *cartesian_to_angles(xhat)[:2])[0]
+        y = sphere16.values_at([dens], {"theta": th, "phi": ph})[0, 0]
         lam = 1.0 / (2.0 * (2.0 * n + 1.0))
         vp, vm = [], []
         for t in ts:

@@ -235,7 +235,7 @@ class TestMaterialsConfig:
         [
             ({"materials": [1]}, "materials"),
             ({"materials": {"omega": "x"}}, "materials.omega"),
-            ({"materials": {"tau": "x"}}, "materials.tau"),
+            ({"materials": {"omega": 0}}, "materials.omega"),
             ({"materials": {"delta": "0.1"}}, "materials.delta"),
             ({"tau_list": ["a"]}, "tau_list"),
             ({"tau_list": 0.5}, "tau_list"),
@@ -249,6 +249,19 @@ class TestMaterialsConfig:
         code, out = run_cli(tmp_path, cfg)
         assert code == 1
         assert json.loads((out / "error.json").read_text())["error"]["field"] == field
+
+
+    def test_tau_is_not_a_setting(self, tmp_path):
+        """materials.tau is ignored like any unlisted key: the contrasts come from tau_list."""
+        cfg = {"command": "scatter", "surface": {"sphere": 1.0, "L_quad": 4}, "L": 4,
+               "tau_list": [0.5], "delta_list": [0.1]}
+        bodies = []
+        for i, materials in enumerate(({}, {"tau": 3.0}, {"tau": "x"})):
+            code, out = run_cli(tmp_path, {**cfg, "materials": materials}, name=f"cfg{i}.json")
+            assert code == 0
+            lines = (out / "scatter.csv").read_text().splitlines()
+            bodies.append([l for l in lines if not l.startswith("#")])
+        assert bodies[0] == bodies[1] == bodies[2]
 
 
 class TestTypedParameters:

@@ -69,6 +69,54 @@ class TestDensityLists:
         out = offboundary_eval(dens, 1.0, np.array([0.0, 0.0, 2.0]), "curlS_vec", sphere10)
         assert out.shape == (3, 2)
 
+    def test_stacked_node_values_equal_list(self, sphere10, rng):
+        pts = np.vstack([fibonacci_shell(4, 2.0), fibonacci_shell(3, 0.4)])
+        for kind in ("S", "curlcurlS_vec"):
+            dens = densities(kind, rng)
+            values = sphere10.values_at(dens)
+            kept = values.copy()
+            stacked = offboundary_eval(values, [1.3, 0.7], pts, kind, sphere10)
+            assert np.array_equal(values, kept)  # the caller's array is not weighted in place
+            assert rel_err(stacked, offboundary_eval(dens, [1.3, 0.7], pts, kind, sphere10)) < 1e-15
+
+
+class TestKindErrors:
+    """A density that does not fit its kinds raises KindError on both rules."""
+
+    @staticmethod
+    def scalar():
+        return ShCoeffs.unit(2, 1, L=6)
+
+    @staticmethod
+    def tangent():
+        return mode_tangent_field(SphereMode(1, 2, 1, 1.0), 6)
+
+    @pytest.mark.parametrize("quad", ["auto", "near"])
+    @pytest.mark.parametrize(
+        "kind, make, wrong",
+        [
+            pytest.param("S", lambda s, t: t, "TangentField", id="S-tangent"),
+            pytest.param("gradS", lambda s, t: [t, t], "TangentField", id="gradS-tangent-list"),
+            pytest.param("curlS_vec", lambda s, t: s, "ShCoeffs", id="curlS_vec-scalar"),
+            pytest.param("curlcurlS_vec", lambda s, t: [s], "ShCoeffs", id="curlcurlS_vec-list"),
+            pytest.param("S", lambda s, t: [s, t], "TangentField", id="S-mixed-list"),
+            pytest.param("curlS_vec", lambda s, t: [t, s], "ShCoeffs", id="curlS_vec-mixed-list"),
+        ],
+    )
+    def test_wrong_density_type(self, sphere10, quad, kind, make, wrong):
+        pts = np.array([[0.0, 0.0, 2.0]]) if quad == "auto" else np.array([[0.0, 0.0, 1.05]])
+        dens = make(self.scalar(), self.tangent())
+        with pytest.raises(KindError, match=f"{kind} .*{wrong}"):
+            offboundary_eval(dens, 1.0, pts, kind, sphere10, quad=quad, n_polar=40)
+
+    def test_node_values_on_the_near_rule(self, sphere10):
+        values = sphere10.values_at([self.tangent()])
+        with pytest.raises(KindError):
+            offboundary_eval(values, 1.0, np.array([0.0, 0.0, 1.05]), "curlS_vec", sphere10,
+                             quad="near")
+        with pytest.raises(KindError):
+            offboundary_eval(values, 1.0, np.array([0.0, 0.0, 2.0]), "S", sphere10)
+
 
 class TestPointBlocks:
     def test_three_blocks_equal_pointwise(self, sphere10):

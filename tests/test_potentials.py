@@ -294,7 +294,8 @@ class TestJumpRelations:
             gm = offboundary_eval(dens, 0.0, (1 - t) * xhat, "gradS", sphere16, quad="near")
             vals_p.append(np.dot(gp, xhat))
             vals_m.append(np.dot(gm, xhat))
-        y = sphere16.scalar_values_at(dens, *_angles(xhat))[0]
+        th, ph = _angles(xhat)
+        y = sphere16.values_at([dens], {"theta": th, "phi": ph})[0, 0]
         lam = 1.0 / (2 * (2 * n + 1))
         ext = np.polyval(np.polyfit(ts, vals_p, 3), 0.0)
         int_ = np.polyval(np.polyfit(ts, vals_m, 3), 0.0)

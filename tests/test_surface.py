@@ -11,15 +11,27 @@ from mnpspr.surface import (
     perturbed_sphere,
     radius_from_json,
     random_band_limited,
-    sh_analysis,
-    sh_synthesis,
     sphere_surface,
-    surface_diff,
     surface_spec_to_json,
     tubular_distance,
 )
 
 FOUR_PI = 4.0 * np.pi
+
+
+def grad(grid, u):
+    """Node values of grad_S u."""
+    return grid.tangent_values(TangentField.from_potentials(X=u))
+
+
+def vcurl(grid, u):
+    """Node values of vcurl_S u = -normal x grad_S u."""
+    return grid.tangent_values(TangentField.from_potentials(V=u))
+
+
+def laplacian(grid, u):
+    """Node values of the Laplace-Beltrami operator of u, in the weak form."""
+    return grid.synthesis(ShCoeffs(grid.L_quad, grid.laplace_matrix() @ u.padded(grid.L_quad)))
 
 
 class TestBuildSurface:
@@ -80,13 +92,13 @@ class TestBuildSurface:
 class TestTransforms:
     def test_analysis_of_harmonic(self, sphere10):
         vals = sphere10.synthesis(ShCoeffs.unit(3, 1, L=5))
-        c = sh_analysis(vals, sphere10, 5)
+        c = sphere10.analysis(vals, 5)
         e = np.zeros((6) ** 2)
         e[sh_index(3, 1)] = 1.0
         assert np.max(np.abs(c.coeffs - e)) < 1e-12
 
     def test_analysis_of_constant(self, sphere10):
-        c = sh_analysis(np.ones(sphere10.n_nodes), sphere10, 4)
+        c = sphere10.analysis(np.ones(sphere10.n_nodes), 4)
         assert abs(c.coeffs[0] - np.sqrt(FOUR_PI)) < 1e-12
         assert np.max(np.abs(c.coeffs[1:])) < 1e-12
 
@@ -94,52 +106,53 @@ class TestTransforms:
         f = ShCoeffs.zeros(6)
         f.coeffs[sh_index(5, 2)] = 1.0
         f.coeffs[sh_index(1, 0)] = 2.0
-        c = sh_analysis(sphere10.synthesis(f), sphere10, 6)
+        c = sphere10.analysis(sphere10.synthesis(f), 6)
         assert np.max(np.abs(c.coeffs - f.coeffs)) < 1e-12
 
     def test_synthesis_constant_and_roundtrip(self, sphere10, rng):
-        vals = sh_synthesis(ShCoeffs.unit(0, 0), sphere10)
+        vals = sphere10.synthesis(ShCoeffs.unit(0, 0))
         assert np.allclose(vals, 1.0 / np.sqrt(FOUR_PI))
         c = random_band_limited(rng, 8, mean_free=False)
-        c2 = sh_analysis(sh_synthesis(c, sphere10), sphere10, 8)
+        c2 = sphere10.analysis(sphere10.synthesis(c), 8)
         assert np.max(np.abs(c2.coeffs - c.coeffs)) < 1e-12
 
     def test_mean_free_integrates_to_zero(self, sphere10, rng):
         # on a sphere the surface measure is uniform, so a coefficient-mean-
         # free function has zero surface integral
         c = random_band_limited(rng, 6)
-        vals = sh_synthesis(c, sphere10)
+        vals = sphere10.synthesis(c)
         assert abs(np.sum(sphere10.area_weights * vals)) < 1e-10 * np.max(np.abs(vals))
 
 
 class TestSurfaceDiff:
     def test_sphere_laplace_eigenvalue(self, sphere10):
         for n, m in ((1, 0), (4, 2), (7, -3)):
-            vals = surface_diff("laplace_beltrami", ShCoeffs.unit(n, m, L=8), sphere10)
+            vals = laplacian(sphere10, ShCoeffs.unit(n, m, L=8))
             ref = -n * (n + 1) * sphere10.synthesis(ShCoeffs.unit(n, m, L=8))
             assert np.max(np.abs(vals - ref)) < 1e-10
 
     def test_div_of_vec_curl_vanishes(self, pert12, rng):
         V = random_band_limited(rng, 8)
-        f = surface_diff("vec_curl", V, pert12)
-        d = surface_diff("div", f, pert12)
+        f = vcurl(pert12, V)
+        d = pert12.div(f)
         assert np.max(np.abs(d)) <= 1e-9 * np.max(np.abs(f))
 
     def test_curl_of_vec_curl_is_minus_laplacian(self, pert12, rng):
         V = random_band_limited(rng, 8)
-        f = surface_diff("vec_curl", V, pert12)
-        lhs = surface_diff("scal_curl", f, pert12)
-        rhs = -surface_diff("laplace_beltrami", V, pert12)
+        f = vcurl(pert12, V)
+        lhs = pert12.scal_curl(f)
+        rhs = -laplacian(pert12, V)
         assert np.max(np.abs(lhs - rhs)) <= 1e-8 * np.max(np.abs(rhs))
 
     def test_curl_of_gradient_vanishes(self, pert12, rng):
         X = random_band_limited(rng, 8)
-        f = surface_diff("grad", X, pert12)
-        assert np.max(np.abs(surface_diff("scal_curl", f, pert12))) <= 1e-9 * np.max(np.abs(f))
+        f = grad(pert12, X)
+        assert np.max(np.abs(pert12.scal_curl(f))) <= 1e-9 * np.max(np.abs(f))
 
     def test_gradient_of_constant(self, sphere10):
-        g = surface_diff("grad", ShCoeffs.constant(3.0), sphere10)
-        assert np.max(np.abs(g)) < 1e-12
+        # column 0 of the basis fields is the constant harmonic
+        assert np.max(np.abs(sphere10.grad_basis()[:, 0])) < 1e-12
+        assert np.max(np.abs(sphere10.curl_basis()[:, 0])) < 1e-12
 
     def test_integration_by_parts(self, pert12, rng):
         u = random_band_limited(rng, 8, mean_free=False)
@@ -151,20 +164,61 @@ class TestSurfaceDiff:
         total = np.sum(
             pert12.area_weights
             * (
-                np.einsum("ij,ij->i", pert12.grad(u), F)
+                np.einsum("ij,ij->i", grad(pert12, u), F)
                 + pert12.synthesis(u) * pert12.div(F)
             )
         )
-        scale = np.max(np.abs(F)) * np.max(np.abs(pert12.grad(u)))
+        scale = np.max(np.abs(F)) * np.max(np.abs(grad(pert12, u)))
         assert abs(total) < 1e-8 * scale
 
-    def test_kind_validation(self, sphere10, rng):
+
+class TestValuesAt:
+    """values_at: one stacked array for a density list, at the nodes or at a frame's points."""
+
+    @staticmethod
+    def node_frame(grid):
+        return dict(grid.frame_at(grid.thetas, grid.phis), theta=grid.thetas, phi=grid.phis)
+
+    @staticmethod
+    def tangent_list(rng):
+        return [
+            TangentField.from_potentials(
+                X=random_band_limited(rng, 8), V=random_band_limited(rng, 6), flavor=flavor
+            )
+            for flavor in ("div", "curl", "curl")
+        ]
+
+    def test_nodes_equal_node_frame_scalar(self, pert12, rng):
+        dens = [random_band_limited(rng, L, mean_free=False) for L in (3, 8, 12)]
+        nodes = pert12.values_at(dens)
+        assert nodes.shape == (pert12.n_nodes, 3)
+        at_frame = pert12.values_at(dens, self.node_frame(pert12))
+        assert np.max(np.abs(nodes - at_frame)) <= 1e-13 * np.max(np.abs(nodes))
+
+    def test_nodes_equal_node_frame_tangent(self, pert12, rng):
+        dens = self.tangent_list(rng)
+        nodes = pert12.values_at(dens)
+        assert nodes.shape == (pert12.n_nodes, 3, 3)
+        at_frame = pert12.values_at(dens, self.node_frame(pert12))
+        assert np.max(np.abs(nodes - at_frame)) <= 1e-13 * np.max(np.abs(nodes))
+        for j, d in enumerate(dens):
+            assert np.array_equal(nodes[..., j], pert12.tangent_values(d))
+
+    def test_stacked_shapes_at_points(self, pert12, rng):
+        th, ph = np.array([0.3, 1.2, 2.9, 2.0]), np.array([0.0, 4.0, 1.0, 5.5])
+        frame = dict(pert12.frame_at(th, ph), theta=th, phi=ph)
+        scalars = [random_band_limited(rng, 5), random_band_limited(rng, 7)]
+        assert pert12.values_at(scalars, {"theta": th, "phi": ph}).shape == (4, 2)
+        assert pert12.values_at(self.tangent_list(rng), frame).shape == (4, 3, 3)
+
+    def test_curl_basis_is_rotated_grad_basis(self, pert12):
+        gb = pert12.grad_basis()
+        rotated = -np.cross(pert12.normals[:, None, :], gb)
+        assert np.max(np.abs(pert12.curl_basis() - rotated)) <= 1e-13 * np.max(np.abs(gb))
+
+    def test_mixed_list_is_rejected(self, sphere10, rng):
         with pytest.raises(TypeError):
-            surface_diff("grad", np.zeros((sphere10.n_nodes, 3)), sphere10)
-        with pytest.raises(TypeError):
-            surface_diff("div", random_band_limited(rng, 4), sphere10)
-        with pytest.raises(ValueError):
-            surface_diff("nonsense", random_band_limited(rng, 4), sphere10)
+            sphere10.values_at([random_band_limited(rng, 4), *self.tangent_list(rng)])
 
 
 class TestTangentField:
