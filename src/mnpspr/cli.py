@@ -275,8 +275,9 @@ def report_version_and_provenance(cfg=None, tol=None, seed=0, L_quad=None):
     """Provenance lines embedded in every artifact header.
 
     cfg is the raw config dict; its command selects the quadrature line.
+    scipy's version is read from its metadata, without importing scipy.
     """
-    import scipy
+    import importlib.metadata
 
     command = cfg.get("command") if isinstance(cfg, dict) else None
     quadrature = "quadrature: rotated-polar-gl"
@@ -288,7 +289,7 @@ def report_version_and_provenance(cfg=None, tol=None, seed=0, L_quad=None):
             quadrature += f", corrections (n_polar={correction_polar_order(L_quad)})"
     lines = [
         f"mnpspr {__version__}",
-        f"numpy {np.__version__}, scipy {scipy.__version__}",
+        f"numpy {np.__version__}, scipy {importlib.metadata.version('scipy')}",
         quadrature,
         f"L_quad: {L_quad if L_quad is not None else 'n/a'}",
         f"tolerance: {tol if tol is not None else 'default'}",

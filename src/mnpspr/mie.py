@@ -18,9 +18,9 @@ from .specfun import (
     composite_h1,
     composite_j,
     spherical_h1,
+    spherical_j,
     vector_sph_matrix,
 )
-from scipy.special import spherical_jn
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def exact_sphere_potential(mode: SphereMode, k: float, x, which: str) -> np.ndar
     nn = np.sqrt(n * (n + 1.0))
     outside = rp > r
     if outside:
-        h, j = spherical_h1(n, k * rp), spherical_jn(n, k * r)
+        h, j = spherical_h1(n, k * rp), spherical_j(n, k * r)
         H, J = composite_h1(n, k * rp), composite_j(n, k * r)
         if which == "curlS" and mode.l == 1:
             return 1j * k * r * h * J * p2
@@ -101,7 +101,7 @@ def exact_sphere_potential(mode: SphereMode, k: float, x, which: str) -> np.ndar
                 - 1j * k * r * nn / rp * h * J * Y * xhat
             )
         return -1j * k**3 * r**2 * h * j * p2
-    j_in, h_r = spherical_jn(n, k * rp), spherical_h1(n, k * r)
+    j_in, h_r = spherical_j(n, k * rp), spherical_h1(n, k * r)
     J_in, H_r = composite_j(n, k * rp), composite_h1(n, k * r)
     if which == "curlS" and mode.l == 1:
         return 1j * k * r * j_in * H_r * p2
@@ -136,7 +136,7 @@ def multipole(kind: str, n: int, m: int, k: float, materials, x):
     if kind.endswith("ext"):
         f, F = spherical_h1(n, k * r), composite_h1(n, k * r)
     else:
-        f, F = spherical_jn(n, k * r), composite_j(n, k * r)
+        f, F = spherical_j(n, k * r), composite_j(n, k * r)
     e_te = -nn * f * p2
     curl_e_te = (nn / r) * F * p1 + (n * (n + 1.0) / r) * f * Y * xhat
     if kind.startswith("TE"):

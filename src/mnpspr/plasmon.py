@@ -19,7 +19,7 @@ import numpy as np
 
 from .mie import SphereMode, exact_sphere_potential
 from .potentials import MaterialConfig, NearBoundaryError, em_fields, offboundary_eval
-from .spectral import SpectralSet
+from .spectral import SpectralSet, eigenvalue_clusters
 from .surface import ShCoeffs, SurfaceGrid, TangentField, tubular_distance
 from .sphharm import cartesian_to_angles
 
@@ -92,6 +92,18 @@ class PlasmonMode:
         )
         return cls(lam=lam, tau=tau, materials=mats, density=dens, index=j)
 
+    def at_eigenvalue(self, lam):
+        """The same density at the resonant contrast of eigenvalue lam.
+
+        The interior material becomes the negative preset at the new tau;
+        omega, delta and the exterior are kept.
+        """
+        if lam == self.lam:
+            return self
+        tau = resonance_tau(lam)
+        mats = replace(self.materials, eps_c=-tau, mu_c=-tau)
+        return replace(self, lam=float(lam), tau=tau, materials=mats)
+
 
 def _is_inside(x, grid: SurfaceGrid):
     """Whether a point, or each row of a (P, 3) array, lies inside the surface.
@@ -118,7 +130,11 @@ def plasmon_field(mode: PlasmonMode, x, grid: SurfaceGrid, materials=None, quad=
 
 @dataclass
 class DecayReport:
-    """Per-mode field norms over a point cloud and localization summaries."""
+    """Per-mode field norms over a point cloud and localization summaries.
+
+    Norms and point magnitudes of the members of an eigenvalue cluster are
+    the cluster's RMS, so they do not depend on the basis of the eigenspace.
+    """
 
     mode_ids: list
     eigenvalues: np.ndarray
@@ -214,12 +230,16 @@ def _field_batch(modes, points, grid, quad):
 def localization_scan(modes, points, eps, grid: SurfaceGrid, quad="auto"):
     """Field-norm survey of a mode family over a fixed point cloud.
 
-    Modes, at least two, are ordered by |eigenvalue| descending.  Every
-    point must keep distance > eps from the surface, or NearBoundaryError
-    is raised.  The report carries per-mode norms, the partial sums of
-    squared norms, a plateau flag (last-quartile growth at most
-    PLATEAU_THRESHOLD), a fitted log-decay rate, and the o(j^{-KAPPA})
-    exceedance statistic of the electric norms.
+    Modes, at least two, are ordered by |eigenvalue| descending and
+    grouped into eigenvalue clusters (`eigenvalue_clusters`).  Every member
+    of a cluster is evaluated at the cluster's mean eigenvalue, so with one
+    contrast, and reports the cluster's RMS point magnitudes: a unitary
+    change of basis inside a cluster leaves the report unchanged up to
+    round-off.  Every point must keep distance > eps from the surface, or
+    NearBoundaryError is raised.  The report carries per-mode norms, the
+    partial sums of squared norms, a plateau flag (last-quartile growth at
+    most PLATEAU_THRESHOLD), a fitted log-decay rate, and the
+    o(j^{-KAPPA}) exceedance statistic of the electric norms.
     """
     pts = np.asarray(points, dtype=float)
     dists = tubular_distance(pts, grid)
@@ -231,9 +251,19 @@ def localization_scan(modes, points, eps, grid: SurfaceGrid, quad="auto"):
     if len(modes) < 2:
         raise ValueError(f"a decay rate needs at least two modes, got {len(modes)}")
     modes = sorted(modes, key=lambda m: -abs(m.lam))
-    E, H = _field_batch(modes, pts, grid, quad)
-    e_mags = np.linalg.norm(E, axis=2)
-    h_mags = np.linalg.norm(H, axis=2)
+    lam = np.array([m.lam for m in modes])
+    cluster = eigenvalue_clusters(lam)
+    size = np.bincount(cluster)
+    lam_c = np.bincount(cluster, lam) / size
+    shared = [m.at_eigenvalue(lam_c[c]) for m, c in zip(modes, cluster)]
+    E, H = _field_batch(shared, pts, grid, quad)
+
+    def cluster_rms(F):
+        sq = np.zeros((size.size, len(pts)))
+        np.add.at(sq, cluster, np.linalg.norm(F, axis=2) ** 2)
+        return np.sqrt(sq / size[:, None])[cluster]
+
+    e_mags, h_mags = cluster_rms(E), cluster_rms(H)
     e_norms = np.sqrt(np.sum(e_mags**2, axis=1))
     h_norms = np.sqrt(np.sum(h_mags**2, axis=1))
     sums = np.cumsum(e_norms**2 + h_norms**2)
@@ -250,7 +280,7 @@ def localization_scan(modes, points, eps, grid: SurfaceGrid, quad="auto"):
     ids = [m.index if m.index is not None else str(m.sphere) for m in modes]
     return DecayReport(
         mode_ids=ids,
-        eigenvalues=np.array([m.lam for m in modes]),
+        eigenvalues=lam,
         taus=np.array([m.tau for m in modes]),
         distances=dists,
         e_norms=e_norms,

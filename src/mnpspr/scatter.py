@@ -26,7 +26,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .potentials import (
     MaterialConfig,
@@ -208,6 +207,8 @@ def solve_scatter(system: BlockSystem, rhs: RHSVector):
     the 1-norm condition estimate 1/gecon, both come from that LU.  A
     singular matrix raises a resonance error carrying the spectral shift.
     """
+    from scipy.linalg import lapack  # numpy has no condition estimate from an LU
+
     A = np.asarray(system.matrix, dtype=complex)
     lu, piv, info = lapack.zgetrf(A)
     if info > 0:

@@ -10,10 +10,10 @@ n ~ 60), and the tangential vector harmonics
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, spherical_jn, spherical_yn
 
 from .sphharm import cartesian_to_angles, num_coeffs, sh_index, unit_vectors, ynm_matrix
 from .sphharm import ynm  # noqa: F401  (re-export)
@@ -48,14 +48,27 @@ class VectorHarmonic:
             raise ValueError("|m| must not exceed n")
 
 
+def spherical_j(n, z, derivative=False):
+    """Spherical Bessel function of the first kind.
+
+    scipy.special is imported on first use here and in spherical_h1: only
+    the sphere oracles need it.
+    """
+    from scipy.special import spherical_jn
+
+    return spherical_jn(n, z, derivative)
+
+
 def spherical_h1(n, z, derivative=False):
     """Spherical Hankel function of the first kind (outgoing branch)."""
-    return spherical_jn(n, z, derivative) + 1j * spherical_yn(n, z, derivative)
+    from scipy.special import spherical_yn
+
+    return spherical_j(n, z, derivative) + 1j * spherical_yn(n, z, derivative)
 
 
 def composite_j(n, z):
     """j_n(z) + z j_n'(z)."""
-    return spherical_jn(n, z) + z * spherical_jn(n, z, derivative=True)
+    return spherical_j(n, z) + z * spherical_j(n, z, derivative=True)
 
 
 def composite_h1(n, z):
@@ -69,7 +82,7 @@ def radial(kind: RadialKind, z: float) -> complex:
         raise ValueError("argument must be positive")
     n = kind.n
     if kind.tag == "bessel_j":
-        return complex(spherical_jn(n, z))
+        return complex(spherical_j(n, z))
     if kind.tag == "hankel1":
         return complex(spherical_h1(n, z))
     if kind.tag == "composite_J":
@@ -81,9 +94,9 @@ def _log_double_factorial(k: int) -> float:
     # (2p+1)!! = (2p+1)! / (2^p p!)  evaluated through log-gamma
     if k % 2 == 1:
         p = (k - 1) // 2
-        return gammaln(k + 1) - p * np.log(2.0) - gammaln(p + 1)
+        return math.lgamma(k + 1) - p * np.log(2.0) - math.lgamma(p + 1)
     p = k // 2
-    return p * np.log(2.0) + gammaln(p + 1)
+    return p * np.log(2.0) + math.lgamma(p + 1)
 
 
 def radial_leading_term(kind: RadialKind, z: float) -> complex:

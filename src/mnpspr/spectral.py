@@ -12,9 +12,11 @@ while the H^{3/2}-type products weight with the symmetrizers themselves,
     <a, b>  =  -<Lap pot_a, S Lap pot_b>.
 
 All eigensolves are generalized Hermitian solves against the positive
-definite Gram (Cholesky-based), so eigenvalues are real by construction and
-the departure of the unsymmetrized matrix from Hermitian is reported as a
-diagnostic residual.
+definite Gram, reduced by its Cholesky factor B = L L^H to the standard
+Hermitian problem of L^{-1} A L^{-H}, which is the symmetrized operator
+written out.  Eigenvalues are real by construction, and the departure of
+the unsymmetrized matrix from Hermitian is reported as a diagnostic
+residual.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .potentials import (
     AssemblyAccuracyError,
@@ -37,6 +38,18 @@ from .surface import ShCoeffs, SurfaceGrid, TangentField, random_band_limited
 log = logging.getLogger(__name__)
 
 HALF_EXCLUSION_TOL = 1e-8
+CLUSTER_TOL = 1e-6
+
+
+def eigenvalue_clusters(lam, tol=CLUSTER_TOL):
+    """Cluster id of each entry of a sorted eigenvalue list.
+
+    A new cluster starts wherever two neighbours differ by more than tol.
+    """
+    lam = np.asarray(lam)
+    ids = np.zeros(lam.size, dtype=int)
+    ids[1:] = np.cumsum(np.abs(np.diff(lam)) > tol)
+    return ids
 
 
 @dataclass
@@ -58,13 +71,9 @@ class SpectralSet:
     def __len__(self):
         return self.eigenvalues.size
 
-    def clusters(self, tol=1e-6):
+    def clusters(self, tol=CLUSTER_TOL):
         """Multiplicity clusters of the (sorted) eigenvalue list."""
-        lam = self.eigenvalues
-        ids = np.zeros(lam.size, dtype=int)
-        for i in range(1, lam.size):
-            ids[i] = ids[i - 1] + (abs(lam[i] - lam[i - 1]) > tol)
-        return ids
+        return eigenvalue_clusters(self.eigenvalues, tol)
 
     def to_json_dict(self):
         n, m = sh_degrees(self.L)
@@ -98,18 +107,31 @@ def _hermitize(A):
     return 0.5 * (A + A.conj().T)
 
 
+def _eigh_pencil(A, B, what):
+    """Eigenpairs of the Hermitian pencil (A, B), eigenvalues ascending.
+
+    B = L L^H by Cholesky; the eigenvectors y of L^{-1} A L^{-H} map back
+    to x = L^{-H} y, orthonormal in B.  A B that is not positive definite
+    raises AssemblyAccuracyError naming `what`.
+    """
+    try:
+        chol = np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        raise AssemblyAccuracyError(f"{what} is not positive definite") from None
+    half = np.linalg.solve(chol, A)  # L^{-1} A
+    lam, y = np.linalg.eigh(_hermitize(np.linalg.solve(chol, half.conj().T)))
+    return lam, np.linalg.solve(chol.conj().T, y)
+
+
 def np_spectrum(S_mat: OperatorMatrix, Kstar_mat: OperatorMatrix) -> SpectralSet:
     """Symmetrized spectrum of the scalar adjoint double layer.
 
     Generalized Hermitian eigensolve with Gram -S; eigenvectors are
     orthonormal in that Gram and eigenvalues lie in (-1/2, 1/2].
     """
-    B = _hermitize(-S_mat.pairing)
-    if np.linalg.eigvalsh(B)[0] <= 0:
-        raise AssemblyAccuracyError("negative single layer is not positive definite")
     A = -S_mat.pairing @ Kstar_mat.entries
     sym_res = np.linalg.norm(A - A.conj().T) / np.linalg.norm(A)
-    mu, theta = sla.eigh(_hermitize(A), B)
+    mu, theta = _eigh_pencil(_hermitize(A), _hermitize(-S_mat.pairing), "negative single layer")
     order = np.argsort(-np.abs(mu))
     mu, theta = mu[order], theta[:, order]
     return SpectralSet(
@@ -244,8 +266,8 @@ def _subspace_operator(op, ops, grid: SurfaceGrid):
 def subspace_spectrum(ops, grid: SurfaceGrid, which="M_curl"):
     """Independent symmetrized eigensolve of the restricted magnetic maps."""
     A, G = _subspace_operator(which, ops, grid)
-    lam = sla.eigh(_hermitize(G @ A), G, eigvals_only=True)
-    return np.sort(lam)[::-1]
+    lam, _ = _eigh_pencil(_hermitize(G @ A), G, "quotient Gram")
+    return lam[::-1]
 
 
 def self_adjointness_residual(op: str, grid: SurfaceGrid, ops, gram_weight="natural"):

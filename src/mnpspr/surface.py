@@ -38,6 +38,10 @@ from .sphharm import (
     ynm_matrix,
 )
 
+# values_at turns at most this many (point, density) pairs of a frame into
+# values per pass, which bounds the (points, 3, densities) temporaries
+VALUES_BLOCK = 1 << 17
+
 
 class StarShapeError(ValueError):
     """Radial function is not strictly positive on the grid."""
@@ -129,6 +133,14 @@ class TangentField:
 
     def copy(self):
         return TangentField(self.X.copy(), self.V.copy(), self.flavor)
+
+
+def _stacked(coeffs):
+    """Columns of a list of ShCoeffs, zero-padded to the largest degree."""
+    C = np.zeros((max(c.coeffs.size for c in coeffs), len(coeffs)), dtype=complex)
+    for j, c in enumerate(coeffs):
+        C[: c.coeffs.size, j] = c.coeffs
+    return C
 
 
 def tangent_frame(frame):
@@ -303,14 +315,27 @@ class SurfaceGrid:
             else:
                 Y = basis
         n = len(Yt if tangent else Y)
+        if tangent:
+            # the frame's fields in the order of U's rows: X_theta, V_theta, X_phi, V_phi
+            weights = np.stack([vectors[i] for i in (0, 2, 1, 3)], axis=-1)
         out = np.empty((n, 3, len(densities)) if tangent else (n, len(densities)), dtype=complex)
-        for j, d in enumerate(densities):
+        # a BLAS product's rounding depends on its column count; at the nodes
+        # each density is its own block, so its node values do not depend on
+        # the list it comes in
+        step = 1 if frame is None else max(1, VALUES_BLOCK // n)
+        for lo in range(0, len(densities), step):
+            block = densities[lo : lo + step]
+            b = len(block)
             if tangent:
-                # (u_theta, u_phi / sin) of X, then of V, weigh the frame's four fields
-                derivs = [D[:, : num_coeffs(c.L)] @ c.coeffs for c in (d.X, d.V) for D in (Yt, Yp)]
-                out[:, :, j] = sum(u[:, None] * v for u, v in zip(derivs, vectors))
+                # one product per derivative for the block's [X | V] columns gives
+                # u_theta and u_phi / sin of X and of V, which weigh the frame's
+                # four fields: per point a real (3, 4) @ (4, 2 block) product
+                C = _stacked([d.X for d in block] + [d.V for d in block])
+                U = np.stack([D[:, : len(C)] @ C for D in (Yt, Yp)], axis=1).reshape(n, 4, b)
+                out[:, :, lo : lo + b] = (weights @ U.view(float)).view(complex)
             else:
-                out[:, j] = Y[:, : num_coeffs(d.L)] @ d.coeffs
+                C = _stacked(block)
+                out[:, lo : lo + b] = Y[:, : len(C)] @ C
         return out
 
     def tangent_values(self, f: TangentField):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,12 +8,15 @@ from mnpspr.mie import SphereMode
 from mnpspr.plasmon import (
     PlasmonMode,
     ResonanceExclusionError,
+    _field_batch,
     almost_sure_statistic,
     localization_scan,
     plasmon_field,
     resonance_tau,
 )
-from mnpspr.potentials import MaterialConfig
+from mnpspr.potentials import MaterialConfig, scalar_operators
+from mnpspr.spectral import mnp_spectra, np_spectrum
+from mnpspr.surface import perturbed_sphere
 
 from conftest import fd_curl, fibonacci_shell
 
@@ -142,6 +146,73 @@ class TestLocalizationScan:
         assert len(rows) == 10
         d = rep.to_json_dict()
         assert set(d) >= {"eigenvalues", "taus", "partial_sums", "plateau", "statistic"}
+
+
+def _assert_same_body(got, want, rtol):
+    """Two decay.json bodies agree: equal keys and flags, numbers to rtol of each entry's scale."""
+    assert got.keys() == want.keys()
+    for key in want:
+        if isinstance(want[key], dict):
+            _assert_same_body(got[key], want[key], rtol)
+        elif key == "mode_ids" or isinstance(want[key], (bool, str)):
+            assert got[key] == want[key], key
+        else:
+            a, b = np.asarray(got[key], dtype=float), np.asarray(want[key], dtype=float)
+            assert a.shape == b.shape, key
+            assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b)), key
+
+
+class TestClusterInvariance:
+    """Decay observables do not depend on the basis inside an eigenvalue cluster."""
+
+    @pytest.fixture(scope="class")
+    def axisym(self):
+        grid = perturbed_sphere(0.05, 2, 0, 8)
+        ops = scalar_operators(grid, 8)
+        curl, _ = mnp_spectra(np_spectrum(ops["S"], ops["Kstar"]), ops["S"], grid)
+        pts = np.vstack([fibonacci_shell(12, 2.5), fibonacci_shell(4, 0.3)])
+        return grid, curl, pts
+
+    @staticmethod
+    def modes(curl):
+        return [PlasmonMode.from_eigenmode(j, curl) for j in range(len(curl))]
+
+    def test_gram_unitary_rotation_leaves_report(self, axisym):
+        grid, curl, pts = axisym
+        ids = curl.clusters()
+        assert np.bincount(ids).max() >= 2  # the +-m pairs of an axisymmetric surface
+        rng = np.random.default_rng(5)
+        vectors = curl.vectors.copy()
+        for c in np.unique(ids):
+            cols = np.flatnonzero(ids == c)
+            z = rng.normal(size=(cols.size,) * 2) + 1j * rng.normal(size=(cols.size,) * 2)
+            vectors[:, cols] = vectors[:, cols] @ np.linalg.qr(z)[0]
+        turned = replace(curl, vectors=vectors)
+        want = localization_scan(self.modes(curl), pts, 0.5, grid).to_json_dict()
+        got = localization_scan(self.modes(turned), pts, 0.5, grid).to_json_dict()
+        _assert_same_body(got, want, 1e-12)
+        # the single modes do move: the rotation is not the identity on them
+        single = [np.linalg.norm(_field_batch(self.modes(s), pts, grid, "auto")[0], axis=(1, 2))
+                  for s in (curl, turned)]
+        assert np.max(np.abs(single[0] - single[1]) / single[0]) > 1e-3
+
+    def test_members_share_contrast_and_cluster_sums(self, axisym):
+        grid, curl, pts = axisym
+        modes = self.modes(curl)
+        rep = localization_scan(modes, pts, 0.5, grid)
+        ids = curl.clusters()
+        assert np.array_equal(rep.eigenvalues, curl.eigenvalues)
+        assert np.array_equal(rep.taus, [m.tau for m in modes])
+        mean = np.bincount(ids, curl.eigenvalues) / np.bincount(ids)
+        shared = [m.at_eigenvalue(mean[c]) for m, c in zip(modes, ids)]
+        pair = np.flatnonzero(ids == np.argmax(np.bincount(ids)))
+        assert pair.size >= 2 and len({shared[j].tau for j in pair}) == 1
+        E, H = _field_batch(shared, pts, grid, "auto")
+        for F, norms in ((E, rep.e_norms), (H, rep.h_norms)):
+            sq = np.bincount(ids, np.sum(np.abs(F) ** 2, axis=(1, 2)))
+            assert np.allclose(np.bincount(ids, norms**2), sq, rtol=1e-12, atol=0)
+            for c in np.unique(ids):
+                assert np.ptp(norms[ids == c]) <= 1e-12 * norms[ids == c][0]
 
 
 class TestAlmostSureStatistic:

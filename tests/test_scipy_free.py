@@ -1,0 +1,125 @@
+"""scipy stays off the import path of the CLI.
+
+scipy is used by `scatter` (LU and condition estimate) and by the sphere
+oracles only, and each of those imports it where it is used.  The commands
+run in fresh processes here, so that sys.modules shows what each one loaded.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# runs one config; reports the scipy modules loaded at the end, and whether
+# any was loaded when the scattering solve or the sphere oracle was first entered
+PROBE = r"""
+import json, sys
+import mnpspr.cli as cli
+import mnpspr.scatter as scatter
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+first_entry = {}
+def watch(owner, name):
+    fn = getattr(owner, name)
+    def wrapped(*args, **kwargs):
+        first_entry.setdefault(name, scipy_loaded())
+        return fn(*args, **kwargs)
+    setattr(owner, name, wrapped)
+
+watch(scatter, "solve_scatter")
+watch(cli, "exact_sphere_potential")
+at_import = scipy_loaded()
+code = cli.run(json.loads(sys.argv[1]), sys.argv[2])
+print(json.dumps({"code": code, "at_import": at_import, "loaded": scipy_loaded(),
+                  "first_entry": first_entry}))
+"""
+
+SPHERE = {"sphere": 1.0, "L_quad": 8}
+CONFIGS = {
+    "spectrum": {"command": "spectrum", "surface": SPHERE, "L": 6},
+    "decay": {
+        "command": "decay", "surface": SPHERE, "L": 6, "eps": 0.5,
+        "points": [{"count": 6, "radius": 3.0}, {"count": 2, "radius": 0.3}],
+    },
+    "scatter": {
+        "command": "scatter", "surface": {"sphere": 1.0, "L_quad": 4}, "L": 4,
+        "tau_list": [0.5], "delta_list": [0.1],
+    },
+    "mie-check": {"command": "mie-check", "n_max": 1, "L_quad": 12},
+}
+
+
+def run_probe(tmp_path, command):
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(CONFIGS[command]), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["code"] == 0, done.stderr
+    assert report["at_import"] == []
+    return report
+
+
+@pytest.mark.parametrize("command", ["spectrum", "decay"])
+def test_spectrum_and_decay_load_no_scipy(tmp_path, command):
+    assert run_probe(tmp_path, command)["loaded"] == []
+
+
+def test_scatter_loads_lapack_at_its_solve(tmp_path):
+    report = run_probe(tmp_path, "scatter")
+    assert report["first_entry"]["solve_scatter"] == []
+    assert "scipy.linalg" in report["loaded"]
+    assert "scipy.special" not in report["loaded"]
+
+
+def test_mie_check_loads_special_at_its_oracle(tmp_path):
+    report = run_probe(tmp_path, "mie-check")
+    assert report["first_entry"]["exact_sphere_potential"] == []
+    assert "scipy.special" in report["loaded"]
+
+
+def module_level_imports(source):
+    """Names imported by statements that run when the module is imported.
+
+    Function bodies are skipped; module-level `if`/`try` blocks and class
+    bodies are not.
+    """
+    names = []
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_scan_sees_module_level_imports():
+    source = (
+        "import numpy\n"
+        "try:\n    import scipy.linalg as sla\nexcept ImportError:\n    pass\n"
+        "class A:\n    from scipy.special import gammaln\n"
+        "    def f(self):\n        from scipy import integrate\n"
+        "def g():\n    import scipy\n"
+    )
+    assert sorted(module_level_imports(source)) == ["numpy", "scipy.linalg", "scipy.special"]
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "mnpspr").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    names = module_level_imports(path.read_text())
+    assert not [n for n in names if n == "scipy" or n.startswith("scipy.")]

@@ -1,8 +1,15 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from mnpspr.potentials import mnp_curl_apply, scalar_operators
+from mnpspr.potentials import AssemblyAccuracyError, mnp_curl_apply, scalar_operators
 from mnpspr.spectral import (
+    _eigh_pencil,
+    _hermitize,
+    _subspace_operator,
     calderon_residual,
     curl_field_expansion,
     gram,
@@ -17,7 +24,24 @@ from mnpspr.spectral import (
     trace_norm,
 )
 from mnpspr.sphharm import sh_index
-from mnpspr.surface import ShCoeffs, TangentField, random_band_limited, sphere_surface
+from mnpspr.surface import (
+    ShCoeffs,
+    TangentField,
+    build_surface,
+    radius_from_json,
+    random_band_limited,
+    sphere_surface,
+)
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def workload_config(name):
+    """Seed-0 CLI config of a benchmark workload, read from perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.make_config(name, 0)
 
 
 def sphere_exact_np_eigs(L):
@@ -258,3 +282,43 @@ class TestExports:
         )
         with pytest.raises(AssemblyAccuracyError):
             np_spectrum(bad, sphere10_ops["Kstar"])
+
+
+class TestCholeskyEigensolve:
+    """The Cholesky-reduced numpy eigensolve against scipy.linalg.eigh on the benchmark operators."""
+
+    @pytest.fixture(scope="class", params=["decay-axisym", "spectrum-general"])
+    def workload(self, request):
+        cfg = workload_config(request.param)
+        grid = build_surface(radius_from_json(cfg["surface"]), cfg["surface"]["L_quad"])
+        return grid, scalar_operators(grid, cfg["L"])
+
+    @staticmethod
+    def pencil(ops):
+        S, Kstar = ops["S"], ops["Kstar"]
+        return _hermitize(-S.pairing @ Kstar.entries), _hermitize(-S.pairing)
+
+    def test_eigenvalues_and_b_orthonormality(self, workload):
+        _, ops = workload
+        A, B = self.pencil(ops)
+        assert len(A) in (121, 169)
+        lam, X = _eigh_pencil(A, B, "B")
+        assert np.max(np.abs(lam - sla.eigh(A, B, eigvals_only=True))) <= 1e-13
+        assert np.max(np.abs(X.conj().T @ B @ X - np.eye(len(B)))) <= 1e-12
+        assert np.max(np.abs(A @ X - (B @ X) * lam)) <= 1e-12 * np.max(np.abs(A))
+        st = np_spectrum(ops["S"], ops["Kstar"])
+        assert np.array_equal(np.sort(st.eigenvalues), lam)
+
+    @pytest.mark.parametrize("which", ["M_curl", "Mstar_grad"])
+    def test_subspace_spectrum_matches_scipy(self, workload, which):
+        grid, ops = workload
+        A, G = _subspace_operator(which, ops, grid)
+        want = np.sort(sla.eigh(_hermitize(G @ A), G, eigvals_only=True))[::-1]
+        got = subspace_spectrum(ops, grid, which)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_negative_definite_gram_is_an_accuracy_error(self, workload):
+        _, ops = workload
+        A, B = self.pencil(ops)
+        with pytest.raises(AssemblyAccuracyError, match="not positive definite"):
+            _eigh_pencil(A, -B, "B")

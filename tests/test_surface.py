@@ -211,6 +211,29 @@ class TestValuesAt:
         assert pert12.values_at(scalars, {"theta": th, "phi": ph}).shape == (4, 2)
         assert pert12.values_at(self.tangent_list(rng), frame).shape == (4, 3, 3)
 
+    def test_blocked_list_equals_single_densities(self, pert12, rng, monkeypatch):
+        """Mixed degrees, at a frame in uneven blocks of 3 and at the nodes."""
+        import mnpspr.surface as surface
+
+        th, ph = rng.uniform(0.0, np.pi, 40), rng.uniform(0.0, 2.0 * np.pi, 40)
+        frame = dict(pert12.frame_at(th, ph), theta=th, phi=ph)
+        monkeypatch.setattr(surface, "VALUES_BLOCK", 3 * len(th))
+        degrees = [(8, 2), (3, 6), (1, 1), (5, 8), (2, 4), (7, 3), (4, 0)]
+        tangent = [
+            TangentField.from_potentials(
+                X=random_band_limited(rng, a), V=random_band_limited(rng, b), flavor="curl"
+            )
+            for a, b in degrees
+        ]
+        scalars = [random_band_limited(rng, a, mean_free=False) for a, _ in degrees]
+        for dens in (tangent, scalars):
+            for where in (frame, None):
+                stacked = pert12.values_at(dens, where)
+                scale = np.max(np.abs(stacked))
+                for j, d in enumerate(dens):
+                    one = pert12.values_at([d], where)[..., 0]
+                    assert np.max(np.abs(stacked[..., j] - one)) <= 1e-13 * scale
+
     def test_curl_basis_is_rotated_grad_basis(self, pert12):
         gb = pert12.grad_basis()
         rotated = -np.cross(pert12.normals[:, None, :], gb)
