@@ -20,6 +20,7 @@ small-radius correction operators are provided for the scattering layer.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,8 @@ import numpy as np
 from .quadrature import assemble_scalar_values, correction_polar_order, near_singular_eval, rings
 from .sphharm import num_coeffs, ynm_matrix
 from .surface import ShCoeffs, SurfaceGrid, TangentField, tangent_frame, tubular_distance
+
+log = logging.getLogger(__name__)
 
 
 class KindError(ValueError):
@@ -153,30 +156,51 @@ def _galerkin_operator(kind, grid: SurfaceGrid, values, L, meta=None):
 
 
 def scalar_operators(grid: SurfaceGrid, L: int):
-    """The static scalar operators S, K, K* at degree L, built once per grid."""
+    """The static scalar operators S, K, K* at degree L, built once per grid.
+
+    The residuals of the invariant guard are logged at DEBUG and kept in
+    each operator's meta.
+    """
 
     def build():
         if L > grid.L_quad:
             raise ValueError(f"operator degree {L} exceeds grid capacity")
         vals = assemble_scalar_values(grid, L)
         ops = {kind: _galerkin_operator(kind, grid, vals[kind], L) for kind in ("S", "K", "Kstar")}
-        _check_scalar_invariants(ops)
+        residuals = _check_scalar_invariants(ops)
+        log.debug(
+            "scalar operators at L=%d, L_quad=%d: %s", L, grid.L_quad,
+            ", ".join(f"{key} {value:.2e}" for key, value in residuals.items()),
+        )
+        for op in ops.values():
+            op.meta.update(residuals)
         return ops
 
     return grid.cached(("scalar", L), build)
 
 
 def _check_scalar_invariants(ops):
+    """Raise AssemblyAccuracyError unless S is Hermitian and negative definite
+    and K, K* are discrete adjoints; return the three residuals."""
     GS = ops["S"].pairing
     herm = np.linalg.norm(GS - GS.conj().T) / np.linalg.norm(GS)
     if herm > 1e-8:
-        raise AssemblyAccuracyError(f"single layer not symmetric: {herm:.2e}")
+        raise AssemblyAccuracyError(
+            f"single layer not symmetric: {herm:.2e}; raise surface.L_quad above L"
+        )
     mineig = np.linalg.eigvalsh(-0.5 * (GS + GS.conj().T))[0]
     if mineig <= 0:
-        raise AssemblyAccuracyError("negative single layer lost definiteness")
+        raise AssemblyAccuracyError(
+            f"negative single layer lost definiteness: smallest eigenvalue {mineig:.2e}; "
+            "raise surface.L_quad above L"
+        )
     dual = np.linalg.norm(ops["K"].pairing - ops["Kstar"].pairing.conj().T)
-    if dual / np.linalg.norm(ops["K"].pairing) > 1e-8:
-        raise AssemblyAccuracyError("K / K* discrete duality violated")
+    dual /= np.linalg.norm(ops["K"].pairing)
+    if dual > 1e-8:
+        raise AssemblyAccuracyError(
+            f"K / K* discrete duality violated: {dual:.2e}; raise surface.L_quad above L"
+        )
+    return {"S_hermiticity": float(herm), "negS_min_eig": float(mineig), "K_duality": float(dual)}
 
 
 def assemble_scalar(kind: str, grid: SurfaceGrid, L: int, k=None):
@@ -531,7 +555,7 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
             # grad Y_j and vcurl Y_j weigh the frame's vector pairs by the same derivatives
             alpha, sin_beta, alpha_c, sin_beta_c = tangent_frame(dict(ring.frame, theta=ring.theta))
             rvec, r, wjac = ring.rvec, ring.r, ring.wjac
-            nphi, q = r.shape
+            n_t, q = r.shape
             uhat = rvec / r[..., None]
             # K phi of the ring-projected kinds, in VECTOR_KINDS order
             kernels = (
@@ -543,17 +567,19 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
             )
 
             def contract(fn, vec_a, vec_b):
-                A = (fn(vec_a) * wjac[..., None]).transpose(0, 2, 1).reshape(nphi * 3, q)
-                B = (fn(vec_b) * wjac[..., None]).transpose(0, 2, 1).reshape(nphi * 3, q)
-                rows = (A @ Yth + B @ Yp).reshape(nphi, 3, nc) * ring.phase[:, None, :]
-                return rows[:, :, 1:].reshape(nphi * 3, d)
+                A = (fn(vec_a) * wjac[..., None]).transpose(0, 2, 1).reshape(n_t * 3, q)
+                B = (fn(vec_b) * wjac[..., None]).transpose(0, 2, 1).reshape(n_t * 3, q)
+                rows = (A @ Yth + B @ Yp).reshape(n_t, 3, nc)
+                # the kernels turn with the ring: target i's rows are rotation_i @ rows
+                rows = (ring.rotation @ rows.view(float)).view(complex) * ring.phase[:, None, :]
+                return rows[:, :, 1:].reshape(-1, d)
 
             vals = [
                 block
                 for fn in kernels
                 for block in (contract(fn, alpha, sin_beta), contract(fn, alpha_c, sin_beta_c))
             ]
-            G[:, : 4 * d] += test[ring.nodes].reshape(nphi * 3, 2 * d).T @ np.hstack(vals)
+            G[:, : 4 * d] += test[ring.nodes].reshape(-1, 2 * d).T @ np.hstack(vals)
         entries = np.linalg.solve(tangent_mass_stack(grid, L), G)
         entries.flags.writeable = False
         G.flags.writeable = False

@@ -8,6 +8,10 @@ colatitude angle times a uniform azimuth rule converges spectrally on
 analytic star-shaped surfaces.  The same rule handles the |x-y|^(j-1)
 correction kernels (smooth after the sin factor) and, with the pole placed
 under an off-surface point, nearly singular evaluations.
+
+`rings` walks the grid one colatitude ring at a time.  On a surface of
+revolution about z the ring's targets see one patch turned about z, so its
+geometry is evaluated once per ring; elsewhere it is evaluated per target.
 """
 
 from __future__ import annotations
@@ -50,17 +54,22 @@ class PolarPatch:
 
 
 class Ring:
-    """Rotated-patch geometry shared by the n_phi targets of one grid ring.
+    """Rotated-patch geometry of the n_phi targets of one grid ring.
 
-    Arrays over (n_phi, Q) source points: frame (frame_at keys), wjac
-    (weights x jacobian), rvec = target - source and r = |rvec|.  theta, phi
-    (Q,) are the reference patch angles, nodes the ring's slice of the grid
-    and phase (n_phi, nc) the azimuthal factors exp(i m phi_target).
+    Arrays over (n_t, Q) source points: frame (frame_at keys), wjac
+    (weights x jacobian), rvec = target - source and r = |rvec|; normal
+    (n_t, 3) is the target normal.  n_t = n_phi in general; on a surface of
+    revolution n_t = 1, the first target's patch, which target i sees turned
+    by rotation[i].  theta, phi (Q,) are the reference patch angles, nodes
+    the ring's slice of the grid, phase (n_phi, nc) the azimuthal factors
+    exp(i m phi_target) and rotation (n_phi, 3, 3) each target's turn about
+    z from the first target (the identity when n_t = n_phi).
     """
 
-    def __init__(self, theta, phi, nodes, frame, wjac, rvec, r, phase):
+    def __init__(self, theta, phi, nodes, frame, wjac, rvec, r, normal, phase, rotation):
         self.theta, self.phi, self.nodes = theta, phi, nodes
-        self.frame, self.wjac, self.rvec, self.r, self.phase = frame, wjac, rvec, r, phase
+        self.frame, self.wjac, self.rvec, self.r = frame, wjac, rvec, r
+        self.normal, self.phase, self.rotation = normal, phase, rotation
 
 
 def rings(grid: SurfaceGrid, L: int, n_polar=None):
@@ -71,20 +80,41 @@ def rings(grid: SurfaceGrid, L: int, n_polar=None):
     basis matrix at the ring's reference patch is therefore shared by all
     n_phi targets of the ring: a ring's Galerkin rows are
     (kernel x wjac) @ Y(theta, phi) times phase.
+
+    On a surface of revolution about z (`grid.axisymmetric`) the rotation
+    also carries the surface, so every target's patch is the first one's,
+    turned: the geometry is evaluated for that target only (n_t = 1).
+    Kernels invariant under the turn (the scalar layers) give every
+    target's rows as the first target's times phase; kernels equivariant
+    under it (vector valued) give them as rotation @ rows times phase.
+    What stays per target is the phase and the rotation.
     """
     patch = PolarPatch(grid, n_polar)
     nphi = grid.n_phi
     _, mslots = sh_degrees(L)
+    # every ring has the same azimuths, so the same turns
+    turn = grid.phis[:nphi] - grid.phis[0]
+    if grid.axisymmetric:
+        n_t = 1
+        c, s = np.cos(turn), np.sin(turn)
+        rotation = np.zeros((nphi, 3, 3))
+        rotation[:, 0, 0] = rotation[:, 1, 1] = c
+        rotation[:, 0, 1], rotation[:, 1, 0] = -s, s
+        rotation[:, 2, 2] = 1.0
+    else:
+        n_t = nphi
+        rotation = np.broadcast_to(np.eye(3), (nphi, 3, 3))
     for t in range(grid.n_theta):
         nodes = slice(t * nphi, (t + 1) * nphi)
         th0, ph0 = patch.angles(grid.thetas[nodes.start], 0.0)
         phis = grid.phis[nodes]
         # the ring's points share the Q colatitudes th0: one Legendre pass
-        frame = grid.frame_at(th0, ph0[None, :] + phis[:, None])
-        rvec = grid.positions[nodes][:, None, :] - frame["position"]
+        frame = grid.frame_at(th0, ph0[None, :] + phis[:n_t, None])
+        rvec = grid.positions[nodes][:n_t, None, :] - frame["position"]
         yield Ring(
             th0, ph0, nodes, frame, patch.weights[None, :] * frame["jacobian"],
-            rvec, np.linalg.norm(rvec, axis=-1), np.exp(1j * np.outer(phis, mslots)),
+            rvec, np.linalg.norm(rvec, axis=-1), grid.normals[nodes][:n_t],
+            np.exp(1j * np.outer(phis, mslots)), rotation,
         )
 
 
@@ -108,15 +138,16 @@ def assemble_scalar_values(grid: SurfaceGrid, L: int, k=None):
             inv4pir3 = 1.0 / (4.0 * np.pi * r**3)
             kernels = (
                 -1.0 / (4.0 * np.pi * r),
-                np.einsum("tj,tqj->tq", grid.normals[ring.nodes], ring.rvec) * inv4pir3,
+                np.einsum("tj,tqj->tq", ring.normal, ring.rvec) * inv4pir3,
                 -np.einsum("tqj,tqj->tq", ring.frame["normal"], ring.rvec) * inv4pir3,
             )
         else:
             kernels = (-np.exp(1j * k * r) / (4.0 * np.pi * r),)
-        nphi, q = r.shape
+        n_t, q = r.shape
         stacked = np.stack([ker * ring.wjac for ker in kernels], axis=1)
-        rows = stacked.reshape(len(kinds) * nphi, q).astype(complex)
-        rows = (rows @ ynm_matrix(ring.theta, ring.phi, L)).reshape(nphi, len(kinds), nc)
+        rows = stacked.reshape(len(kinds) * n_t, q).astype(complex)
+        rows = (rows @ ynm_matrix(ring.theta, ring.phi, L)).reshape(n_t, len(kinds), nc)
+        # the kernels are invariant under the ring's turns: n_t rows serve n_phi targets
         for i, kind in enumerate(kinds):
             out[kind][ring.nodes] = rows[:, i] * ring.phase
     return out

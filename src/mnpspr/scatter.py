@@ -145,7 +145,7 @@ def assemble_system(grid: SurfaceGrid, materials: MaterialConfig, order: int) ->
             A[2 * d :, 2 * d :] += dia2
         A[: 2 * d, 2 * d :] = off
         A[2 * d :, : 2 * d] = off
-    if np.any(grid.radius_coeffs.coeffs[1:] != 0):
+    if not grid.spherical:
         # a property of the grid, reported once however many points a sweep takes
         grid.cached(
             ("cross_coupling_warned",),

@@ -175,7 +175,8 @@ class SurfaceGrid:
     Attributes (all per node, nodes ordered theta-major):
       positions (N,3), normals (N,3), area_weights (N,), param_weights (N,),
       jacobian (N,), and tangent_frame, the four (N,3) fields of
-      `tangent_frame` at the nodes.
+      `tangent_frame` at the nodes.  axisymmetric and spherical are the
+      surface's symmetries, read off its radius coefficients.
     """
 
     def __init__(self, radius_coeffs: ShCoeffs, L_quad: int):
@@ -185,6 +186,12 @@ class SurfaceGrid:
             )
         self.radius_coeffs = radius_coeffs.copy()
         self.L_geo = radius_coeffs.L
+        # symmetries read off the coefficients: a surface of revolution about z
+        # has no m != 0 term (its rings share one patch geometry, see
+        # quadrature.rings), a sphere no n > 0 term
+        c = self.radius_coeffs.coeffs
+        self.axisymmetric = not np.any(c[sh_degrees(self.L_geo)[1] != 0])
+        self.spherical = not np.any(c[1:])
         self.L_quad = int(L_quad)
         self.n_theta = 2 * self.L_quad + 2
         self.n_phi = 2 * self.L_quad + 2

@@ -1,10 +1,52 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mnpspr.potentials import scalar_operators
 from mnpspr.spectral import mnp_spectra, np_spectrum
 from mnpspr.sphharm import fibonacci_shell  # noqa: F401  (shared by the test modules)
-from mnpspr.surface import perturbed_sphere, sphere_surface
+from mnpspr.surface import build_surface, perturbed_sphere, radius_from_json, sphere_surface
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="session")
+def workload_config():
+    """Seed-0 CLI config of a benchmark workload, read from perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return lambda name: module.make_config(name, 0)
+
+
+@pytest.fixture(scope="session")
+def workload_grid(workload_config):
+    """Builds the surface grid of a workload's seed-0 config; returns (grid, L)."""
+
+    def build(name):
+        cfg = workload_config(name)
+        return build_surface(radius_from_json(cfg["surface"]), cfg["surface"]["L_quad"]), cfg["L"]
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def per_target():
+    """Calls a grid builder and clears the built grid's surface-of-revolution flag.
+
+    Its rings then evaluate one patch per target, the geometry of a general
+    surface, instead of one shared patch turned about z.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+
+        def build(make, *args):
+            grid = make(*args)
+            mp.setattr(grid, "axisymmetric", False)
+            return grid
+
+        yield build
 
 
 @pytest.fixture(scope="session")
@@ -18,8 +60,20 @@ def sphere16_ops(sphere16):
 
 
 @pytest.fixture(scope="session")
+def sphere16_geometries(sphere16, per_target):
+    """The unit sphere at L_quad = 16 on the shared and on the per-target ring geometry."""
+    return {"shared": sphere16, "per-target": per_target(sphere_surface, 1.0, 16)}
+
+
+@pytest.fixture(scope="session")
 def sphere10():
     return sphere_surface(1.0, 10)
+
+
+@pytest.fixture(scope="session")
+def sphere10_geometries(sphere10, per_target):
+    """The unit sphere at L_quad = 10 on the shared and on the per-target ring geometry."""
+    return {"shared": sphere10, "per-target": per_target(sphere_surface, 1.0, 10)}
 
 
 @pytest.fixture(scope="session")

@@ -421,3 +421,14 @@ def test_decay_point_in_tube_exits_two(tmp_path):
     code, out = run_cli(tmp_path, cfg)
     assert code == 2
     assert json.loads((out / "error.json").read_text())["error"]["type"] == "NearBoundaryError"
+
+
+def test_guard_message_names_l_quad(tmp_path):
+    # rho = 1 + 0.2 Re Y_2^2: the S Hermiticity guard fails at L = L_quad = 10
+    radius = [[0, 0, float(np.sqrt(4.0 * np.pi)), 0.0], [2, 2, 0.1, 0.0], [2, -2, 0.1, 0.0]]
+    cfg = {"command": "spectrum", "surface": {"radius": radius, "L_quad": 10}, "L": 10}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 2
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error["type"] == "AssemblyAccuracyError"
+    assert "L_quad" in error["message"]

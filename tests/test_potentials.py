@@ -1,4 +1,5 @@
 import gc
+import logging
 import weakref
 
 import numpy as np
@@ -59,14 +60,34 @@ class TestOperatorLifetime:
 
         g = sphere_surface(1.0, 4)
         S = scalar_operators(g, 4)["S"]
+        meta = dict(S.meta)
         quotient_gram_matrix(S, g)
-        assert S.meta == {}
+        assert S.meta == meta
         cache = _gram_cache(S, g)
         assert _gram_cache(S, g) is cache
         ref = weakref.ref(cache["Ghat"])
         del g, S, cache
         gc.collect()
         assert ref() is None
+
+
+class TestInvariantGuard:
+    KEYS = ("S_hermiticity", "negS_min_eig", "K_duality")
+
+    def test_residuals_logged_and_kept(self, caplog):
+        grid = sphere_surface(1.0, 4)
+        with caplog.at_level(logging.DEBUG, logger="mnpspr.potentials"):
+            ops = scalar_operators(grid, 4)
+        meta = ops["S"].meta
+        assert set(meta) == set(self.KEYS)
+        assert ops["K"].meta == ops["Kstar"].meta == meta
+        assert meta["S_hermiticity"] < 1e-12 and meta["K_duality"] < 1e-12
+        GS = ops["S"].pairing
+        assert meta["negS_min_eig"] == np.linalg.eigvalsh(-0.5 * (GS + GS.conj().T))[0] > 0
+        [record] = [r for r in caplog.records if r.name == "mnpspr.potentials"]
+        assert record.levelno == logging.DEBUG
+        for key in self.KEYS:
+            assert f"{key} {meta[key]:.2e}" in record.getMessage()
 
 
 class TestScalarAssembly:
@@ -76,27 +97,33 @@ class TestScalarAssembly:
         assert abs(out.coeffs[0] + 1.0) < 1e-8
         assert np.max(np.abs(out.coeffs[1:])) < 1e-8
 
-    def test_adjoint_double_layer_against_funk_hecke(self, sphere10_ops):
+    # The sphere oracles run on both ring geometries: the sphere's own shared
+    # patch and, with the grid's symmetry flag cleared, one patch per target.
+
+    def test_adjoint_double_layer_against_funk_hecke(self, sphere10_geometries):
         # independent oracle: the kernel on the unit sphere depends only on
         # xhat.yhat; its action on Y_1^0 follows from a 1D quadrature
         lam = funk_hecke_eigenvalue(lambda t: 1.0 / (8.0 * np.pi * np.sqrt(2.0 - 2.0 * t)), 1)
-        out = sphere10_ops["Kstar"].apply(ShCoeffs.unit(1, 0, L=10))
-        assert abs(out.coeffs[sh_index(1, 0)] - lam) < 1e-6
         assert abs(lam - 1.0 / 6.0) < 1e-10
+        for geometry, grid in sphere10_geometries.items():
+            out = scalar_operators(grid, 10)["Kstar"].apply(ShCoeffs.unit(1, 0, L=10))
+            assert abs(out.coeffs[sh_index(1, 0)] - lam) < 1e-6, geometry
 
-    def test_single_layer_against_funk_hecke(self, sphere10_ops):
+    def test_single_layer_against_funk_hecke(self, sphere10_geometries):
         lam = funk_hecke_eigenvalue(lambda t: -1.0 / (4.0 * np.pi * np.sqrt(2.0 - 2.0 * t)), 3)
-        out = sphere10_ops["S"].apply(ShCoeffs.unit(3, 2, L=10))
-        assert abs(out.coeffs[sh_index(3, 2)] - lam) < 1e-8
+        for geometry, grid in sphere10_geometries.items():
+            out = scalar_operators(grid, 10)["S"].apply(ShCoeffs.unit(3, 2, L=10))
+            assert abs(out.coeffs[sh_index(3, 2)] - lam) < 1e-8, geometry
 
-    def test_sphere_diagonals(self, sphere16_ops):
+    def test_sphere_diagonals(self, sphere16_geometries):
         n = np.concatenate([np.full(2 * k + 1, k) for k in range(17)])
-        S = sphere16_ops["S"].entries
-        Ks = sphere16_ops["Kstar"].entries
-        assert np.max(np.abs(np.diag(S) + 1.0 / (2 * n + 1))) < 1e-6
-        assert np.max(np.abs(np.diag(Ks) - 1.0 / (2 * (2 * n + 1)))) < 1e-6
-        offdiag = Ks - np.diag(np.diag(Ks))
-        assert np.max(np.abs(offdiag)) < 1e-10
+        for geometry, grid in sphere16_geometries.items():
+            ops = scalar_operators(grid, 16)
+            S, Ks = ops["S"].entries, ops["Kstar"].entries
+            assert np.max(np.abs(np.diag(S) + 1.0 / (2 * n + 1))) < 1e-6, geometry
+            assert np.max(np.abs(np.diag(Ks) - 1.0 / (2 * (2 * n + 1)))) < 1e-6, geometry
+            offdiag = Ks - np.diag(np.diag(Ks))
+            assert np.max(np.abs(offdiag)) < 1e-10, geometry
 
     def test_pairing_invariants(self, pert12_ops):
         GS = pert12_ops["S"].pairing
@@ -117,16 +144,17 @@ class TestScalarAssembly:
         with pytest.raises(KindError):
             assemble_scalar("T", sphere10, 8)
 
-    def test_helmholtz_single_layer(self, sphere10):
+    def test_helmholtz_single_layer(self, sphere10_geometries):
         # S^k on the unit sphere: eigenvalue -i k j_n(k) h_n(k)
         from mnpspr.specfun import spherical_h1
         from scipy.special import spherical_jn
 
         k = 1.3
-        Sk = assemble_scalar("Sk", sphere10, 8, k=k)
         n = np.concatenate([np.full(2 * j + 1, j) for j in range(9)])
         expect = -1j * k * spherical_jn(n, k) * spherical_h1(n, k)
-        assert np.max(np.abs(np.diag(Sk.entries) - expect)) < 1e-8
+        for geometry, grid in sphere10_geometries.items():
+            Sk = assemble_scalar("Sk", grid, 8, k=k)
+            assert np.max(np.abs(np.diag(Sk.entries) - expect)) < 1e-8, geometry
 
 
 class TestSubspaceActions:
@@ -329,11 +357,12 @@ class TestCorrections:
         assert np.max(np.abs(L1.entries)) == 0.0
         assert np.max(np.abs(L2.entries)) == 0.0
 
-    def test_l2_against_sphere_integrals(self, sphere10):
+    def test_l2_against_sphere_integrals(self, sphere10_geometries):
         # oracle: L2 pairs test field t_i with nu_x x c_j, c_j = (2/3) int phi_j ds.
         # int vcurl Y ds = 0 on a closed surface; on the unit sphere
         # int grad_S Y ds = 2 int Y rhat ds, zero unless Y has degree 1, and a
         # degree-1 Y(xhat) = a . xhat with a_c = Y(e_c) gives (4 pi / 3) a
+        sphere10 = sphere10_geometries["shared"]
         L = sphere10.L_quad
         nc = num_coeffs(L)
         d = nc - 1
@@ -345,8 +374,9 @@ class TestCorrections:
         ).conj() * sphere10.area_weights[:, None, None]
         nu_c = np.cross(sphere10.normals[:, :, None], c[None], axisa=1, axisb=1, axisc=1)
         exact = np.einsum("nic,ncj->ij", test, nu_c)
-        got = correction_unit_matrices(sphere10, L)["L2"].pairing
-        assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact)
+        for geometry, grid in sphere10_geometries.items():
+            got = correction_unit_matrices(grid, L)["L2"].pairing
+            assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact), geometry
 
     def test_l2_is_rank_three_off_the_sphere(self):
         grid = perturbed_sphere(0.2, 2, 0, 12)
@@ -357,21 +387,20 @@ class TestCorrections:
         d = num_coeffs(12) - 1
         assert np.linalg.norm(P[:, d:]) <= 1e-12 * np.linalg.norm(P)
 
-    def test_mk2_against_independent_quadrature(self, sphere10):
+    def test_mk2_against_independent_quadrature(self, sphere10_geometries):
         # oracle: direct fine polar quadrature of the curl-of-(distance *
-        # density) kernel on the unit sphere, built without the assembly code
+        # density) kernel on the unit sphere, built without the assembly code.
+        # The node is off its ring's first target, so the shared geometry
+        # reaches it through a turn about z.
+        sphere10 = sphere10_geometries["shared"]
         mats = MaterialConfig.negative_preset(0.5, omega=1.0)
         k = 1.0
-        Mk2 = assemble_correction("Mk2", sphere10, mats, 6, "e")
         mode = SphereMode(2, 1, 0, 1.0)
         dens = mode_tangent_field(mode, 6)
         d = num_coeffs(6) - 1
         stacked = np.concatenate([dens.X.coeffs[1:], dens.V.coeffs[1:]])
-        out = Mk2.entries @ stacked
-        outf = TangentField.from_potentials(
-            X=_lift(out[:d], 6), V=_lift(out[d:], 6), flavor="div")
         i_node = 37
-        got = sphere10.tangent_values(outf)[i_node]
+        assert i_node % sphere10.n_phi != 0
 
         th, ph, w = polar_patch_rule(64, 128)
         from mnpspr.sphharm import rotation_to, cartesian_to_angles
@@ -389,7 +418,12 @@ class TestCorrections:
             u * (phi_vals @ nu)[:, None] - phi_vals * (u @ nu)[:, None]
         )
         ref = np.sum(w[:, None] * integrand, axis=0)
-        assert np.max(np.abs(got - ref)) < 1e-6 * np.max(np.abs(ref))
+        for geometry, grid in sphere10_geometries.items():
+            out = assemble_correction("Mk2", grid, mats, 6, "e").entries @ stacked
+            outf = TangentField.from_potentials(
+                X=_lift(out[:d], 6), V=_lift(out[d:], 6), flavor="div")
+            got = grid.tangent_values(outf)[i_node]
+            assert np.max(np.abs(got - ref)) < 1e-6 * np.max(np.abs(ref)), geometry
 
     def test_l1_by_parts_matches_divergence_form(self, sphere10):
         # the assembled kernel uses surface integration by parts; compare
@@ -497,3 +531,30 @@ class TestNearFrames:
         pts = np.array([[0.0, 0.0, 1.05], [0.6, 0.0, 0.9]])
         offboundary_eval(dens, 1.0, pts, "curlS_vec", sphere10, quad="near", n_polar=40)
         assert len(calls) == len(pts)
+
+
+class TestRingGeometries:
+    """A surface of revolution's shared ring patch against one patch per target."""
+
+    @pytest.fixture(scope="class", params=["pert12", "decay-axisym"])
+    def grids(self, request, pert12, workload_grid, per_target):
+        """(shared-geometry grid, per-target grid of the same surface, L)."""
+        if request.param == "pert12":
+            return pert12, per_target(perturbed_sphere, 0.05, 2, 0, 12), 12
+        grid, L = workload_grid(request.param)
+        return grid, per_target(lambda: workload_grid(request.param)[0]), L
+
+    @staticmethod
+    def operators(grid, L):
+        ops = dict(scalar_operators(grid, L), Sk=assemble_scalar("Sk", grid, L, k=1.3))
+        ops.update(correction_unit_matrices(grid, L))
+        return ops
+
+    def test_operators_agree(self, grids):
+        shared, per, L = grids
+        assert shared.axisymmetric and not per.axisymmetric
+        a, b = self.operators(shared, L), self.operators(per, L)
+        for kind in ("S", "K", "Kstar", "Sk", "Mk2", "L1", "L2"):
+            # largest entry difference, relative to the largest entry
+            diff = np.max(np.abs(a[kind].pairing - b[kind].pairing))
+            assert diff <= 1e-13 * np.max(np.abs(b[kind].pairing)), kind

@@ -1,6 +1,3 @@
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -27,22 +24,9 @@ from mnpspr.sphharm import sh_index
 from mnpspr.surface import (
     ShCoeffs,
     TangentField,
-    build_surface,
-    radius_from_json,
     random_band_limited,
     sphere_surface,
 )
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def workload_config(name):
-    """Seed-0 CLI config of a benchmark workload, read from perfbench/workloads.py."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.make_config(name, 0)
-
 
 def sphere_exact_np_eigs(L):
     n = np.concatenate([np.full(2 * k + 1, k) for k in range(L + 1)])
@@ -288,10 +272,9 @@ class TestCholeskyEigensolve:
     """The Cholesky-reduced numpy eigensolve against scipy.linalg.eigh on the benchmark operators."""
 
     @pytest.fixture(scope="class", params=["decay-axisym", "spectrum-general"])
-    def workload(self, request):
-        cfg = workload_config(request.param)
-        grid = build_surface(radius_from_json(cfg["surface"]), cfg["surface"]["L_quad"])
-        return grid, scalar_operators(grid, cfg["L"])
+    def workload(self, request, workload_grid):
+        grid, L = workload_grid(request.param)
+        return grid, scalar_operators(grid, L)
 
     @staticmethod
     def pencil(ops):

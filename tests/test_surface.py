@@ -362,3 +362,48 @@ class TestRingSharedLegendre:
         assert n_rings == grid.n_theta
         assert len(sizes) >= n_rings
         assert max(sizes) <= q < grid.n_phi * q
+
+    @pytest.mark.parametrize("n, m", [(2, 0), (3, 1)])
+    def test_one_patch_per_ring_on_a_surface_of_revolution(self, monkeypatch, n, m):
+        """A surface of revolution evaluates one patch per ring, any other surface n_phi."""
+        from mnpspr.quadrature import PolarPatch, rings
+
+        grid = perturbed_sphere(0.2, n, m, L_quad=6)
+        assert grid.axisymmetric == (m == 0)
+        q = PolarPatch(grid).weights.size
+        n_t = 1 if m == 0 else grid.n_phi
+        points = []
+        frame_at = grid.frame_at
+
+        def counting(theta, phi):
+            points.append(np.size(phi))
+            return frame_at(theta, phi)
+
+        monkeypatch.setattr(grid, "frame_at", counting)
+        for ring in rings(grid, 6):
+            assert ring.r.shape == ring.wjac.shape == (n_t, q)
+            assert ring.normal.shape == (n_t, 3)
+            assert ring.rotation.shape == (grid.n_phi, 3, 3)
+            if n_t == 1:
+                # the turn of target i carries the first target's node onto node i
+                first = grid.positions[ring.nodes.start]
+                assert np.allclose(ring.rotation @ first, grid.positions[ring.nodes], atol=1e-14)
+            else:
+                assert np.array_equal(ring.rotation, np.broadcast_to(np.eye(3), ring.rotation.shape))
+        assert points == [n_t * q] * grid.n_theta
+
+
+class TestSymmetryFlags:
+    @pytest.mark.parametrize(
+        "make, axisymmetric, spherical",
+        [
+            (lambda: sphere_surface(1.3, 4), True, True),
+            (lambda: perturbed_sphere(0.05, 2, 0, 6), True, False),
+            (lambda: perturbed_sphere(0.2, 2, 2, 6), False, False),
+            (lambda: perturbed_sphere(0.2, 3, 1, 6), False, False),
+        ],
+    )
+    def test_flags_read_off_the_coefficients(self, make, axisymmetric, spherical):
+        grid = make()
+        assert grid.axisymmetric is axisymmetric
+        assert grid.spherical is spherical
