@@ -16,8 +16,10 @@ surface assemble_system also logs a warning, once per grid.
 The system is affine in its material parameters.  Offline, once per grid
 and degree, the grid memo keeps M and the correction kernels L1, L2 and
 Mk2 at unit scale.  Online, each (tau, delta) point scales and adds those
-matrices, factors the result once, and takes both the solve and the
-1-norm condition estimate from that LU.
+matrices.  The two traces enter alike, so the system is [[P, Q], [Q, P]],
+which the even/odd trace combinations split into P + Q and P - Q; one numpy
+solve per half gives its solution and inverse, and the two half inverses the
+exact 1-norm condition number.
 """
 
 from __future__ import annotations
@@ -57,20 +59,16 @@ class RHSVector:
     second: TangentField
 
     def stacked(self, L):
-        d = num_coeffs(L) - 1
-        out = np.zeros(4 * d, dtype=complex)
-        out[0 * d : 1 * d] = self.first.X.padded(L)[1:]
-        out[1 * d : 2 * d] = self.first.V.padded(L)[1:]
-        out[2 * d : 3 * d] = self.second.X.padded(L)[1:]
-        out[3 * d : 4 * d] = self.second.V.padded(L)[1:]
-        return out
+        parts = (self.first.X, self.first.V, self.second.X, self.second.V)
+        return np.concatenate([c.padded(L)[1:] for c in parts])
 
 
 @dataclass
 class BlockSystem:
-    """Dense matrix of the scaled boundary system on stacked potentials."""
+    """Scaled boundary system [[P, Q], [Q, P]] on stacked potentials; P is `same`, Q `cross`."""
 
-    matrix: np.ndarray
+    same: np.ndarray
+    cross: np.ndarray
     order: int
     delta: float
     tau: float
@@ -81,8 +79,13 @@ class BlockSystem:
     meta: dict = field(default_factory=dict)
 
     @property
+    def matrix(self):
+        """The full matrix, for tests and inspection; the solver never forms it."""
+        return np.block([[self.same, self.cross], [self.cross, self.same]])
+
+    @property
     def dim(self):
-        return self.matrix.shape[0]
+        return 2 * self.same.shape[0]
 
 
 def resonance_shift(tau):
@@ -125,26 +128,19 @@ def assemble_system(grid: SurfaceGrid, materials: MaterialConfig, order: int) ->
         raise ValueError("tau = 1 makes the scaled system degenerate")
     L = grid.L_quad
     delta = materials.delta
-    d = num_coeffs(L) - 1
     M = static_magnetic_block(grid, L)
-    diag = resonance_shift(tau) * np.eye(2 * d) - M
-    A = np.zeros((4 * d, 4 * d), dtype=complex)
-    A[: 2 * d, : 2 * d] = diag
-    A[2 * d :, 2 * d :] = diag
+    same = resonance_shift(tau) * np.eye(len(M)) - M
+    cross = np.zeros_like(same)
     if order >= 1:
         denom = materials.mu_e - materials.mu_c  # equals eps_e - eps_c here
         L1 = assemble_correction("L1", grid, materials, L).entries
-        off = (delta / denom) * L1
+        cross = (delta / denom) * L1
         if order >= 2:
             L2 = assemble_correction("L2", grid, materials, L).entries
-            off = off + (delta**2 / denom) * L2
+            cross = cross + (delta**2 / denom) * L2
             M2e = assemble_correction("Mk2", grid, materials, L, "e").entries
             M2c = assemble_correction("Mk2", grid, materials, L, "c").entries
-            dia2 = (delta**2 / denom) * (materials.mu_c * M2c - materials.mu_e * M2e)
-            A[: 2 * d, : 2 * d] += dia2
-            A[2 * d :, 2 * d :] += dia2
-        A[: 2 * d, 2 * d :] = off
-        A[2 * d :, : 2 * d] = off
+            same = same + (delta**2 / denom) * (materials.mu_c * M2c - materials.mu_e * M2e)
     if not grid.spherical:
         # a property of the grid, reported once however many points a sweep takes
         grid.cached(
@@ -156,7 +152,7 @@ def assemble_system(grid: SurfaceGrid, materials: MaterialConfig, order: int) ->
             or True,
         )
     return BlockSystem(
-        A, order, delta, tau, materials.omega, L, grid_signature(grid), materials,
+        same, cross, order, delta, tau, materials.omega, L, grid_signature(grid), materials,
         {"cross_coupling": "dropped"},
     )
 
@@ -190,36 +186,37 @@ def dipole_incident_trace(source, p, materials: MaterialConfig, grid: SurfaceGri
 
 
 def _unstack(vec, L):
-    d = num_coeffs(L) - 1
-    def lift(a):
-        c = np.zeros(num_coeffs(L), dtype=complex)
-        c[1:] = a
-        return ShCoeffs(L, c, True)
-    first = TangentField(lift(vec[:d]), lift(vec[d : 2 * d]), "div")
-    second = TangentField(lift(vec[2 * d : 3 * d]), lift(vec[3 * d :]), "div")
-    return first, second
+    X1, V1, X2, V2 = (ShCoeffs(L, np.concatenate([[0], a]), True) for a in np.split(vec, 4))
+    return TangentField(X1, V1, "div"), TangentField(X2, V2, "div")
 
 
 def solve_scatter(system: BlockSystem, rhs: RHSVector):
     """Solve the scaled system; returns (psi, omega*phi) densities and cond.
 
-    The matrix is factored once (LAPACK getrf); the solve (getrs) and cond,
-    the 1-norm condition estimate 1/gecon, both come from that LU.  A
-    singular matrix raises a resonance error carrying the spectral shift.
+    With X = (P + Q)^{-1} and Y = (P - Q)^{-1} the inverse of [[P, Q], [Q, P]]
+    is 1/2 [[X + Y, X - Y], [X - Y, X + Y]].  One numpy solve per sign gives a
+    half solution and a half inverse; cond is the exact 1-norm condition
+    number ||A||_1 ||A^{-1}||_1.  A singular half raises a resonance error
+    carrying the spectral shift.
     """
-    from scipy.linalg import lapack  # numpy has no condition estimate from an LU
-
-    A = np.asarray(system.matrix, dtype=complex)
-    lu, piv, info = lapack.zgetrf(A)
-    if info > 0:
+    P, Q = system.same, system.cross
+    b1, b2 = np.split(rhs.stacked(system.L), 2)
+    eye = np.eye(len(P))
+    try:
+        # column 0: the half solution; the rest: the half inverse
+        (u, X), (w, Y) = [
+            np.split(np.linalg.solve(P + sign * Q, np.column_stack([b1 + sign * b2, eye])), [1], 1)
+            for sign in (1, -1)
+        ]
+    except np.linalg.LinAlgError:
         raise ResonanceError(
             "scaled system singular at an exact resonance",
             eigenvalue=resonance_shift(system.tau),
-        )
-    rcond, _ = lapack.zgecon(lu, np.linalg.norm(A, 1), norm="1")
-    sol, _ = lapack.zgetrs(lu, piv, rhs.stacked(system.L))
-    psi, omega_phi = _unstack(sol, system.L)
-    return (psi, omega_phi), float(np.inf if rcond == 0 else 1.0 / rcond)
+        ) from None
+    sol = 0.5 * np.concatenate([u + w, u - w]).ravel()
+    norm_A = np.max(np.abs(P).sum(axis=0) + np.abs(Q).sum(axis=0))
+    norm_inv = 0.5 * np.max(np.abs(X + Y).sum(axis=0) + np.abs(X - Y).sum(axis=0))
+    return _unstack(sol, system.L), float(norm_A * norm_inv)
 
 
 def pair_norm(a: TangentField, b: TangentField, grid: SurfaceGrid):
@@ -248,7 +245,9 @@ def weak_resonance_indicator(system: BlockSystem, mode, grid: SurfaceGrid):
         "div",
     )
     scale = pair_norm(v, scaled, grid)
-    out = system.matrix @ (RHSVector(v, scaled).stacked(system.L) / scale)
+    v1, v2 = np.split(RHSVector(v, scaled).stacked(system.L) / scale, 2)
+    P, Q = system.same, system.cross
+    out = np.concatenate([P @ v1 + Q @ v2, Q @ v1 + P @ v2])
     first, second = _unstack(out, system.L)
     return pair_norm(first, second, grid)
 

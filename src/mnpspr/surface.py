@@ -379,7 +379,8 @@ class SurfaceGrid:
         def build():
             gb = self.grad_basis()
             wgb = self.area_weights[:, None, None] * gb
-            return np.einsum("pic,pjc->ij", np.conj(wgb), gb)
+            # one (NC x 3N) @ (3N x NC) product, summing over nodes and components
+            return np.tensordot(np.conj(wgb), gb, axes=([0, 2], [0, 2]))
 
         return self.cached("stiffness", build)
 
@@ -422,11 +423,11 @@ class SurfaceGrid:
         """
         L = self.L_quad if L is None else L
         K = self.stiffness_matrix()
-        nc_full = num_coeffs(self.L_quad)
-        X = np.zeros(nc_full, dtype=complex)
-        V = np.zeros(nc_full, dtype=complex)
-        X[1:] = np.linalg.solve(K[1:, 1:], self._pairing(self.grad_basis(), field_nodes)[1:])
-        V[1:] = np.linalg.solve(K[1:, 1:], self._pairing(self.curl_basis(), field_nodes)[1:])
+        pairings = np.column_stack(
+            [self._pairing(basis, field_nodes) for basis in (self.grad_basis(), self.curl_basis())]
+        )
+        X, V = np.zeros((2, num_coeffs(self.L_quad)), dtype=complex)
+        X[1:], V[1:] = np.linalg.solve(K[1:, 1:], pairings[1:]).T
         nc = num_coeffs(L)
         return TangentField(
             ShCoeffs(L, X[:nc], mean_free=True),

@@ -1,8 +1,9 @@
 """Offline/online split of the scaled scattering system.
 
 The correction kernels are projected once per grid at unit scale; every
-material scales them.  The solve takes its condition estimate from the
-same LU factorization.
+material scales them.  The solve splits the system [[P, Q], [Q, P]] into the
+half-size blocks P + Q and P - Q and takes the exact 1-norm condition number
+from their inverses.
 """
 
 import logging
@@ -25,7 +26,7 @@ from mnpspr.scatter import (
     solve_scatter,
     static_magnetic_block,
 )
-from mnpspr.surface import sphere_surface
+from mnpspr.surface import perturbed_sphere, sphere_surface
 
 SRC = np.array([0.0, 0.0, 6.0])
 DIP = np.array([1.0, 0.5, 0.0])
@@ -86,36 +87,54 @@ class TestLUSolve:
     def test_exactly_singular_matrix_raises(self, sphere10):
         mats = MaterialConfig.negative_preset(0.5, 1.0, 0.05)
         system = assemble_system(sphere10, mats, 0)
-        A = system.matrix.copy()
-        A[:, 3] = 0.0
-        singular = BlockSystem(A, 0, 0.05, 0.5, 1.0, system.L, system.grid_id, mats)
+        P, Q = system.same.copy(), system.cross.copy()
+        P[:, 3] = Q[:, 3] = 0.0
+        singular = BlockSystem(P, Q, 0, 0.05, 0.5, 1.0, system.L, system.grid_id, mats)
         rhs = dipole_incident_trace(SRC, DIP, mats, sphere10)
         with pytest.raises(ResonanceError) as err:
             solve_scatter(singular, rhs)
         assert err.value.eigenvalue == resonance_shift(0.5)
 
-    def test_cond_is_the_one_norm_estimate(self, sphere10):
-        for tau in (0.4, 0.8):
-            mats = MaterialConfig.negative_preset(tau, 1.0, 0.05)
-            system = assemble_system(sphere10, mats, 2)
-            rhs = dipole_incident_trace(SRC, DIP, mats, sphere10)
-            sol, cond = solve_scatter(system, rhs)
-            exact = np.linalg.cond(system.matrix, 1)
-            assert exact / 3.0 <= cond <= 3.0 * exact
-            ref = np.linalg.solve(system.matrix, rhs.stacked(system.L))
-            got = np.concatenate(
-                [f.coeffs[1:] for f in (sol[0].X, sol[0].V, sol[1].X, sol[1].V)]
-            )
-            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    @pytest.mark.parametrize("sign", [1, -1], ids=["P+Q", "P-Q"])
+    def test_one_singular_half_raises(self, sphere10, sign):
+        mats = MaterialConfig.negative_preset(0.5, 1.0, 0.05)
+        system = assemble_system(sphere10, mats, 2)
+        P, Q = system.same, system.cross.copy()
+        Q[:, 3] = -sign * P[:, 3]  # zeroes column 3 of P + sign Q only
+        assert np.linalg.cond(P - sign * Q, 1) < 1e8  # the other half stays invertible
+        singular = BlockSystem(P, Q, 2, 0.05, 0.5, 1.0, system.L, system.grid_id, mats)
+        rhs = dipole_incident_trace(SRC, DIP, mats, sphere10)
+        with pytest.raises(ResonanceError) as err:
+            solve_scatter(singular, rhs)
+        assert err.value.eigenvalue == resonance_shift(0.5)
+
+    def test_cond_is_the_one_norm_estimate(self, sphere10, pert12):
+        # the split solve's cond is the exact 1-norm condition number
+        for grid in (sphere10, pert12):
+            for order in (0, 1, 2):
+                for tau in (0.4, 0.8):
+                    mats = MaterialConfig.negative_preset(tau, 1.0, 0.05)
+                    system = assemble_system(grid, mats, order)
+                    rhs = dipole_incident_trace(SRC, DIP, mats, grid)
+                    sol, cond = solve_scatter(system, rhs)
+                    exact = np.linalg.cond(system.matrix, 1)
+                    assert abs(cond - exact) <= 1e-10 * exact
+                    ref = np.linalg.solve(system.matrix, rhs.stacked(system.L))
+                    got = np.concatenate(
+                        [f.coeffs[1:] for f in (sol[0].X, sol[0].V, sol[1].X, sol[1].V)]
+                    )
+                    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestDroppedBlockMark:
-    def test_non_sphere_warns_once(self, pert12, caplog):
-        # the warning belongs to the grid: a second sweep point adds none
+    def test_non_sphere_warns_once(self, caplog):
+        # the warning belongs to the grid: a second sweep point adds none.  The
+        # grid is the test's own, so that no earlier test has spent its warning.
+        grid = perturbed_sphere(0.05, 2, 0, 8)
         with caplog.at_level(logging.WARNING, logger="mnpspr.scatter"):
             for tau in (0.5, 0.8):
                 mats = MaterialConfig.negative_preset(tau, 1.0, 0.05)
-                system = assemble_system(pert12, mats, 0)
+                system = assemble_system(grid, mats, 0)
                 assert system.meta["cross_coupling"] == "dropped"
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1

@@ -1,8 +1,8 @@
 """scipy stays off the import path of the CLI.
 
-scipy is used by `scatter` (LU and condition estimate) and by the sphere
-oracles only, and each of those imports it where it is used.  The commands
-run in fresh processes here, so that sys.modules shows what each one loaded.
+scipy is used by the sphere oracles only, which import it where they use it;
+`spectrum`, `decay` and `scatter` never load it.  The commands run in fresh
+processes here, so that sys.modules shows what each one loaded.
 """
 
 import ast
@@ -17,11 +17,10 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # runs one config; reports the scipy modules loaded at the end, and whether
-# any was loaded when the scattering solve or the sphere oracle was first entered
+# any was loaded when the sphere oracle was first entered
 PROBE = r"""
 import json, sys
 import mnpspr.cli as cli
-import mnpspr.scatter as scatter
 
 def scipy_loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -34,7 +33,6 @@ def watch(owner, name):
         return fn(*args, **kwargs)
     setattr(owner, name, wrapped)
 
-watch(scatter, "solve_scatter")
 watch(cli, "exact_sphere_potential")
 at_import = scipy_loaded()
 code = cli.run(json.loads(sys.argv[1]), sys.argv[2])
@@ -70,16 +68,9 @@ def run_probe(tmp_path, command):
     return report
 
 
-@pytest.mark.parametrize("command", ["spectrum", "decay"])
-def test_spectrum_and_decay_load_no_scipy(tmp_path, command):
+@pytest.mark.parametrize("command", ["spectrum", "decay", "scatter"])
+def test_command_loads_no_scipy(tmp_path, command):
     assert run_probe(tmp_path, command)["loaded"] == []
-
-
-def test_scatter_loads_lapack_at_its_solve(tmp_path):
-    report = run_probe(tmp_path, "scatter")
-    assert report["first_entry"]["solve_scatter"] == []
-    assert "scipy.linalg" in report["loaded"]
-    assert "scipy.special" not in report["loaded"]
 
 
 def test_mie_check_loads_special_at_its_oracle(tmp_path):

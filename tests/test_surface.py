@@ -171,6 +171,18 @@ class TestSurfaceDiff:
         scale = np.max(np.abs(F)) * np.max(np.abs(grad(pert12, u)))
         assert abs(total) < 1e-8 * scale
 
+    def test_stiffness_equals_the_node_sum(self):
+        grid = perturbed_sphere(0.2, 3, 1, 8)
+        wgb = grid.area_weights[:, None, None] * grid.grad_basis()
+        ref = np.einsum("pic,pjc->ij", np.conj(wgb), grid.grad_basis())
+        K = grid.stiffness_matrix()
+        assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_sphere_stiffness_is_diagonal(self, sphere10):
+        n, _ = sh_degrees(sphere10.L_quad)
+        eig = n * (n + 1.0)
+        assert np.max(np.abs(sphere10.stiffness_matrix() - np.diag(eig))) <= 1e-13 * eig[-1]
+
 
 class TestValuesAt:
     """values_at: one stacked array for a density list, at the nodes or at a frame's points."""
