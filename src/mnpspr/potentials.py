@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quadrature import assemble_scalar_values, correction_polar_order, near_singular_eval, rings
-from .sphharm import num_coeffs, ynm_matrix
+from .sphharm import harmonic_moments, num_coeffs
 from .surface import ShCoeffs, SurfaceGrid, TangentField, tangent_frame, tubular_distance
 
 log = logging.getLogger(__name__)
@@ -530,7 +530,9 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
     tangent t it maps the grad basis to the curl basis and the curl basis to
     minus the grad basis.  The rotated polar rule projects the Mk2 and L1
     kernels one ring at a time, so the per-node integral tensors are never
-    held whole.  L2's integral is the same vector (2/3) int phi_j ds at
+    held whole: the four (kernel, frame pair) row sets of a ring go through
+    one `harmonic_moments` call, as A (the pair's theta field) and B (its
+    sin-scaled phi field).  L2's integral is the same vector (2/3) int phi_j ds at
     every target, so its pairing is the rank-3 product
     (2/3) (sum_x t_i x nu_x) . int phi_j ds, with the grid rule.  The arrays
     are read-only: every material shares them.
@@ -551,10 +553,9 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
         phi_int = np.concatenate([np.tensordot(w, grad, axes=1), np.tensordot(w, curl, axes=1)])
         G[:, 4 * d :] = (2.0 / 3.0) * test.sum(axis=0).T @ phi_int.T
         for ring in rings(grid, L, correction_polar_order(L)):
-            _, Yth, Yp = ynm_matrix(ring.theta, ring.phi, L, derivatives=True)
             # grad Y_j and vcurl Y_j weigh the frame's vector pairs by the same derivatives
             alpha, sin_beta, alpha_c, sin_beta_c = tangent_frame(dict(ring.frame, theta=ring.theta))
-            rvec, r, wjac = ring.rvec, ring.r, ring.wjac
+            rvec, r = ring.rvec, ring.r
             n_t, q = r.shape
             uhat = rvec / r[..., None]
             # K phi of the ring-projected kinds, in VECTOR_KINDS order
@@ -565,21 +566,19 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
                     + rvec * (np.einsum("tqj,tqj->tq", rvec, vec) / r**3)[..., None]
                 ),
             )
-
-            def contract(fn, vec_a, vec_b):
-                A = (fn(vec_a) * wjac[..., None]).transpose(0, 2, 1).reshape(n_t * 3, q)
-                B = (fn(vec_b) * wjac[..., None]).transpose(0, 2, 1).reshape(n_t * 3, q)
-                rows = (A @ Yth + B @ Yp).reshape(n_t, 3, nc)
-                # the kernels turn with the ring: target i's rows are rotation_i @ rows
-                rows = (ring.rotation @ rows.view(float)).view(complex) * ring.phase[:, None, :]
-                return rows[:, :, 1:].reshape(-1, d)
-
-            vals = [
-                block
-                for fn in kernels
-                for block in (contract(fn, alpha, sin_beta), contract(fn, alpha_c, sin_beta_c))
-            ]
-            G[:, : 4 * d] += test[ring.nodes].reshape(-1, 2 * d).T @ np.hstack(vals)
+            # (kernel, frame pair) rows in the order of G's column blocks, (4 n_t 3, q) each
+            A, B = (
+                np.stack([
+                    (fn(vec) * ring.wjac[..., None]).transpose(0, 2, 1)
+                    for fn in kernels for vec in vecs
+                ]).reshape(-1, q)
+                for vecs in ((alpha, alpha_c), (sin_beta, sin_beta_c))
+            )
+            rows = harmonic_moments(A, ring.theta, ring.phi, L, B).reshape(4, n_t, 3, nc)
+            # the kernels turn with the ring: target i's rows are rotation_i @ rows
+            rows = (ring.rotation @ rows.view(float)).view(complex) * ring.phase[:, None, :]
+            vals = rows[..., 1:].transpose(1, 2, 0, 3).reshape(-1, 4 * d)
+            G[:, : 4 * d] += test[ring.nodes].reshape(-1, 2 * d).T @ vals
         entries = np.linalg.solve(tangent_mass_stack(grid, L), G)
         entries.flags.writeable = False
         G.flags.writeable = False

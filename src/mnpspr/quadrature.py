@@ -12,6 +12,8 @@ under an off-surface point, nearly singular evaluations.
 `rings` walks the grid one colatitude ring at a time.  On a surface of
 revolution about z the ring's targets see one patch turned about z, so its
 geometry is evaluated once per ring; elsewhere it is evaluated per target.
+A ring's kernel rows are projected onto the harmonics by
+`sphharm.harmonic_moments`, one order m at a time, without a basis matrix.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ import numpy as np
 
 from .sphharm import (
     cartesian_to_angles,
+    harmonic_moments,
     num_coeffs,
     polar_patch_rule,
     rotation_to,
     sh_degrees,
     unit_vectors,
-    ynm_matrix,
 )
 from .surface import SurfaceGrid
 
@@ -76,10 +78,10 @@ def rings(grid: SurfaceGrid, L: int, n_polar=None):
     """Per-ring geometry of the rotated polar rule, one ring at a time.
 
     The grid nodes on one ring differ only by a rotation about the z axis,
-    under which the harmonic basis picks up the phase exp(i m phi).  The
-    basis matrix at the ring's reference patch is therefore shared by all
-    n_phi targets of the ring: a ring's Galerkin rows are
-    (kernel x wjac) @ Y(theta, phi) times phase.
+    under which the harmonic basis picks up the phase exp(i m phi).  All
+    n_phi targets of the ring therefore share the reference patch angles
+    (theta, phi): a ring's Galerkin rows are the harmonic moments
+    `harmonic_moments(kernel x wjac, theta, phi, L)` times phase.
 
     On a surface of revolution about z (`grid.axisymmetric`) the rotation
     also carries the surface, so every target's patch is the first one's,
@@ -145,8 +147,8 @@ def assemble_scalar_values(grid: SurfaceGrid, L: int, k=None):
             kernels = (-np.exp(1j * k * r) / (4.0 * np.pi * r),)
         n_t, q = r.shape
         stacked = np.stack([ker * ring.wjac for ker in kernels], axis=1)
-        rows = stacked.reshape(len(kinds) * n_t, q).astype(complex)
-        rows = (rows @ ynm_matrix(ring.theta, ring.phi, L)).reshape(n_t, len(kinds), nc)
+        rows = harmonic_moments(stacked.reshape(len(kinds) * n_t, q), ring.theta, ring.phi, L)
+        rows = rows.reshape(n_t, len(kinds), nc)
         # the kernels are invariant under the ring's turns: n_t rows serve n_phi targets
         for i, kind in enumerate(kinds):
             out[kind][ring.nodes] = rows[:, i] * ring.phase

@@ -38,16 +38,14 @@ def safe_sin(s):
     return np.where(s < 1e-14, 1e-14, s)
 
 
-def _legendre_blocks(x, s, L, derivatives=False):
-    """Fully normalized associated Legendre Pbar_n^m(x) for 0 <= m <= n <= L.
+def _legendre_orders(x, s, L):
+    """Fully normalized associated Legendre Pbar_n^m(x), one order at a time.
 
-    x = cos(theta), s = sin(theta) >= 0, arrays of shape (P,).
-    Returns per-m blocks: list over m of arrays (P, L+1-m) for n = m..L.
-    Condon-Shortley phase included; values stay O(1) (no factorials).
-    With derivatives, returns (blocks, dblocks), dblocks holding dPbar/dtheta.
+    x = cos(theta), s = sin(theta) >= 0, arrays of shape (P,).  Yields for
+    m = 0..L the block (P, L+1-m) of n = m..L.  Condon-Shortley phase
+    included; values stay O(1) (no factorials).
     """
     P = x.size
-    blocks = []
     pmm = np.full(P, 1.0 / np.sqrt(FOUR_PI))
     for m in range(L + 1):
         if m > 0:
@@ -60,21 +58,47 @@ def _legendre_blocks(x, s, L, derivatives=False):
             a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
             b = np.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
             blk[:, n - m] = a * (x * blk[:, n - m - 1] - b * blk[:, n - m - 2])
-        blocks.append(blk)
+        yield blk
+
+
+def _legendre_blocks(x, s, L, derivatives=False):
+    """The blocks of `_legendre_orders` as a list over m.
+
+    With derivatives, returns (blocks, dblocks), dblocks holding dPbar/dtheta.
+    """
+    blocks = list(_legendre_orders(x, s, L))
     if not derivatives:
         return blocks
 
-    # sin(theta) dPbar/dtheta = n x Pbar_n^m - c_nm Pbar_{n-1}^m,
-    # c_nm = sqrt((n^2 - m^2)(2n+1)/(2n-1)); safe away from the poles.
     inv_s = (1.0 / safe_sin(s))[:, None]
-    dblocks = []
-    for m, blk in enumerate(blocks):
-        n = np.arange(m, L + 1, dtype=float)
-        c = np.sqrt(np.maximum(n * n - m * m, 0.0) * (2.0 * n + 1.0) / np.maximum(2.0 * n - 1.0, 1.0))
-        lower = np.zeros_like(blk)
-        lower[:, 1:] = blk[:, :-1]
-        dblocks.append((n[None, :] * x[:, None] * blk - c[None, :] * lower) * inv_s)
+    dblocks = [np.zeros_like(blocks[0])]
+    if L > 0:
+        dblocks[0][:, 1:] = _dtheta_order0(blocks[1])
+    for m, blk in enumerate(blocks[1:], 1):
+        dblocks.append(_sin_dtheta(x[:, None] * blk, blk, m) * inv_s)
     return blocks, dblocks
+
+
+def _sin_dtheta(xP, P, m):
+    """n xP_n - c_nm P_{n-1}, c_nm = sqrt((n^2 - m^2)(2n+1)/(2n-1)), n = m..L.
+
+    With P = Pbar_m and xP = x Pbar_m this is sin(theta) dPbar_m/dtheta,
+    for m > 0; it is linear, so it also holds for rows times both.
+    """
+    n = np.arange(m + 1, m + P.shape[1], dtype=float)
+    out = np.arange(m, m + P.shape[1]) * xP
+    out[:, 1:] -= np.sqrt((n * n - m * m) * (2.0 * n + 1.0) / (2.0 * n - 1.0)) * P[:, :-1]
+    return out
+
+
+def _dtheta_order0(P1):
+    """dPbar_n^0/dtheta = sqrt(n(n+1)) Pbar_n^1, n = 1..L, from order 1's block.
+
+    At m = 0 the sin identity is a difference of O(1) terms that cancels at
+    the poles; this form has none.
+    """
+    n = np.arange(1, P1.shape[1] + 1)
+    return np.sqrt(n * (n + 1.0)) * P1
 
 
 def _column_indices(L, m):
@@ -122,6 +146,60 @@ def ynm_matrix(theta, phi, L, derivatives=False):
             if m > 0:
                 M[:, neg] = (-1.0) ** m * np.conj(v)
     return tuple(out) if derivatives else out[0]
+
+
+def harmonic_moments(A, theta, phi, L, B=None):
+    """A @ Y(theta, phi), or A @ dY/dtheta + B @ (1/sin theta) dY/dphi, without Y.
+
+    A and B are (R, Q) rows over the points theta, phi (Q,), real or
+    complex; returns (R, (L+1)^2) complex.  The work goes one order m at a
+    time: one real product of the rows' real and imaginary parts against
+    Z_m = Pbar_m exp(i m phi), (Q, L+1-m), gives the +m columns and, as
+    Y_n^{-m} = (-1)^m conj Y_n^m, the -m columns.  For m > 0 the
+    theta-derivative applies the sin identity (`_sin_dtheta`) to the
+    products of the rows A x / sin and A / sin, so no derivative block is
+    built; order 0's is A times `_dtheta_order0` of order 1's block.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    x, s = np.cos(theta), np.sin(theta)
+    R = len(A)
+    out = np.zeros((R, num_coeffs(L)), dtype=complex)
+    rows = A
+    if B is not None:
+        inv_s = 1.0 / safe_sin(s)
+        rows = np.concatenate([A * (x * inv_s), A * inv_s, B * inv_s])
+    K = len(rows)
+    if np.iscomplexobj(rows):
+        rows = np.concatenate([rows.real, rows.imag])
+    eiphi = np.exp(1j * np.asarray(phi, dtype=float))
+    eim = np.ones_like(eiphi)
+    # one order's block at a time, into one buffer: large freed temporaries
+    # per ring would make the allocator return and refault memory every ring
+    Zbuf = np.empty((theta.size, L + 1), dtype=complex)
+    for m, blk in enumerate(_legendre_orders(x, s, L)):
+        if m > 0:
+            eim = eim * eiphi
+        if B is not None and m < 2:
+            if m == 0:
+                continue  # no phi-derivative, and the theta-derivative comes from order 1
+            out[:, sh_index(np.arange(1, L + 1), 0)] = A @ _dtheta_order0(blk)
+        Z = np.multiply(blk, eim[:, None], out=Zbuf[:, : L + 1 - m])
+        P = (rows @ Z.view(float)).view(complex)
+        # the rows against Z_m and against conj(Z_m)
+        if len(P) == K:
+            W, Wc = P, P.conj()
+        else:
+            W, Wc = P[:K] + 1j * P[K:], P[:K].conj() + 1j * P[K:].conj()
+        if B is not None:
+            W, Wc = (
+                _sin_dtheta(V[:R], V[R : 2 * R], m) + 1j * mm * V[2 * R :]
+                for V, mm in ((W, m), (Wc, -m))
+            )
+        pos, neg = _column_indices(L, m)
+        out[:, pos] = W
+        if m > 0:
+            out[:, neg] = (-1.0) ** m * Wc
+    return out
 
 
 def synthesis_at(coeffs, L, theta, phi):

@@ -152,8 +152,9 @@ def tangent_frame(frame):
         grad_S u  = u_theta alpha   + (u_phi / sin theta) sin_beta,
         vcurl_S u = u_theta alpha_c + (u_phi / sin theta) sin_beta_c,
 
-    which takes ynm_matrix's derivative pair (dY/dtheta, (1/sin) dY/dphi)
-    as it comes.  (alpha, beta) = (grad_S theta, grad_S phi) is the
+    which weighs the derivative pair (dY/dtheta, (1/sin) dY/dphi) of
+    ynm_matrix, or of harmonic_moments with rows A and B, as it comes.
+    (alpha, beta) = (grad_S theta, grad_S phi) is the
     contravariant frame of the first fundamental form E, F, G, and
     sin_beta = sin(theta) beta.  With nu = (t_theta x t_phi) / sqrt(det),
     nu x t_theta = sqrt(det) beta and nu x t_phi = -sqrt(det) alpha, so

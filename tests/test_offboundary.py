@@ -300,10 +300,12 @@ class TestOneCallPerSide:
         family = modes[::9]
         E, H = plasmon._field_batch(family, BOTH_SIDES, grid, "auto")
         for j, mode in enumerate(family):
-            for p, x in enumerate(BOTH_SIDES):
-                Ep, Hp = plasmon_field(mode, x, grid)
-                assert np.linalg.norm(E[j, p] - Ep) <= 1e-12 * np.linalg.norm(Ep)
-                assert np.linalg.norm(H[j, p] - Hp) <= 1e-12 * np.linalg.norm(Hp)
+            Ep, Hp = np.array([plasmon_field(mode, x, grid) for x in BOTH_SIDES]).transpose(1, 0, 2)
+            # relative to the mode's largest field: a point far below it sits at
+            # the cancellation floor of the node sum, where round-off is all there is
+            for batch, single in ((E[j], Ep), (H[j], Hp)):
+                scale = np.linalg.norm(single, axis=-1).max()
+                assert np.linalg.norm(batch - single, axis=-1).max() <= 1e-12 * scale
 
 
 class TestPointArrays:

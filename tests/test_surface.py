@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mnpspr.sphharm import sh_degrees, sh_index, ynm_matrix
+from mnpspr.sphharm import harmonic_moments, sh_degrees, sh_index, ynm_matrix
 from mnpspr.surface import (
     ResolutionError,
     ShCoeffs,
@@ -348,6 +348,64 @@ class TestBroadcastGeometry:
         for got, want in zip(grid.radius_at(th, ph), reference):
             assert got.shape == ph.shape
             assert _rel(got.ravel(), want) < 1e-14
+
+
+def _moment_rows(rng, rows, q, complex_rows):
+    A, B = rng.normal(size=(2, rows, q))
+    if complex_rows:
+        A, B = A + 1j * rng.normal(size=(rows, q)), B + 1j * rng.normal(size=(rows, q))
+    return A, B
+
+
+def _moment_points(rng, q=60):
+    """q points, four of them within 1e-12 of a pole."""
+    th = np.concatenate([[1e-13, 1e-12, np.pi - 1e-12, np.pi - 4e-13], rng.uniform(0.0, np.pi, q - 4)])
+    return th, rng.uniform(-np.pi, 2.0 * np.pi, q)
+
+
+class TestHarmonicMoments:
+    """harmonic_moments gives the products with the basis matrices without forming them."""
+
+    @pytest.mark.parametrize("L", [0, 1, 8, 20])
+    @pytest.mark.parametrize("rows", [1, 3, 54])
+    @pytest.mark.parametrize("complex_rows", [False, True])
+    def test_equals_basis_products(self, L, rows, complex_rows):
+        rng = np.random.default_rng(L * 100 + rows)
+        th, ph = _moment_points(rng)
+        A, B = _moment_rows(rng, rows, th.size, complex_rows)
+        Y, Yt, Yp = ynm_matrix(th, ph, L, derivatives=True)
+        got = harmonic_moments(A, th, ph, L)
+        assert got.shape == (rows, (L + 1) ** 2)
+        assert _rel(got, A @ Y) < 1e-13
+        grad = harmonic_moments(A, th, ph, L, B)
+        want = A @ Yt + B @ Yp
+        if L == 0:
+            assert np.max(np.abs(grad)) == 0.0 == np.max(np.abs(want))
+        else:
+            assert _rel(grad, want) < 1e-13
+
+    @pytest.mark.parametrize("L", [1, 8, 20])
+    def test_conjugate_orders_for_real_rows(self, L):
+        """Real rows give column (n, -m) = (-1)^m conj of column (n, m)."""
+        rng = np.random.default_rng(L)
+        th, ph = _moment_points(rng)
+        A, B = _moment_rows(rng, 3, th.size, False)
+        n, m = sh_degrees(L)
+        mirror = sh_index(n, -m)
+        for M in (harmonic_moments(A, th, ph, L), harmonic_moments(A, th, ph, L, B)):
+            assert np.max(np.abs(M[:, mirror] - (-1.0) ** m * np.conj(M))) <= 1e-14 * np.max(np.abs(M))
+
+    def test_order_zero_theta_derivative_vanishes_at_the_poles(self):
+        """dY_n^0/dtheta ~ sin(theta) near a pole, with no cancellation noise."""
+        L = 20
+        th = np.array([0.0, 1e-13, 1e-12, np.pi - 1e-12, np.pi])
+        n = np.arange(L + 1)
+        zonal = sh_index(n, 0)
+        bound = n * (n + 1) * np.sqrt((2 * n + 1) / FOUR_PI) * np.maximum(np.sin(th)[:, None], 1e-16)
+        assert np.all(np.abs(ynm_matrix(th, 0.0 * th, L, derivatives=True)[1][:, zonal]) <= bound)
+        rows = np.eye(th.size)
+        got = harmonic_moments(rows, th, 0.0 * th, L, 0.0 * rows)[:, zonal]
+        assert np.all(np.abs(got) <= bound)
 
 
 class TestRingSharedLegendre:
