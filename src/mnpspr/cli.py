@@ -12,7 +12,6 @@ failure (guard or tolerance breach).
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
@@ -275,10 +274,8 @@ def report_version_and_provenance(cfg=None, tol=None, seed=0, L_quad=None):
     """Provenance lines embedded in every artifact header.
 
     cfg is the raw config dict; its command selects the quadrature line.
-    scipy's version is read from its metadata, without importing scipy.
+    scipy's version is named only when the run has loaded scipy.
     """
-    import importlib.metadata
-
     command = cfg.get("command") if isinstance(cfg, dict) else None
     quadrature = "quadrature: rotated-polar-gl"
     if command == "mie-check":
@@ -287,9 +284,12 @@ def report_version_and_provenance(cfg=None, tol=None, seed=0, L_quad=None):
         quadrature += f" (n_polar={default_polar_order(L_quad)})"
         if command == "scatter":
             quadrature += f", corrections (n_polar={correction_polar_order(L_quad)})"
+    versions = f"numpy {np.__version__}"
+    if "scipy" in sys.modules:
+        versions += f", scipy {sys.modules['scipy'].__version__}"
     lines = [
         f"mnpspr {__version__}",
-        f"numpy {np.__version__}, scipy {importlib.metadata.version('scipy')}",
+        versions,
         quadrature,
         f"L_quad: {L_quad if L_quad is not None else 'n/a'}",
         f"tolerance: {tol if tol is not None else 'default'}",
@@ -314,8 +314,7 @@ def write_csv(path, header_lines, columns, rows):
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def write_json(path, header_lines, payload):
@@ -520,6 +519,8 @@ def _emit_error(outdir, code, exc):
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mnpspr", description="boundary-operator spectra and plasmon scans"
     )

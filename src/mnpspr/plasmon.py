@@ -18,7 +18,13 @@ from numbers import Rational
 import numpy as np
 
 from .mie import SphereMode, exact_sphere_potential
-from .potentials import MaterialConfig, NearBoundaryError, em_fields, offboundary_eval
+from .potentials import (
+    POINT_BLOCK,
+    MaterialConfig,
+    NearBoundaryError,
+    em_fields,
+    offboundary_eval,
+)
 from .spectral import SpectralSet, eigenvalue_clusters
 from .surface import ShCoeffs, SurfaceGrid, TangentField, tubular_distance
 from .sphharm import cartesian_to_angles
@@ -186,10 +192,13 @@ class DecayReport:
 def _field_batch(modes, points, grid, quad):
     """E, H for every (mode, point), with (mu, k) of the side of each point.
 
-    Each side takes one `offboundary_eval` call for every mode at once, with
+    Each side takes one `offboundary_eval` call for a batch of modes, with
     one wavenumber per mode: k_e outside, the mode's own k_c inside.  On
-    the grid rule one `values_at` pass at the nodes serves both sides.
-    Sphere modes take the closed form point by point.
+    the grid rule a batch is POINT_BLOCK modes, whose node values, one
+    `values_at` pass, serve both sides; so the node values alive at once
+    stay within POINT_BLOCK densities whatever the mode count.  The near
+    rule takes every mode in one batch, because it evaluates the patch
+    basis once per call.  Sphere modes take the closed form point by point.
     """
     pts = np.asarray(points, dtype=float)
     E = np.zeros((len(modes), len(pts), 3), dtype=complex)
@@ -209,21 +218,23 @@ def _field_batch(modes, points, grid, quad):
     if not general:
         return E, H
     inside = _is_inside(pts, grid)
-    dens = [modes[j].density for j in general]
-    if quad == "auto":
-        # the grid rule takes stacked node values: one values_at pass serves both sides
-        dens = grid.values_at(dens)
-    for side in (False, True):
-        cols = inside == side
-        if not cols.any():
-            continue
-        ks = np.array([modes[j].materials.side(side)[1] for j in general])
-        curl, curlcurl = offboundary_eval(
-            dens, ks, pts[cols], ("curlS_vec", "curlcurlS_vec"), grid, quad=quad
-        )
-        for i, j in enumerate(general):
-            c, cc = curl[..., i], curlcurl[..., i]
-            E[j, cols], H[j, cols] = em_fields(modes[j].materials, side, (c, c), (cc, cc))
+    size = POINT_BLOCK if quad == "auto" else len(general)
+    for start in range(0, len(general), size):
+        batch = general[start : start + size]
+        dens = [modes[j].density for j in batch]
+        if quad == "auto":
+            dens = grid.values_at(dens)
+        for side in (False, True):
+            cols = inside == side
+            if not cols.any():
+                continue
+            ks = np.array([modes[j].materials.side(side)[1] for j in batch])
+            curl, curlcurl = offboundary_eval(
+                dens, ks, pts[cols], ("curlS_vec", "curlcurlS_vec"), grid, quad=quad
+            )
+            for i, j in enumerate(batch):
+                c, cc = curl[..., i], curlcurl[..., i]
+                E[j, cols], H[j, cols] = em_fields(modes[j].materials, side, (c, c), (cc, cc))
     return E, H
 
 
@@ -239,7 +250,10 @@ def localization_scan(modes, points, eps, grid: SurfaceGrid, quad="auto"):
     NearBoundaryError is raised.  The report carries per-mode norms, the
     partial sums of squared norms, a plateau flag (last-quartile growth at
     most PLATEAU_THRESHOLD), a fitted log-decay rate, and the
-    o(j^{-KAPPA}) exceedance statistic of the electric norms.
+    o(j^{-KAPPA}) exceedance statistic of the electric norms.  On the grid
+    rule the fields are evaluated POINT_BLOCK modes at a time
+    (`_field_batch`), so besides the (modes, points) field arrays its
+    memory does not grow with the mode count.
     """
     pts = np.asarray(points, dtype=float)
     dists = tubular_distance(pts, grid)

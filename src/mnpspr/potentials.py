@@ -425,7 +425,10 @@ def offboundary_eval(density, k, x, which, grid: SurfaceGrid, quad="auto", n_pol
     densities, 32 densities of one point on the grid rule and one density
     on the near rule.  At most nine such temporaries are alive at once, so
     together they hold no more elements than a (POINT_BLOCK, N, 3, 3)
-    tensor on the grid rule, or a (1, N, 3, 3) one on the near rule.
+    tensor on the grid rule, or a (1, N, 3, 3) one on the near rule.  The
+    densities' node values and their weighted copy, (N, 3, J) each, are the
+    caller's to bound: `plasmon._field_batch` passes POINT_BLOCK densities
+    per call on the grid rule, so they fit that bound too.
     """
     kinds = which if isinstance(which, tuple) else (which,)
     tangent = {kind in ("curlS_vec", "curlcurlS_vec") for kind in kinds}

@@ -210,7 +210,8 @@ def synthesis_at(coeffs, L, theta, phi):
     coefficients into A_m(theta); f and its derivatives are the sums over
     the 2L+1 orders of A_m exp(i m phi) on the broadcast shape.  Points
     that share a colatitude, such as the rotated patches of one grid ring,
-    share their Legendre work.  Complex arrays of the broadcast shape.
+    share their Legendre work.  Orders whose +-m coefficients are all zero
+    are skipped.  Complex arrays of the broadcast shape.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -225,6 +226,8 @@ def synthesis_at(coeffs, L, theta, phi):
         if m > 0:
             eim = eim * eiphi
         pos, neg = _column_indices(L, m)
+        if not (np.any(coeffs[pos]) or np.any(coeffs[neg])):
+            continue  # adds exact zeros: every m != 0 on a surface of revolution
         orders = [(m, coeffs[pos], eim)]
         if m > 0:
             # Y_n^{-m} = (-1)^m Pbar_n^m exp(-i m phi)

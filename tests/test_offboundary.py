@@ -279,6 +279,8 @@ BOTH_SIDES = np.vstack([fibonacci_shell(6, 2.5), fibonacci_shell(4, 0.3)])
 
 
 class TestOneCallPerSide:
+    """On the grid rule each block of POINT_BLOCK modes takes one call per side."""
+
     @pytest.mark.parametrize("count", [1, 7, 80])
     def test_field_batch_calls(self, pert8_family, monkeypatch, count):
         grid, modes = pert8_family
@@ -291,21 +293,31 @@ class TestOneCallPerSide:
 
         monkeypatch.setattr(plasmon, "offboundary_eval", counting)
         E, H = plasmon._field_batch(modes[:count], BOTH_SIDES, grid, "auto")
-        assert len(calls) == 2
-        assert sorted(shape[0] for shape in calls) == [4, 6]
+        blocks = -(-count // POINT_BLOCK)
+        assert len(calls) == 2 * blocks
+        assert sorted(shape[0] for shape in calls) == [4] * blocks + [6] * blocks
         assert E.shape == H.shape == (count, len(BOTH_SIDES), 3)
 
     def test_field_batch_equals_plasmon_field(self, pert8_family):
         grid, modes = pert8_family
-        family = modes[::9]
-        E, H = plasmon._field_batch(family, BOTH_SIDES, grid, "auto")
-        for j, mode in enumerate(family):
-            Ep, Hp = np.array([plasmon_field(mode, x, grid) for x in BOTH_SIDES]).transpose(1, 0, 2)
-            # relative to the mode's largest field: a point far below it sits at
-            # the cancellation floor of the node sum, where round-off is all there is
-            for batch, single in ((E[j], Ep), (H[j], Hp)):
-                scale = np.linalg.norm(single, axis=-1).max()
-                assert np.linalg.norm(batch - single, axis=-1).max() <= 1e-12 * scale
+        assert_batch_equals_single(modes[::9], grid)
+
+    def test_field_batch_blocks_equal_plasmon_field(self, pert8_family, monkeypatch):
+        grid, modes = pert8_family
+        # 9 modes in blocks of 4: two full blocks and a partial one
+        monkeypatch.setattr(plasmon, "POINT_BLOCK", 4)
+        assert_batch_equals_single(modes[::9], grid)
+
+
+def assert_batch_equals_single(family, grid):
+    E, H = plasmon._field_batch(family, BOTH_SIDES, grid, "auto")
+    for j, mode in enumerate(family):
+        Ep, Hp = np.array([plasmon_field(mode, x, grid) for x in BOTH_SIDES]).transpose(1, 0, 2)
+        # relative to the mode's largest field: a point far below it sits at
+        # the cancellation floor of the node sum, where round-off is all there is
+        for batch, single in ((E[j], Ep), (H[j], Hp)):
+            scale = np.linalg.norm(single, axis=-1).max()
+            assert np.linalg.norm(batch - single, axis=-1).max() <= 1e-12 * scale
 
 
 class TestPointArrays:
@@ -326,18 +338,24 @@ class TestPointArrays:
 
 
 class TestScanMemory:
-    """The traced peak of a scan over every curl mode stays under the previous path's.
+    """The traced peak of a scan over every curl mode stays under the previous paths'.
 
-    The bounds are the tracemalloc peaks of the same scans with one
-    off-boundary call per mode inside: 7.75 MB on the grid rule (40
+    The first two bounds are the tracemalloc peaks of the same scans with
+    one off-boundary call per mode inside: 7.75 MB on the grid rule (40
     exterior and 10 interior points, 324 nodes) and 180.25 MB on the near
     rule (one point each side, 15360 patch points).  Evaluating all 80
-    per-mode wavenumbers of a pass at once, unblocked, exceeds both.
+    per-mode wavenumbers of a pass at once, unblocked, exceeds both.  The
+    third sits between the grid-rule peaks with the node values of all 80
+    modes alive at once, 6.62 MB, and with POINT_BLOCK of them, 4.63 MB.
     """
 
     @pytest.mark.parametrize(
         "quad, shells, bound_mb",
-        [("auto", ((40, 2.5), (10, 0.3)), 7.8), ("near", ((1, 2.5), (1, 0.3)), 181.0)],
+        [
+            ("auto", ((40, 2.5), (10, 0.3)), 7.8),
+            ("near", ((1, 2.5), (1, 0.3)), 181.0),
+            ("auto", ((40, 2.5), (10, 0.3)), 5.5),
+        ],
     )
     def test_peak_under_bound(self, pert8_family, quad, shells, bound_mb):
         import tracemalloc

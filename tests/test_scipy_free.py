@@ -1,8 +1,10 @@
 """scipy stays off the import path of the CLI.
 
 scipy is used by the sphere oracles only, which import it where they use it;
-`spectrum`, `decay` and `scatter` never load it.  The commands run in fresh
-processes here, so that sys.modules shows what each one loaded.
+`spectrum`, `decay` and `scatter` never load it.  Nor do `decay` and
+`scatter` load `importlib.metadata` or `argparse`: the provenance header
+names scipy's version only when the run loaded it.  The commands run in
+fresh processes here, so that sys.modules shows what each one loaded.
 """
 
 import ast
@@ -16,8 +18,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# runs one config; reports the scipy modules loaded at the end, and whether
-# any was loaded when the sphere oracle was first entered
+# runs one config; reports the scipy modules loaded at the end, whether any
+# was loaded when the sphere oracle was first entered, and which of the
+# fixed-cost modules were loaded at the end
 PROBE = r"""
 import json, sys
 import mnpspr.cli as cli
@@ -36,8 +39,9 @@ def watch(owner, name):
 watch(cli, "exact_sphere_potential")
 at_import = scipy_loaded()
 code = cli.run(json.loads(sys.argv[1]), sys.argv[2])
+fixed_cost = [m for m in ("importlib.metadata", "argparse") if m in sys.modules]
 print(json.dumps({"code": code, "at_import": at_import, "loaded": scipy_loaded(),
-                  "first_entry": first_entry}))
+                  "first_entry": first_entry, "fixed_cost": fixed_cost}))
 """
 
 SPHERE = {"sphere": 1.0, "L_quad": 8}
@@ -73,10 +77,23 @@ def test_command_loads_no_scipy(tmp_path, command):
     assert run_probe(tmp_path, command)["loaded"] == []
 
 
+def version_line(path):
+    return next(line for line in path.read_text().splitlines() if line.startswith("# numpy "))
+
+
+@pytest.mark.parametrize("command", ["decay", "scatter"])
+def test_command_loads_no_metadata_or_argparse(tmp_path, command):
+    assert run_probe(tmp_path, command)["fixed_cost"] == []
+    assert "scipy" not in version_line(tmp_path / f"{command}.csv")
+
+
 def test_mie_check_loads_special_at_its_oracle(tmp_path):
     report = run_probe(tmp_path, "mie-check")
     assert report["first_entry"]["exact_sphere_potential"] == []
     assert "scipy.special" in report["loaded"]
+    import scipy
+
+    assert version_line(tmp_path / "mie_check.csv").endswith(f", scipy {scipy.__version__}")
 
 
 def module_level_imports(source):
