@@ -2,9 +2,9 @@
 
 Library layout:
   surface    - star-shaped grids, harmonic transforms, surface calculus
-  specfun    - radial special functions, vector spherical harmonics
-  potentials - layer-potential assembly, subspace operator actions
-  spectral   - symmetrized eigensolves, grams, identity residuals
+  specfun    - spherical Bessel/Hankel functions, vector spherical harmonics
+  potentials - layer-potential assembly, symmetrizer actions, off-boundary fields
+  spectral   - symmetrized eigensolves, quotient Gram, identity residuals
   mie        - closed-form sphere backend (the oracle layer)
   plasmon    - weak-resonance modes, fields, localization statistics
   scatter    - scaled transmission system and resonance sweeps
@@ -22,30 +22,24 @@ from .surface import (
     sphere_surface,
     tubular_distance,
 )
-from .specfun import RadialKind, VectorHarmonic, radial, radial_asymptotic_ratio, vector_sph, ynm
 from .potentials import (
     MaterialConfig,
     OperatorMatrix,
     apply_N,
     apply_Q,
     assemble_correction,
-    assemble_scalar,
-    mnp_curl_apply,
-    mnp_grad_apply,
     offboundary_eval,
     scalar_operators,
 )
 from .spectral import (
     SpectralSet,
     calderon_residual,
-    gram,
     mnp_spectra,
-    norm_equivalence_report,
     np_spectrum,
     self_adjointness_residual,
     subspace_spectrum,
 )
-from .mie import SphereMode, exact_sphere_potential, mode_tangent_field, multipole, sphere_mnp_eigenvalue
+from .mie import SphereMode, exact_sphere_potential, mode_tangent_field, sphere_mnp_eigenvalue
 from .plasmon import (
     DecayReport,
     PlasmonMode,

@@ -1,4 +1,4 @@
-"""Analytic sphere backend: exact layer-potential actions and multipoles.
+"""Analytic sphere backend: exact layer-potential actions.
 
 On a sphere of radius r the tangential vector harmonics diagonalize every
 static boundary operator, and the Helmholtz vector single layer acts on them
@@ -116,33 +116,6 @@ def exact_sphere_potential(mode: SphereMode, k: float, x, which: str) -> np.ndar
             - 1j * k * r * nn / rp * j_in * H_r * Y * xhat
         )
     return -1j * k**3 * r**2 * j_in * h_r * p2
-
-
-def multipole(kind: str, n: int, m: int, k: float, materials, x):
-    """Transverse-electric / transverse-magnetic multipole fields (E, H).
-
-    Exterior kinds are outgoing (Hankel radial factor); interior kinds are
-    regular (Bessel).  The ambient parameters eps_e, mu_e and omega of the
-    material configuration set the field couplings.
-    """
-    if kind not in ("TE_ext", "TM_ext", "TE_int", "TM_int"):
-        raise ValueError(f"unknown multipole kind {kind!r}")
-    x = np.asarray(x, dtype=float)
-    if kind.endswith("ext") and np.allclose(x, 0.0):
-        raise ValueError("exterior multipole undefined at the origin")
-    omega, eps, mu = materials.omega, materials.eps_e, materials.mu_e
-    Y, p1, p2, xhat, r = _mode_fields(n, m, x)
-    nn = np.sqrt(n * (n + 1.0))
-    if kind.endswith("ext"):
-        f, F = spherical_h1(n, k * r), composite_h1(n, k * r)
-    else:
-        f, F = spherical_j(n, k * r), composite_j(n, k * r)
-    e_te = -nn * f * p2
-    curl_e_te = (nn / r) * F * p1 + (n * (n + 1.0) / r) * f * Y * xhat
-    if kind.startswith("TE"):
-        return e_te, -1j / (omega * mu) * curl_e_te
-    # TM fields: E = (i/(omega eps)) curl E_TE, H = E_TE
-    return 1j / (omega * eps) * curl_e_te, e_te
 
 
 def mode_tangent_field(mode: SphereMode, grid_L: int):

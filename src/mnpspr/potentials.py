@@ -60,7 +60,6 @@ class ResonanceError(RuntimeError):
         self.eigenvalue = eigenvalue
 
 
-SCALAR_KINDS = ("S", "K", "Kstar", "Sk")
 VECTOR_KINDS = ("Mk2", "L1", "L2")
 
 
@@ -79,18 +78,6 @@ class OperatorMatrix:
     pairing: np.ndarray
     grid_id: str
     meta: dict = field(default_factory=dict)
-
-    def apply(self, coeffs: ShCoeffs) -> ShCoeffs:
-        return ShCoeffs(self.L, self.entries @ coeffs.padded(self.L))
-
-    def to_json_dict(self):
-        rows = []
-        for r in self.entries:
-            flat = np.empty(2 * r.size)
-            flat[0::2] = r.real
-            flat[1::2] = r.imag
-            rows.append([float(v) for v in flat])
-        return {"kind": self.kind, "L": self.L, "rows": rows}
 
 
 @dataclass
@@ -147,12 +134,12 @@ def grid_signature(grid: SurfaceGrid) -> str:
     return h.hexdigest()[:16]
 
 
-def _galerkin_operator(kind, grid: SurfaceGrid, values, L, meta=None):
+def _galerkin_operator(kind, grid: SurfaceGrid, values, L):
     """Mass-normalized Galerkin matrix from node values (Op Y_j)(x_i)."""
     nc = num_coeffs(L)
     G = np.conj(grid.Y[:, :nc]).T @ (grid.area_weights[:, None] * values)
     W = grid.mass_matrix()[:nc, :nc]
-    return OperatorMatrix(kind, L, np.linalg.solve(W, G), G, grid_signature(grid), meta or {})
+    return OperatorMatrix(kind, L, np.linalg.solve(W, G), G, grid_signature(grid))
 
 
 def scalar_operators(grid: SurfaceGrid, L: int):
@@ -203,24 +190,8 @@ def _check_scalar_invariants(ops):
     return {"S_hermiticity": float(herm), "negS_min_eig": float(mineig), "K_duality": float(dual)}
 
 
-def assemble_scalar(kind: str, grid: SurfaceGrid, L: int, k=None):
-    """Galerkin matrix of a scalar layer operator.
-
-    kind in {S, K, Kstar} for the static kernels; 'Sk' gives the Helmholtz
-    single layer at wavenumber k.
-    """
-    if kind not in SCALAR_KINDS:
-        raise KindError(f"unknown scalar kind {kind!r}")
-    if kind == "Sk":
-        if k is None:
-            raise ValueError("Sk needs a wavenumber")
-        vals = assemble_scalar_values(grid, L, k)["Sk"]
-        return _galerkin_operator("Sk", grid, vals, L, {"k": complex(k)})
-    return scalar_operators(grid, L)[kind]
-
-
 # --------------------------------------------------------------------------
-# magnetic operator actions through the scalar reductions
+# symmetrizer actions through the scalar single layer
 # --------------------------------------------------------------------------
 
 
@@ -228,20 +199,6 @@ def _drop_mean(c: np.ndarray) -> np.ndarray:
     out = c.copy()
     out[0] = 0.0
     return out
-
-
-def mnp_curl_apply(V: ShCoeffs, K_mat: OperatorMatrix) -> ShCoeffs:
-    """Potential of the magnetic operator on the curl subspace: V -> K[V]."""
-    if K_mat.kind != "K":
-        raise KindError("curl-subspace action needs the K matrix")
-    return ShCoeffs(K_mat.L, _drop_mean(K_mat.entries @ V.padded(K_mat.L)), True)
-
-
-def mnp_grad_apply(X: ShCoeffs, K_mat: OperatorMatrix) -> ShCoeffs:
-    """Potential of the adjoint operator on the gradient subspace: X -> -K[X]."""
-    if K_mat.kind != "K":
-        raise KindError("gradient-subspace action needs the K matrix")
-    return ShCoeffs(K_mat.L, _drop_mean(-(K_mat.entries @ X.padded(K_mat.L))), True)
 
 
 def apply_N(g: TangentField, S_mat: OperatorMatrix, grid: SurfaceGrid) -> TangentField:

@@ -120,31 +120,27 @@ def rings(grid: SurfaceGrid, L: int, n_polar=None):
         )
 
 
-def assemble_scalar_values(grid: SurfaceGrid, L: int, k=None):
+def assemble_scalar_values(grid: SurfaceGrid, L: int):
     """Values (Op Y_j)(x_i) of the scalar layer operators at all grid nodes.
 
     Op in {S, Kstar, K} for the static kernels (G = -1/(4 pi |x-y|)):
       S     : G(x, y)
       Kstar : dG/dnu_x = nu_x . (x - y) / (4 pi |x-y|^3)
       K     : dG/dnu_y = nu_y . (y - x) / (4 pi |x-y|^3)
-    With a wavenumber k, only Sk: -exp(ik|x-y|) / (4 pi |x-y|).
     Returns dict of (n_nodes, (L+1)^2) complex arrays.  The densities are the
     parameter-sphere harmonics; integration is in the surface measure.
     """
-    kinds = ("S", "Kstar", "K") if k is None else ("Sk",)
+    kinds = ("S", "Kstar", "K")
     nc = num_coeffs(L)
     out = {kind: np.zeros((grid.n_nodes, nc), dtype=complex) for kind in kinds}
     for ring in rings(grid, L):
         r = ring.r
-        if k is None:
-            inv4pir3 = 1.0 / (4.0 * np.pi * r**3)
-            kernels = (
-                -1.0 / (4.0 * np.pi * r),
-                np.einsum("tj,tqj->tq", ring.normal, ring.rvec) * inv4pir3,
-                -np.einsum("tqj,tqj->tq", ring.frame["normal"], ring.rvec) * inv4pir3,
-            )
-        else:
-            kernels = (-np.exp(1j * k * r) / (4.0 * np.pi * r),)
+        inv4pir3 = 1.0 / (4.0 * np.pi * r**3)
+        kernels = (
+            -1.0 / (4.0 * np.pi * r),
+            np.einsum("tj,tqj->tq", ring.normal, ring.rvec) * inv4pir3,
+            -np.einsum("tqj,tqj->tq", ring.frame["normal"], ring.rvec) * inv4pir3,
+        )
         n_t, q = r.shape
         stacked = np.stack([ker * ring.wjac for ker in kernels], axis=1)
         rows = harmonic_moments(stacked.reshape(len(kinds) * n_t, q), ring.theta, ring.phi, L)

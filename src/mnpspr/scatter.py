@@ -31,7 +31,6 @@ import numpy as np
 
 from .potentials import (
     MaterialConfig,
-    OperatorMatrix,
     ResonanceError,
     assemble_correction,
     em_fields,

@@ -5,11 +5,7 @@ The scalar adjoint double layer K* is self-adjoint in the inner product
 adjoint on the gradient subspace are self-adjoint in the inverse-symmetrizer
 products, which in potential form are the quotient forms
 
-    <a, b>  =  -<pot_a, S^{-1} pot_b>      (constants projected out),
-
-while the H^{3/2}-type products weight with the symmetrizers themselves,
-
-    <a, b>  =  -<Lap pot_a, S Lap pot_b>.
+    <a, b>  =  -<pot_a, S^{-1} pot_b>      (constants projected out).
 
 All eigensolves are generalized Hermitian solves against the positive
 definite Gram, reduced by its Cholesky factor B = L L^H to the standard
@@ -33,7 +29,7 @@ from .potentials import (
     RegularizationError,
 )
 from .sphharm import num_coeffs, sh_degrees
-from .surface import ShCoeffs, SurfaceGrid, TangentField, random_band_limited
+from .surface import ShCoeffs, SurfaceGrid, TangentField
 
 log = logging.getLogger(__name__)
 
@@ -151,7 +147,7 @@ def np_spectrum(S_mat: OperatorMatrix, Kstar_mat: OperatorMatrix) -> SpectralSet
 
 
 def _gram_cache(S_mat: OperatorMatrix, grid: SurfaceGrid):
-    """Quotient Gram "Ghat" and Hermitian pairing "GS" of the grid's S, once per degree."""
+    """Quotient Gram "Ghat" of the grid's S, once per degree."""
 
     def build():
         nc = num_coeffs(S_mat.L)
@@ -167,7 +163,7 @@ def _gram_cache(S_mat: OperatorMatrix, grid: SurfaceGrid):
         e[0] = 1.0
         ge = GSinv @ e
         P = np.eye(nc) - np.outer(e, ge.conj()) / (e @ GSinv @ e)
-        return {"Ghat": _hermitize(P.conj().T @ GSinv @ P), "GS": GS}
+        return {"Ghat": _hermitize(P.conj().T @ GSinv @ P)}
 
     return grid.cached(("gram", S_mat.L), build)
 
@@ -176,42 +172,6 @@ def quotient_gram_matrix(S_mat: OperatorMatrix, grid: SurfaceGrid):
     """Positive matrix of -<pot, S^{-1} pot> on mean-free coefficients."""
     cache = _gram_cache(S_mat, grid)
     return _hermitize(-cache["Ghat"][1:, 1:])
-
-
-GRAM_KINDS = ("curl_Ninv", "grad_Qinv", "curl_N", "grad_Q")
-
-
-def _gram_potential(kind, fld: TangentField):
-    if kind.startswith("curl"):
-        if fld.flavor != "curl":
-            raise FlavorError(f"{kind} expects curl-flavor fields")
-        return fld.V
-    if fld.flavor != "div":
-        raise FlavorError(f"{kind} expects div-flavor fields")
-    return fld.X
-
-
-def gram(kind: str, a: TangentField, b: TangentField, S_mat: OperatorMatrix, grid: SurfaceGrid):
-    """Weighted inner products of tangential fields (conjugate-linear in a).
-
-    curl_Ninv / grad_Qinv: the inverse-symmetrizer products in which the
-    restricted magnetic operators are self-adjoint (quotient -S^{-1} form);
-    curl_N / grad_Q: the symmetrizer-weighted products on the smoother
-    subspaces (-Lap S Lap form).  All four are positive definite.
-    """
-    if kind not in GRAM_KINDS:
-        raise ValueError(f"unknown gram kind {kind!r}")
-    cache = _gram_cache(S_mat, grid)
-    pa = _gram_potential(kind, a).padded(S_mat.L)
-    pb = _gram_potential(kind, b).padded(S_mat.L)
-    if kind in ("curl_Ninv", "grad_Qinv"):
-        return complex(-(pa.conj() @ (cache["Ghat"] @ pb)))
-    D, GS = grid.laplace_matrix(S_mat.L), cache["GS"]
-    return complex(-((D @ pa).conj() @ (GS @ (D @ pb))))
-
-
-def gram_norm(kind, a, S_mat, grid):
-    return float(np.sqrt(max(gram(kind, a, a, S_mat, grid).real, 0.0)))
 
 
 # --------------------------------------------------------------------------
@@ -352,24 +312,6 @@ def scalar_calderon_residual(ops):
     S, K, Kstar = ops["S"].entries, ops["K"].entries, ops["Kstar"].entries
     KS = K @ S
     return float(np.linalg.norm(KS - S @ Kstar) / np.linalg.norm(KS))
-
-
-def norm_equivalence_report(grid: SurfaceGrid, ops, sample_count=10, flavor="curl", seed=0):
-    """Observed ratios gram-norm / Sobolev trace norm over random fields."""
-    if sample_count < 10:
-        raise ValueError("need at least 10 samples")
-    rng = np.random.default_rng(seed)
-    kind = "curl_Ninv" if flavor == "curl" else "grad_Qinv"
-    ratios = []
-    for _ in range(sample_count):
-        pot = random_band_limited(rng, ops["S"].L, smoothness=1.5)
-        fld = (
-            TangentField.from_potentials(V=pot, L=ops["S"].L, flavor="curl")
-            if flavor == "curl"
-            else TangentField.from_potentials(X=pot, L=ops["S"].L, flavor="div")
-        )
-        ratios.append(gram_norm(kind, fld, ops["S"], grid) / trace_norm(fld, grid))
-    return {"min_ratio": float(min(ratios)), "max_ratio": float(max(ratios))}
 
 
 # --------------------------------------------------------------------------

@@ -240,20 +240,6 @@ def synthesis_at(coeffs, L, theta, phi):
     return f, f_t, f_p
 
 
-def ynm(n, m, direction):
-    """Single spherical harmonic value at a unit 3-vector direction."""
-    if abs(m) > n:
-        raise ValueError(f"order |m|={abs(m)} exceeds degree n={n}")
-    d = np.asarray(direction, dtype=float)
-    r = np.linalg.norm(d)
-    if not np.isclose(r, 1.0, atol=1e-8):
-        raise ValueError("direction must be a unit vector")
-    theta = np.arccos(np.clip(d[2] / r, -1.0, 1.0))
-    phi = np.arctan2(d[1], d[0])
-    Y = ynm_matrix(np.array([theta]), np.array([phi]), n)
-    return complex(Y[0, sh_index(n, m)])
-
-
 def unit_vectors(theta, phi):
     """Cartesian (rhat, theta-hat, phi-hat) frames; theta broadcasts against phi.
 

@@ -15,14 +15,14 @@ the *parameter* sphere; tangential fields by a pair of scalar potentials
 values: a list of ShCoeffs or of TangentField, at the grid nodes or at the
 points of any frame, into one stacked array.  grad_S and vcurl_S are read
 off one tangent frame (`tangent_frame`), built analytically from the first
-fundamental form of the parametrization; div, scal_curl and the Laplacian
-are weak forms against the basis fields that frame gives.
+fundamental form of the parametrization; div, the Laplacian and the
+Helmholtz decomposition are weak forms against the basis fields that frame
+gives.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,9 +130,6 @@ class TangentField:
         X = ShCoeffs(L, X.padded(L), True) if X is not None else ShCoeffs.zeros(L, True)
         V = ShCoeffs(L, V.padded(L), True) if V is not None else ShCoeffs.zeros(L, True)
         return cls(X, V, flavor)
-
-    def copy(self):
-        return TangentField(self.X.copy(), self.V.copy(), self.flavor)
 
 
 def _stacked(coeffs):
@@ -276,10 +273,6 @@ class SurfaceGrid:
 
     # -- scalar transforms ---------------------------------------------------
 
-    def synthesis(self, coeffs: ShCoeffs):
-        """Node values of a coefficient vector."""
-        return self.values_at([coeffs])[:, 0]
-
     def analysis(self, values, L=None):
         """Harmonic coefficients of node values; exact for band-limited input."""
         L = self.L_quad if L is None else L
@@ -353,10 +346,10 @@ class SurfaceGrid:
     # -- surface differential operators ---------------------------------------
     #
     # The basis fields grad Y_j and vcurl Y_j are pointwise-exact from the
-    # first fundamental form.  div, scal_curl and the Laplacian use the weak
-    # (Galerkin) form against them: this avoids differentiating pole-singular
-    # covariant components and makes the composition identities hold to
-    # quadrature accuracy.
+    # first fundamental form.  div, the Laplacian and helmholtz_decompose use
+    # the weak (Galerkin) form against them: this avoids differentiating
+    # pole-singular covariant components and makes the composition identities
+    # hold to quadrature accuracy.
 
     def _basis_fields(self, key, vec_theta, vec_phi):
         """Y_theta vec_theta + (Y_phi / sin) vec_phi for every basis function, (N, NC, 3)."""
@@ -396,11 +389,6 @@ class SurfaceGrid:
         pair = -self._pairing(self.grad_basis(), field_nodes)
         return self.Y @ np.linalg.solve(self.mass_matrix(), pair)
 
-    def scal_curl(self, field_nodes):
-        """Scalar surface curl  normal . (nabla x field)."""
-        pair = self._pairing(self.curl_basis(), field_nodes)
-        return self.Y @ np.linalg.solve(self.mass_matrix(), pair)
-
     def laplace_matrix(self, L=None):
         """Coefficient-space Laplace-Beltrami matrix -M^{-1} K_stiff at degree L.
 
@@ -436,22 +424,6 @@ class SurfaceGrid:
             flavor,
         )
 
-    # -- export ---------------------------------------------------------------
-
-    def to_csv(self, path):
-        """Write the grid as CSV (index, theta, phi, x, y, z, nu, weight)."""
-        with open(path, "w", newline="") as fh:
-            fh.write("index,theta,phi,x,y,z,nx,ny,nz,w\n")
-            for i in range(self.n_nodes):
-                p = self.positions[i]
-                nv = self.normals[i]
-                fh.write(
-                    f"{i},{self.thetas[i]:.15e},{self.phis[i]:.15e},"
-                    f"{p[0]:.15e},{p[1]:.15e},{p[2]:.15e},"
-                    f"{nv[0]:.15e},{nv[1]:.15e},{nv[2]:.15e},"
-                    f"{self.area_weights[i]:.15e}\n"
-                )
-
 
 def radius_from_json(spec):
     """Radial ShCoeffs from typed {"radius": [[n, m, re, im], ...]}: ints n >= 0, |m| <= n."""
@@ -461,16 +433,6 @@ def radius_from_json(spec):
     for n, m, re, im in entries:
         c[sh_index(n, m)] = re + 1j * im
     return ShCoeffs(L, c)
-
-
-def surface_spec_to_json(radius_coeffs: ShCoeffs, L_quad: int):
-    n, m = sh_degrees(radius_coeffs.L)
-    entries = [
-        [int(nn), int(mm), float(cc.real), float(cc.imag)]
-        for nn, mm, cc in zip(n, m, radius_coeffs.coeffs)
-        if cc != 0
-    ]
-    return {"radius": entries, "L_quad": int(L_quad)}
 
 
 def build_surface(radius_coeffs: ShCoeffs, L_quad: int) -> SurfaceGrid:

@@ -16,7 +16,6 @@ from mnpspr.potentials import (
     MaterialConfig,
     apply_N,
     apply_Q,
-    mnp_curl_apply,
     offboundary_eval,
     scalar_operators,
 )

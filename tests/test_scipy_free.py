@@ -1,9 +1,10 @@
 """scipy stays off the import path of the CLI.
 
-scipy is used by the sphere oracles only, which import it where they use it;
-`spectrum`, `decay` and `scatter` never load it.  Nor do `decay` and
-`scatter` load `importlib.metadata` or `argparse`: the provenance header
-names scipy's version only when the run loaded it.  The commands run in
+scipy is used by the spherical Bessel functions of the sphere modes only,
+which import it where they use it: `mie-check` and a `plasmon` run with a
+sphere mode load it; `spectrum`, `decay` and `scatter` never do.  Nor do
+`decay` and `scatter` load `importlib.metadata` or `argparse`: the
+provenance header names scipy's version only when the run loaded it.  The commands run in
 fresh processes here, so that sys.modules shows what each one loaded.
 """
 
@@ -56,6 +57,10 @@ CONFIGS = {
         "tau_list": [0.5], "delta_list": [0.1],
     },
     "mie-check": {"command": "mie-check", "n_max": 1, "L_quad": 12},
+    "plasmon-sphere-mode": {
+        "command": "plasmon", "surface": SPHERE, "L": 6, "mode": {"l": 2, "n": 1, "m": 0},
+        "points": [{"count": 4, "radius": 2.0}],
+    },
 }
 
 
@@ -94,6 +99,14 @@ def test_mie_check_loads_special_at_its_oracle(tmp_path):
     import scipy
 
     assert version_line(tmp_path / "mie_check.csv").endswith(f", scipy {scipy.__version__}")
+
+
+def test_plasmon_sphere_mode_loads_special(tmp_path):
+    """A sphere mode's radial factors are spherical Bessel functions."""
+    assert "scipy.special" in run_probe(tmp_path, "plasmon-sphere-mode")["loaded"]
+    import scipy
+
+    assert version_line(tmp_path / "plasmon.csv").endswith(f", scipy {scipy.__version__}")
 
 
 def module_level_imports(source):

@@ -1,30 +1,31 @@
 import numpy as np
-import pytest
-from scipy.integrate import quad
 
 from mnpspr.specfun import (
-    RadialKind,
-    VectorHarmonic,
     composite_h1,
     composite_j,
-    radial,
-    radial_asymptotic_ratio,
     spherical_h1,
-    vector_sph,
+    spherical_j,
     vector_sph_matrix,
-    ynm,
 )
-from mnpspr.sphharm import sh_index
+from mnpspr.sphharm import cartesian_to_angles, sh_index, ynm_matrix
 from mnpspr.surface import random_band_limited, TangentField
 from scipy.special import spherical_jn, spherical_yn
 
 
+def at_direction(d):
+    """(theta, phi) of a unit direction, as (1,) arrays."""
+    theta, phi, _ = cartesian_to_angles(np.asarray(d, dtype=float))
+    return theta, phi
+
+
 class TestYnm:
     def test_degree_zero(self):
-        assert abs(ynm(0, 0, [0.3, 0.4, np.sqrt(1 - 0.25)]) - 1 / np.sqrt(4 * np.pi)) < 1e-14
+        Y = ynm_matrix(*at_direction([0.3, 0.4, np.sqrt(1 - 0.25)]), 0)
+        assert abs(Y[0, 0] - 1 / np.sqrt(4 * np.pi)) < 1e-14
 
     def test_north_pole_value(self):
-        assert abs(ynm(1, 0, [0, 0, 1.0]) - np.sqrt(3 / (4 * np.pi))) < 1e-14
+        Y = ynm_matrix(*at_direction([0, 0, 1.0]), 1)
+        assert abs(Y[0, sh_index(1, 0)] - np.sqrt(3 / (4 * np.pi))) < 1e-14
 
     def test_norm_by_quadrature(self, sphere10):
         vals = sphere10.Y[:, sh_index(5, 3)]
@@ -32,32 +33,28 @@ class TestYnm:
         assert abs(norm - 1.0) < 1e-10
 
     def test_conjugation_symmetry(self):
-        d = np.array([0.1, -0.7, np.sqrt(1 - 0.5)])
-        assert abs(ynm(4, -3, d) - (-1) ** 3 * np.conj(ynm(4, 3, d))) < 1e-13
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            ynm(2, 3, [0, 0, 1.0])
+        Y = ynm_matrix(*at_direction([0.1, -0.7, np.sqrt(1 - 0.5)]), 4)[0]
+        assert abs(Y[sh_index(4, -3)] - (-1) ** 3 * np.conj(Y[sh_index(4, 3)])) < 1e-13
 
     def test_finite_at_degree_sixty(self):
-        d = np.array([0.3, 0.4, np.sqrt(1 - 0.25)])
-        v = ynm(60, 37, d)
+        theta, phi = at_direction([0.3, 0.4, np.sqrt(1 - 0.25)])
+        v = ynm_matrix(theta, phi, 60)[0, sh_index(60, 37)]
         assert np.isfinite(v.real) and np.isfinite(v.imag)
-        w = vector_sph(VectorHarmonic(1, 60, 59), d)
+        w = vector_sph_matrix(theta, phi, 60)[0][0, sh_index(60, 59)]
         assert np.all(np.isfinite(w.view(float)))
 
 
 class TestVectorSph:
     def test_tangential(self):
         d = np.array([0.3, 0.4, np.sqrt(1 - 0.25)])
-        v = vector_sph(VectorHarmonic(1, 3, 2), d)
-        assert abs(np.dot(d, v)) < 1e-12
+        for family in vector_sph_matrix(*at_direction(d), 3):
+            assert abs(np.dot(d, family[0, sh_index(3, 2)])) < 1e-12
 
     def test_rotation_relation(self):
         d = np.array([0.6, -0.48, 0.64])
         d /= np.linalg.norm(d)
-        v1 = vector_sph(VectorHarmonic(1, 4, 1), d)
-        v2 = vector_sph(VectorHarmonic(2, 4, 1), d)
+        p1, p2 = vector_sph_matrix(*at_direction(d), 4)
+        v1, v2 = p1[0, sh_index(4, 1)], p2[0, sh_index(4, 1)]
         assert np.max(np.abs(np.cross(d, v1) - v2)) < 1e-12
 
     def test_families_orthogonal_by_quadrature(self, sphere10):
@@ -75,10 +72,6 @@ class TestVectorSph:
             np.conj(p1[:, sh_index(2, 1), :]), p1[:, sh_index(2, 1), :],
         )
         assert abs(nrm - 1.0) < 1e-10
-
-    def test_degree_zero_rejected(self):
-        with pytest.raises(ValueError):
-            VectorHarmonic(1, 0, 0)
 
     def test_completeness_on_sphere(self, sphere10, rng):
         # a random band-limited tangential field is recovered from its
@@ -98,14 +91,14 @@ class TestVectorSph:
 
 class TestRadial:
     def test_bessel_closed_form(self):
-        assert abs(radial(RadialKind("bessel_j", 0), 1.0) - np.sin(1.0)) < 1e-14
+        assert abs(spherical_j(0, 1.0) - np.sin(1.0)) < 1e-14
 
     def test_composite_closed_form(self):
         # j_0 + z j_0' = cos z
-        assert abs(radial(RadialKind("composite_J", 0), 1.0) - np.cos(1.0)) < 1e-14
+        assert abs(composite_j(0, 1.0) - np.cos(1.0)) < 1e-14
 
     def test_hankel_closed_form(self):
-        assert abs(radial(RadialKind("hankel1", 0), 2.0) - np.exp(2j) / (2j)) < 1e-14
+        assert abs(spherical_h1(0, 2.0) - np.exp(2j) / (2j)) < 1e-14
 
     def test_wronskian(self):
         for z in (0.1, 0.5, 2.0, 7.3, 20.0):
@@ -122,32 +115,6 @@ class TestRadial:
                     lhs = f(n - 1, z) + f(n + 1, z)
                     rhs = (2 * n + 1) * f(n, z) / z
                     assert abs(lhs - rhs) < 1e-10 * max(abs(rhs), 1e-280)
-
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            radial(RadialKind("bessel_j", 2), -1.0)
-        with pytest.raises(ValueError):
-            RadialKind("weird", 2)
-
-
-class TestAsymptoticRatio:
-    def test_bessel_ratio(self):
-        r = radial_asymptotic_ratio(RadialKind("bessel_j", 20), 1.0)
-        assert 0.97 < r < 1.03
-
-    def test_hankel_ratio(self):
-        r = radial_asymptotic_ratio(RadialKind("hankel1", 20), 1.0)
-        assert 0.97 < abs(r) < 1.03
-
-    def test_composite_ratio_monotone(self):
-        ratios = [
-            radial_asymptotic_ratio(RadialKind("composite_J", n), 0.5)
-            for n in range(10, 41)
-        ]
-        gaps = np.abs(np.array(ratios) - 1.0)
-        # convergence to 1, monotone beyond some point
-        assert gaps[-1] < 2e-3 and gaps[-1] < gaps[0] / 3
-        assert np.all(np.diff(gaps[5:]) < 0)
 
     def test_composite_h_matches_quadrature_free_form(self):
         # cross-check composite functions against derivative formulas

@@ -2,23 +2,19 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from mnpspr.potentials import AssemblyAccuracyError, mnp_curl_apply, scalar_operators
+from mnpspr.potentials import AssemblyAccuracyError, scalar_operators
 from mnpspr.spectral import (
     _eigh_pencil,
     _hermitize,
     _subspace_operator,
     calderon_residual,
     curl_field_expansion,
-    gram,
-    gram_norm,
     mnp_spectra,
-    norm_equivalence_report,
     np_spectrum,
     quotient_gram_matrix,
     scalar_calderon_residual,
     self_adjointness_residual,
     subspace_spectrum,
-    trace_norm,
 )
 from mnpspr.sphharm import sh_index
 from mnpspr.surface import (
@@ -77,6 +73,10 @@ class TestMnpSpectra:
         n = np.concatenate([np.full(2 * k + 1, k) for k in range(1, 17)])
         assert np.max(np.abs(np.sort(curl.eigenvalues) - np.sort(1 / (2 * (2 * n + 1))))) < 1e-6
         assert np.max(np.abs(np.sort(grad.eigenvalues) - np.sort(-1 / (2 * (2 * n + 1))))) < 1e-6
+        # the quotient Gram -<pot, S^{-1} pot> of Y_n^m is 2n + 1
+        G = quotient_gram_matrix(sphere16_ops["S"], sphere16)
+        for n in (1, 3, 6):
+            assert abs(G[sh_index(n, 0) - 1, sh_index(n, 0) - 1] - (2 * n + 1)) < 1e-6 * (2 * n + 1)
 
     def test_half_mode_excluded(self, pert12_spectra):
         nps, curl, grad = pert12_spectra
@@ -99,8 +99,9 @@ class TestMnpSpectra:
         errs = []
         for j in range(len(curl)):
             V = ShCoeffs(curl.L, curl.vectors[:, j], True)
-            out = mnp_curl_apply(V, pert12_ops["K"])
-            errs.append(np.max(np.abs(out.coeffs - curl.eigenvalues[j] * V.coeffs)))
+            out = pert12_ops["K"].entries @ V.padded(curl.L)
+            out[0] = 0.0
+            errs.append(np.max(np.abs(out - curl.eigenvalues[j] * V.coeffs)))
         assert max(errs) < 1e-6
 
     def test_gram_orthonormality(self, pert12_spectra, pert12_ops, pert12):
@@ -116,53 +117,6 @@ class TestMnpSpectra:
         assert np.max(np.abs(np.sort(lam_ind) - np.sort(curl.eigenvalues))) < 1e-7
         lam_grad = subspace_spectrum(pert12_ops, pert12, "Mstar_grad")
         assert np.max(np.abs(np.sort(lam_grad) + np.sort(curl.eigenvalues)[::-1])) < 1e-7
-
-
-class TestGram:
-    def test_eigenfields_orthonormal(self, pert12_spectra, pert12_ops, pert12):
-        _, curl, _ = pert12_spectra
-        fields = [
-            TangentField.from_potentials(V=ShCoeffs(curl.L, curl.vectors[:, j], True), flavor="curl")
-            for j in (0, 1, 5)
-        ]
-        for i, a in enumerate(fields):
-            for j, b in enumerate(fields):
-                val = gram("curl_Ninv", a, b, pert12_ops["S"], pert12)
-                assert abs(val - (1.0 if i == j else 0.0)) < 1e-7
-
-    def test_zero_field(self, sphere10, sphere10_ops):
-        a = TangentField.from_potentials(V=ShCoeffs.zeros(10, True), flavor="curl")
-        assert gram("curl_Ninv", a, a, sphere10_ops["S"], sphere10) == 0.0
-
-    def test_sphere_values_both_kinds(self, sphere10, sphere10_ops):
-        # quotient form gives (2n+1); symmetrizer form gives (n(n+1))^2/(2n+1)
-        for n in (1, 3, 6):
-            a = TangentField.from_potentials(V=ShCoeffs.unit(n, 0, L=10), flavor="curl")
-            v1 = gram("curl_Ninv", a, a, sphere10_ops["S"], sphere10)
-            assert abs(v1 - (2 * n + 1)) < 1e-6 * (2 * n + 1)
-            v2 = gram("curl_N", a, a, sphere10_ops["S"], sphere10)
-            expect = (n * (n + 1.0)) ** 2 / (2.0 * n + 1.0)
-            assert abs(v2 - expect) < 1e-6 * expect
-            b = TangentField.from_potentials(X=ShCoeffs.unit(n, 0, L=10), flavor="div")
-            assert abs(gram("grad_Qinv", b, b, sphere10_ops["S"], sphere10) - (2 * n + 1)) < 1e-6 * (2 * n + 1)
-            assert abs(gram("grad_Q", b, b, sphere10_ops["S"], sphere10) - expect) < 1e-6 * expect
-
-    def test_conjugate_symmetry_and_positivity(self, pert12, pert12_ops, rng):
-        a = TangentField.from_potentials(V=random_band_limited(rng, 7), flavor="curl")
-        b = TangentField.from_potentials(V=random_band_limited(rng, 7), flavor="curl")
-        S = pert12_ops["S"]
-        for kind in ("curl_Ninv", "curl_N"):
-            vab = gram(kind, a, b, S, pert12)
-            vba = gram(kind, b, a, S, pert12)
-            assert abs(vab - np.conj(vba)) < 1e-9 * abs(vab)
-            assert gram(kind, a, a, S, pert12).real > 0
-
-    def test_flavor_checks(self, sphere10, sphere10_ops, rng):
-        from mnpspr.potentials import FlavorError
-
-        a = TangentField.from_potentials(V=random_band_limited(rng, 4), flavor="div")
-        with pytest.raises(FlavorError):
-            gram("curl_Ninv", a, a, sphere10_ops["S"], sphere10)
 
 
 class TestCalderon:
@@ -196,21 +150,6 @@ class TestSelfAdjointness:
 
     def test_identity_gram_fails(self, pert12, pert12_ops):
         assert self_adjointness_residual("M_curl", pert12, pert12_ops, "identity") > 1e-3
-
-
-class TestNormEquivalence:
-    def test_sphere_curl_spread(self, sphere10, sphere10_ops):
-        rep = norm_equivalence_report(sphere10, sphere10_ops, 10, "curl", seed=0)
-        assert rep["min_ratio"] > 0 and np.isfinite(rep["max_ratio"])
-        assert rep["max_ratio"] / rep["min_ratio"] <= 50
-
-    def test_perturbed_grad_spread(self, pert12, pert12_ops):
-        rep = norm_equivalence_report(pert12, pert12_ops, 10, "grad", seed=1)
-        assert rep["max_ratio"] / rep["min_ratio"] <= 50
-
-    def test_sample_count_guard(self, sphere10, sphere10_ops):
-        with pytest.raises(ValueError):
-            norm_equivalence_report(sphere10, sphere10_ops, 5)
 
 
 class TestCompleteness:

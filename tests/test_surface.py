@@ -12,11 +12,15 @@ from mnpspr.surface import (
     radius_from_json,
     random_band_limited,
     sphere_surface,
-    surface_spec_to_json,
     tubular_distance,
 )
 
 FOUR_PI = 4.0 * np.pi
+
+
+def values(grid, u):
+    """Node values of a scalar density."""
+    return grid.values_at([u])[:, 0]
 
 
 def grad(grid, u):
@@ -31,7 +35,7 @@ def vcurl(grid, u):
 
 def laplacian(grid, u):
     """Node values of the Laplace-Beltrami operator of u, in the weak form."""
-    return grid.synthesis(ShCoeffs(grid.L_quad, grid.laplace_matrix() @ u.padded(grid.L_quad)))
+    return values(grid, ShCoeffs(grid.L_quad, grid.laplace_matrix() @ u.padded(grid.L_quad)))
 
 
 class TestBuildSurface:
@@ -77,21 +81,18 @@ class TestBuildSurface:
         with pytest.raises(ResolutionError):
             build_surface(ShCoeffs.constant(1.0, L=4), 2)
 
-    def test_json_roundtrip(self, tmp_path):
+    def test_json_roundtrip(self):
         g = perturbed_sphere(0.05, 2, 0, 8)
-        spec = surface_spec_to_json(g.radius_coeffs, 8)
+        n, m = sh_degrees(g.L_geo)
+        c = g.radius_coeffs.coeffs
+        spec = {"radius": [[int(n[j]), int(m[j]), c[j].real, c[j].imag] for j in np.flatnonzero(c)]}
         r2 = radius_from_json(spec)
         assert np.allclose(r2.coeffs, g.radius_coeffs.coeffs)
-        path = tmp_path / "grid.csv"
-        g.to_csv(path)
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert rows.shape == (g.n_nodes, 10)
-        assert np.allclose(rows[:, 3:6], g.positions)
 
 
 class TestTransforms:
     def test_analysis_of_harmonic(self, sphere10):
-        vals = sphere10.synthesis(ShCoeffs.unit(3, 1, L=5))
+        vals = values(sphere10, ShCoeffs.unit(3, 1, L=5))
         c = sphere10.analysis(vals, 5)
         e = np.zeros((6) ** 2)
         e[sh_index(3, 1)] = 1.0
@@ -106,21 +107,21 @@ class TestTransforms:
         f = ShCoeffs.zeros(6)
         f.coeffs[sh_index(5, 2)] = 1.0
         f.coeffs[sh_index(1, 0)] = 2.0
-        c = sphere10.analysis(sphere10.synthesis(f), 6)
+        c = sphere10.analysis(values(sphere10, f), 6)
         assert np.max(np.abs(c.coeffs - f.coeffs)) < 1e-12
 
     def test_synthesis_constant_and_roundtrip(self, sphere10, rng):
-        vals = sphere10.synthesis(ShCoeffs.unit(0, 0))
+        vals = values(sphere10, ShCoeffs.unit(0, 0))
         assert np.allclose(vals, 1.0 / np.sqrt(FOUR_PI))
         c = random_band_limited(rng, 8, mean_free=False)
-        c2 = sphere10.analysis(sphere10.synthesis(c), 8)
+        c2 = sphere10.analysis(values(sphere10, c), 8)
         assert np.max(np.abs(c2.coeffs - c.coeffs)) < 1e-12
 
     def test_mean_free_integrates_to_zero(self, sphere10, rng):
         # on a sphere the surface measure is uniform, so a coefficient-mean-
         # free function has zero surface integral
         c = random_band_limited(rng, 6)
-        vals = sphere10.synthesis(c)
+        vals = values(sphere10, c)
         assert abs(np.sum(sphere10.area_weights * vals)) < 1e-10 * np.max(np.abs(vals))
 
 
@@ -128,7 +129,7 @@ class TestSurfaceDiff:
     def test_sphere_laplace_eigenvalue(self, sphere10):
         for n, m in ((1, 0), (4, 2), (7, -3)):
             vals = laplacian(sphere10, ShCoeffs.unit(n, m, L=8))
-            ref = -n * (n + 1) * sphere10.synthesis(ShCoeffs.unit(n, m, L=8))
+            ref = -n * (n + 1) * values(sphere10, ShCoeffs.unit(n, m, L=8))
             assert np.max(np.abs(vals - ref)) < 1e-10
 
     def test_div_of_vec_curl_vanishes(self, pert12, rng):
@@ -136,18 +137,6 @@ class TestSurfaceDiff:
         f = vcurl(pert12, V)
         d = pert12.div(f)
         assert np.max(np.abs(d)) <= 1e-9 * np.max(np.abs(f))
-
-    def test_curl_of_vec_curl_is_minus_laplacian(self, pert12, rng):
-        V = random_band_limited(rng, 8)
-        f = vcurl(pert12, V)
-        lhs = pert12.scal_curl(f)
-        rhs = -laplacian(pert12, V)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-8 * np.max(np.abs(rhs))
-
-    def test_curl_of_gradient_vanishes(self, pert12, rng):
-        X = random_band_limited(rng, 8)
-        f = grad(pert12, X)
-        assert np.max(np.abs(pert12.scal_curl(f))) <= 1e-9 * np.max(np.abs(f))
 
     def test_gradient_of_constant(self, sphere10):
         # column 0 of the basis fields is the constant harmonic
@@ -165,7 +154,7 @@ class TestSurfaceDiff:
             pert12.area_weights
             * (
                 np.einsum("ij,ij->i", grad(pert12, u), F)
-                + pert12.synthesis(u) * pert12.div(F)
+                + values(pert12, u) * pert12.div(F)
             )
         )
         scale = np.max(np.abs(F)) * np.max(np.abs(grad(pert12, u)))
