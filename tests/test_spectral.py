@@ -73,10 +73,6 @@ class TestMnpSpectra:
         n = np.concatenate([np.full(2 * k + 1, k) for k in range(1, 17)])
         assert np.max(np.abs(np.sort(curl.eigenvalues) - np.sort(1 / (2 * (2 * n + 1))))) < 1e-6
         assert np.max(np.abs(np.sort(grad.eigenvalues) - np.sort(-1 / (2 * (2 * n + 1))))) < 1e-6
-        # the quotient Gram -<pot, S^{-1} pot> of Y_n^m is 2n + 1
-        G = quotient_gram_matrix(sphere16_ops["S"], sphere16)
-        for n in (1, 3, 6):
-            assert abs(G[sh_index(n, 0) - 1, sh_index(n, 0) - 1] - (2 * n + 1)) < 1e-6 * (2 * n + 1)
 
     def test_half_mode_excluded(self, pert12_spectra):
         nps, curl, grad = pert12_spectra
@@ -117,6 +113,21 @@ class TestMnpSpectra:
         assert np.max(np.abs(np.sort(lam_ind) - np.sort(curl.eigenvalues))) < 1e-7
         lam_grad = subspace_spectrum(pert12_ops, pert12, "Mstar_grad")
         assert np.max(np.abs(np.sort(lam_grad) + np.sort(curl.eigenvalues)[::-1])) < 1e-7
+
+
+class TestGram:
+    def test_sphere_values_both_kinds(self, sphere10, sphere10_ops):
+        # quotient form -<pot, S^{-1} pot> gives (2n+1);
+        # symmetrizer form -<Lap pot, S Lap pot> gives (n(n+1))^2/(2n+1)
+        S = sphere10_ops["S"]
+        G = quotient_gram_matrix(S, sphere10)
+        D, GS = sphere10.laplace_matrix(10), _hermitize(S.pairing)
+        for n in (1, 3, 6):
+            i = sh_index(n, 0)
+            assert abs(G[i - 1, i - 1] - (2 * n + 1)) < 1e-6 * (2 * n + 1)
+            Dp = D @ ShCoeffs.unit(n, 0, L=10).padded(10)
+            expect = (n * (n + 1.0)) ** 2 / (2.0 * n + 1.0)
+            assert abs(-(Dp.conj() @ (GS @ Dp)) - expect) < 1e-6 * expect
 
 
 class TestCalderon:
