@@ -270,10 +270,12 @@ def config_hash(data) -> str:
     ).hexdigest()[:16]
 
 
-def report_version_and_provenance(cfg=None, tol=None, seed=0, L_quad=None):
+def report_version_and_provenance(cfg=None, tol=None, seed=0, L_quad=None, L=None):
     """Provenance lines embedded in every artifact header.
 
     cfg is the raw config dict; its command selects the quadrature line.
+    L is the run's degree, at which scatter projects its corrections
+    (default L_quad).
     scipy's version is named only when the run has loaded scipy.
     """
     command = cfg.get("command") if isinstance(cfg, dict) else None
@@ -283,7 +285,8 @@ def report_version_and_provenance(cfg=None, tol=None, seed=0, L_quad=None):
     elif L_quad is not None:
         quadrature += f" (n_polar={default_polar_order(L_quad)})"
         if command == "scatter":
-            quadrature += f", corrections (n_polar={correction_polar_order(L_quad)})"
+            degree = L_quad if L is None else L
+            quadrature += f", corrections (n_polar={correction_polar_order(degree)})"
     versions = f"numpy {np.__version__}"
     if "scipy" in sys.modules:
         versions += f", scipy {sys.modules['scipy'].__version__}"
@@ -422,7 +425,7 @@ def cmd_scatter(cfg, grid):
     p = cfg.params
     rows = resonance_sweep(
         grid, p["tau_list"], p["delta_list"], p["materials"]["omega"], p["order"],
-        np.asarray(p["source"]["s"]), np.asarray(p["source"]["p"]),
+        np.asarray(p["source"]["s"]), np.asarray(p["source"]["p"]), p["L"],
     )
     columns = ["tau", "delta", "indicator", "solution_norm", "condition"]
     return {"scatter.csv": (columns, rows)}, None
@@ -480,7 +483,9 @@ def run(config, outdir=".", tol=None, seed=0) -> int:
         cfg = RunConfig.from_dict(config, tol, seed)
         handler = _HANDLERS[cfg.command][0]
         artifacts, breach = handler(cfg, cfg.build_grid())
-        header = report_version_and_provenance(config, tol, seed, cfg.L_quad)
+        header = report_version_and_provenance(
+            config, tol, seed, cfg.L_quad, cfg.params.get("L")
+        )
         for name, body in artifacts.items():
             path = os.path.join(outdir, name)
             if name.endswith(".csv"):

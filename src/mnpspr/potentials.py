@@ -477,6 +477,55 @@ def tangent_mass_stack(grid: SurfaceGrid, L: int):
     return W
 
 
+def _test_fields(grid: SurfaceGrid, nodes, L: int):
+    """Conjugated, area-weighted test fields crossed with nu_x at grid nodes, (n, 3, 2d).
+
+    Columns: the curl basis fields for the gradient slots, minus the
+    gradient basis fields for the curl slots (degree >= 1), each
+    Y_theta vec_theta + (Y_phi / sin) vec_phi of its frame pair.
+    """
+    nc = num_coeffs(L)
+    Yt, Yp = (np.conj(D[nodes, 1:nc])[:, None, :] for D in (grid.Yt, grid.Yp))
+    a, sb, a_c, sb_c = (vec[nodes, :, None] for vec in grid.tangent_frame)
+    test = np.concatenate([Yt * a_c + Yp * sb_c, -(Yt * a + Yp * sb)], axis=2)
+    test *= grid.area_weights[nodes, None, None]
+    return test
+
+
+def _ring_kernel_values(ring, L: int):
+    """The Mk2 and L1 kernels applied to every basis field at one ring's targets.
+
+    Returns (n_phi 3, 4d): rows (target, component), columns the blocks
+    (Mk2 grad, Mk2 curl, L1 grad, L1 curl) of degree >= 1 slots.
+    """
+    d = num_coeffs(L) - 1
+    # grad Y_j and vcurl Y_j weigh the frame's vector pairs by the same derivatives
+    alpha, sin_beta, alpha_c, sin_beta_c = tangent_frame(dict(ring.frame, theta=ring.theta))
+    rvec, r = ring.rvec, ring.r
+    n_t, q = r.shape
+    uhat = rvec / r[..., None]
+    # K phi of the ring-projected kinds, in VECTOR_KINDS order
+    kernels = (
+        lambda vec: np.cross(uhat, vec) / (8.0 * np.pi),
+        lambda vec: 0.5 * (
+            vec / r[..., None]
+            + rvec * (np.einsum("tqj,tqj->tq", rvec, vec) / r**3)[..., None]
+        ),
+    )
+    # (kernel, frame pair) rows in the order of the column blocks, (4 n_t 3, q) each
+    A, B = (
+        np.stack([
+            (fn(vec) * ring.wjac[..., None]).transpose(0, 2, 1)
+            for fn in kernels for vec in vecs
+        ]).reshape(-1, q)
+        for vecs in ((alpha, alpha_c), (sin_beta, sin_beta_c))
+    )
+    rows = harmonic_moments(A, ring.theta, ring.phi, L, B).reshape(4, n_t, 3, d + 1)
+    # the kernels turn with the ring: target i's rows are rotation_i @ rows
+    rows = (ring.rotation @ rows.view(float)).view(complex) * ring.phase[:, None, :]
+    return rows[..., 1:].transpose(1, 2, 0, 3).reshape(-1, 4 * d)
+
+
 def correction_unit_matrices(grid: SurfaceGrid, L: int):
     """Galerkin matrices of the correction kernels at unit scale, built once per grid.
 
@@ -492,53 +541,33 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
     kernels one ring at a time, so the per-node integral tensors are never
     held whole: the four (kernel, frame pair) row sets of a ring go through
     one `harmonic_moments` call, as A (the pair's theta field) and B (its
-    sin-scaled phi field).  L2's integral is the same vector (2/3) int phi_j ds at
-    every target, so its pairing is the rank-3 product
-    (2/3) (sum_x t_i x nu_x) . int phi_j ds, with the grid rule.  The arrays
-    are read-only: every material shares them.
+    sin-scaled phi field).  The test fields are never held whole either:
+    each ring forms its own from its rows of Yt and Yp and the node frame.
+    L2's integral is the same vector (2/3) int phi_j ds at every target, so
+    its pairing is the rank-3 product (2/3) (sum_x t_i x nu_x) . int phi_j ds,
+    with the grid rule; both sums are frame-weighted node sums times Yt and
+    Yp.  Beyond the result, memory is O(n_nodes NC) for the stiffness Gram
+    and O(n_phi NC) per ring.  The arrays are read-only: every material
+    shares them.
     """
 
     def build():
         nc = num_coeffs(L)
         d = nc - 1
-        w = grid.area_weights
-        grad, curl = grid.grad_basis()[:, 1:nc], grid.curl_basis()[:, 1:nc]
-        # conjugated, area-weighted test fields crossed with nu_x, (n_nodes, 3, 2d)
-        test = np.concatenate([curl.transpose(0, 2, 1), -grad.transpose(0, 2, 1)], axis=2)
-        np.conj(test, out=test)
-        test *= w[:, None, None]
+        w = grid.area_weights[:, None]
+        # int grad Y_j ds and int vcurl Y_j ds by the grid rule, (d, 3) each
+        grad_int, curl_int = (
+            ((w * a).T @ grid.Yt + (w * sb).T @ grid.Yp)[:, 1:nc].T
+            for a, sb in (grid.tangent_frame[:2], grid.tangent_frame[2:])
+        )
         # pairings of the kernels side by side, in VECTOR_KINDS order
         G = np.zeros((2 * d, 3 * 2 * d), dtype=complex)
-        # int phi_j ds by the grid rule, (2d, 3)
-        phi_int = np.concatenate([np.tensordot(w, grad, axes=1), np.tensordot(w, curl, axes=1)])
-        G[:, 4 * d :] = (2.0 / 3.0) * test.sum(axis=0).T @ phi_int.T
+        # L2: sum_x of the test fields times int phi_j ds, both (2d, 3)
+        test_sum = np.conj(np.concatenate([curl_int, -grad_int]))
+        G[:, 4 * d :] = (2.0 / 3.0) * test_sum @ np.concatenate([grad_int, curl_int]).T
         for ring in rings(grid, L, correction_polar_order(L)):
-            # grad Y_j and vcurl Y_j weigh the frame's vector pairs by the same derivatives
-            alpha, sin_beta, alpha_c, sin_beta_c = tangent_frame(dict(ring.frame, theta=ring.theta))
-            rvec, r = ring.rvec, ring.r
-            n_t, q = r.shape
-            uhat = rvec / r[..., None]
-            # K phi of the ring-projected kinds, in VECTOR_KINDS order
-            kernels = (
-                lambda vec: np.cross(uhat, vec) / (8.0 * np.pi),
-                lambda vec: 0.5 * (
-                    vec / r[..., None]
-                    + rvec * (np.einsum("tqj,tqj->tq", rvec, vec) / r**3)[..., None]
-                ),
-            )
-            # (kernel, frame pair) rows in the order of G's column blocks, (4 n_t 3, q) each
-            A, B = (
-                np.stack([
-                    (fn(vec) * ring.wjac[..., None]).transpose(0, 2, 1)
-                    for fn in kernels for vec in vecs
-                ]).reshape(-1, q)
-                for vecs in ((alpha, alpha_c), (sin_beta, sin_beta_c))
-            )
-            rows = harmonic_moments(A, ring.theta, ring.phi, L, B).reshape(4, n_t, 3, nc)
-            # the kernels turn with the ring: target i's rows are rotation_i @ rows
-            rows = (ring.rotation @ rows.view(float)).view(complex) * ring.phase[:, None, :]
-            vals = rows[..., 1:].transpose(1, 2, 0, 3).reshape(-1, 4 * d)
-            G[:, : 4 * d] += test[ring.nodes].reshape(-1, 2 * d).T @ vals
+            test = _test_fields(grid, ring.nodes, L)
+            G[:, : 4 * d] += test.reshape(-1, 2 * d).T @ _ring_kernel_values(ring, L)
         entries = np.linalg.solve(tangent_mass_stack(grid, L), G)
         entries.flags.writeable = False
         G.flags.writeable = False

@@ -116,8 +116,13 @@ def static_magnetic_block(grid: SurfaceGrid, L: int):
     return grid.cached(("magnetic", L), build)
 
 
-def assemble_system(grid: SurfaceGrid, materials: MaterialConfig, order: int) -> BlockSystem:
-    """Scaled boundary system truncated at the requested correction order."""
+def assemble_system(
+    grid: SurfaceGrid, materials: MaterialConfig, order: int, L=None
+) -> BlockSystem:
+    """Scaled boundary system truncated at the requested correction order.
+
+    L is the potential degree, at most grid.L_quad (the default).
+    """
     if order not in (0, 1, 2):
         raise ValueError("correction order must be 0, 1 or 2")
     if materials.mu_e == materials.mu_c or materials.eps_e == materials.eps_c:
@@ -125,7 +130,7 @@ def assemble_system(grid: SurfaceGrid, materials: MaterialConfig, order: int) ->
     tau = materials.tau
     if tau == 1.0:
         raise ValueError("tau = 1 makes the scaled system degenerate")
-    L = grid.L_quad
+    L = grid.L_quad if L is None else L
     delta = materials.delta
     M = static_magnetic_block(grid, L)
     same = resonance_shift(tau) * np.eye(len(M)) - M
@@ -291,10 +296,11 @@ def densities_from_solution(solution, omega):
     return psi, phi
 
 
-def resonance_sweep(grid, tau_list, delta_list, omega, order, source, p):
+def resonance_sweep(grid, tau_list, delta_list, omega, order, source, p, L=None):
     """Indicator / solve sweep over (tau, delta); rows for the CSV artifact.
 
-    The indicator is evaluated on the lowest rotational mode of the unit
+    Each system is assembled at degree L (default grid.L_quad).  The
+    indicator is evaluated on the lowest rotational mode of the unit
     sphere, the canonical weak-resonance candidate.
     """
     from .plasmon import PlasmonMode
@@ -305,7 +311,7 @@ def resonance_sweep(grid, tau_list, delta_list, omega, order, source, p):
             mats = MaterialConfig.negative_preset(tau, omega, delta)
             # first: it rejects a source inside the particle before any assembly
             rhs = dipole_incident_trace(source, p, mats, grid)
-            system = assemble_system(grid, mats, order)
+            system = assemble_system(grid, mats, order, L)
             sol, cond = solve_scatter(system, rhs)
             sol_norm = pair_norm(sol[0], sol[1], grid)
             mode = PlasmonMode.from_sphere(2, 1, 0, 1.0, omega, delta)

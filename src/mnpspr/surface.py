@@ -16,8 +16,10 @@ values: a list of ShCoeffs or of TangentField, at the grid nodes or at the
 points of any frame, into one stacked array.  grad_S and vcurl_S are read
 off one tangent frame (`tangent_frame`), built analytically from the first
 fundamental form of the parametrization; div, the Laplacian and the
-Helmholtz decomposition are weak forms against the basis fields that frame
-gives.
+Helmholtz decomposition are weak forms against the basis fields grad Y_j
+and vcurl Y_j that frame gives.  Those basis fields are never stored:
+each pairing dots the field with the frame's vector pair at the nodes and
+then applies the derivative matrices Yt^H and Yp^H.
 """
 
 from __future__ import annotations
@@ -351,42 +353,60 @@ class SurfaceGrid:
     # pole-singular covariant components and makes the composition identities
     # hold to quadrature accuracy.
 
-    def _basis_fields(self, key, vec_theta, vec_phi):
-        """Y_theta vec_theta + (Y_phi / sin) vec_phi for every basis function, (N, NC, 3)."""
-        return self.cached(
-            key,
-            lambda: self.Yt[:, :, None] * vec_theta[:, None, :]
-            + self.Yp[:, :, None] * vec_phi[:, None, :],
-        )
-
     def grad_basis(self):
-        """Node values of grad Y_j for every basis function, (N, NC, 3)."""
-        return self._basis_fields("grad_basis", *self.tangent_frame[:2])
+        """Node values of grad Y_j for every basis function, (N, NC, 3), built per call.
+
+        No library path calls it: pairings go through `_frame_pairing`.
+        perfbench/spans.py wraps it by name.
+        """
+        vec_theta, vec_phi = (v[:, None, :] for v in self.tangent_frame[:2])
+        return self.Yt[:, :, None] * vec_theta + self.Yp[:, :, None] * vec_phi
 
     def curl_basis(self):
-        """Node values of vcurl Y_j = -normal x grad Y_j, (N, NC, 3)."""
-        return self._basis_fields("curl_basis", *self.tangent_frame[2:])
+        """Node values of vcurl Y_j = -normal x grad Y_j, (N, NC, 3), built per call.
+
+        No library path calls it: pairings go through `_frame_pairing`.
+        perfbench/spans.py wraps it by name.
+        """
+        vec_theta, vec_phi = (v[:, None, :] for v in self.tangent_frame[2:])
+        return self.Yt[:, :, None] * vec_theta + self.Yp[:, :, None] * vec_phi
 
     def stiffness_matrix(self):
-        """int grad(conj Y_i) . grad(Y_j) ds; Hermitian, PSD, kernel = constants."""
+        """int grad(conj Y_i) . grad(Y_j) ds; Hermitian, PSD, kernel = constants.
+
+        With D = (Yt, Yp) and g_ab the pointwise dot products of the frame
+        pair (alpha, sin_beta), the sum over a, b of D_a^H diag(w g_ab) D_b.
+        """
 
         def build():
-            gb = self.grad_basis()
-            wgb = self.area_weights[:, None, None] * gb
-            # one (NC x 3N) @ (3N x NC) product, summing over nodes and components
-            return np.tensordot(np.conj(wgb), gb, axes=([0, 2], [0, 2]))
+            pair = self.tangent_frame[:2]
+            w = self.area_weights
+            K = np.zeros((self.Yt.shape[1],) * 2, dtype=complex)
+            for vec, D in zip(pair, (self.Yt, self.Yp)):
+                # T = sum_b diag(w g_ab) D_b, one (N, NC) array; D^H T as conj(D^T conj(T))
+                T = (w * np.einsum("pc,pc->p", vec, pair[0]))[:, None] * self.Yt
+                T += (w * np.einsum("pc,pc->p", vec, pair[1]))[:, None] * self.Yp
+                K += np.conj(D.T @ np.conj(T, out=T))
+            return K
 
         return self.cached("stiffness", build)
 
-    def _pairing(self, basis, field_nodes):
-        """int conj(b_i) . field ds for every basis field b_i, by the grid rule."""
-        return np.einsum(
-            "pic,pc->i", np.conj(basis), self.area_weights[:, None] * np.asarray(field_nodes)
-        )
+    def _frame_pairing(self, field_nodes, family):
+        """int conj(b_j) . field ds for every basis field b_j, by the grid rule.
+
+        b_j = grad Y_j (family "grad") or vcurl Y_j ("curl").  With the
+        family's frame pair (vec_theta, vec_phi) of `tangent_frame` this is
+        Yt^H (w vec_theta . field) + Yp^H (w vec_phi . field).
+        """
+        pair = self.tangent_frame[:2] if family == "grad" else self.tangent_frame[2:]
+        wf = self.area_weights[:, None] * np.asarray(field_nodes)
+        a, b = (np.einsum("pc,pc->p", vec, wf) for vec in pair)
+        # Y^H v as conj(conj(v) @ Y): no conjugated copy of Y
+        return np.conj(np.conj(a) @ self.Yt + np.conj(b) @ self.Yp)
 
     def div(self, field_nodes):
         """Surface divergence of a tangential node field (values per node)."""
-        pair = -self._pairing(self.grad_basis(), field_nodes)
+        pair = -self._frame_pairing(field_nodes, "grad")
         return self.Y @ np.linalg.solve(self.mass_matrix(), pair)
 
     def laplace_matrix(self, L=None):
@@ -413,7 +433,7 @@ class SurfaceGrid:
         L = self.L_quad if L is None else L
         K = self.stiffness_matrix()
         pairings = np.column_stack(
-            [self._pairing(basis, field_nodes) for basis in (self.grad_basis(), self.curl_basis())]
+            [self._frame_pairing(field_nodes, family) for family in ("grad", "curl")]
         )
         X, V = np.zeros((2, num_coeffs(self.L_quad)), dtype=complex)
         X[1:], V[1:] = np.linalg.solve(K[1:, 1:], pairings[1:]).T

@@ -104,6 +104,21 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def basis_arrays(grid):
+    """Node values of grad Y_j and vcurl Y_j for every basis function, (N, NC, 3) each.
+
+    Y_theta vec_theta + (Y_phi / sin) vec_phi of the frame pairs (alpha,
+    sin_beta) and (alpha_c, sin_beta_c): the dense basis fields the library
+    no longer builds, kept here as the oracle of its frame contractions.
+    """
+    alpha, sin_beta, alpha_c, sin_beta_c = grid.tangent_frame
+
+    def fields(vec_theta, vec_phi):
+        return grid.Yt[:, :, None] * vec_theta[:, None] + grid.Yp[:, :, None] * vec_phi[:, None]
+
+    return fields(alpha, sin_beta), fields(alpha_c, sin_beta_c)
+
+
 def fd_curl(F, x, h=1e-3):
     """Finite-difference curl of a vector field callable."""
     out = np.zeros(3, dtype=complex)

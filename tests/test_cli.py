@@ -178,6 +178,44 @@ class TestOtherCommands:
         assert payload["plateau"] is True
 
 
+class TestScatterDegree:
+    """scatter assembles its system at its own L, below surface.L_quad too."""
+
+    @staticmethod
+    def scatter(tmp_path, radius, L_quad, L):
+        where = tmp_path / f"L{L}"
+        where.mkdir()
+        config = {
+            "command": "scatter",
+            "surface": {"radius": radius, "L_quad": L_quad},
+            "L": L,
+            "tau_list": [0.5],
+            "delta_list": [0.1],
+            "order": 2,
+        }
+        code, out = run_cli(where, config)
+        return code, (out / "scatter.csv").read_text().splitlines() if code == 0 else []
+
+    def test_bodies_follow_L(self, tmp_path):
+        radius = [[0, 0, float(np.sqrt(4.0 * np.pi)), 0.0], [2, 0, 0.05, 0.0]]
+        runs = [self.scatter(tmp_path, radius, 6, L) for L in (3, 6)]
+        assert [code for code, _ in runs] == [0, 0]
+        rows = [[l for l in lines if not l.startswith("#")] for _, lines in runs]
+        assert rows[0][0] == rows[1][0] == "tau,delta,indicator,solution_norm,condition"
+        assert rows[0][1:] != rows[1][1:]
+
+    def test_degree_below_grid_passes_the_guard(self, tmp_path):
+        # at L = L_quad = 12 this surface fails the S Hermiticity guard (2.5e-6)
+        radius = [
+            [0, 0, float(np.sqrt(4.0 * np.pi)), 0.0], [2, 0, 0.05, 0.0],
+            [2, 2, 0.03, 0.0], [2, -2, 0.03, 0.0],
+        ]
+        code, lines = self.scatter(tmp_path, radius, 12, 4)
+        assert code == 0
+        # the corrections are projected at L = 4, with n_polar = max(L + 12, 22)
+        assert "# quadrature: rotated-polar-gl (n_polar=30), corrections (n_polar=22)" in lines
+
+
 class TestConfigTypes:
     @staticmethod
     def error_field(tmp_path, config):

@@ -1,0 +1,162 @@
+"""Pairings against grad Y_j and vcurl Y_j contracted through the node frame.
+
+The library pairs fields with the tangential basis through Yt, Yp and the
+four `tangent_frame` fields, without the dense (N, NC, 3) basis arrays.
+These tests check each pairing against the arrays built by the conftest
+oracle, and bound the memory the contraction saves.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from conftest import basis_arrays
+
+from mnpspr.potentials import (
+    VECTOR_KINDS,
+    _ring_kernel_values,
+    correction_unit_matrices,
+    tangent_mass_stack,
+)
+from mnpspr.quadrature import correction_polar_order, rings
+from mnpspr.scatter import resonance_sweep
+from mnpspr.sphharm import num_coeffs
+from mnpspr.surface import perturbed_sphere
+
+RTOL = 1e-13
+
+
+@pytest.fixture(scope="module", params=["pert12", "nonaxisym8", "decay-axisym"])
+def surface(request, pert12, workload_grid):
+    """(grid, L): pert12, a non-axisymmetric degree-3 surface, the decay-axisym seed-0 surface."""
+    if request.param == "pert12":
+        return pert12, 12
+    if request.param == "nonaxisym8":
+        return perturbed_sphere(0.2, 3, 1, 8), 8
+    return workload_grid("decay-axisym")
+
+
+def max_rel(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def tangent_field(grid, rng):
+    """A random complex tangential node field."""
+    f = rng.standard_normal((grid.n_nodes, 3)) + 1j * rng.standard_normal((grid.n_nodes, 3))
+    return f - np.einsum("pc,pc->p", f, grid.normals)[:, None] * grid.normals
+
+
+def pairing(basis, grid, f):
+    """int conj(b_j) . f ds for every basis field, by the grid rule."""
+    return np.einsum("pic,pc->i", np.conj(basis), grid.area_weights[:, None] * f)
+
+
+def oracle_corrections(grid, L):
+    """Correction pairings contracted against the dense basis arrays (VECTOR_KINDS columns)."""
+    nc = num_coeffs(L)
+    d = nc - 1
+    w = grid.area_weights
+    grad, curl = (basis[:, 1:nc] for basis in basis_arrays(grid))
+    test = np.concatenate([curl.transpose(0, 2, 1), -grad.transpose(0, 2, 1)], axis=2)
+    test = np.conj(test) * w[:, None, None]
+    G = np.zeros((2 * d, 6 * d), dtype=complex)
+    phi_int = np.concatenate([np.tensordot(w, grad, axes=1), np.tensordot(w, curl, axes=1)])
+    G[:, 4 * d :] = (2.0 / 3.0) * test.sum(axis=0).T @ phi_int.T
+    for ring in rings(grid, L, correction_polar_order(L)):
+        G[:, : 4 * d] += test[ring.nodes].reshape(-1, 2 * d).T @ _ring_kernel_values(ring, L)
+    return G
+
+
+class TestAgainstBasisArrays:
+    def test_stiffness(self, surface):
+        grid, _ = surface
+        gb = basis_arrays(grid)[0]
+        ref = np.einsum("pic,pjc->ij", np.conj(grid.area_weights[:, None, None] * gb), gb)
+        assert max_rel(grid.stiffness_matrix(), ref) <= RTOL
+
+    def test_div(self, surface, rng):
+        grid, _ = surface
+        f = tangent_field(grid, rng)
+        pair = -pairing(basis_arrays(grid)[0], grid, f)
+        ref = grid.Y @ np.linalg.solve(grid.mass_matrix(), pair)
+        assert max_rel(grid.div(f), ref) <= RTOL
+
+    def test_helmholtz_decompose(self, surface, rng):
+        grid, _ = surface
+        f = tangent_field(grid, rng)
+        gb, cb = basis_arrays(grid)
+        K = np.einsum("pic,pjc->ij", np.conj(grid.area_weights[:, None, None] * gb), gb)
+        rhs = np.column_stack([pairing(b, grid, f)[1:] for b in (gb, cb)])
+        ref = np.linalg.solve(K[1:, 1:], rhs)
+        got = grid.helmholtz_decompose(f)
+        assert got.X.coeffs[0] == got.V.coeffs[0] == 0
+        assert max_rel(np.column_stack([got.X.coeffs[1:], got.V.coeffs[1:]]), ref) <= RTOL
+
+    def test_correction_kinds(self, surface):
+        grid, L = surface
+        G = oracle_corrections(grid, L)
+        entries = np.linalg.solve(tangent_mass_stack(grid, L), G)
+        ops = correction_unit_matrices(grid, L)
+        d = num_coeffs(L) - 1
+        for i, kind in enumerate(VECTOR_KINDS):
+            cols = slice(2 * d * i, 2 * d * (i + 1))
+            assert max_rel(ops[kind].pairing, G[:, cols]) <= RTOL, kind
+            assert max_rel(ops[kind].entries, entries[:, cols]) <= RTOL, kind
+
+
+def traced_peak_mb(fn):
+    """Peak traced allocation, in MB, while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Peaks on rho = 1 + 0.2 Re Y_2^0 at L_quad = 12 (676 nodes, 169 harmonics).
+
+    One (N, NC, 3) basis array is 5.5 MB there.  Dense basis arrays gave
+    peaks of about 52, 28 and 11 MB; the frame contraction gives about
+    14, 4.2 and 0.1 MB.
+    """
+
+    @staticmethod
+    def grid():
+        return perturbed_sphere(0.2, 2, 0, 12)
+
+    def test_correction_unit_matrices(self):
+        grid = self.grid()
+        assert traced_peak_mb(lambda: correction_unit_matrices(grid, 12)) < 24.0
+
+    def test_stiffness_matrix(self):
+        grid = self.grid()
+        assert traced_peak_mb(grid.stiffness_matrix) < 12.0
+
+    def test_one_helmholtz_decompose(self, rng):
+        grid = self.grid()
+        grid.stiffness_matrix()
+        f = tangent_field(grid, rng)
+        assert traced_peak_mb(lambda: grid.helmholtz_decompose(f)) < 3.0
+
+    def test_sweep_caches_no_basis_sized_array(self):
+        grid = perturbed_sphere(0.2, 2, 0, 6)
+        resonance_sweep(grid, [0.5], [0.1], 1.0, 2, np.array([0, 0, 3.0]), np.array([1.0, 0, 0]))
+        limit = grid.n_nodes * num_coeffs(grid.L_quad) * 3
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, dict):
+                for v in value.values():
+                    yield from arrays(v)
+            elif isinstance(value, (list, tuple)):
+                for v in value:
+                    yield from arrays(v)
+            elif hasattr(value, "__dict__"):
+                yield from arrays(vars(value))
+
+        cached = list(arrays(grid._memo))
+        assert cached
+        assert all(a.size < limit for a in cached)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import eval_legendre
+from conftest import basis_arrays
 
 from mnpspr.mie import SphereMode, mode_tangent_field
 from mnpspr.potentials import (
@@ -339,7 +340,7 @@ class TestCorrections:
         c = np.zeros((3, 2 * d), dtype=complex)
         c[:, :d] = np.where(sh_degrees(L)[0][1:] == 1, (16.0 * np.pi / 9.0) * a[:, 1:], 0.0)
         test = np.concatenate(
-            [sphere10.grad_basis()[:, 1:nc], sphere10.curl_basis()[:, 1:nc]], axis=1
+            [basis[:, 1:nc] for basis in basis_arrays(sphere10)], axis=1
         ).conj() * sphere10.area_weights[:, None, None]
         nu_c = np.cross(sphere10.normals[:, :, None], c[None], axisa=1, axisb=1, axisc=1)
         exact = np.einsum("nic,ncj->ij", test, nu_c)
