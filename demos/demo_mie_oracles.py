@@ -45,8 +45,8 @@ for n in range(0, 4):
     y = grid.values_at([dens], {"theta": th, "phi": ph})[0, 0].real
     vp, vm = [], []
     for t in ts:
-        gp = offboundary_eval(dens, 0.0, (1 + t) * xhat, "gradS", grid, quad="near")
-        gm = offboundary_eval(dens, 0.0, (1 - t) * xhat, "gradS", grid, quad="near")
+        gp = offboundary_eval(dens, 0.0, (1 + t) * xhat, "gradS", grid)
+        gm = offboundary_eval(dens, 0.0, (1 - t) * xhat, "gradS", grid)
         vp.append(np.dot(gp, xhat).real)
         vm.append(np.dot(gm, xhat).real)
     ext = np.polyval(np.polyfit(ts, vp, 3), 0.0) / y

@@ -7,7 +7,7 @@ fixed config and seed: bodies are byte-identical across runs except for
 the timestamp header line.
 
 Exit codes: 0 success, 1 config validation error, 2 numerical-accuracy
-failure (guard or tolerance breach).
+failure (a point too close to the surface, or a guard or tolerance breach).
 """
 
 from __future__ import annotations
@@ -274,8 +274,8 @@ def report_version_and_provenance(cfg=None, tol=None, seed=0, L_quad=None, L=Non
     """Provenance lines embedded in every artifact header.
 
     cfg is the raw config dict; its command selects the quadrature line.
-    L is the run's degree, at which scatter projects its corrections
-    (default L_quad).
+    L is the run's degree, written on its own line when given, at which
+    scatter projects its corrections (default L_quad).
     scipy's version is named only when the run has loaded scipy.
     """
     command = cfg.get("command") if isinstance(cfg, dict) else None
@@ -295,6 +295,7 @@ def report_version_and_provenance(cfg=None, tol=None, seed=0, L_quad=None, L=Non
         versions,
         quadrature,
         f"L_quad: {L_quad if L_quad is not None else 'n/a'}",
+        *([f"L: {L}"] if L is not None else []),
         f"tolerance: {tol if tol is not None else 'default'}",
         f"seed: {seed}",
     ]
@@ -398,7 +399,7 @@ def cmd_plasmon(cfg, grid):
             spec["index"], curl, materials["omega"], materials["delta"]
         )
     points = _shell_points(cfg.params["points"])
-    E, H = _field_batch([mode], points, grid, "auto")
+    E, H = _field_batch([mode], points, grid)
     dists = tubular_distance(points, grid)
     mode_id = str(mode.index if mode.index is not None else mode.sphere)
     rows = [

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .potentials import NearBoundaryError
 from .sphharm import cartesian_to_angles, sh_index, ynm_matrix
 from .specfun import (
     composite_h1,
@@ -71,7 +72,7 @@ def exact_sphere_potential(mode: SphereMode, k: float, x, which: str) -> np.ndar
     """Closed-form curl / double-curl of the vector single layer on a sphere.
 
     The density is the mode's tangential harmonic on the sphere |y| = r;
-    x must satisfy |x| != r.  which in {curlS, curlcurlS}.
+    x must satisfy |x| != r, else NearBoundaryError.  which in {curlS, curlcurlS}.
     """
     if which not in ("curlS", "curlcurlS"):
         raise ValueError(f"unknown kind {which!r}")
@@ -80,7 +81,7 @@ def exact_sphere_potential(mode: SphereMode, k: float, x, which: str) -> np.ndar
     n, m, r = mode.n, mode.m, mode.radius
     Y, p1, p2, xhat, rp = _mode_fields(n, m, x)
     if np.isclose(rp, r):
-        raise ValueError("evaluation point lies on the sphere")
+        raise NearBoundaryError(f"evaluation point at radius {rp:.6g} lies on the mode's sphere")
     nn = np.sqrt(n * (n + 1.0))
     outside = rp > r
     if outside:

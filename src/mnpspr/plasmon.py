@@ -26,8 +26,7 @@ from .potentials import (
     offboundary_eval,
 )
 from .spectral import SpectralSet, eigenvalue_clusters
-from .surface import ShCoeffs, SurfaceGrid, TangentField, tubular_distance
-from .sphharm import cartesian_to_angles
+from .surface import ShCoeffs, SurfaceGrid, TangentField, radial_gap, tubular_distance
 
 
 PLATEAU_THRESHOLD = 0.05  # largest last-quartile share of the partial sums on a plateau
@@ -111,18 +110,7 @@ class PlasmonMode:
         return replace(self, lam=float(lam), tau=tau, materials=mats)
 
 
-def _is_inside(x, grid: SurfaceGrid):
-    """Whether a point, or each row of a (P, 3) array, lies inside the surface.
-
-    A single point gives a bool, an array of points one bool per point.
-    """
-    x = np.asarray(x, dtype=float)
-    th, ph, r = cartesian_to_angles(x)
-    inside = r < grid.radius_at(th, ph)[0]
-    return bool(inside[0]) if x.ndim == 1 else inside
-
-
-def plasmon_field(mode: PlasmonMode, x, grid: SurfaceGrid, materials=None, quad="auto"):
+def plasmon_field(mode: PlasmonMode, x, grid: SurfaceGrid, materials=None):
     """Electric and magnetic mode fields at a point off the boundary.
 
     `_field_batch` for one mode at one point; `materials` replaces the
@@ -130,7 +118,7 @@ def plasmon_field(mode: PlasmonMode, x, grid: SurfaceGrid, materials=None, quad=
     """
     if materials is not None:
         mode = replace(mode, materials=materials)
-    E, H = _field_batch([mode], np.asarray(x, dtype=float)[None], grid, quad)
+    E, H = _field_batch([mode], np.asarray(x, dtype=float)[None], grid)
     return E[0, 0], H[0, 0]
 
 
@@ -189,16 +177,14 @@ class DecayReport:
         return rows
 
 
-def _field_batch(modes, points, grid, quad):
+def _field_batch(modes, points, grid):
     """E, H for every (mode, point), with (mu, k) of the side of each point.
 
-    Each side takes one `offboundary_eval` call for a batch of modes, with
-    one wavenumber per mode: k_e outside, the mode's own k_c inside.  On
-    the grid rule a batch is POINT_BLOCK modes, whose node values, one
-    `values_at` pass, serve both sides; so the node values alive at once
-    stay within POINT_BLOCK densities whatever the mode count.  The near
-    rule takes every mode in one batch, because it evaluates the patch
-    basis once per call.  Sphere modes take the closed form point by point.
+    Each block of POINT_BLOCK modes takes one `offboundary_eval` call over
+    all points, with k_e on the wavenumber rows of exterior points and each
+    mode's own k_c on those of interior ones: one node `values_at` pass
+    serves both sides, and the density values alive stay within
+    POINT_BLOCK.  Sphere modes take the closed form point by point.
     """
     pts = np.asarray(points, dtype=float)
     E = np.zeros((len(modes), len(pts), 3), dtype=complex)
@@ -217,28 +203,23 @@ def _field_batch(modes, points, grid, quad):
             E[j, p], H[j, p] = em_fields(m.materials, inside, (curl, curl), (curlcurl, curlcurl))
     if not general:
         return E, H
-    inside = _is_inside(pts, grid)
-    size = POINT_BLOCK if quad == "auto" else len(general)
-    for start in range(0, len(general), size):
-        batch = general[start : start + size]
-        dens = [modes[j].density for j in batch]
-        if quad == "auto":
-            dens = grid.values_at(dens)
+    inside = radial_gap(pts, grid) < 0
+    for start in range(0, len(general), POINT_BLOCK):
+        batch = general[start : start + POINT_BLOCK]
+        ks = np.array([[modes[j].materials.side(side)[1] for j in batch] for side in (False, True)])
+        curl, curlcurl = offboundary_eval(
+            [modes[j].density for j in batch], ks[inside.astype(int)], pts,
+            ("curlS_vec", "curlcurlS_vec"), grid,
+        )
         for side in (False, True):
             cols = inside == side
-            if not cols.any():
-                continue
-            ks = np.array([modes[j].materials.side(side)[1] for j in batch])
-            curl, curlcurl = offboundary_eval(
-                dens, ks, pts[cols], ("curlS_vec", "curlcurlS_vec"), grid, quad=quad
-            )
             for i, j in enumerate(batch):
-                c, cc = curl[..., i], curlcurl[..., i]
+                c, cc = curl[cols, ..., i], curlcurl[cols, ..., i]
                 E[j, cols], H[j, cols] = em_fields(modes[j].materials, side, (c, c), (cc, cc))
     return E, H
 
 
-def localization_scan(modes, points, eps, grid: SurfaceGrid, quad="auto"):
+def localization_scan(modes, points, eps, grid: SurfaceGrid):
     """Field-norm survey of a mode family over a fixed point cloud.
 
     Modes, at least two, are ordered by |eigenvalue| descending and
@@ -246,21 +227,23 @@ def localization_scan(modes, points, eps, grid: SurfaceGrid, quad="auto"):
     of a cluster is evaluated at the cluster's mean eigenvalue, so with one
     contrast, and reports the cluster's RMS point magnitudes: a unitary
     change of basis inside a cluster leaves the report unchanged up to
-    round-off.  Every point must keep distance > eps from the surface, or
+    round-off.  Every point must keep `tubular_distance` > eps, and a radial
+    gap above the near rule's floor (`offboundary_eval`), or
     NearBoundaryError is raised.  The report carries per-mode norms, the
     partial sums of squared norms, a plateau flag (last-quartile growth at
     most PLATEAU_THRESHOLD), a fitted log-decay rate, and the
-    o(j^{-KAPPA}) exceedance statistic of the electric norms.  On the grid
-    rule the fields are evaluated POINT_BLOCK modes at a time
-    (`_field_batch`), so besides the (modes, points) field arrays its
-    memory does not grow with the mode count.
+    o(j^{-KAPPA}) exceedance statistic of the electric norms.  The fields
+    are evaluated POINT_BLOCK modes at a time (`_field_batch`), so besides
+    the (modes, points) field arrays its memory does not grow with the
+    mode count.
     """
     pts = np.asarray(points, dtype=float)
     dists = tubular_distance(pts, grid)
     if np.any(dists <= eps):
         bad = int(np.argmin(dists))
         raise NearBoundaryError(
-            f"point {bad} at distance {dists[bad]:.3g} inside the {eps:.3g}-tube"
+            f"point {bad} at distance {dists[bad]:.3g} lies inside the tube of eps = {eps:.3g}; "
+            "lower eps or move the point out"
         )
     if len(modes) < 2:
         raise ValueError(f"a decay rate needs at least two modes, got {len(modes)}")
@@ -270,7 +253,7 @@ def localization_scan(modes, points, eps, grid: SurfaceGrid, quad="auto"):
     size = np.bincount(cluster)
     lam_c = np.bincount(cluster, lam) / size
     shared = [m.at_eigenvalue(lam_c[c]) for m, c in zip(modes, cluster)]
-    E, H = _field_batch(shared, pts, grid, quad)
+    E, H = _field_batch(shared, pts, grid)
 
     def cluster_rms(F):
         sq = np.zeros((size.size, len(pts)))

@@ -11,11 +11,11 @@ operators:
     M*[grad X]  has potential  -K[X]       (gradient subspace),
     N[g] = vcurl S[curl_S g],   Q[f] = grad_S S[div_S f].
 
-Off-boundary evaluation takes its densities' values from
-`SurfaceGrid.values_at`: stacked node values on the grid rule, patch values
-on the near rule.  `em_fields` turns the vector single layers of a density
-pair into E and H for the plasmon and scattering layers alike.  The smooth
-small-radius correction operators are provided for the scattering layer.
+Off-boundary evaluation picks each point's rule, the grid nodes or a polar
+patch under the point, from its distance to the surface.  `em_fields` turns
+the vector single layers of a density pair into E and H for the plasmon and
+scattering layers alike.  The smooth small-radius correction operators are
+provided for the scattering layer.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ import numpy as np
 
 from .quadrature import assemble_scalar_values, correction_polar_order, near_singular_eval, rings
 from .sphharm import harmonic_moments, num_coeffs
-from .surface import ShCoeffs, SurfaceGrid, TangentField, tangent_frame, tubular_distance
+from .surface import (
+    ShCoeffs, SurfaceGrid, TangentField, radial_gap, tangent_frame, tubular_distance,
+)
 
 log = logging.getLogger(__name__)
 
@@ -41,7 +43,7 @@ class FlavorError(ValueError):
 
 
 class NearBoundaryError(ValueError):
-    """Off-boundary evaluation point violates the quadrature guard."""
+    """A point at or below the near rule's floor, on a sphere mode's sphere, or in an eps-tube."""
 
 
 class AssemblyAccuracyError(RuntimeError):
@@ -262,6 +264,8 @@ def helmholtz_point_kernels(k, rvec, want_hessian=False):
 
 # points per grid-rule pass at a shared wavenumber
 POINT_BLOCK = 32
+# polar order of the near rule; one of its polar steps is the closest radial gap it takes
+NEAR_POLAR = 320
 
 
 def _layer_sum(k, rvec, kinds, wdens):
@@ -359,86 +363,89 @@ def _weigh(values, w):
     return values
 
 
-def offboundary_eval(density, k, x, which, grid: SurfaceGrid, quad="auto", n_polar=320):
+def _near_eval(dens, k, p, kinds, grid: SurfaceGrid):
+    """`_layer_sum` at one point p by the near rule: a NEAR_POLAR patch under p."""
+
+    def integrand(patch, w):
+        wd = _weigh(grid.values_at(dens, patch), w)
+        return _passes(k, p[None], patch["position"], kinds, wd, 1)
+
+    return near_singular_eval(grid, p, integrand, n_polar=NEAR_POLAR)
+
+
+def offboundary_eval(density, k, x, which, grid: SurfaceGrid):
     """Layer-potential evaluation at points off the boundary.
 
     which in {S, gradS} (ShCoeffs densities) or {curlS_vec, curlcurlS_vec}
     (TangentField densities); a tuple of kinds of one density type shares
     the kernel factors and gives a tuple of results.  density is one
-    density, a list of them, or on the grid rule their stacked node values
-    `grid.values_at(list)`; a list or a stacked array shares one evaluation
-    and puts its results on a trailing axis.  A density of the other type
-    raises KindError.  k is one wavenumber, or an array with one per
-    density.  quad='auto' uses the surface grid as quadrature and refuses
-    points closer than 3 x the node spacing; quad='near' switches to a
-    polar rule concentrated under each evaluation point.  The caller's
-    arrays are not modified.
+    density or a list of them; a list shares one evaluation and puts its
+    results on a trailing axis.  Anything else, such as a density of the
+    other type, raises KindError.  k is one wavenumber, an array with one
+    per density, or a (points, densities) array with one row per point.
+    Points with equal rows share their passes; a row of equal entries is a
+    shared wavenumber.  The caller's arrays are not modified.
+
+    Beyond the guard, 3 x `grid.max_spacing` of `tubular_distance`, the
+    grid nodes are the quadrature.  Inside it the near rule puts a polar
+    patch of order NEAR_POLAR under the point (`near_singular_eval`), down
+    to a floor of one polar step, pi max(rho) / NEAR_POLAR, of radial gap
+    (`radial_gap`); at or below the floor NearBoundaryError is raised.
+    Node-sampled distance would not do there: a point on the surface reads
+    as far from it as its nearest node, 0.17 at the unit sphere's pole at
+    L_quad = 6.
 
     Memory is bounded by element count.  A shared k gives (P, N) kernel
     factors for P points and N nodes or patch points: the grid rule takes
     POINT_BLOCK points per pass, the near rule one.  Per-density
     wavenumbers give (P, N, J) factors for J densities, so a pass takes as
-    many (point, density) pairs as a shared-k pass takes points: for 120
-    densities, 32 densities of one point on the grid rule and one density
-    on the near rule.  At most nine such temporaries are alive at once, so
-    together they hold no more elements than a (POINT_BLOCK, N, 3, 3)
-    tensor on the grid rule, or a (1, N, 3, 3) one on the near rule.  The
-    densities' node values and their weighted copy, (N, 3, J) each, are the
-    caller's to bound: `plasmon._field_batch` passes POINT_BLOCK densities
-    per call on the grid rule, so they fit that bound too.
+    many (point, density) pairs as a shared-k pass takes points.  At most
+    nine such temporaries are alive at once, so together they hold no more
+    elements than a (POINT_BLOCK, N, 3, 3) tensor on the grid rule, or a
+    (1, N, 3, 3) one on the near rule.  The densities' values, (N, 3, J) at
+    the nodes and at each near point's patch, are the caller's to bound:
+    `plasmon._field_batch` passes POINT_BLOCK densities per call.
     """
     kinds = which if isinstance(which, tuple) else (which,)
     tangent = {kind in ("curlS_vec", "curlcurlS_vec") for kind in kinds}
     if len(tangent) > 1:
         raise KindError(f"kinds {kinds} need different density types")
-    tangent = tangent.pop()
-    stacked = isinstance(density, np.ndarray)
-    if stacked:
-        if quad == "near" or density.ndim != (3 if tangent else 2):
-            raise KindError(
-                f"{kinds[0]} takes stacked node values on the grid rule only, (N, 3, J) of "
-                f"TangentField or (N, J) of ShCoeffs densities; got {density.shape} on {quad!r}"
-            )
-        n_dens = density.shape[-1]
-    else:
-        dens = density if isinstance(density, list) else [density]
-        want = TangentField if tangent else ShCoeffs
-        for d in dens:
-            if not isinstance(d, want):
-                raise KindError(
-                    f"{kinds[0]} needs {want.__name__} densities, got {type(d).__name__}"
-                )
-        n_dens = len(dens)
-    k = np.asarray(k)
-    if k.ndim:
-        if k.shape != (n_dens,):
-            raise ValueError(f"{k.size} wavenumbers for {n_dens} densities")
-        if np.all(k == k[0]):
-            k = k[0]  # a shared wavenumber keeps the matmul contraction
+    dens = density if isinstance(density, list) else [density]
+    want = TangentField if tangent.pop() else ShCoeffs
+    for d in dens:
+        if not isinstance(d, want):
+            raise KindError(f"{kinds[0]} needs {want.__name__} densities, got {type(d).__name__}")
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if quad == "auto":
-        guard = 3.0 * grid.max_spacing
-        dist = tubular_distance(pts, grid)
-        if np.any(dist <= guard):
+    P, J = len(pts), len(dens)
+    k = np.asarray(k)
+    if k.ndim == 1 and k.shape != (J,):
+        raise ValueError(f"{k.size} wavenumbers for {J} densities")
+    k = np.broadcast_to(k, (P, J))
+    near = tubular_distance(pts, grid) <= 3.0 * grid.max_spacing
+    if near.any():
+        floor = np.pi * np.max(grid.rho) / NEAR_POLAR
+        gap = np.abs(radial_gap(pts[near], grid))
+        if np.any(gap <= floor):
             raise NearBoundaryError(
-                f"point at distance {dist[np.argmax(dist <= guard)]:.3g} inside quadrature "
-                f"guard {guard:.3g}; pass quad='near' for a refined rule"
+                f"point at radial gap {np.min(gap):.3g} from the surface, within the near "
+                f"rule's floor {floor:.3g} (one polar step, pi max(rho) / {NEAR_POLAR})"
             )
-        values = density.astype(complex) if stacked else grid.values_at(dens)
-        out = _passes(k, pts, grid.positions, kinds, _weigh(values, grid.area_weights), POINT_BLOCK)
-    elif quad == "near":
-
-        def near(p):
-            def integrand(patch, w):
-                wd = _weigh(grid.values_at(dens, patch), w)
-                return _passes(k, p[None], patch["position"], kinds, wd, 1)
-
-            return near_singular_eval(grid, p, integrand, n_polar=n_polar)
-
-        out = [np.concatenate(part) for part in zip(*(near(p) for p in pts))]
-    else:
-        raise ValueError(f"unknown quad mode {quad!r}")
-    if not (stacked or isinstance(density, list)):
+    out = [np.empty((P, J) if kind == "S" else (P, 3, J), dtype=complex) for kind in kinds]
+    nodes = None if near.all() else _weigh(grid.values_at(dens), grid.area_weights)
+    rows = {}  # points by wavenumber row; np.unique(axis=0) would import numpy.ma
+    for p, row in enumerate(k):
+        rows.setdefault(row.tobytes(), []).append(p)
+    for idx in map(np.array, rows.values()):
+        row = k[idx[0]]
+        kp = row[0] if np.all(row == row[0]) else row  # a shared k keeps the matmul contraction
+        far = idx[~near[idx]]
+        if far.size:
+            for o, v in zip(out, _passes(kp, pts[far], grid.positions, kinds, nodes, POINT_BLOCK)):
+                o[far] = v
+        for p in idx[near[idx]]:
+            for o, v in zip(out, _near_eval(dens, kp, pts[p], kinds, grid)):
+                o[p] = v[0]
+    if not isinstance(density, list):
         out = [o[..., 0] for o in out]
     if np.asarray(x).ndim == 1:
         out = [o[0] for o in out]

@@ -151,7 +151,7 @@ def assemble_scalar_values(grid: SurfaceGrid, L: int):
     return out
 
 
-def near_singular_eval(grid: SurfaceGrid, x, integrand, n_polar=320):
+def near_singular_eval(grid: SurfaceGrid, x, integrand, n_polar):
     """Quadrature of a surface integrand peaked under an off-surface point.
 
     The polar patch is centered at the parameter direction of x, where the

@@ -40,7 +40,7 @@ from .potentials import (
     scalar_operators,
 )
 from .sphharm import num_coeffs
-from .surface import ShCoeffs, SurfaceGrid, TangentField
+from .surface import ShCoeffs, SurfaceGrid, TangentField, radial_gap
 from .spectral import trace_norm
 
 log = logging.getLogger(__name__)
@@ -257,7 +257,7 @@ def weak_resonance_indicator(system: BlockSystem, mode, grid: SurfaceGrid):
 
 
 def eval_scattered_fields(densities, x, materials: MaterialConfig, grid: SurfaceGrid,
-                          incident=None, quad="auto"):
+                          incident=None):
     """Total (E, H) from the solved densities at a point off the boundary.
 
     densities = (psi, phi) tangential fields (note: solve_scatter returns
@@ -267,14 +267,10 @@ def eval_scattered_fields(densities, x, materials: MaterialConfig, grid: Surface
     """
     psi, phi = densities
     x = np.asarray(x, dtype=float)
-    from .plasmon import _is_inside
-
-    inside = _is_inside(x, grid)
+    inside = radial_gap(x, grid) < 0
     delta = materials.delta
     ks = delta * materials.side(inside)[1]  # the reference geometry carries the scaled wavenumber
-    curl, curlcurl = offboundary_eval(
-        [psi, phi], ks, x, ("curlS_vec", "curlcurlS_vec"), grid, quad=quad
-    )
+    curl, curlcurl = offboundary_eval([psi, phi], ks, x, ("curlS_vec", "curlcurlS_vec"), grid)
     # the trailing axis is (psi, phi)
     pairs = (np.moveaxis(curl, -1, 0), np.moveaxis(curlcurl, -1, 0))
     E, H = em_fields(materials, inside, *pairs, delta)

@@ -30,6 +30,7 @@ import numpy as np
 
 from .sphharm import (
     FOUR_PI,
+    cartesian_to_angles,
     gauss_legendre_ring,
     num_coeffs,
     safe_sin,
@@ -485,6 +486,14 @@ def tubular_distance(x, grid: SurfaceGrid):
     x = np.asarray(x, dtype=float)
     d = np.array([np.min(np.linalg.norm(grid.positions - p, axis=1)) for p in np.atleast_2d(x)])
     return float(d[0]) if x.ndim == 1 else d
+
+
+def radial_gap(x, grid: SurfaceGrid):
+    """|x| - rho(x / |x|), negative inside, of a point or of each row of a (P, 3) array."""
+    x = np.asarray(x, dtype=float)
+    th, ph, r = cartesian_to_angles(x)
+    gap = r - grid.radius_at(th, ph)[0]
+    return float(gap[0]) if x.ndim == 1 else gap
 
 
 def random_band_limited(rng, L, smoothness=2.0, mean_free=True):

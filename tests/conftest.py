@@ -100,6 +100,17 @@ def pert12_spectra(pert12, pert12_ops):
 
 
 @pytest.fixture()
+def near_polar_40(monkeypatch):
+    """The near rule at polar order 40 instead of NEAR_POLAR, for speed.
+
+    Its floor, one polar step, is then pi max(rho) / 40: 0.079 on the unit sphere.
+    """
+    import mnpspr.potentials as potentials
+
+    monkeypatch.setattr(potentials, "NEAR_POLAR", 40)
+
+
+@pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
 

@@ -286,8 +286,8 @@ def test_criterion_12_jump_relations(sphere16):
         lam = 1.0 / (2.0 * (2.0 * n + 1.0))
         vp, vm = [], []
         for t in ts:
-            gp = offboundary_eval(dens, 0.0, (1 + t) * xhat, "gradS", sphere16, quad="near")
-            gm = offboundary_eval(dens, 0.0, (1 - t) * xhat, "gradS", sphere16, quad="near")
+            gp = offboundary_eval(dens, 0.0, (1 + t) * xhat, "gradS", sphere16)
+            gm = offboundary_eval(dens, 0.0, (1 - t) * xhat, "gradS", sphere16)
             vp.append(np.dot(gp, xhat))
             vm.append(np.dot(gm, xhat))
         ext = np.polyval(np.polyfit(ts, vp, 3), 0.0)

@@ -6,6 +6,8 @@ import pytest
 from mnpspr.cli import RunConfig, main, report_version_and_provenance, run
 
 SPHERE8 = {"sphere": 1.0, "L_quad": 8}
+# rho = 1 + 0.05 Re Y_2^0
+PERT_RADIUS = [[0, 0, float(np.sqrt(4.0 * np.pi)), 0.0], [2, 0, 0.05, 0.0]]
 
 
 def run_cli(tmp_path, config, name="cfg.json", extra=()):
@@ -108,7 +110,11 @@ class TestProvenance:
         assert code == 0
         head = (out / "spectrum.csv").read_text().splitlines()[:12]
         assert "# L_quad: 12" in head
+        assert "# L: 8" in head
         assert "# quadrature: rotated-polar-gl (n_polar=30)" in head
+        # mie-check takes no L, so its header has no L line
+        lines = report_version_and_provenance({"command": "mie-check"}, None, 0, 16)
+        assert not any(line.startswith("L:") for line in lines)
 
     def test_provenance_lines(self):
         lines = report_version_and_provenance({"command": "spectrum"}, None, 0, 8)
@@ -458,7 +464,62 @@ def test_decay_point_in_tube_exits_two(tmp_path):
            "points": [{"count": 4, "radius": 1.2}]}
     code, out = run_cli(tmp_path, cfg)
     assert code == 2
-    assert json.loads((out / "error.json").read_text())["error"]["type"] == "NearBoundaryError"
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error["type"] == "NearBoundaryError"
+    assert "eps" in error["message"]
+
+
+def test_decay_inside_the_guard_runs(tmp_path):
+    # rho = 1 + 0.05 Re Y_2^0 at L = L_quad = 4: the grid rule's guard is 0.97, so
+    # both points take the near rule; the 0.05-tube lets them through
+    from mnpspr.cli import _curl_set
+    from mnpspr.plasmon import PlasmonMode, localization_scan
+    from mnpspr.sphharm import fibonacci_shell
+    from mnpspr.surface import perturbed_sphere
+
+    cfg = {"command": "decay", "surface": {"radius": PERT_RADIUS, "L_quad": 4}, "L": 4,
+           "eps": 0.05, "points": [{"count": 1, "radius": 1.3}, {"count": 1, "radius": 0.8}]}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    grid = perturbed_sphere(0.05, 2, 0, 4)
+    pts = np.vstack([fibonacci_shell(1, 1.3), fibonacci_shell(1, 0.8)])
+    curl = _curl_set(grid, 4)
+    modes = [PlasmonMode.from_eigenmode(j, curl) for j in range(len(curl))]
+    report = localization_scan(modes, pts, 0.05, grid)
+    rows = [l.split(",") for l in read_csv_body(out / "decay.csv") if not l.startswith("#")][1:]
+    assert len(rows) == report.e_point_mags.size
+    for row, e, h in zip(rows, report.e_point_mags.ravel(), report.h_point_mags.ravel()):
+        assert float(row[5]) == float(f"{e:.12e}") and float(row[6]) == float(f"{h:.12e}")
+
+
+class TestPlasmonNearTheSurface:
+    """plasmon by mode.index on shells inside the guard, and on the surface."""
+
+    BASE = {"command": "plasmon", "surface": {"sphere": 1.0, "L_quad": 6}, "L": 4,
+            "mode": {"index": 3}}
+
+    def test_shell_at_distance_one_tenth(self, tmp_path):
+        code, out = run_cli(tmp_path, {**self.BASE, "points": [{"count": 2, "radius": 1.1}]})
+        assert code == 0
+        rows = [l for l in read_csv_body(out / "plasmon.csv") if not l.startswith("#")][1:]
+        assert len(rows) == 2
+        assert all(np.isfinite(float(v)) for row in rows for v in row.split(",")[5:])
+
+    def test_shell_on_the_surface_exits_two(self, tmp_path):
+        code, out = run_cli(tmp_path, {**self.BASE, "points": [{"count": 2, "radius": 1.0}]})
+        assert code == 2
+        error = json.loads((out / "error.json").read_text())["error"]
+        assert error["type"] == "NearBoundaryError"
+        assert "floor" in error["message"]
+
+    def test_sphere_mode_on_its_sphere_exits_two(self, tmp_path):
+        cfg = {"command": "plasmon", "surface": {"sphere": 1.0, "L_quad": 6}, "L": 4,
+               "mode": {"l": 2, "n": 1, "m": 0}, "points": [{"count": 4, "radius": 1.0}]}
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 2
+        error = json.loads((out / "error.json").read_text())["error"]
+        assert error["type"] == "NearBoundaryError"
+        assert "sphere" in error["message"]
 
 
 def test_guard_message_names_l_quad(tmp_path):

@@ -1,14 +1,16 @@
 """One off-boundary evaluation path: shared kernels, density lists, point blocks.
 
 Every point of a localization scan goes through `offboundary_eval`, so its
-guard and its `quad` choice hold on both sides of the surface.
+choice of rule and its floor hold on both sides of the surface.  Tests of
+the near rule that do not check its accuracy run it at polar order 40
+(`near_polar_40`), whose floor on the unit sphere is 0.079.
 """
 
 import numpy as np
 import pytest
 
-from mnpspr.mie import SphereMode, mode_tangent_field
-from mnpspr import plasmon
+from mnpspr.mie import SphereMode, exact_sphere_potential, mode_tangent_field
+from mnpspr import plasmon, potentials
 from mnpspr.plasmon import PlasmonMode, localization_scan, plasmon_field
 from mnpspr.potentials import (
     POINT_BLOCK,
@@ -18,11 +20,24 @@ from mnpspr.potentials import (
     scalar_operators,
 )
 from mnpspr.spectral import mnp_spectra, np_spectrum
-from mnpspr.surface import ShCoeffs, perturbed_sphere, random_band_limited, tubular_distance
+from mnpspr.surface import (
+    ShCoeffs,
+    perturbed_sphere,
+    radial_gap,
+    random_band_limited,
+    sphere_surface,
+    tubular_distance,
+)
 
 from conftest import fibonacci_shell
 
 KINDS = ("S", "gradS", "curlS_vec", "curlcurlS_vec")
+
+
+# unit-sphere points inside the 0.43 guard of L_quad = 10 and above the 0.079 floor of order 40
+NEAR_POINTS = np.array([[0.0, 0.0, 1.1], [0.6, 0.0, 0.95]])
+# points that take the grid rule ("auto") and the near rule ("near") on the unit sphere at L_quad 10
+RULE_POINTS = {"auto": np.array([[0.0, 0.0, 2.0], [0.3, 0.1, 0.2]]), "near": NEAR_POINTS}
 
 
 def rel_err(a, b):
@@ -56,28 +71,17 @@ class TestDensityLists:
             assert rel_err(stacked[..., i], one) < 1e-13
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_list_equals_single_calls_near_rule(self, sphere10, rng, kind):
+    def test_list_equals_single_calls_near_rule(self, sphere10, rng, near_polar_40, kind):
         dens = densities(kind, rng)
-        pts = np.array([[0.0, 0.0, 1.05], [0.6, 0.0, 0.9]])
-        stacked = offboundary_eval(dens, 1.3, pts, kind, sphere10, quad="near", n_polar=40)
+        stacked = offboundary_eval(dens, 1.3, NEAR_POINTS, kind, sphere10)
         for i, d in enumerate(dens):
-            one = offboundary_eval(d, 1.3, pts, kind, sphere10, quad="near", n_polar=40)
+            one = offboundary_eval(d, 1.3, NEAR_POINTS, kind, sphere10)
             assert rel_err(stacked[..., i], one) < 1e-13
 
     def test_single_point_list_shape(self, sphere10, rng):
         dens = densities("curlS_vec", rng)
         out = offboundary_eval(dens, 1.0, np.array([0.0, 0.0, 2.0]), "curlS_vec", sphere10)
         assert out.shape == (3, 2)
-
-    def test_stacked_node_values_equal_list(self, sphere10, rng):
-        pts = np.vstack([fibonacci_shell(4, 2.0), fibonacci_shell(3, 0.4)])
-        for kind in ("S", "curlcurlS_vec"):
-            dens = densities(kind, rng)
-            values = sphere10.values_at(dens)
-            kept = values.copy()
-            stacked = offboundary_eval(values, [1.3, 0.7], pts, kind, sphere10)
-            assert np.array_equal(values, kept)  # the caller's array is not weighted in place
-            assert rel_err(stacked, offboundary_eval(dens, [1.3, 0.7], pts, kind, sphere10)) < 1e-15
 
 
 class TestKindErrors:
@@ -91,7 +95,7 @@ class TestKindErrors:
     def tangent():
         return mode_tangent_field(SphereMode(1, 2, 1, 1.0), 6)
 
-    @pytest.mark.parametrize("quad", ["auto", "near"])
+    @pytest.mark.parametrize("rule", ["auto", "near"])
     @pytest.mark.parametrize(
         "kind, make, wrong",
         [
@@ -103,19 +107,17 @@ class TestKindErrors:
             pytest.param("curlS_vec", lambda s, t: [t, s], "ShCoeffs", id="curlS_vec-mixed-list"),
         ],
     )
-    def test_wrong_density_type(self, sphere10, quad, kind, make, wrong):
-        pts = np.array([[0.0, 0.0, 2.0]]) if quad == "auto" else np.array([[0.0, 0.0, 1.05]])
+    def test_wrong_density_type(self, sphere10, near_polar_40, rule, kind, make, wrong):
         dens = make(self.scalar(), self.tangent())
         with pytest.raises(KindError, match=f"{kind} .*{wrong}"):
-            offboundary_eval(dens, 1.0, pts, kind, sphere10, quad=quad, n_polar=40)
+            offboundary_eval(dens, 1.0, RULE_POINTS[rule], kind, sphere10)
 
     def test_node_values_on_the_near_rule(self, sphere10):
+        # node values are not a density, near the surface or away from it
         values = sphere10.values_at([self.tangent()])
-        with pytest.raises(KindError):
-            offboundary_eval(values, 1.0, np.array([0.0, 0.0, 1.05]), "curlS_vec", sphere10,
-                             quad="near")
-        with pytest.raises(KindError):
-            offboundary_eval(values, 1.0, np.array([0.0, 0.0, 2.0]), "S", sphere10)
+        for x, kind in ((NEAR_POINTS[0], "curlS_vec"), (np.array([0.0, 0.0, 2.0]), "S")):
+            with pytest.raises(KindError, match="ndarray"):
+                offboundary_eval(values, 1.0, x, kind, sphere10)
 
 
 class TestPointBlocks:
@@ -130,24 +132,25 @@ class TestPointBlocks:
 
 
 class TestScanUsesOffboundaryPath:
-    def test_exterior_point_inside_guard_raises(self, pert8_modes):
+    def test_exterior_point_below_floor_raises(self, pert8_modes):
         grid, modes = pert8_modes
-        x = np.array([1.48, 0.0, 0.0])
-        d = tubular_distance(x, grid)
-        assert 0.1 < d <= 3.0 * grid.max_spacing  # outside the 0.1-tube, inside the guard
-        with pytest.raises(NearBoundaryError):
+        floor = np.pi * np.max(grid.rho) / potentials.NEAR_POLAR
+        x = np.array([1.0 - radial_gap(np.array([1.0, 0.0, 0.0]), grid) + 0.5 * floor, 0.0, 0.0])
+        assert 0.01 < tubular_distance(x, grid)  # outside the 0.01-tube, below the floor
+        with pytest.raises(NearBoundaryError, match="floor"):
             plasmon_field(modes[0], x, grid)
-        with pytest.raises(NearBoundaryError):
-            localization_scan(modes, x[None, :], 0.1, grid)
+        with pytest.raises(NearBoundaryError, match="floor"):
+            localization_scan(modes, x[None, :], 0.01, grid)
 
-    def test_near_rule_reaches_exterior_points(self, pert8_modes):
+    def test_near_rule_reaches_exterior_points(self, pert8_modes, near_polar_40):
         grid, modes = pert8_modes
-        pts = np.array([[0.0, 0.0, 1.65], [1.1, 1.1, 0.3]])
-        rep = localization_scan(modes, pts, 0.5, grid, quad="near")
+        pts = np.array([[0.0, 0.0, 1.35], [0.9, 0.9, 0.2]])
+        assert np.all(tubular_distance(pts, grid) <= 3.0 * grid.max_spacing)
+        rep = localization_scan(modes, pts, 0.1, grid)
         for row, mid in enumerate(rep.mode_ids):
             mode = next(m for m in modes if m.index == mid)
             for p, x in enumerate(pts):
-                E, H = plasmon_field(mode, x, grid, quad="near")
+                E, H = plasmon_field(mode, x, grid)
                 assert abs(rep.e_point_mags[row, p] - np.linalg.norm(E)) <= 1e-10 * np.linalg.norm(E)
                 assert abs(rep.h_point_mags[row, p] - np.linalg.norm(H)) <= 1e-10 * np.linalg.norm(H)
 
@@ -156,15 +159,13 @@ class TestNearPatchBasis:
     """The near rule evaluates the patch basis once per point for a density list."""
 
     @pytest.mark.parametrize("kind", ("S", "curlS_vec"))
-    def test_one_patch_basis_per_point(self, pert8_modes, rng, monkeypatch, kind):
+    def test_one_patch_basis_per_point(self, pert8_modes, rng, monkeypatch, near_polar_40, kind):
         import mnpspr.surface as surface
 
         grid, _ = pert8_modes
         dens = densities(kind, rng)
-        pts = np.array([[0.0, 0.0, 1.1], [0.7, 0.0, 0.8]])
-        singles = [
-            offboundary_eval(d, 1.3, pts, kind, grid, quad="near", n_polar=40) for d in dens
-        ]
+        pts = np.array([[0.0, 0.0, 1.15], [0.75, 0.0, 0.85]])
+        singles = [offboundary_eval(d, 1.3, pts, kind, grid) for d in dens]
         sizes = []
         ynm_matrix = surface.ynm_matrix
 
@@ -173,8 +174,8 @@ class TestNearPatchBasis:
             return ynm_matrix(theta, phi, L, derivatives)
 
         monkeypatch.setattr(surface, "ynm_matrix", counting)
-        stacked = offboundary_eval(dens, 1.3, pts, kind, grid, quad="near", n_polar=40)
-        q = 40 * 48  # n_polar x the default azimuth count at L_quad = 8
+        stacked = offboundary_eval(dens, 1.3, pts, kind, grid)
+        q = 40 * 48  # the near rule's polar order x its azimuth count at L_quad = 8
         assert sizes.count(q) == len(pts)
         for i, one in enumerate(singles):
             assert rel_err(stacked[..., i], one) < 1e-13
@@ -194,7 +195,6 @@ class TestPerDensityWavenumbers:
     """A k array, one wavenumber per density, equals one scalar-k call per density."""
 
     GRID_POINTS = np.vstack([fibonacci_shell(4, 2.0), fibonacci_shell(3, 0.4)])
-    NEAR_POINTS = np.array([[0.0, 0.0, 1.05], [0.6, 0.0, 0.9]])
 
     @staticmethod
     def wavenumbers(n):
@@ -213,14 +213,12 @@ class TestPerDensityWavenumbers:
             assert rel_err(batched[..., i], one) < 1e-13
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_near_rule(self, sphere10, rng, kind):
+    def test_near_rule(self, sphere10, rng, near_polar_40, kind):
         dens = many_densities(kind, rng)[:12]
         ks = self.wavenumbers(len(dens))
-        batched = offboundary_eval(
-            dens, ks, self.NEAR_POINTS, kind, sphere10, quad="near", n_polar=40
-        )
+        batched = offboundary_eval(dens, ks, NEAR_POINTS, kind, sphere10)
         for i, (d, k) in enumerate(zip(dens, ks)):
-            one = offboundary_eval(d, k, self.NEAR_POINTS, kind, sphere10, quad="near", n_polar=40)
+            one = offboundary_eval(d, k, NEAR_POINTS, kind, sphere10)
             assert rel_err(batched[..., i], one) < 1e-13
 
     def test_equal_wavenumbers_equal_a_scalar_k(self, sphere10, rng):
@@ -233,6 +231,23 @@ class TestPerDensityWavenumbers:
         dens = many_densities("curlS_vec", rng)[:3]
         with pytest.raises(ValueError, match="2 wavenumbers for 3 densities"):
             offboundary_eval(dens, [1.0, 2.0], self.GRID_POINTS, "curlS_vec", sphere10)
+        with pytest.raises(ValueError, match="broadcast"):  # 2 rows of wavenumbers for 7 points
+            offboundary_eval(dens, np.ones((2, 3)), self.GRID_POINTS, "curlS_vec", sphere10)
+
+
+class TestPointRowWavenumbers:
+    """A (points, densities) k array equals one call per point with its own row."""
+
+    @pytest.mark.parametrize("kind", ("S", "curlcurlS_vec"))
+    def test_rows_equal_per_point_calls(self, sphere10, rng, near_polar_40, kind):
+        dens = many_densities(kind, rng)[:5]
+        pts = np.vstack([TestPerDensityWavenumbers.GRID_POINTS, NEAR_POINTS])
+        shared, own = np.full(5, 1.3), TestPerDensityWavenumbers.wavenumbers(5)
+        # rows alternate between one shared wavenumber and one per density
+        ks = np.array([shared if p % 2 else own for p in range(len(pts))])
+        rows = offboundary_eval(dens, ks, pts, kind, sphere10)
+        for p, x in enumerate(pts):
+            assert rel_err(rows[p], offboundary_eval(dens, ks[p], x, kind, sphere10)) < 1e-13
 
 
 class TestKindTuples:
@@ -240,17 +255,15 @@ class TestKindTuples:
 
     @pytest.mark.parametrize("kinds", [("S", "gradS"), ("curlS_vec", "curlcurlS_vec"),
                                        ("curlcurlS_vec", "curlS_vec")])
-    @pytest.mark.parametrize("quad", ["auto", "near"])
-    def test_tuple_equals_single_kinds(self, sphere10, rng, kinds, quad):
+    @pytest.mark.parametrize("rule", ["auto", "near"])
+    def test_tuple_equals_single_kinds(self, sphere10, rng, near_polar_40, kinds, rule):
         dens = many_densities(kinds[0], rng)[:6]
-        pts = TestPerDensityWavenumbers.NEAR_POINTS if quad == "near" else np.array(
-            [[0.0, 0.0, 2.0], [0.3, 0.1, 0.2]]
-        )
+        pts = RULE_POINTS[rule]
         for k in (1.3, np.linspace(0.5, 1.5, len(dens))):
-            both = offboundary_eval(dens, k, pts, kinds, sphere10, quad=quad, n_polar=40)
+            both = offboundary_eval(dens, k, pts, kinds, sphere10)
             assert isinstance(both, tuple) and len(both) == 2
             for kind, got in zip(kinds, both):
-                one = offboundary_eval(dens, k, pts, kind, sphere10, quad=quad, n_polar=40)
+                one = offboundary_eval(dens, k, pts, kind, sphere10)
                 assert rel_err(got, one) < 1e-15
 
     def test_single_point_single_density(self, sphere10, rng):
@@ -279,7 +292,7 @@ BOTH_SIDES = np.vstack([fibonacci_shell(6, 2.5), fibonacci_shell(4, 0.3)])
 
 
 class TestOneCallPerSide:
-    """On the grid rule each block of POINT_BLOCK modes takes one call per side."""
+    """Each block of POINT_BLOCK modes takes one call for both sides' points."""
 
     @pytest.mark.parametrize("count", [1, 7, 80])
     def test_field_batch_calls(self, pert8_family, monkeypatch, count):
@@ -292,10 +305,9 @@ class TestOneCallPerSide:
             return evaluate(*args, **kwargs)
 
         monkeypatch.setattr(plasmon, "offboundary_eval", counting)
-        E, H = plasmon._field_batch(modes[:count], BOTH_SIDES, grid, "auto")
-        blocks = -(-count // POINT_BLOCK)
-        assert len(calls) == 2 * blocks
-        assert sorted(shape[0] for shape in calls) == [4] * blocks + [6] * blocks
+        E, H = plasmon._field_batch(modes[:count], BOTH_SIDES, grid)
+        assert len(calls) == -(-count // POINT_BLOCK)
+        assert all(shape == BOTH_SIDES.shape for shape in calls)
         assert E.shape == H.shape == (count, len(BOTH_SIDES), 3)
 
     def test_field_batch_equals_plasmon_field(self, pert8_family):
@@ -310,7 +322,7 @@ class TestOneCallPerSide:
 
 
 def assert_batch_equals_single(family, grid):
-    E, H = plasmon._field_batch(family, BOTH_SIDES, grid, "auto")
+    E, H = plasmon._field_batch(family, BOTH_SIDES, grid)
     for j, mode in enumerate(family):
         Ep, Hp = np.array([plasmon_field(mode, x, grid) for x in BOTH_SIDES]).transpose(1, 0, 2)
         # relative to the mode's largest field: a point far below it sits at
@@ -321,20 +333,20 @@ def assert_batch_equals_single(family, grid):
 
 
 class TestPointArrays:
-    """tubular_distance and _is_inside take a (P, 3) array: one value per point."""
+    """tubular_distance and radial_gap take a (P, 3) array: one value per point."""
 
     def test_equal_per_point(self, pert8_family):
         grid, _ = pert8_family
         pts = np.vstack([fibonacci_shell(9, r) for r in (0.3, 0.97, 1.02, 1.5, 3.0)])
         pts = np.vstack([pts, grid.positions[:5]])
         dists = tubular_distance(pts, grid)
-        inside = plasmon._is_inside(pts, grid)
-        assert dists.shape == inside.shape == (len(pts),)
-        assert 0 < inside.sum() < len(pts)
+        gaps = radial_gap(pts, grid)
+        assert dists.shape == gaps.shape == (len(pts),)
+        assert 0 < (gaps < 0).sum() < len(pts)
         for p, x in enumerate(pts):
-            d, a = tubular_distance(x, grid), plasmon._is_inside(x, grid)
-            assert type(d) is float and type(a) is bool
-            assert d == dists[p] and a == inside[p]
+            d, g = tubular_distance(x, grid), radial_gap(x, grid)
+            assert type(d) is float and type(g) is float
+            assert d == dists[p] and g == gaps[p]
 
 
 class TestScanMemory:
@@ -343,30 +355,92 @@ class TestScanMemory:
     The first two bounds are the tracemalloc peaks of the same scans with
     one off-boundary call per mode inside: 7.75 MB on the grid rule (40
     exterior and 10 interior points, 324 nodes) and 180.25 MB on the near
-    rule (one point each side, 15360 patch points).  Evaluating all 80
+    rule (one point each side inside the guard, 15360 patch points).  Evaluating all 80
     per-mode wavenumbers of a pass at once, unblocked, exceeds both.  The
     third sits between the grid-rule peaks with the node values of all 80
     modes alive at once, 6.62 MB, and with POINT_BLOCK of them, 4.63 MB.
     """
 
     @pytest.mark.parametrize(
-        "quad, shells, bound_mb",
+        "rule, shells, bound_mb",
         [
             ("auto", ((40, 2.5), (10, 0.3)), 7.8),
-            ("near", ((1, 2.5), (1, 0.3)), 181.0),
+            ("near", ((1, 1.3), (1, 0.8)), 181.0),
             ("auto", ((40, 2.5), (10, 0.3)), 5.5),
         ],
     )
-    def test_peak_under_bound(self, pert8_family, quad, shells, bound_mb):
+    def test_peak_under_bound(self, pert8_family, rule, shells, bound_mb):
         import tracemalloc
 
         grid, modes = pert8_family
         pts = np.vstack([fibonacci_shell(n, r) for n, r in shells])
-        localization_scan(modes[:2], pts, 0.5, grid, quad=quad)  # the grid's lazy caches
+        near = tubular_distance(pts, grid) <= 3.0 * grid.max_spacing
+        assert near.all() if rule == "near" else not near.any()
+        localization_scan(modes[:2], pts, 0.1, grid)  # the grid's lazy caches
         tracemalloc.start()
         try:
-            localization_scan(modes, pts, 0.5, grid, quad=quad)
+            localization_scan(modes, pts, 0.1, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < bound_mb * 1e6
+
+
+# the near rule's relative error against the closed forms, at NEAR_POLAR, from
+# just above its floor to just inside the guard; the largest found is 2.6e-10,
+# by curlcurlS of the family-2 modes just above the floor
+NEAR_TOL = 1e-9
+PROBE = np.array([0.6, 0.64, 0.48])
+
+
+class TestNearRuleOracle:
+    """The near rule against `exact_sphere_potential` on the unit sphere at L_quad = 10."""
+
+    MODES = [SphereMode(l, n, 1, 1.0) for l in (1, 2) for n in (2, 10)]
+
+    @staticmethod
+    def gaps(grid):
+        floor = np.pi * np.max(grid.rho) / potentials.NEAR_POLAR
+        return [1.2 * floor, 0.05, 2.85 * grid.max_spacing]
+
+    @pytest.mark.parametrize("side", [1, -1], ids=["exterior", "interior"])
+    def test_matches_closed_forms(self, sphere10, side):
+        dens = [mode_tangent_field(mode, 10) for mode in self.MODES]
+        for gap in self.gaps(sphere10):
+            x = (1.0 + side * gap) * PROBE
+            assert tubular_distance(x, sphere10) <= 3.0 * sphere10.max_spacing
+            fields = offboundary_eval(dens, 1.0, x, ("curlS_vec", "curlcurlS_vec"), sphere10)
+            for i, mode in enumerate(self.MODES):
+                for which, num in zip(("curlS", "curlcurlS"), fields):
+                    exact = exact_sphere_potential(mode, 1.0, x, which)
+                    assert rel_err(num[:, i], exact) <= NEAR_TOL, (gap, mode, which)
+
+
+class TestNearFloor:
+    """A point at or below one near-rule polar step of radial gap raises."""
+
+    def test_points_at_the_floor_raise(self, sphere10):
+        dens = mode_tangent_field(SphereMode(2, 2, 1, 1.0), 6)
+        floor = np.pi / potentials.NEAR_POLAR
+        points = [(1.0 + 0.9 * floor) * PROBE, (1.0 - floor) * PROBE, PROBE, sphere10.positions[17]]
+        for x in points:
+            with pytest.raises(NearBoundaryError, match="floor"):
+                offboundary_eval(dens, 1.0, x, "curlS_vec", sphere10)
+        # one point below the floor refuses the whole call
+        with pytest.raises(NearBoundaryError):
+            offboundary_eval(dens, 1.0, np.vstack([2.0 * PROBE, PROBE]), "curlS_vec", sphere10)
+
+    def test_floor_reads_the_radial_gap(self):
+        # next to the surface the node-sampled distance reads far above the floor: 0.046
+        # at radial gap 0.005 on rho = 1 + 0.2 Re Y_2^0 at L_quad = 12, and 0.166 at the
+        # unit sphere's pole, on the surface, at L_quad = 6
+        cases = [
+            (perturbed_sphere(0.2, 2, 0, 12), PROBE, 0.005),
+            (sphere_surface(1.0, 6), np.array([0.0, 0.0, 1.0]), 0.0),
+        ]
+        for grid, xhat, gap in cases:
+            x = (1.0 - radial_gap(xhat, grid) + gap) * xhat  # |xhat| = 1
+            assert abs(radial_gap(x, grid) - gap) < 1e-12
+            assert tubular_distance(x, grid) > 0.04
+            with pytest.raises(NearBoundaryError, match="floor"):
+                offboundary_eval(ShCoeffs.unit(2, 0, L=4), 1.0, x, "S", grid)

@@ -192,7 +192,7 @@ class TestClusterInvariance:
         got = localization_scan(self.modes(turned), pts, 0.5, grid).to_json_dict()
         _assert_same_body(got, want, 1e-12)
         # the single modes do move: the rotation is not the identity on them
-        single = [np.linalg.norm(_field_batch(self.modes(s), pts, grid, "auto")[0], axis=(1, 2))
+        single = [np.linalg.norm(_field_batch(self.modes(s), pts, grid)[0], axis=(1, 2))
                   for s in (curl, turned)]
         assert np.max(np.abs(single[0] - single[1]) / single[0]) > 1e-3
 
@@ -207,7 +207,7 @@ class TestClusterInvariance:
         shared = [m.at_eigenvalue(mean[c]) for m, c in zip(modes, ids)]
         pair = np.flatnonzero(ids == np.argmax(np.bincount(ids)))
         assert pair.size >= 2 and len({shared[j].tau for j in pair}) == 1
-        E, H = _field_batch(shared, pts, grid, "auto")
+        E, H = _field_batch(shared, pts, grid)
         for F, norms in ((E, rep.e_norms), (H, rep.h_norms)):
             sq = np.bincount(ids, np.sum(np.abs(F) ** 2, axis=(1, 2)))
             assert np.allclose(np.bincount(ids, norms**2), sq, rtol=1e-12, atol=0)

@@ -241,13 +241,14 @@ class TestOffBoundary:
         assert np.max(np.abs(num - ex)) < 1e-6 * np.max(np.abs(ex))
 
     def test_near_guard(self, sphere16):
+        # inside the grid rule's guard, 0.28, the near rule takes the point
         dens = ShCoeffs.unit(1, 0, L=8)
-        with pytest.raises(NearBoundaryError):
-            offboundary_eval(dens, 1.0, np.array([0, 0, 1.05]), "S", sphere16)
-        # the refined rule accepts the same point
-        v = offboundary_eval(dens, 0.0, np.array([0, 0, 1.05]), "S", sphere16, quad="near")
+        v = offboundary_eval(dens, 0.0, np.array([0, 0, 1.05]), "S", sphere16)
         expect = -1.0 / 3.0 * 1.05 ** -2 * np.sqrt(3 / (4 * np.pi))
         assert abs(v - expect) < 1e-8
+        # below its floor, one polar step of 0.0098, nothing does
+        with pytest.raises(NearBoundaryError):
+            offboundary_eval(dens, 0.0, np.array([0, 0, 1.005]), "S", sphere16)
 
     def test_kernel_derivatives_by_fd(self):
         k = 1.3
@@ -288,8 +289,8 @@ class TestJumpRelations:
         ts = np.array([0.1, 0.05, 0.025, 0.0125])
         vals_p, vals_m = [], []
         for t in ts:
-            gp = offboundary_eval(dens, 0.0, (1 + t) * xhat, "gradS", sphere16, quad="near")
-            gm = offboundary_eval(dens, 0.0, (1 - t) * xhat, "gradS", sphere16, quad="near")
+            gp = offboundary_eval(dens, 0.0, (1 + t) * xhat, "gradS", sphere16)
+            gm = offboundary_eval(dens, 0.0, (1 - t) * xhat, "gradS", sphere16)
             vals_p.append(np.dot(gp, xhat))
             vals_m.append(np.dot(gm, xhat))
         th, ph = _angles(xhat)
@@ -475,7 +476,7 @@ class TestDivergenceIntertwining:
 
 
 class TestNearFrames:
-    def test_one_frame_per_near_point(self, sphere10, monkeypatch):
+    def test_one_frame_per_near_point(self, sphere10, monkeypatch, near_polar_40):
         # the tangential density reuses the patch frame of the quadrature
         from mnpspr.surface import SurfaceGrid
 
@@ -488,8 +489,8 @@ class TestNearFrames:
 
         monkeypatch.setattr(SurfaceGrid, "frame_at", counting)
         dens = mode_tangent_field(SphereMode(2, 1, 0, 1.0), 6)
-        pts = np.array([[0.0, 0.0, 1.05], [0.6, 0.0, 0.9]])
-        offboundary_eval(dens, 1.0, pts, "curlS_vec", sphere10, quad="near", n_polar=40)
+        pts = np.array([[0.0, 0.0, 1.1], [0.6, 0.0, 0.95]])
+        offboundary_eval(dens, 1.0, pts, "curlS_vec", sphere10)
         assert len(calls) == len(pts)
 
 

@@ -247,7 +247,7 @@ class TestScatteredFields:
         def nu_e(rr):
             E, _ = eval_scattered_fields(
                 dens, rr * PROBE, mats, sphere10,
-                incident=incident if rr > 1 else None, quad="near")
+                incident=incident if rr > 1 else None)
             return np.cross(PROBE, E)
 
         def extrap(side):
