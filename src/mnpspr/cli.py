@@ -417,6 +417,7 @@ def cmd_decay(cfg, grid):
     points = _shell_points(cfg.params["points"])
     report = localization_scan(modes, points, cfg.params["eps"], grid)
     return {
+        # the rows are made as write_csv writes them, never held as a table
         "decay.csv": (_FIELD_COLUMNS, report.csv_rows()),
         "decay.json": report.to_json_dict(),
     }, None

@@ -160,21 +160,18 @@ class DecayReport:
         }
 
     def csv_rows(self):
-        rows = []
+        """The `decay.csv` rows, mode-major, yielded one at a time."""
         for j, mid in enumerate(self.mode_ids):
             for p in range(self.distances.size):
-                rows.append(
-                    (
-                        mid,
-                        float(self.eigenvalues[j]),
-                        float(self.taus[j]),
-                        p,
-                        float(self.distances[p]),
-                        float(self.e_point_mags[j, p]),
-                        float(self.h_point_mags[j, p]),
-                    )
+                yield (
+                    mid,
+                    float(self.eigenvalues[j]),
+                    float(self.taus[j]),
+                    p,
+                    float(self.distances[p]),
+                    float(self.e_point_mags[j, p]),
+                    float(self.h_point_mags[j, p]),
                 )
-        return rows
 
 
 def _field_batch(modes, points, grid):

@@ -230,20 +230,6 @@ def apply_Q(f: TangentField, S_mat: OperatorMatrix, grid: SurfaceGrid) -> Tangen
 # --------------------------------------------------------------------------
 
 
-def _radial(k, r, order):
-    """(g, g', ..., g^(order)) of G(k; r) = -exp(ikr)/(4 pi r) in r, order <= 2.
-
-    k broadcasts against r: one wavenumber, or one per density on a
-    trailing axis of r.
-    """
-    kr = k * r
-    eikr = np.exp(1j * kr)
-    out = [-eikr / (4.0 * np.pi * r), eikr * (1.0 - 1j * kr) / (4.0 * np.pi * r**2)]
-    if order > 1:
-        out.append(eikr * (kr**2 + 2j * kr - 2.0) / (4.0 * np.pi * r**3))
-    return out
-
-
 def helmholtz_point_kernels(k, rvec, want_hessian=False):
     """G(k; x, y) = -exp(ik|x-y|)/(4 pi |x-y|) and its x-derivatives.
 
@@ -251,14 +237,18 @@ def helmholtz_point_kernels(k, rvec, want_hessian=False):
     (G, gradG, hessG) with gradG shape (..., 3), hessG (..., 3, 3).
     """
     r = np.linalg.norm(rvec, axis=-1)
-    g, gp, *gpp = _radial(k, r, 2 if want_hessian else 1)
+    kr = k * r
+    eikr = np.exp(1j * kr)
+    g = -eikr / (4.0 * np.pi * r)
+    gp = eikr * (1.0 - 1j * kr) / (4.0 * np.pi * r**2)
     rhat = rvec / r[..., None]
     grad = gp[..., None] * rhat
     if not want_hessian:
         return g, grad
+    gpp = eikr * (kr**2 + 2j * kr - 2.0) / (4.0 * np.pi * r**3)
     outer = rhat[..., :, None] * rhat[..., None, :]
     eye = np.eye(3)
-    hess = (gpp[0] - gp / r)[..., None, None] * outer + (gp / r)[..., None, None] * eye
+    hess = (gpp - gp / r)[..., None, None] * outer + (gp / r)[..., None, None] * eye
     return g, grad, hess
 
 
@@ -268,69 +258,101 @@ POINT_BLOCK = 32
 NEAR_POLAR = 320
 
 
-def _layer_sum(k, rvec, kinds, wdens):
-    """Layer potentials `kinds` at P targets, summed over N sources.
+# kind -> its radial factors, each c (coef[0] z^d + ... + coef[d]) / r^power
+# with z = ikr and c = exp(z) / (4 pi r): G = -c, g' = c (1 - z) / r, and
+# curlcurl's g'' - g'/r and g'/r + k^2 g
+_FACTORS = {
+    "S": (((-1.0,), 0),),
+    "gradS": (((-1.0, 1.0), 1),),
+    "curlS_vec": (((-1.0, 1.0), 1),),
+    "curlcurlS_vec": (((-1.0, 3.0, -3.0), 2), ((1.0, -1.0, 1.0), 2)),
+}
 
-    rvec = x - y, shape (P, N, 3).  wdens stacks J densities times the
-    quadrature weights: (N, J) for the scalar kinds S and gradS, (N, 3, J)
-    for curlS_vec and curlcurlS_vec.  k is one wavenumber, or one per
-    density, shape (J,).  Each kernel is radial factors of r = |x - y|
-    times rhat terms:
-      S             = sum_n g d
+
+def _c_poly(coef, z, c, r, power):
+    """c (coef[0] z^d + ... + coef[d]) / r^power, built in one new array."""
+    out = np.full_like(c, coef[0])
+    for a in coef[1:]:
+        out *= z
+        out += a
+    out *= c
+    for _ in range(power):
+        out /= r
+    return out
+
+
+def _layer_sum(k, targets, sources, kinds, wdens):
+    """Layer potentials `kinds` at P targets (P, 3), summed over N sources (N, 3).
+
+    wdens stacks J densities times the quadrature weights: (N, J) for the
+    scalar kinds S and gradS, (N, 3, J) for curlS_vec and curlcurlS_vec.
+    k is one wavenumber, or one per density, shape (J,).  Each kernel is
+    radial factors of r = |x - y| (`_FACTORS`) times rhat terms:
+      S             = sum_n G d
       gradS         = sum_n g' rhat d
       curlS_vec     = sum_n g' rhat x d
       curlcurlS_vec = sum_n (g'' - g'/r) rhat (rhat . d) + (g'/r + k^2 g) d
-    A shared k gives (P, N) factors, contracted with the densities by
-    matmul; per-density k gives (P, N, J) factors, multiplied into the
-    densities and summed over the nodes.  Returns one array per kind:
-    (P, J) for S, else (P, 3, J).  The one home of the off-boundary
-    kernels; node and near rules call it.
+    Every factor is (P, N), or (J, P, N) with per-density k, and is built
+    from one exp(ikr) per entry.  The rhat terms are folded into one
+    workspace of that shape, g' rhat_a or (g'' - g'/r) rhat_c rhat_b, plus
+    the isotropic term on the diagonal, so the two curlcurl terms, which
+    cancel near the surface, are combined at each node; each is contracted
+    with one density component, (N, J), by matmul (einsum with per-density
+    k).  z, c and r are freed once the last kind's factors are built, and
+    a kind's factors and workspace once it is contracted.  Returns one
+    array per kind: (P, J) for S, else (P, 3, J).  The one home of the
+    off-boundary kernels; node and near rules call it.
     """
-    r = np.linalg.norm(rvec, axis=-1)
-    rhat = rvec / r[..., None]
+    rhat = targets[:, None, :] - sources
+    r = np.linalg.norm(rhat, axis=-1)
+    rhat /= r[..., None]
     per = np.ndim(k) > 0
     if per:
-        r = r[..., None]
-    g, gp, *gpp = _radial(k, r, 2 if "curlcurlS_vec" in kinds else 1)
-    rhat_t = rhat.transpose(0, 2, 1)
+        k = k[:, None, None]  # factors (J, P, N): each density's factor is contiguous
 
-    def rhat_moment(f, d):
-        """sum_n f rhat d for one density component d (N, J): (P, 3, J)."""
-        return rhat_t @ (f * d) if per else (rhat_t * f[:, None, :]) @ d
+    def dot(f, d):
+        """sum_n f d for a factor f, (P, N) or (J, P, N), and a density component d (N, J)."""
+        return np.einsum("jpn,nj->pj", f, d) if per else f @ d
 
+    z = 1j * (k * r)
+    c = np.exp(z)
+    c /= 4.0 * np.pi * r
+    P, J = len(targets), wdens.shape[-1]
     out = []
-    for kind in kinds:
-        if kind == "S":
-            out.append(np.einsum("pnj,nj->pj", g, wdens) if per else g @ wdens)
-        elif kind == "gradS":
-            out.append(rhat_moment(gp, wdens))
-        elif kind == "curlS_vec":
-            # a[b][:, c] = sum_n g' rhat_c d_b, and (rhat x d)_c = rhat_a d_b - rhat_b d_a
-            # for (c, a, b) cyclic
-            a = [rhat_moment(gp, wdens[:, b]) for b in range(3)]
-            out.append(np.stack(
-                [a[2][:, 1] - a[1][:, 2], a[0][:, 2] - a[2][:, 0], a[1][:, 0] - a[0][:, 1]], axis=1
-            ))
-        elif kind == "curlcurlS_vec":
-            # the two terms cancel near the surface: combine them at each node
-            radial, iso = gpp[0] - gp / r, gp / r + k**2 * g
-            if per:
-                along = radial * sum(rhat[..., b, None] * wdens[:, b] for b in range(3))
-                out.append(np.stack(
-                    [(rhat[..., c, None] * along + iso * wdens[:, c]).sum(axis=1)
-                     for c in range(3)],
-                    axis=1,
-                ))
-            else:
-                # row c of the 3 x 3 kernel at every (point, node), one matmul per row
-                rows = []
-                for c in range(3):
-                    ker = (radial * rhat[..., c])[..., None] * rhat
-                    ker[..., c] += iso
-                    rows.append(ker.reshape(len(ker), -1) @ wdens.reshape(-1, wdens.shape[-1]))
-                out.append(np.stack(rows, axis=1))
-        else:
+    for i, kind in enumerate(kinds):
+        if kind not in _FACTORS:
             raise KindError(f"unknown evaluation kind {kind!r}")
+        fac = [_c_poly(coef, z, c, r, power) for coef, power in _FACTORS[kind]]
+        if i == len(kinds) - 1:  # the last kind's factors are the last use of z, c and r
+            del z, c, r
+        if kind == "S":
+            out.append(dot(fac.pop(), wdens))
+            continue
+        f = np.empty_like(fac[0])
+        res = np.zeros((P, 3, J), dtype=complex)
+        if kind == "gradS":
+            for a in range(3):
+                res[:, a] = dot(np.multiply(fac[0], rhat[:, :, a], out=f), wdens)
+        elif kind == "curlS_vec":
+            # (rhat x d)_c = rhat_a d_b - rhat_b d_a for (c, a, b) cyclic
+            for a in range(3):
+                np.multiply(fac[0], rhat[:, :, a], out=f)
+                res[:, (a + 2) % 3] += dot(f, wdens[:, (a + 1) % 3])
+                res[:, (a + 1) % 3] -= dot(f, wdens[:, (a + 2) % 3])
+        else:
+            radial, iso = fac
+            # the kernel is symmetric: an off-diagonal entry serves two rows
+            for a, b in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+                np.multiply(radial, rhat[:, :, a], out=f)
+                f *= rhat[:, :, b]
+                if a == b:
+                    f += iso
+                res[:, a] += dot(f, wdens[:, b])
+                if a != b:
+                    res[:, b] += dot(f, wdens[:, a])
+            del radial, iso
+        del fac, f
+        out.append(res)
     return out
 
 
@@ -339,9 +361,10 @@ def _passes(k, targets, sources, kinds, wdens, block):
 
     A shared k takes `block` targets and every density per pass.  One
     wavenumber per density puts a density axis on the kernel factors, so a
-    pass takes at most `block` (target, density) pairs: its (P, N, J)
-    temporaries, at most nine alive at a time, then hold no more elements
-    than a (block, N, 3, 3) kernel tensor.
+    pass takes at most `block` (target, density) pairs.  Either way a
+    pass's factors hold `block` x N elements each, and the pass frees its
+    factors and its target-source vectors before the next pass builds its
+    own.
     """
     P, J = len(targets), wdens.shape[-1]
     per = np.ndim(k) > 0
@@ -349,9 +372,11 @@ def _passes(k, targets, sources, kinds, wdens, block):
     pb = block // jb if per else block
     out = [np.empty((P, J) if kind == "S" else (P, 3, J), dtype=complex) for kind in kinds]
     for i in range(0, P, pb):
-        rvec = targets[i : i + pb, None, :] - sources
         for j in range(0, J, jb):
-            part = _layer_sum(k[j : j + jb] if per else k, rvec, kinds, wdens[..., j : j + jb])
+            part = _layer_sum(
+                k[j : j + jb] if per else k, targets[i : i + pb], sources, kinds,
+                wdens[..., j : j + jb],
+            )
             for o, v in zip(out, part):
                 o[i : i + pb, ..., j : j + jb] = v
     return out
@@ -398,13 +423,16 @@ def offboundary_eval(density, k, x, which, grid: SurfaceGrid):
     Memory is bounded by element count.  A shared k gives (P, N) kernel
     factors for P points and N nodes or patch points: the grid rule takes
     POINT_BLOCK points per pass, the near rule one.  Per-density
-    wavenumbers give (P, N, J) factors for J densities, so a pass takes as
-    many (point, density) pairs as a shared-k pass takes points.  At most
-    nine such temporaries are alive at once, so together they hold no more
-    elements than a (POINT_BLOCK, N, 3, 3) tensor on the grid rule, or a
-    (1, N, 3, 3) one on the near rule.  The densities' values, (N, 3, J) at
-    the nodes and at each near point's patch, are the caller's to bound:
-    `plasmon._field_batch` passes POINT_BLOCK densities per call.
+    wavenumbers give (J, P, N) factors for J densities, so a pass takes as
+    many (point, density) pairs as a shared-k pass takes points.  Besides
+    r and rhat, a pass holds at most four complex arrays of a factor's
+    shape: z = ikr, c = exp(z) / (4 pi r) and two factors, or, once z and
+    c are freed, two factors and the workspace (`_layer_sum`).  Together
+    they hold no more elements than a complex (POINT_BLOCK, N, 6) array on
+    the grid rule, or a (1, N, 6) one on the near rule.  The densities'
+    values, (N, 3, J) at the nodes and at each near point's patch, are the
+    caller's to bound: `plasmon._field_batch` passes POINT_BLOCK densities
+    per call.
     """
     kinds = which if isinstance(which, tuple) else (which,)
     tangent = {kind in ("curlS_vec", "curlcurlS_vec") for kind in kinds}

@@ -16,6 +16,7 @@ from mnpspr.potentials import (
     POINT_BLOCK,
     KindError,
     NearBoundaryError,
+    helmholtz_point_kernels,
     offboundary_eval,
     scalar_operators,
 )
@@ -42,6 +43,12 @@ RULE_POINTS = {"auto": np.array([[0.0, 0.0, 2.0], [0.3, 0.1, 0.2]]), "near": NEA
 
 def rel_err(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.fixture(scope="module")
+def pert10():
+    """rho = 1 + 0.1 Re Y_2^1 at L_quad = 10, a surface with no axis of symmetry."""
+    return perturbed_sphere(0.1, 2, 1, 10)
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +241,31 @@ class TestPerDensityWavenumbers:
         with pytest.raises(ValueError, match="broadcast"):  # 2 rows of wavenumbers for 7 points
             offboundary_eval(dens, np.ones((2, 3)), self.GRID_POINTS, "curlS_vec", sphere10)
 
+    @pytest.mark.parametrize("case", ["real", "lossy", "per-density"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_node_sums_of_the_point_kernels(self, pert10, rng, kind, case):
+        """The grid rule is the node sum of G, grad G, grad G x d and (Hess G + k^2 G) d."""
+        dens = densities(kind, rng)
+        ks = {"real": np.full(2, 1.3), "lossy": np.full(2, 1.3 + 0.2j),
+              "per-density": np.array([0.7, 1.9 + 0.1j])}[case]
+        k = ks if case == "per-density" else ks[0]
+        pts = self.GRID_POINTS
+        assert not np.any(tubular_distance(pts, pert10) <= 3.0 * pert10.max_spacing)
+        got = offboundary_eval(dens, k, pts, kind, pert10)
+        vals = pert10.values_at(dens)
+        vals *= pert10.area_weights.reshape((-1,) + (1,) * (vals.ndim - 1))
+        rvec = pts[:, None, :] - pert10.positions
+        for j, kj in enumerate(ks):
+            G, grad, hess = helmholtz_point_kernels(kj, rvec, want_hessian=True)
+            d = vals[..., j]
+            want = {
+                "S": lambda: G @ d,
+                "gradS": lambda: np.einsum("pna,n->pa", grad, d),
+                "curlS_vec": lambda: np.cross(grad, d).sum(axis=1),
+                "curlcurlS_vec": lambda: np.einsum("pnab,nb->pa", hess, d) + kj**2 * (G @ d),
+            }[kind]()
+            assert rel_err(got[..., j], want) < 1e-12
+
 
 class TestPointRowWavenumbers:
     """A (points, densities) k array equals one call per point with its own row."""
@@ -359,6 +391,9 @@ class TestScanMemory:
     per-mode wavenumbers of a pass at once, unblocked, exceeds both.  The
     third sits between the grid-rule peaks with the node values of all 80
     modes alive at once, 6.62 MB, and with POINT_BLOCK of them, 4.63 MB.
+    The fourth sits between the grid-rule peaks with three (P, N, 3) kernel
+    tensors per pass, 4.43 MB, and with (P, N) factors folded into one
+    workspace, 2.54 MB.
     """
 
     @pytest.mark.parametrize(
@@ -367,6 +402,7 @@ class TestScanMemory:
             ("auto", ((40, 2.5), (10, 0.3)), 7.8),
             ("near", ((1, 1.3), (1, 0.8)), 181.0),
             ("auto", ((40, 2.5), (10, 0.3)), 5.5),
+            ("auto", ((40, 2.5), (10, 0.3)), 3.8),
         ],
     )
     def test_peak_under_bound(self, pert8_family, rule, shells, bound_mb):

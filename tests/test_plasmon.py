@@ -142,7 +142,7 @@ class TestLocalizationScan:
         modes = [PlasmonMode.from_eigenmode(j, curl) for j in (0, 1)]
         pts = fibonacci_shell(5, 3.0)
         rep = localization_scan(modes, pts, 0.5, pert12)
-        rows = rep.csv_rows()
+        rows = list(rep.csv_rows())
         assert len(rows) == 10
         d = rep.to_json_dict()
         assert set(d) >= {"eigenvalues", "taus", "partial_sums", "plateau", "statistic"}
