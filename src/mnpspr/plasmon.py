@@ -181,7 +181,10 @@ def _field_batch(modes, points, grid):
     all points, with k_e on the wavenumber rows of exterior points and each
     mode's own k_c on those of interior ones: one node `values_at` pass
     serves both sides, and the density values alive stay within
-    POINT_BLOCK.  Sphere modes take the closed form point by point.
+    POINT_BLOCK.  Exterior points take one kernel pass per point block for
+    the whole mode block, interior ones one per run of neighbouring modes
+    with equal k_c, such as a cluster of `localization_scan`.  Sphere
+    modes take the closed form point by point.
     """
     pts = np.asarray(points, dtype=float)
     E = np.zeros((len(modes), len(pts), 3), dtype=complex)

@@ -252,7 +252,7 @@ def helmholtz_point_kernels(k, rvec, want_hessian=False):
     return g, grad, hess
 
 
-# points per grid-rule pass at a shared wavenumber
+# points per grid-rule pass
 POINT_BLOCK = 32
 # polar order of the near rule; one of its polar steps is the closest radial gap it takes
 NEAR_POLAR = 320
@@ -285,35 +285,26 @@ def _layer_sum(k, targets, sources, kinds, wdens):
     """Layer potentials `kinds` at P targets (P, 3), summed over N sources (N, 3).
 
     wdens stacks J densities times the quadrature weights: (N, J) for the
-    scalar kinds S and gradS, (N, 3, J) for curlS_vec and curlcurlS_vec.
-    k is one wavenumber, or one per density, shape (J,).  Each kernel is
-    radial factors of r = |x - y| (`_FACTORS`) times rhat terms:
+    scalar kinds S and gradS, (N, 3, J) for curlS_vec and curlcurlS_vec;
+    k is the one wavenumber they share.  Each kernel is radial factors of
+    r = |x - y| (`_FACTORS`) times rhat terms:
       S             = sum_n G d
       gradS         = sum_n g' rhat d
       curlS_vec     = sum_n g' rhat x d
       curlcurlS_vec = sum_n (g'' - g'/r) rhat (rhat . d) + (g'/r + k^2 g) d
-    Every factor is (P, N), or (J, P, N) with per-density k, and is built
-    from one exp(ikr) per entry.  The rhat terms are folded into one
-    workspace of that shape, g' rhat_a or (g'' - g'/r) rhat_c rhat_b, plus
-    the isotropic term on the diagonal, so the two curlcurl terms, which
-    cancel near the surface, are combined at each node; each is contracted
-    with one density component, (N, J), by matmul (einsum with per-density
-    k).  z, c and r are freed once the last kind's factors are built, and
-    a kind's factors and workspace once it is contracted.  Returns one
+    Every factor is (P, N) and is built from one exp(ikr) per entry.  The
+    rhat terms are folded into one workspace of that shape, g' rhat_a or
+    (g'' - g'/r) rhat_c rhat_b, plus the isotropic term on the diagonal, so
+    the two curlcurl terms, which cancel near the surface, are combined at
+    each node; each is contracted with one density component, (N, J), by
+    matmul.  z, c and r are freed once the last kind's factors are built,
+    and a kind's factors and workspace once it is contracted.  Returns one
     array per kind: (P, J) for S, else (P, 3, J).  The one home of the
     off-boundary kernels; node and near rules call it.
     """
     rhat = targets[:, None, :] - sources
     r = np.linalg.norm(rhat, axis=-1)
     rhat /= r[..., None]
-    per = np.ndim(k) > 0
-    if per:
-        k = k[:, None, None]  # factors (J, P, N): each density's factor is contiguous
-
-    def dot(f, d):
-        """sum_n f d for a factor f, (P, N) or (J, P, N), and a density component d (N, J)."""
-        return np.einsum("jpn,nj->pj", f, d) if per else f @ d
-
     z = 1j * (k * r)
     c = np.exp(z)
     c /= 4.0 * np.pi * r
@@ -326,19 +317,19 @@ def _layer_sum(k, targets, sources, kinds, wdens):
         if i == len(kinds) - 1:  # the last kind's factors are the last use of z, c and r
             del z, c, r
         if kind == "S":
-            out.append(dot(fac.pop(), wdens))
+            out.append(fac.pop() @ wdens)
             continue
         f = np.empty_like(fac[0])
         res = np.zeros((P, 3, J), dtype=complex)
         if kind == "gradS":
             for a in range(3):
-                res[:, a] = dot(np.multiply(fac[0], rhat[:, :, a], out=f), wdens)
+                res[:, a] = np.multiply(fac[0], rhat[:, :, a], out=f) @ wdens
         elif kind == "curlS_vec":
             # (rhat x d)_c = rhat_a d_b - rhat_b d_a for (c, a, b) cyclic
             for a in range(3):
                 np.multiply(fac[0], rhat[:, :, a], out=f)
-                res[:, (a + 2) % 3] += dot(f, wdens[:, (a + 1) % 3])
-                res[:, (a + 1) % 3] -= dot(f, wdens[:, (a + 2) % 3])
+                res[:, (a + 2) % 3] += f @ wdens[:, (a + 1) % 3]
+                res[:, (a + 1) % 3] -= f @ wdens[:, (a + 2) % 3]
         else:
             radial, iso = fac
             # the kernel is symmetric: an off-diagonal entry serves two rows
@@ -347,9 +338,9 @@ def _layer_sum(k, targets, sources, kinds, wdens):
                 f *= rhat[:, :, b]
                 if a == b:
                     f += iso
-                res[:, a] += dot(f, wdens[:, b])
+                res[:, a] += f @ wdens[:, b]
                 if a != b:
-                    res[:, b] += dot(f, wdens[:, a])
+                    res[:, b] += f @ wdens[:, a]
             del radial, iso
         del fac, f
         out.append(res)
@@ -357,28 +348,22 @@ def _layer_sum(k, targets, sources, kinds, wdens):
 
 
 def _passes(k, targets, sources, kinds, wdens, block):
-    """`_layer_sum` at targets (P, 3) from sources (N, 3), in passes of bounded size.
+    """`_layer_sum` at targets (P, 3) from sources (N, 3), one wavenumber per pass.
 
-    A shared k takes `block` targets and every density per pass.  One
-    wavenumber per density puts a density axis on the kernel factors, so a
-    pass takes at most `block` (target, density) pairs.  Either way a
-    pass's factors hold `block` x N elements each, and the pass frees its
-    factors and its target-source vectors before the next pass builds its
-    own.
+    k holds the J densities' wavenumbers, (J,).  Each run of neighbouring
+    densities with one value takes passes of `block` targets on its view
+    of wdens, so no density values are copied.  A pass's factors hold
+    `block` x N elements each, and the pass frees its factors and its
+    target-source vectors before the next pass builds its own.
     """
     P, J = len(targets), wdens.shape[-1]
-    per = np.ndim(k) > 0
-    jb = min(J, block) if per else J
-    pb = block // jb if per else block
+    cuts = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1), J]
     out = [np.empty((P, J) if kind == "S" else (P, 3, J), dtype=complex) for kind in kinds]
-    for i in range(0, P, pb):
-        for j in range(0, J, jb):
-            part = _layer_sum(
-                k[j : j + jb] if per else k, targets[i : i + pb], sources, kinds,
-                wdens[..., j : j + jb],
-            )
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        for i in range(0, P, block):
+            part = _layer_sum(k[lo], targets[i : i + block], sources, kinds, wdens[..., lo:hi])
             for o, v in zip(out, part):
-                o[i : i + pb, ..., j : j + jb] = v
+                o[i : i + block, ..., lo:hi] = v
     return out
 
 
@@ -389,7 +374,7 @@ def _weigh(values, w):
 
 
 def _near_eval(dens, k, p, kinds, grid: SurfaceGrid):
-    """`_layer_sum` at one point p by the near rule: a NEAR_POLAR patch under p."""
+    """`_layer_sum` at point p by the near rule, a NEAR_POLAR patch under p; k as in `_passes`."""
 
     def integrand(patch, w):
         wd = _weigh(grid.values_at(dens, patch), w)
@@ -420,19 +405,19 @@ def offboundary_eval(density, k, x, which, grid: SurfaceGrid):
     as far from it as its nearest node, 0.17 at the unit sphere's pole at
     L_quad = 6.
 
-    Memory is bounded by element count.  A shared k gives (P, N) kernel
-    factors for P points and N nodes or patch points: the grid rule takes
-    POINT_BLOCK points per pass, the near rule one.  Per-density
-    wavenumbers give (J, P, N) factors for J densities, so a pass takes as
-    many (point, density) pairs as a shared-k pass takes points.  Besides
-    r and rhat, a pass holds at most four complex arrays of a factor's
-    shape: z = ikr, c = exp(z) / (4 pi r) and two factors, or, once z and
-    c are freed, two factors and the workspace (`_layer_sum`).  Together
-    they hold no more elements than a complex (POINT_BLOCK, N, 6) array on
-    the grid rule, or a (1, N, 6) one on the near rule.  The densities'
-    values, (N, 3, J) at the nodes and at each near point's patch, are the
-    caller's to bound: `plasmon._field_batch` passes POINT_BLOCK densities
-    per call.
+    Memory is bounded by element count.  Every pass has one wavenumber:
+    each run of neighbouring densities that share a value in a point's row
+    takes its own passes, on a view of the densities' values (`_passes`).
+    A pass gives (P, N) kernel factors for P points and N nodes or patch
+    points: the grid rule takes POINT_BLOCK points per pass, the near rule
+    one.  Besides r and rhat, a pass holds at most four complex arrays of
+    a factor's shape: z = ikr, c = exp(z) / (4 pi r) and two factors, or,
+    once z and c are freed, two factors and the workspace (`_layer_sum`).
+    Together they hold no more elements than a complex (POINT_BLOCK, N, 6)
+    array on the grid rule, or a (1, N, 6) one on the near rule.  The
+    densities' values, (N, 3, J) at the nodes and at each near point's
+    patch, are the caller's to bound: `plasmon._field_batch` passes
+    POINT_BLOCK densities per call.
     """
     kinds = which if isinstance(which, tuple) else (which,)
     tangent = {kind in ("curlS_vec", "curlcurlS_vec") for kind in kinds}
@@ -465,13 +450,12 @@ def offboundary_eval(density, k, x, which, grid: SurfaceGrid):
         rows.setdefault(row.tobytes(), []).append(p)
     for idx in map(np.array, rows.values()):
         row = k[idx[0]]
-        kp = row[0] if np.all(row == row[0]) else row  # a shared k keeps the matmul contraction
         far = idx[~near[idx]]
         if far.size:
-            for o, v in zip(out, _passes(kp, pts[far], grid.positions, kinds, nodes, POINT_BLOCK)):
+            for o, v in zip(out, _passes(row, pts[far], grid.positions, kinds, nodes, POINT_BLOCK)):
                 o[far] = v
         for p in idx[near[idx]]:
-            for o, v in zip(out, _near_eval(dens, kp, pts[p], kinds, grid)):
+            for o, v in zip(out, _near_eval(dens, row, pts[p], kinds, grid)):
                 o[p] = v[0]
     if not isinstance(density, list):
         out = [o[..., 0] for o in out]

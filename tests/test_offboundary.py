@@ -189,7 +189,7 @@ class TestNearPatchBasis:
 
 
 def many_densities(kind, rng):
-    """More densities than one grid-rule pass takes with per-density wavenumbers."""
+    """More densities than POINT_BLOCK, the most `plasmon._field_batch` passes per call."""
     if kind in ("S", "gradS"):
         return [random_band_limited(rng, 6, mean_free=False) for _ in range(40)]
     return [
@@ -227,6 +227,36 @@ class TestPerDensityWavenumbers:
         for i, (d, k) in enumerate(zip(dens, ks)):
             one = offboundary_eval(d, k, NEAR_POINTS, kind, sphere10)
             assert rel_err(batched[..., i], one) < 1e-13
+
+    # runs of equal wavenumbers, and a repeat that is not next to its equal
+    RUNS = np.array([0.8, 0.8, 1.6 + 0.1j, 1.6 + 0.1j, 1.6 + 0.1j, 0.8, 2.1])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("rule", ["auto", "near"])
+    def test_runs_equal_per_density_calls(self, sphere10, rng, near_polar_40, kind, rule):
+        dens = many_densities(kind, rng)[: len(self.RUNS)]
+        pts = RULE_POINTS[rule]
+        batched = offboundary_eval(dens, self.RUNS, pts, kind, sphere10)
+        for i, (d, k) in enumerate(zip(dens, self.RUNS)):
+            assert rel_err(batched[..., i], offboundary_eval(d, k, pts, kind, sphere10)) < 1e-13
+
+    def test_one_pass_per_run_and_point_block(self, sphere10, rng, monkeypatch):
+        dens = many_densities("curlcurlS_vec", rng)[: len(self.RUNS)]
+        pts = np.vstack([fibonacci_shell(36, 2.0), fibonacci_shell(4, 0.4)])
+        assert not np.any(tubular_distance(pts, sphere10) <= 3.0 * sphere10.max_spacing)
+        calls = []
+        layer_sum = potentials._layer_sum
+
+        def counting(k, targets, *args):
+            calls.append((np.ndim(k), len(targets)))
+            return layer_sum(k, targets, *args)
+
+        monkeypatch.setattr(potentials, "_layer_sum", counting)
+        offboundary_eval(dens, self.RUNS, pts, "curlcurlS_vec", sphere10)
+        runs, blocks = 4, -(-len(pts) // POINT_BLOCK)
+        assert len(calls) == runs * blocks
+        assert all(ndim == 0 for ndim, _ in calls)
+        assert sorted({n for _, n in calls}) == [len(pts) - POINT_BLOCK, POINT_BLOCK]
 
     def test_equal_wavenumbers_equal_a_scalar_k(self, sphere10, rng):
         dens = many_densities("curlcurlS_vec", rng)[:5]
