@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -304,12 +304,15 @@ def report_version_and_provenance(cfg=None, tol=None, seed=0, L_quad=None, L=Non
     return lines
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return f"{x:.12e}"
-    if isinstance(x, complex):
-        return f"{x.real:.12e}{x.imag:+.12e}j"
-    return str(x)
+@lru_cache(maxsize=None)
+def _row_format(types):
+    """The str.format template of a CSV row whose cells have these types.
+
+    A float cell is written in .12e; a complex one in .12e too, which
+    writes its real part, its signed imaginary part and j; any other cell
+    as str.
+    """
+    return ",".join("{:.12e}" if issubclass(t, (float, complex)) else "{!s}" for t in types) + "\n"
 
 
 def write_csv(path, header_lines, columns, rows):
@@ -318,7 +321,7 @@ def write_csv(path, header_lines, columns, rows):
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        fh.writelines(_row_format(tuple(map(type, row))).format(*row) for row in rows)
 
 
 def write_json(path, header_lines, payload):

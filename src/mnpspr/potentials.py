@@ -136,10 +136,9 @@ def grid_signature(grid: SurfaceGrid) -> str:
     return h.hexdigest()[:16]
 
 
-def _galerkin_operator(kind, grid: SurfaceGrid, values, L):
-    """Mass-normalized Galerkin matrix from node values (Op Y_j)(x_i)."""
+def _galerkin_operator(kind, grid: SurfaceGrid, G, L):
+    """Mass-normalized Galerkin matrix from its pairing G_ij = int conj(Y_i) (Op Y_j) ds."""
     nc = num_coeffs(L)
-    G = np.conj(grid.Y[:, :nc]).T @ (grid.area_weights[:, None] * values)
     W = grid.mass_matrix()[:nc, :nc]
     return OperatorMatrix(kind, L, np.linalg.solve(W, G), G, grid_signature(grid))
 
@@ -154,8 +153,10 @@ def scalar_operators(grid: SurfaceGrid, L: int):
     def build():
         if L > grid.L_quad:
             raise ValueError(f"operator degree {L} exceeds grid capacity")
-        vals = assemble_scalar_values(grid, L)
-        ops = {kind: _galerkin_operator(kind, grid, vals[kind], L) for kind in ("S", "K", "Kstar")}
+        pairings = assemble_scalar_values(grid, L)
+        ops = {
+            kind: _galerkin_operator(kind, grid, pairings[kind], L) for kind in ("S", "K", "Kstar")
+        }
         residuals = _check_scalar_invariants(ops)
         log.debug(
             "scalar operators at L=%d, L_quad=%d: %s", L, grid.L_quad,
@@ -496,15 +497,16 @@ def tangent_mass_stack(grid: SurfaceGrid, L: int):
     return W
 
 
-def _test_fields(grid: SurfaceGrid, nodes, L: int):
-    """Conjugated, area-weighted test fields crossed with nu_x at grid nodes, (n, 3, 2d).
+def _test_fields(grid: SurfaceGrid, ring, L: int):
+    """Conjugated, area-weighted test fields crossed with nu_x at a ring's nodes, (n_phi, 3, 2d).
 
     Columns: the curl basis fields for the gradient slots, minus the
     gradient basis fields for the curl slots (degree >= 1), each
     Y_theta vec_theta + (Y_phi / sin) vec_phi of its frame pair.
     """
     nc = num_coeffs(L)
-    Yt, Yp = (np.conj(D[nodes, 1:nc])[:, None, :] for D in (grid.Yt, grid.Yp))
+    nodes = ring.nodes
+    Yt, Yp = (np.conj(D[:, 1:nc])[:, None, :] for D in grid.ring_basis(ring.index, nc, True))
     a, sb, a_c, sb_c = (vec[nodes, :, None] for vec in grid.tangent_frame)
     test = np.concatenate([Yt * a_c + Yp * sb_c, -(Yt * a + Yp * sb)], axis=2)
     test *= grid.area_weights[nodes, None, None]
@@ -561,12 +563,13 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
     held whole: the four (kernel, frame pair) row sets of a ring go through
     one `harmonic_moments` call, as A (the pair's theta field) and B (its
     sin-scaled phi field).  The test fields are never held whole either:
-    each ring forms its own from its rows of Yt and Yp and the node frame.
-    L2's integral is the same vector (2/3) int phi_j ds at every target, so
-    its pairing is the rank-3 product (2/3) (sum_x t_i x nu_x) . int phi_j ds,
-    with the grid rule; both sums are frame-weighted node sums times Yt and
-    Yp.  Beyond the result, memory is O(n_nodes NC) for the stiffness Gram
-    and O(n_phi NC) per ring.  The arrays are read-only: every material
+    each ring forms its own from its basis rows (`SurfaceGrid.ring_basis`)
+    and the node frame.  L2's integral is the same vector (2/3) int phi_j ds
+    at every target, so its pairing is the rank-3 product
+    (2/3) (sum_x t_i x nu_x) . int phi_j ds, with the grid rule; both sums
+    are frame-weighted node moments (`SurfaceGrid._moments`).  Beyond the
+    result, memory is O(NC^2) for the stiffness Gram and O(n_phi NC) per
+    ring.  The arrays are read-only: every material
     shares them.
     """
 
@@ -574,9 +577,10 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
         nc = num_coeffs(L)
         d = nc - 1
         w = grid.area_weights[:, None]
-        # int grad Y_j ds and int vcurl Y_j ds by the grid rule, (d, 3) each
+        # int grad Y_j ds and int vcurl Y_j ds by the grid rule, (d, 3) each;
+        # the frame fields are real, so each is the conjugate of its moments
         grad_int, curl_int = (
-            ((w * a).T @ grid.Yt + (w * sb).T @ grid.Yp)[:, 1:nc].T
+            np.conj(grid._moments(w * a, nc, w * sb))[1:]
             for a, sb in (grid.tangent_frame[:2], grid.tangent_frame[2:])
         )
         # pairings of the kernels side by side, in VECTOR_KINDS order
@@ -585,7 +589,7 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
         test_sum = np.conj(np.concatenate([curl_int, -grad_int]))
         G[:, 4 * d :] = (2.0 / 3.0) * test_sum @ np.concatenate([grad_int, curl_int]).T
         for ring in rings(grid, L, correction_polar_order(L)):
-            test = _test_fields(grid, ring.nodes, L)
+            test = _test_fields(grid, ring, L)
             G[:, : 4 * d] += test.reshape(-1, 2 * d).T @ _ring_kernel_values(ring, L)
         entries = np.linalg.solve(tangent_mass_stack(grid, L), G)
         entries.flags.writeable = False

@@ -13,7 +13,8 @@ under an off-surface point, nearly singular evaluations.
 revolution about z the ring's targets see one patch turned about z, so its
 geometry is evaluated once per ring; elsewhere it is evaluated per target.
 A ring's kernel rows are projected onto the harmonics by
-`sphharm.harmonic_moments`, one order m at a time, without a basis matrix.
+`sphharm.harmonic_moments`, one order m at a time, without a basis matrix,
+and tested against the ring's own basis rows (`SurfaceGrid.ring_basis`).
 """
 
 from __future__ import annotations
@@ -62,13 +63,15 @@ class Ring:
     (weights x jacobian), rvec = target - source and r = |rvec|; normal
     (n_t, 3) is the target normal.  n_t = n_phi in general; on a surface of
     revolution n_t = 1, the first target's patch, which target i sees turned
-    by rotation[i].  theta, phi (Q,) are the reference patch angles, nodes
-    the ring's slice of the grid, phase (n_phi, nc) the azimuthal factors
-    exp(i m phi_target) and rotation (n_phi, 3, 3) each target's turn about
-    z from the first target (the identity when n_t = n_phi).
+    by rotation[i].  index is the ring's place in the grid, theta, phi (Q,)
+    the reference patch angles, nodes the ring's slice of the grid, phase
+    (n_phi, nc) the azimuthal factors exp(i m phi_target) of the grid's
+    phase table and rotation (n_phi, 3, 3) each target's turn about z from
+    the first target (the identity when n_t = n_phi).
     """
 
-    def __init__(self, theta, phi, nodes, frame, wjac, rvec, r, normal, phase, rotation):
+    def __init__(self, index, theta, phi, nodes, frame, wjac, rvec, r, normal, phase, rotation):
+        self.index = index
         self.theta, self.phi, self.nodes = theta, phi, nodes
         self.frame, self.wjac, self.rvec, self.r = frame, wjac, rvec, r
         self.normal, self.phase, self.rotation = normal, phase, rotation
@@ -114,25 +117,28 @@ def rings(grid: SurfaceGrid, L: int, n_polar=None):
         frame = grid.frame_at(th0, ph0[None, :] + phis[:n_t, None])
         rvec = grid.positions[nodes][:n_t, None, :] - frame["position"]
         yield Ring(
-            th0, ph0, nodes, frame, patch.weights[None, :] * frame["jacobian"],
+            t, th0, ph0, nodes, frame, patch.weights[None, :] * frame["jacobian"],
             rvec, np.linalg.norm(rvec, axis=-1), grid.normals[nodes][:n_t],
-            np.exp(1j * np.outer(phis, mslots)), rotation,
+            grid.phase[:, mslots + grid.L_quad], rotation,
         )
 
 
 def assemble_scalar_values(grid: SurfaceGrid, L: int):
-    """Values (Op Y_j)(x_i) of the scalar layer operators at all grid nodes.
+    """Galerkin pairings int conj(Y_i) (Op Y_j) ds of the scalar layer operators.
 
     Op in {S, Kstar, K} for the static kernels (G = -1/(4 pi |x-y|)):
       S     : G(x, y)
       Kstar : dG/dnu_x = nu_x . (x - y) / (4 pi |x-y|^3)
       K     : dG/dnu_y = nu_y . (y - x) / (4 pi |x-y|^3)
-    Returns dict of (n_nodes, (L+1)^2) complex arrays.  The densities are the
-    parameter-sphere harmonics; integration is in the surface measure.
+    Returns dict of ((L+1)^2, (L+1)^2) complex arrays.  The densities are the
+    parameter-sphere harmonics; integration is in the surface measure.  The
+    outer integral is the grid rule, accumulated one ring at a time as
+    conj(Y_ring)^T (w . rows . phase): no operator's node values are held
+    beyond one ring's (n_phi, 3 (L+1)^2).
     """
     kinds = ("S", "Kstar", "K")
     nc = num_coeffs(L)
-    out = {kind: np.zeros((grid.n_nodes, nc), dtype=complex) for kind in kinds}
+    G = np.zeros((nc, len(kinds) * nc), dtype=complex)
     for ring in rings(grid, L):
         r = ring.r
         inv4pir3 = 1.0 / (4.0 * np.pi * r**3)
@@ -146,9 +152,10 @@ def assemble_scalar_values(grid: SurfaceGrid, L: int):
         rows = harmonic_moments(stacked.reshape(len(kinds) * n_t, q), ring.theta, ring.phi, L)
         rows = rows.reshape(n_t, len(kinds), nc)
         # the kernels are invariant under the ring's turns: n_t rows serve n_phi targets
-        for i, kind in enumerate(kinds):
-            out[kind][ring.nodes] = rows[:, i] * ring.phase
-    return out
+        rows = rows * (grid.area_weights[ring.nodes, None] * ring.phase)[:, None, :]
+        test = np.conj(grid.ring_basis(ring.index, nc))
+        G += test.T @ rows.reshape(len(rows), -1)
+    return {kind: G[:, i * nc : (i + 1) * nc] for i, kind in enumerate(kinds)}
 
 
 def near_singular_eval(grid: SurfaceGrid, x, integrand, n_polar):

@@ -106,6 +106,24 @@ def _column_indices(L, m):
     return n * n + n + m, n * n + n - m
 
 
+def legendre_rows(theta, L):
+    """Real (P, (L+1)^2) tables of the Legendre factors of Y_j and dY_j/dtheta.
+
+    Y_n^m(theta, phi) = P[:, (n, m)] exp(i m phi), and likewise for dY/dtheta
+    with dP; the negative orders carry the (-1)^m of
+    Y_n^{-m} = (-1)^m conj Y_n^m.  theta is an array (P,) of colatitudes.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    blocks, dblocks = _legendre_blocks(np.cos(theta), np.sin(theta), L, derivatives=True)
+    P, dP = (np.empty((theta.size, num_coeffs(L))) for _ in range(2))
+    for m in range(L + 1):
+        pos, neg = _column_indices(L, m)
+        for out, blk in ((P, blocks[m]), (dP, dblocks[m])):
+            out[:, neg] = (-1.0) ** m * blk
+            out[:, pos] = blk
+    return P, dP
+
+
 def ynm_matrix(theta, phi, L, derivatives=False):
     """Matrix of Y_n^m values at the given points.
 

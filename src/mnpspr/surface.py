@@ -19,7 +19,15 @@ fundamental form of the parametrization; div, the Laplacian and the
 Helmholtz decomposition are weak forms against the basis fields grad Y_j
 and vcurl Y_j that frame gives.  Those basis fields are never stored:
 each pairing dots the field with the frame's vector pair at the nodes and
-then applies the derivative matrices Yt^H and Yp^H.
+then applies the adjoint derivative transforms.
+
+The grid holds no (nodes, harmonics) array.  On the tensor grid every
+basis value factors as Y_j(theta_t, phi_k) = P_j(theta_t) exp(i m_j phi_k),
+so the grid keeps the Legendre factors and their theta-derivatives per
+ring, (n_theta, NC), one azimuthal phase table and 1/sin theta per ring.
+Transforms at the nodes go Legendre then Fourier, order by order with one
+phase product for all rings (as in SHTns, Schaeffer 2013); the Grams
+accumulate ring by ring from one ring's basis rows (`ring_basis`).
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .sphharm import (
     FOUR_PI,
     cartesian_to_angles,
     gauss_legendre_ring,
+    legendre_rows,
     num_coeffs,
     safe_sin,
     sh_degrees,
@@ -178,6 +187,9 @@ class SurfaceGrid:
       jacobian (N,), and tangent_frame, the four (N,3) fields of
       `tangent_frame` at the nodes.  axisymmetric and spherical are the
       surface's symmetries, read off its radius coefficients.
+    Per ring: legendre and dlegendre (n_theta, NC), the `legendre_rows` of
+    the ring colatitudes up to L_quad, and ring_inv_sin (n_theta,);
+    phase (n_phi, 2 L_quad + 1) holds exp(i m phi_k), m = -L_quad..L_quad.
     """
 
     def __init__(self, radius_coeffs: ShCoeffs, L_quad: int):
@@ -215,10 +227,12 @@ class SurfaceGrid:
         self.area_weights = self.param_weights * self.jacobian
         self.area = float(np.sum(self.area_weights))
 
-        # synthesis matrices on the node set, up to the grid capacity
-        self.Y, self.Yt, self.Yp = ynm_matrix(
-            self.thetas, self.phis, self.L_quad, derivatives=True
-        )
+        # the node basis as factors: Y_j at (theta_t, phi_k) is
+        # legendre[t, j] * phase[k, m_j + L_quad]
+        self.legendre, self.dlegendre = legendre_rows(th, self.L_quad)
+        self.ring_inv_sin = 1.0 / safe_sin(np.sin(th))
+        self.phase = np.exp(1j * np.outer(ph, np.arange(-self.L_quad, self.L_quad + 1)))
+        self._m = sh_degrees(self.L_quad)[1]
         # meridian node spacing, the resolution scale of near-boundary guards
         self.max_spacing = float(np.max(self.rho) * np.pi / self.n_theta)
         self._memo = {}
@@ -281,22 +295,116 @@ class SurfaceGrid:
         L = self.L_quad if L is None else L
         if L > self.L_quad:
             raise ResolutionError(f"analysis degree {L} exceeds grid capacity")
-        nc = num_coeffs(L)
-        c = np.conj(self.Y[:, :nc]).T @ (self.param_weights * np.asarray(values))
-        return ShCoeffs(L, c)
+        c = self._moments((self.param_weights * np.asarray(values))[:, None], num_coeffs(L))
+        return ShCoeffs(L, c[:, 0])
 
     def mass_matrix(self):
-        """Hermitian Gram of the parameter basis in L^2 of the surface."""
-        return self.cached(
-            "mass", lambda: np.conj(self.Y).T @ (self.area_weights[:, None] * self.Y)
+        """Hermitian Gram of the parameter basis in L^2 of the surface, ring by ring."""
+
+        def build():
+            nc = num_coeffs(self.L_quad)
+            M = np.zeros((nc, nc), dtype=complex)
+            for t, nodes in self._rings():
+                Y = self.ring_basis(t, nc)
+                M += np.conj(Y).T @ (self.area_weights[nodes, None] * Y)
+            return M
+
+        return self.cached("mass", build)
+
+    # -- the node basis, per ring and per order --------------------------------
+
+    def _rings(self):
+        """(t, node slice) of every ring."""
+        return ((t, slice(t * self.n_phi, (t + 1) * self.n_phi)) for t in range(self.n_theta))
+
+    def ring_basis(self, t, nc, derivatives=False):
+        """Rows of the first nc basis functions at ring t's nodes, (n_phi, nc).
+
+        Y, or with derivatives the pair (dY/dtheta, (1/sin theta) dY/dphi).
+        """
+        phase = self.phase[:, self._m[:nc] + self.L_quad]
+        P = self.legendre[t, :nc]
+        if not derivatives:
+            return P * phase
+        dphi = (1j * self.ring_inv_sin[t] * self._m[:nc] * P) * phase
+        return self.dlegendre[t, :nc] * phase, dphi
+
+    def _moments(self, a, nc, b=None):
+        """Y^H a, or Yt^H a + Yp^H b, of node arrays (N, r): (nc, r).
+
+        Y, Yt, Yp are the first nc basis functions, their theta-derivatives
+        and (1/sin theta) phi-derivatives at the nodes, which are never
+        formed.  Fourier first: one product with the conjugate phase table
+        gives every ring's order-m sums; then each slot j takes its order's
+        sums against its Legendre factors, over the rings.
+        """
+        m = self._m[:nc]
+        conj_phase = np.conj(self.phase).T
+
+        def per_slot(x):  # (N, r) -> (n_theta, nc, r)
+            return (conj_phase @ x.reshape(self.n_theta, self.n_phi, -1))[:, m + self.L_quad]
+
+        if b is None:
+            return np.einsum("tj,tjr->jr", self.legendre[:, :nc], per_slot(a))
+        out = np.einsum("tj,tjr->jr", self.dlegendre[:, :nc], per_slot(a))
+        P = self.legendre[:, :nc] * self.ring_inv_sin[:, None]
+        out += (-1j * m)[:, None] * np.einsum("tj,tjr->jr", P, per_slot(b))
+        return out
+
+    def _node_values(self, C, tangent):
+        """Node values of one density's coefficient columns C (NC, q), NC at L_quad.
+
+        Legendre first: per order m one real product of its slots' factors
+        with the columns gives every ring's A_m(theta); then one product
+        with the phase table sums the orders at every node.  q = 1 gives
+        scalar values (N,); q = 2, the potentials [X, V], gives tangent
+        vectors (N, 3), each node's frame weighing (X_theta, V_theta,
+        X_phi / sin, V_phi / sin) as a real (3, 4) @ (4, 2) product.
+        """
+        slots, valid, P, dP, phi_factor, weights = self.cached("node_tables", self._node_tables)
+        Cv = (C[slots] * valid[:, :, None]).view(float)
+        A = (P @ Cv).view(complex)  # (2 L_quad + 1, n_theta, q)
+        if not tangent:
+            return (self.phase @ A.reshape(len(P), -1)).T.ravel()
+        A *= phi_factor
+        A = np.concatenate([(dP @ Cv).view(complex), A], axis=-1)
+        # (n_phi, n_theta, 4) into the theta-major node order
+        U = (self.phase @ A.reshape(len(P), -1)).reshape(self.n_phi, self.n_theta, 4)
+        U = U.transpose(1, 0, 2).reshape(self.n_nodes, 4, 1)
+        return (weights @ U.view(float)).view(complex)[..., 0]
+
+    def _node_tables(self):
+        """The tables of `_node_values`, per order m = -L_quad..L_quad.
+
+        slots (2 L_quad + 1, L_quad + 1) holds the flat index of (n, m) for
+        n = |m|..L_quad, zero-padded where valid is False; P and dP the
+        Legendre factors and theta-derivatives in that layout per ring,
+        (2 L_quad + 1, n_theta, L_quad + 1); phi_factor i m / sin theta per
+        order and ring; weights the frame per node, (N, 3, 4).
+        """
+        Lq = self.L_quad
+        m = np.arange(-Lq, Lq + 1)
+        degree = np.abs(m)[:, None] + np.arange(Lq + 1)
+        valid = degree <= Lq
+        degree = np.minimum(degree, Lq)
+        slots = degree * degree + degree + m[:, None]
+        P, dP = (
+            np.ascontiguousarray((rows[:, slots] * valid).transpose(1, 0, 2))
+            for rows in (self.legendre, self.dlegendre)
         )
+        phi_factor = (1j * m[:, None] * self.ring_inv_sin)[..., None]
+        # the frame's fields in the order of U's rows: X_theta, V_theta, X_phi, V_phi
+        weights = np.stack([self.tangent_frame[i] for i in (0, 2, 1, 3)], axis=-1)
+        return slots, valid, P, dP, phi_factor, weights
 
     # -- densities at points ---------------------------------------------------
 
     def values_at(self, densities, frame=None):
         """Values of a list of ShCoeffs, or of a list of TangentField, stacked.
 
-        frame=None gives the grid nodes, from the cached node basis.  A
+        frame=None gives the grid nodes, from the per-ring factors of the
+        node basis (`_node_values`), one density at a time, so a density's
+        node values do not depend on the list it comes in.  A
         frame_at(theta, phi) dict that also holds the points' "theta" and
         "phi" (only those two when the densities are scalar) gives its
         points, from one basis evaluation at the list's largest degree.
@@ -306,27 +414,30 @@ class SurfaceGrid:
         tangent = isinstance(densities[0], TangentField)
         if any(isinstance(d, TangentField) != tangent for d in densities):
             raise TypeError("values_at takes a list of ShCoeffs or a list of TangentField")
+        L = max(max(d.X.L, d.V.L) if tangent else d.L for d in densities)
         if frame is None:
-            Y, Yt, Yp = self.Y, self.Yt, self.Yp
-            vectors = self.tangent_frame
-        else:
-            L = max(max(d.X.L, d.V.L) if tangent else d.L for d in densities)
-            basis = ynm_matrix(frame["theta"], frame["phi"], L, derivatives=tangent)
-            if tangent:
-                Yt, Yp = basis[1:]
-                vectors = tangent_frame(frame)
-                del basis  # frees Y, which tangential values do not use
-            else:
-                Y = basis
-        n = len(Yt if tangent else Y)
+            if L > self.L_quad:
+                raise ResolutionError(f"density degree {L} exceeds grid capacity")
+            shape = (self.n_nodes, 3, len(densities)) if tangent else (self.n_nodes, len(densities))
+            out = np.empty(shape, dtype=complex)
+            C = np.empty((num_coeffs(self.L_quad), 2 if tangent else 1), dtype=complex)
+            for j, d in enumerate(densities):
+                C.fill(0.0)
+                for q, c in enumerate((d.X, d.V) if tangent else (d,)):
+                    C[: c.coeffs.size, q] = c.coeffs
+                out[..., j] = self._node_values(C, tangent)
+            return out
+        basis = ynm_matrix(frame["theta"], frame["phi"], L, derivatives=tangent)
         if tangent:
+            Yt, Yp = basis[1:]
             # the frame's fields in the order of U's rows: X_theta, V_theta, X_phi, V_phi
-            weights = np.stack([vectors[i] for i in (0, 2, 1, 3)], axis=-1)
+            weights = np.stack([tangent_frame(frame)[i] for i in (0, 2, 1, 3)], axis=-1)
+            del basis  # frees Y, which tangential values do not use
+        else:
+            Y = basis
+        n = len(Yt if tangent else Y)
         out = np.empty((n, 3, len(densities)) if tangent else (n, len(densities)), dtype=complex)
-        # a BLAS product's rounding depends on its column count; at the nodes
-        # each density is its own block, so its node values do not depend on
-        # the list it comes in
-        step = 1 if frame is None else max(1, VALUES_BLOCK // n)
+        step = max(1, VALUES_BLOCK // n)
         for lo in range(0, len(densities), step):
             block = densities[lo : lo + step]
             b = len(block)
@@ -354,14 +465,19 @@ class SurfaceGrid:
     # pole-singular covariant components and makes the composition identities
     # hold to quadrature accuracy.
 
+    def _basis_fields(self, family):
+        """Node values of grad Y_j or vcurl Y_j, (N, NC, 3), from a dense `ynm_matrix`."""
+        _, Yt, Yp = ynm_matrix(self.thetas, self.phis, self.L_quad, derivatives=True)
+        pair = self.tangent_frame[:2] if family == "grad" else self.tangent_frame[2:]
+        return Yt[:, :, None] * pair[0][:, None, :] + Yp[:, :, None] * pair[1][:, None, :]
+
     def grad_basis(self):
         """Node values of grad Y_j for every basis function, (N, NC, 3), built per call.
 
         No library path calls it: pairings go through `_frame_pairing`.
         perfbench/spans.py wraps it by name.
         """
-        vec_theta, vec_phi = (v[:, None, :] for v in self.tangent_frame[:2])
-        return self.Yt[:, :, None] * vec_theta + self.Yp[:, :, None] * vec_phi
+        return self._basis_fields("grad")
 
     def curl_basis(self):
         """Node values of vcurl Y_j = -normal x grad Y_j, (N, NC, 3), built per call.
@@ -369,25 +485,27 @@ class SurfaceGrid:
         No library path calls it: pairings go through `_frame_pairing`.
         perfbench/spans.py wraps it by name.
         """
-        vec_theta, vec_phi = (v[:, None, :] for v in self.tangent_frame[2:])
-        return self.Yt[:, :, None] * vec_theta + self.Yp[:, :, None] * vec_phi
+        return self._basis_fields("curl")
 
     def stiffness_matrix(self):
         """int grad(conj Y_i) . grad(Y_j) ds; Hermitian, PSD, kernel = constants.
 
-        With D = (Yt, Yp) and g_ab the pointwise dot products of the frame
-        pair (alpha, sin_beta), the sum over a, b of D_a^H diag(w g_ab) D_b.
+        With D = (dY/dtheta, (1/sin) dY/dphi) and g_ab the pointwise dot
+        products of the frame pair (alpha, sin_beta), the sum over a, b of
+        D_a^H diag(w g_ab) D_b, accumulated ring by ring.
         """
 
         def build():
             pair = self.tangent_frame[:2]
-            w = self.area_weights
-            K = np.zeros((self.Yt.shape[1],) * 2, dtype=complex)
-            for vec, D in zip(pair, (self.Yt, self.Yp)):
-                # T = sum_b diag(w g_ab) D_b, one (N, NC) array; D^H T as conj(D^T conj(T))
-                T = (w * np.einsum("pc,pc->p", vec, pair[0]))[:, None] * self.Yt
-                T += (w * np.einsum("pc,pc->p", vec, pair[1]))[:, None] * self.Yp
-                K += np.conj(D.T @ np.conj(T, out=T))
+            g = [[np.einsum("pc,pc->p", u, v) for v in pair] for u in pair]
+            nc = num_coeffs(self.L_quad)
+            K = np.zeros((nc, nc), dtype=complex)
+            for t, nodes in self._rings():
+                D = self.ring_basis(t, nc, derivatives=True)
+                w = self.area_weights[nodes]
+                for a in range(2):
+                    T = (w * g[a][0][nodes])[:, None] * D[0] + (w * g[a][1][nodes])[:, None] * D[1]
+                    K += np.conj(D[a]).T @ T
             return K
 
         return self.cached("stiffness", build)
@@ -397,18 +515,18 @@ class SurfaceGrid:
 
         b_j = grad Y_j (family "grad") or vcurl Y_j ("curl").  With the
         family's frame pair (vec_theta, vec_phi) of `tangent_frame` this is
-        Yt^H (w vec_theta . field) + Yp^H (w vec_phi . field).
+        Yt^H (w vec_theta . field) + Yp^H (w vec_phi . field) (`_moments`).
         """
         pair = self.tangent_frame[:2] if family == "grad" else self.tangent_frame[2:]
         wf = self.area_weights[:, None] * np.asarray(field_nodes)
-        a, b = (np.einsum("pc,pc->p", vec, wf) for vec in pair)
-        # Y^H v as conj(conj(v) @ Y): no conjugated copy of Y
-        return np.conj(np.conj(a) @ self.Yt + np.conj(b) @ self.Yp)
+        a, b = (np.einsum("pc,pc->p", vec, wf)[:, None] for vec in pair)
+        return self._moments(a, num_coeffs(self.L_quad), b)[:, 0]
 
     def div(self, field_nodes):
         """Surface divergence of a tangential node field (values per node)."""
         pair = -self._frame_pairing(field_nodes, "grad")
-        return self.Y @ np.linalg.solve(self.mass_matrix(), pair)
+        coeffs = np.linalg.solve(self.mass_matrix(), pair)
+        return self._node_values(coeffs[:, None], False)
 
     def laplace_matrix(self, L=None):
         """Coefficient-space Laplace-Beltrami matrix -M^{-1} K_stiff at degree L.

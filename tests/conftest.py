@@ -7,6 +7,7 @@ import pytest
 from mnpspr.potentials import scalar_operators
 from mnpspr.spectral import mnp_spectra, np_spectrum
 from mnpspr.sphharm import fibonacci_shell  # noqa: F401  (shared by the test modules)
+from mnpspr.sphharm import ynm_matrix
 from mnpspr.surface import build_surface, perturbed_sphere, radius_from_json, sphere_surface
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -121,11 +122,14 @@ def basis_arrays(grid):
     Y_theta vec_theta + (Y_phi / sin) vec_phi of the frame pairs (alpha,
     sin_beta) and (alpha_c, sin_beta_c): the dense basis fields the library
     no longer builds, kept here as the oracle of its frame contractions.
+    The derivative matrices come from a dense `ynm_matrix` at the nodes,
+    not from the grid's per-ring factors.
     """
     alpha, sin_beta, alpha_c, sin_beta_c = grid.tangent_frame
+    _, Yt, Yp = ynm_matrix(grid.thetas, grid.phis, grid.L_quad, derivatives=True)
 
     def fields(vec_theta, vec_phi):
-        return grid.Yt[:, :, None] * vec_theta[:, None] + grid.Yp[:, :, None] * vec_phi[:, None]
+        return Yt[:, :, None] * vec_theta[:, None] + Yp[:, :, None] * vec_phi[:, None]
 
     return fields(alpha, sin_beta), fields(alpha_c, sin_beta_c)
 

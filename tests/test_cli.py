@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mnpspr.cli import RunConfig, main, report_version_and_provenance, run
+from mnpspr.cli import RunConfig, main, report_version_and_provenance, run, write_csv
 
 SPHERE8 = {"sphere": 1.0, "L_quad": 8}
 # rho = 1 + 0.05 Re Y_2^0
@@ -22,6 +22,35 @@ def run_cli(tmp_path, config, name="cfg.json", extra=()):
 def read_csv_body(path):
     lines = path.read_text().splitlines()
     return [l for l in lines if not l.startswith("# timestamp:")]
+
+
+def cell(x):
+    """One CSV cell as the artifacts write it, one call per cell: the writer's oracle."""
+    if isinstance(x, float):
+        return f"{x:.12e}"
+    if isinstance(x, complex):
+        return f"{x.real:.12e}{x.imag:+.12e}j"
+    return str(x)
+
+
+def test_write_csv_matches_per_cell_format(tmp_path):
+    """Rows of str, int, float, complex and bool cells, numpy scalars and
+    special values included, and a column whose type changes between rows."""
+    nan, inf = float("nan"), float("inf")
+    rows = [
+        ("a", 1, 0.5, 1 - 2j, True),
+        ("b,c", -3, -0.0, complex(-0.0, 0.0), False),
+        ("d", np.int64(7), np.float64(1e-300), np.complex128(3 + 4j), np.bool_(True)),
+        ("e", 2.5, nan, complex(inf, -inf), 1),
+        ("f", np.float32(0.1), inf, np.complex64(1 + 1j), "x"),
+        ("g", 10**20, -1.25e308, 1e-310j, None),
+    ]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["header"], ["s", "i", "f", "c", "b"], rows)
+    want = "".join(",".join(map(cell, row)) + "\n" for row in rows)
+    got = path.read_bytes().decode()
+    assert got.split("\n", 3)[1:3] == ["# header", "s,i,f,c,b"]
+    assert got.split("\n", 3)[3] == want
 
 
 class TestSpectrumCommand:

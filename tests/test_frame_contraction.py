@@ -1,7 +1,8 @@
 """Pairings against grad Y_j and vcurl Y_j contracted through the node frame.
 
-The library pairs fields with the tangential basis through Yt, Yp and the
-four `tangent_frame` fields, without the dense (N, NC, 3) basis arrays.
+The library pairs fields with the tangential basis through the per-ring
+derivative transforms and the four `tangent_frame` fields, without the
+dense (N, NC, 3) basis arrays.
 These tests check each pairing against the arrays built by the conftest
 oracle, and bound the memory the contraction saves.
 """
@@ -20,7 +21,7 @@ from mnpspr.potentials import (
 )
 from mnpspr.quadrature import correction_polar_order, rings
 from mnpspr.scatter import resonance_sweep
-from mnpspr.sphharm import num_coeffs
+from mnpspr.sphharm import num_coeffs, ynm_matrix
 from mnpspr.surface import perturbed_sphere
 
 RTOL = 1e-13
@@ -78,7 +79,8 @@ class TestAgainstBasisArrays:
         grid, _ = surface
         f = tangent_field(grid, rng)
         pair = -pairing(basis_arrays(grid)[0], grid, f)
-        ref = grid.Y @ np.linalg.solve(grid.mass_matrix(), pair)
+        Y = ynm_matrix(grid.thetas, grid.phis, grid.L_quad)
+        ref = Y @ np.linalg.solve(grid.mass_matrix(), pair)
         assert max_rel(grid.div(f), ref) <= RTOL
 
     def test_helmholtz_decompose(self, surface, rng):
@@ -118,8 +120,9 @@ class TestMemory:
     """Peaks on rho = 1 + 0.2 Re Y_2^0 at L_quad = 12 (676 nodes, 169 harmonics).
 
     One (N, NC, 3) basis array is 5.5 MB there.  Dense basis arrays gave
-    peaks of about 52, 28 and 11 MB; the frame contraction gives about
-    14, 4.2 and 0.1 MB.
+    peaks of about 52, 28 and 11 MB; the frame contraction gave about
+    14, 4.2 and 0.1 MB with the dense node basis, and gives 14, 1.2 and
+    0.3 MB with the per-ring transforms.
     """
 
     @staticmethod

@@ -245,6 +245,10 @@ class TestValuesAt:
         with pytest.raises(TypeError):
             sphere10.values_at([random_band_limited(rng, 4), *self.tangent_list(rng)])
 
+    def test_degree_above_grid_is_rejected_at_the_nodes(self, sphere10, rng):
+        with pytest.raises(ResolutionError):
+            sphere10.values_at([random_band_limited(rng, 4), random_band_limited(rng, 11)])
+
 
 class TestTangentField:
     def test_reconstruction_is_tangential(self, pert12, rng):
