@@ -1,4 +1,5 @@
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,41 @@ def basis_arrays(grid):
         return Yt[:, :, None] * vec_theta[:, None] + Yp[:, :, None] * vec_phi[:, None]
 
     return fields(alpha, sin_beta), fields(alpha_c, sin_beta_c)
+
+
+def max_rel(got, ref):
+    """Largest entry error over the reference's largest entry."""
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def tangent_field(grid, rng):
+    """A random complex tangential node field."""
+    f = rng.standard_normal((grid.n_nodes, 3)) + 1j * rng.standard_normal((grid.n_nodes, 3))
+    return f - np.einsum("pc,pc->p", f, grid.normals)[:, None] * grid.normals
+
+
+def traced_peak_mb(fn):
+    """Peak traced allocation, in MB, while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def arrays_in(value):
+    """Every numpy array reachable from value through dicts, lists, tuples and objects."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from arrays_in(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from arrays_in(v)
+    elif hasattr(value, "__dict__"):
+        yield from arrays_in(vars(value))
 
 
 def fd_curl(F, x, h=1e-3):

@@ -7,11 +7,9 @@ These tests check each pairing against the arrays built by the conftest
 oracle, and bound the memory the contraction saves.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
-from conftest import basis_arrays
+from conftest import arrays_in, basis_arrays, max_rel, tangent_field, traced_peak_mb
 
 from mnpspr.potentials import (
     VECTOR_KINDS,
@@ -35,16 +33,6 @@ def surface(request, pert12, workload_grid):
     if request.param == "nonaxisym8":
         return perturbed_sphere(0.2, 3, 1, 8), 8
     return workload_grid("decay-axisym")
-
-
-def max_rel(got, ref):
-    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
-
-
-def tangent_field(grid, rng):
-    """A random complex tangential node field."""
-    f = rng.standard_normal((grid.n_nodes, 3)) + 1j * rng.standard_normal((grid.n_nodes, 3))
-    return f - np.einsum("pc,pc->p", f, grid.normals)[:, None] * grid.normals
 
 
 def pairing(basis, grid, f):
@@ -106,16 +94,6 @@ class TestAgainstBasisArrays:
             assert max_rel(ops[kind].entries, entries[:, cols]) <= RTOL, kind
 
 
-def traced_peak_mb(fn):
-    """Peak traced allocation, in MB, while fn runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
-
-
 class TestMemory:
     """Peaks on rho = 1 + 0.2 Re Y_2^0 at L_quad = 12 (676 nodes, 169 harmonics).
 
@@ -147,19 +125,6 @@ class TestMemory:
         grid = perturbed_sphere(0.2, 2, 0, 6)
         resonance_sweep(grid, [0.5], [0.1], 1.0, 2, np.array([0, 0, 3.0]), np.array([1.0, 0, 0]))
         limit = grid.n_nodes * num_coeffs(grid.L_quad) * 3
-
-        def arrays(value):
-            if isinstance(value, np.ndarray):
-                yield value
-            elif isinstance(value, dict):
-                for v in value.values():
-                    yield from arrays(v)
-            elif isinstance(value, (list, tuple)):
-                for v in value:
-                    yield from arrays(v)
-            elif hasattr(value, "__dict__"):
-                yield from arrays(vars(value))
-
-        cached = list(arrays(grid._memo))
+        cached = list(arrays_in(grid._memo))
         assert cached
         assert all(a.size < limit for a in cached)

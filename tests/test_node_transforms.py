@@ -5,7 +5,8 @@ Fourier per order, pairings Fourier then Legendre, and the Grams and the
 scalar Galerkin pairings accumulate ring by ring.  Each path is checked
 against the dense basis matrices Y, dY/dtheta and (1/sin) dY/dphi built by
 `ynm_matrix` at the nodes, on the axisymmetric pert12 and on a surface
-without rotational symmetry.  The memory guards bound what a grid holds
+without rotational symmetry; the stiffness Gram is checked against the
+same matrices in test_frame_contraction.py.  The memory guards bound what a grid holds
 and what the scalar assembly peaks at on the decay-axisym seed-0 surface
 at degree 16, where the dense basis held 16 MB and the node-value
 assembly peaked at 49 MB.
@@ -15,6 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import arrays_in, max_rel, tangent_field, traced_peak_mb
 
 from mnpspr import quadrature
 from mnpspr.potentials import scalar_operators
@@ -36,16 +38,6 @@ def surface(request, pert12):
     """(grid, dense (Y, Yt, Yp) at its nodes): pert12 and rho = 1 + 0.2 Re Y_2^1 at L_quad = 10."""
     grid = pert12 if request.param == "pert12" else perturbed_sphere(0.2, 2, 1, 10)
     return grid, ynm_matrix(grid.thetas, grid.phis, grid.L_quad, derivatives=True)
-
-
-def max_rel(got, ref):
-    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
-
-
-def tangent_field(grid, rng):
-    """A random complex tangential node field."""
-    f = rng.standard_normal((grid.n_nodes, 3)) + 1j * rng.standard_normal((grid.n_nodes, 3))
-    return f - np.einsum("pc,pc->p", f, grid.normals)[:, None] * grid.normals
 
 
 class TestAgainstDenseBasis:
@@ -85,16 +77,6 @@ class TestAgainstDenseBasis:
         grid, (Y, _, _) = surface
         ref = np.conj(Y).T @ (grid.area_weights[:, None] * Y)
         assert max_rel(grid.mass_matrix(), ref) <= RTOL
-
-    def test_stiffness_matrix(self, surface):
-        grid, (_, Yt, Yp) = surface
-        pair = grid.tangent_frame[:2]
-        ref = sum(
-            np.conj(Da).T @ ((grid.area_weights * np.einsum("pc,pc->p", u, v))[:, None] * Db)
-            for u, Da in zip(pair, (Yt, Yp))
-            for v, Db in zip(pair, (Yt, Yp))
-        )
-        assert max_rel(grid.stiffness_matrix(), ref) <= RTOL
 
     @pytest.mark.parametrize("family", ["grad", "curl"])
     def test_frame_pairing(self, surface, rng, family):
@@ -148,13 +130,7 @@ class TestGridMemory:
 
     def test_scalar_operators_peak_under_25_mb(self, workload_config):
         grid = self.build(workload_config)
-        tracemalloc.start()
-        try:
-            scalar_operators(grid, 16)
-            peak = tracemalloc.get_traced_memory()[1] / 1e6
-        finally:
-            tracemalloc.stop()
-        assert peak <= 25.0
+        assert traced_peak_mb(lambda: scalar_operators(grid, 16)) <= 25.0
 
     def test_no_nodes_by_harmonics_array(self, workload_config, rng):
         grid = self.build(workload_config)
@@ -162,20 +138,7 @@ class TestGridMemory:
         grid.laplace_matrix()
         grid.values_at([TangentField.from_potentials(X=random_band_limited(rng, 16))])
         limit = grid.n_nodes * num_coeffs(grid.L_quad)
-
-        def arrays(value):
-            if isinstance(value, np.ndarray):
-                yield value.base if isinstance(value.base, np.ndarray) else value
-            elif isinstance(value, dict):
-                for v in value.values():
-                    yield from arrays(v)
-            elif isinstance(value, (list, tuple)):
-                for v in value:
-                    yield from arrays(v)
-            elif hasattr(value, "__dict__"):
-                yield from arrays(vars(value))
-
-        held = [a for key, v in vars(grid).items() if key != "_memo" for a in arrays(v)]
-        cached = list(arrays(grid._memo))
+        held = [a for key, v in vars(grid).items() if key != "_memo" for a in arrays_in(v)]
+        cached = list(arrays_in(grid._memo))
         assert held and cached
         assert all(a.size < limit for a in held + cached)
