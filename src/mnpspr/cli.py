@@ -159,7 +159,9 @@ _POSITIVE = (lambda x, _: x > 0, "be positive")
 _AT_LEAST_1 = (lambda x, _: x >= 1, "be at least 1")
 _NONEMPTY = (lambda x, _: len(x) > 0, "not be empty")
 _THREE = (lambda x, _: len(x) == 3, "have 3 entries")
-_HAS_SHAPE = (lambda s, _: "sphere" in s or "radius" in s, "have a 'sphere' or 'radius' entry")
+_HAS_SHAPE = (
+    lambda s, _: ("sphere" in s) != ("radius" in s), "give exactly one of 'sphere' and 'radius'"
+)
 _TAUS = (lambda taus, _: all(t > 0 and t != 1 for t in taus), "have positive entries other than 1")
 _DELTAS = (lambda deltas, _: all(d > 0 for d in deltas), "have positive entries")
 
@@ -168,10 +170,7 @@ _SURFACE = {
     "radius": (_list_of(_coefficient), _NONEMPTY, None),
     "L_quad": (_integer, None, None),
 }
-_MATERIALS = {
-    "omega": (_number, _POSITIVE, 1.0),
-    "delta": (_number, (lambda x, _: x >= 0, "be nonnegative"), 0.05),
-}
+_MATERIALS = {"omega": (_number, _POSITIVE, 1.0)}
 _SHELL = {
     "count": (_integer, _AT_LEAST_1, _REQUIRED),
     "radius": (_number, None, _REQUIRED),
@@ -194,27 +193,28 @@ _GRID = {
     "surface": (partial(_entries, table=_SURFACE), _HAS_SHAPE, _REQUIRED),
     "L": (_integer, (lambda L, _: 1 <= L <= 60, "lie in the documented range [1, 60]"), _REQUIRED),
 }
-# entries of every command
-_SHARED = {
-    "materials": (partial(_entries, table=_MATERIALS), None, {}),
-    "tau_list": (_numbers, _TAUS, [0.5]),
-    "delta_list": (_numbers, _DELTAS, [0.1, 0.05, 0.025]),
-}
+# entries of the commands that read the frequency: plasmon, decay, scatter
+_OMEGA = {"materials": (partial(_entries, table=_MATERIALS), None, {})}
 _CALDERON = {**_GRID, "n_tests": (_integer, _AT_LEAST_1, 10)}
 _PLASMON = {
     **_GRID,
     "mode": (_mode, None, _REQUIRED),
     "points": (_points, _NONEMPTY, [{"count": 20, "radius": 2.0}]),
+    **_OMEGA,
 }
 _DECAY = {
     **_GRID,
     "points": (_points, _NONEMPTY, [{"count": 40, "radius": 3.0}, {"count": 10, "radius": 0.25}]),
     "eps": (_number, None, 0.5),
+    **_OMEGA,
 }
 _SCATTER = {
     **_GRID,
     "order": (_integer, (lambda order, _: order in (0, 1, 2), "be 0, 1 or 2"), 2),
     "source": (partial(_entries, table=_SOURCE), None, {"s": [0, 0, 6], "p": [1, 0, 0]}),
+    **_OMEGA,
+    "tau_list": (_numbers, _TAUS, [0.5]),
+    "delta_list": (_numbers, _DELTAS, [0.1, 0.05, 0.025]),
 }
 _MIE_CHECK = {
     "n_max": (_integer, _AT_LEAST_1, 5),
@@ -248,7 +248,7 @@ class RunConfig:
         command = data.get("command")
         if command not in COMMANDS:
             raise ConfigError(f"unknown or missing command {command!r}", "command")
-        params = _entries(data, None, {**_HANDLERS[command][1], **_SHARED})
+        params = _entries(data, None, _HANDLERS[command][1])
         if command == "mie-check":
             surface, L_quad = {"sphere": params["radius"]}, params["L_quad"]
         else:
@@ -273,9 +273,11 @@ def config_hash(data) -> str:
 def report_version_and_provenance(cfg=None, tol=None, seed=0, L_quad=None, L=None):
     """Provenance lines embedded in every artifact header.
 
-    cfg is the raw config dict; its command selects the quadrature line.
-    L is the run's degree, written on its own line when given, at which
-    scatter projects its corrections (default L_quad).
+    cfg is the raw config dict; its command selects the quadrature line
+    and whether the tolerance (calderon, mie-check) and the seed
+    (calderon) are named, the commands that read them.  L is the run's
+    degree, written on its own line when given, at which scatter projects
+    its corrections (default L_quad).
     scipy's version is named only when the run has loaded scipy.
     """
     command = cfg.get("command") if isinstance(cfg, dict) else None
@@ -296,8 +298,9 @@ def report_version_and_provenance(cfg=None, tol=None, seed=0, L_quad=None, L=Non
         quadrature,
         f"L_quad: {L_quad if L_quad is not None else 'n/a'}",
         *([f"L: {L}"] if L is not None else []),
-        f"tolerance: {tol if tol is not None else 'default'}",
-        f"seed: {seed}",
+        *([f"tolerance: {tol if tol is not None else 'default'}"]
+          if command in ("calderon", "mie-check") else []),
+        *([f"seed: {seed}"] if command == "calderon" else []),
     ]
     if cfg is not None:
         lines.append(f"config_hash: {config_hash(cfg)}")
@@ -387,20 +390,16 @@ def cmd_calderon(cfg, grid):
 
 
 def cmd_plasmon(cfg, grid):
-    materials, spec = cfg.params["materials"], cfg.params["mode"]
+    omega, spec = cfg.params["materials"]["omega"], cfg.params["mode"]
     if "l" in spec:
-        mode = PlasmonMode.from_sphere(
-            spec["l"], spec["n"], spec["m"], spec["radius"], materials["omega"], materials["delta"]
-        )
+        mode = PlasmonMode.from_sphere(spec["l"], spec["n"], spec["m"], spec["radius"], omega)
     else:
         L = cfg.params["L"]
         curl = _curl_set(grid, L)
         if not 0 <= spec["index"] < len(curl):
             message = f"mode.index must lie in [0, {len(curl)}), the curl modes at L = {L}"
             raise ConfigError(message, "mode.index")
-        mode = PlasmonMode.from_eigenmode(
-            spec["index"], curl, materials["omega"], materials["delta"]
-        )
+        mode = PlasmonMode.from_eigenmode(spec["index"], curl, omega)
     points = _shell_points(cfg.params["points"])
     E, H = _field_batch([mode], points, grid)
     dists = tubular_distance(points, grid)
@@ -470,7 +469,7 @@ def cmd_mie_check(cfg, grid):
     }, breach
 
 
-# command -> (handler, the table of its entries besides _SHARED)
+# command -> (handler, the table of its entries)
 _HANDLERS = {
     "spectrum": (cmd_spectrum, _GRID),
     "calderon": (cmd_calderon, _CALDERON),

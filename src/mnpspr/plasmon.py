@@ -31,6 +31,7 @@ from .surface import ShCoeffs, SurfaceGrid, TangentField, radial_gap, tubular_di
 
 PLATEAU_THRESHOLD = 0.05  # largest last-quartile share of the partial sums on a plateau
 KAPPA = 0.5  # localization_scan's exceedance statistic tests o(j^{-KAPPA}) decay
+EXCEEDANCE_THRESHOLD = 0.05  # largest exceedance fraction of a positive verdict
 
 
 class ResonanceExclusionError(ValueError):
@@ -72,12 +73,12 @@ class PlasmonMode:
     index: int = None
 
     @classmethod
-    def from_sphere(cls, l, n, m, radius=1.0, omega=1.0, delta=0.05):
+    def from_sphere(cls, l, n, m, radius=1.0, omega=1.0):
         from .mie import sphere_mnp_eigenvalue
 
         lam = sphere_mnp_eigenvalue(l, n)
         tau = resonance_tau(lam)
-        mats = MaterialConfig.negative_preset(float(tau), omega, delta)
+        mats = MaterialConfig.negative_preset(float(tau), omega)
         return cls(
             lam=float(lam),
             tau=float(tau),
@@ -86,10 +87,10 @@ class PlasmonMode:
         )
 
     @classmethod
-    def from_eigenmode(cls, j, curl_set: SpectralSet, omega=1.0, delta=0.05):
+    def from_eigenmode(cls, j, curl_set: SpectralSet, omega=1.0):
         lam = float(curl_set.eigenvalues[j])
         tau = resonance_tau(lam)
-        mats = MaterialConfig.negative_preset(tau, omega, delta)
+        mats = MaterialConfig.negative_preset(tau, omega)
         dens = TangentField.from_potentials(
             V=ShCoeffs(curl_set.L, curl_set.vectors[:, j], True),
             L=curl_set.L,
@@ -101,7 +102,7 @@ class PlasmonMode:
         """The same density at the resonant contrast of eigenvalue lam.
 
         The interior material becomes the negative preset at the new tau;
-        omega, delta and the exterior are kept.
+        omega and the exterior are kept.
         """
         if lam == self.lam:
             return self
@@ -110,14 +111,11 @@ class PlasmonMode:
         return replace(self, lam=float(lam), tau=tau, materials=mats)
 
 
-def plasmon_field(mode: PlasmonMode, x, grid: SurfaceGrid, materials=None):
+def plasmon_field(mode: PlasmonMode, x, grid: SurfaceGrid):
     """Electric and magnetic mode fields at a point off the boundary.
 
-    `_field_batch` for one mode at one point; `materials` replaces the
-    mode's own.
+    `_field_batch` for one mode at one point.
     """
-    if materials is not None:
-        mode = replace(mode, materials=materials)
     E, H = _field_batch([mode], np.asarray(x, dtype=float)[None], grid)
     return E[0, 0], H[0, 0]
 
@@ -271,9 +269,7 @@ def localization_scan(modes, points, eps, grid: SurfaceGrid):
     n_grid = [n for n in (len(modes) // 4, len(modes) // 2, len(modes)) if n > 0]
     # the exceedance test is applied to the max-normalized sequence so the
     # sigma grid has a scale-free meaning
-    stat = almost_sure_statistic(
-        e_norms / np.max(e_norms), KAPPA, sigma_grid=[0.9, 0.7, 0.5], N_grid=n_grid
-    )
+    stat = almost_sure_statistic(e_norms / np.max(e_norms), [0.9, 0.7, 0.5], n_grid)
     ids = [m.index if m.index is not None else str(m.sphere) for m in modes]
     return DecayReport(
         mode_ids=ids,
@@ -292,12 +288,12 @@ def localization_scan(modes, points, eps, grid: SurfaceGrid):
     )
 
 
-def almost_sure_statistic(c, kappa, sigma_grid, N_grid, threshold=0.05):
-    """Exceedance-density table for the o(j^{-kappa}) criterion.
+def almost_sure_statistic(c, sigma_grid, N_grid):
+    """Exceedance-density table for the o(j^{-KAPPA}) criterion.
 
-    fraction(sigma, N) = #{j <= N : |c_j| > sigma j^{-kappa}} / N.  The
+    fraction(sigma, N) = #{j <= N : |c_j| > sigma j^{-KAPPA}} / N.  The
     verdict is positive when, for every sigma, the fraction at the largest
-    N is below the threshold and does not grow along N.
+    N is at most EXCEEDANCE_THRESHOLD and does not grow along N.
     """
     c = np.abs(np.asarray(c, dtype=float))
     if not sigma_grid or not N_grid:
@@ -309,15 +305,15 @@ def almost_sure_statistic(c, kappa, sigma_grid, N_grid, threshold=0.05):
     table = {}
     verdict = True
     for sigma in sigma_grid:
-        exceed = c > sigma * j ** (-kappa)
+        exceed = c > sigma * j ** (-KAPPA)
         fracs = [float(np.count_nonzero(exceed[:N]) / N) for N in N_grid]
         table[float(sigma)] = fracs
         decreasing = all(fracs[i + 1] <= fracs[i] + 1e-12 for i in range(len(fracs) - 1))
-        verdict = verdict and fracs[-1] <= threshold and decreasing
+        verdict = verdict and fracs[-1] <= EXCEEDANCE_THRESHOLD and decreasing
     return {
-        "kappa": float(kappa),
+        "kappa": KAPPA,
         "N_grid": N_grid,
-        "threshold": float(threshold),
+        "threshold": EXCEEDANCE_THRESHOLD,
         "fractions": table,
         "verdict": bool(verdict),
     }

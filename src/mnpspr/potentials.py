@@ -78,7 +78,6 @@ class OperatorMatrix:
     L: int
     entries: np.ndarray
     pairing: np.ndarray
-    grid_id: str
     meta: dict = field(default_factory=dict)
 
 
@@ -140,7 +139,7 @@ def _galerkin_operator(kind, grid: SurfaceGrid, G, L):
     """Mass-normalized Galerkin matrix from its pairing G_ij = int conj(Y_i) (Op Y_j) ds."""
     nc = num_coeffs(L)
     W = grid.mass_matrix()[:nc, :nc]
-    return OperatorMatrix(kind, L, np.linalg.solve(W, G), G, grid_signature(grid))
+    return OperatorMatrix(kind, L, np.linalg.solve(W, G), G)
 
 
 def scalar_operators(grid: SurfaceGrid, L: int):
@@ -374,16 +373,6 @@ def _weigh(values, w):
     return values
 
 
-def _near_eval(dens, k, p, kinds, grid: SurfaceGrid):
-    """`_layer_sum` at point p by the near rule, a NEAR_POLAR patch under p; k as in `_passes`."""
-
-    def integrand(patch, w):
-        wd = _weigh(grid.values_at(dens, patch), w)
-        return _passes(k, p[None], patch["position"], kinds, wd, 1)
-
-    return near_singular_eval(grid, p, integrand, n_polar=NEAR_POLAR)
-
-
 def offboundary_eval(density, k, x, which, grid: SurfaceGrid):
     """Layer-potential evaluation at points off the boundary.
 
@@ -456,7 +445,9 @@ def offboundary_eval(density, k, x, which, grid: SurfaceGrid):
             for o, v in zip(out, _passes(row, pts[far], grid.positions, kinds, nodes, POINT_BLOCK)):
                 o[far] = v
         for p in idx[near[idx]]:
-            for o, v in zip(out, _near_eval(dens, row, pts[p], kinds, grid)):
+            patch, w = near_singular_eval(grid, pts[p], NEAR_POLAR)
+            wd = _weigh(grid.values_at(dens, patch), w)
+            for o, v in zip(out, _passes(row, pts[p : p + 1], patch["position"], kinds, wd, 1)):
                 o[p] = v[0]
     if not isinstance(density, list):
         out = [o[..., 0] for o in out]
@@ -594,10 +585,9 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
         entries = np.linalg.solve(tangent_mass_stack(grid, L), G)
         entries.flags.writeable = False
         G.flags.writeable = False
-        sig = grid_signature(grid)
         cols = [slice(2 * d * i, 2 * d * (i + 1)) for i in range(len(VECTOR_KINDS))]
         return {
-            kind: OperatorMatrix(kind, L, entries[:, c], G[:, c], sig)
+            kind: OperatorMatrix(kind, L, entries[:, c], G[:, c])
             for kind, c in zip(VECTOR_KINDS, cols)
         }
 
@@ -633,6 +623,5 @@ def assemble_correction(
         L,
         scale * unit.entries,
         scale * unit.pairing,
-        unit.grid_id,
         {"wavenumber": wavenumber, "scale": complex(scale)},
     )

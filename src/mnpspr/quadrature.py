@@ -158,17 +158,16 @@ def assemble_scalar_values(grid: SurfaceGrid, L: int):
     return {kind: G[:, i * nc : (i + 1) * nc] for i, kind in enumerate(kinds)}
 
 
-def near_singular_eval(grid: SurfaceGrid, x, integrand, n_polar):
-    """Quadrature of a surface integrand peaked under an off-surface point.
+def near_singular_eval(grid: SurfaceGrid, x, n_polar):
+    """The polar rule for a surface integrand peaked under an off-surface point.
 
     The polar patch is centered at the parameter direction of x, where the
-    nearly singular kernel concentrates.  `integrand(patch, w)` receives the
-    Q patch points (frame_at keys plus their "theta" and "phi") and their
-    weights w (Q,), the rule's weights times the surface jacobian, and
-    returns the weighted sum over the patch, which is returned as is.
+    nearly singular kernel concentrates.  Returns the Q patch points
+    (frame_at keys plus their "theta" and "phi") and their weights w (Q,),
+    the rule's weights times the surface jacobian.
     """
     th0, ph0, _ = cartesian_to_angles(np.asarray(x, dtype=float))
     patch = PolarPatch(grid, n_polar, max(2 * grid.L_quad + 16, 48))
     th, ph = patch.angles(float(th0[0]), float(ph0[0]))
     rot = dict(grid.frame_at(th, ph), theta=th, phi=ph)
-    return integrand(rot, patch.weights * rot["jacobian"])
+    return rot, patch.weights * rot["jacobian"]

@@ -29,13 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mie import SphereMode, mode_tangent_field
 from .potentials import (
     MaterialConfig,
     ResonanceError,
+    _layer_sum,
     assemble_correction,
     em_fields,
     grid_signature,
-    helmholtz_point_kernels,
     offboundary_eval,
     scalar_operators,
 )
@@ -164,8 +165,10 @@ def assemble_system(
 def dipole_incident_trace(source, p, materials: MaterialConfig, grid: SurfaceGrid) -> RHSVector:
     """Scaled tangential traces of a point-dipole incident field.
 
-    E = -(1/k_e^2) grad div (G(delta k_e; x, s) p) - delta^2 G p,
-    H = (i delta/(omega mu_e)) curl (G p); the returned pair carries the
+    E = -(1/k_e^2) curl curl (G(delta k_e; x, s) p), which for the real
+    exterior k_e is -(1/k_e^2) grad div (G p) - delta^2 G p, and
+    H = (i delta/(omega mu_e)) curl (G p), both from one `_layer_sum` pass
+    with the dipole as its one source; the returned pair carries the
     material denominators of the scaled system.
     """
     s = np.asarray(source, dtype=float)
@@ -177,11 +180,11 @@ def dipole_incident_trace(source, p, materials: MaterialConfig, grid: SurfaceGri
         )
     delta = materials.delta
     k = delta * complex(materials.k_e).real
-    rvec = grid.positions - s[None, :]
-    g, grad, hess = helmholtz_point_kernels(k, rvec, want_hessian=True)
-    ke2 = complex(materials.k_e) ** 2
-    E = -(hess @ p) / ke2 - delta**2 * g[:, None] * p[None, :]
-    H = 1j * delta / (materials.omega * materials.mu_e) * np.cross(grad, p[None, :])
+    curl, curlcurl = _layer_sum(
+        k, grid.positions, s[None], ("curlS_vec", "curlcurlS_vec"), p[None, :, None]
+    )
+    E = -curlcurl[..., 0] / complex(materials.k_e) ** 2
+    H = 1j * delta / (materials.omega * materials.mu_e) * curl[..., 0]
     nuE = np.cross(grid.normals, E)
     nuH = np.cross(grid.normals, H)
     first = grid.helmholtz_decompose(nuE / (materials.mu_e - materials.mu_c), flavor="curl")
@@ -228,20 +231,14 @@ def pair_norm(a: TangentField, b: TangentField, grid: SurfaceGrid):
     return float(np.hypot(trace_norm(a, grid), trace_norm(b, grid)))
 
 
-def weak_resonance_indicator(system: BlockSystem, mode, grid: SurfaceGrid):
+def weak_resonance_indicator(system: BlockSystem, density: TangentField, grid: SurfaceGrid):
     """|| A(delta) (phi, omega phi) || for a normalized candidate density.
 
-    mode supplies a curl-flavor density (a plasmon mode object or a
-    TangentField); the candidate pair is (phi, omega phi) scaled to unit
-    stacked curl-trace norm.
+    density is the curl-flavor candidate phi; the pair (phi, omega phi) is
+    scaled to unit stacked curl-trace norm.
     """
     if grid_signature(grid) != system.grid_id:
         raise ValueError("grid does not match the assembled system")
-    density = getattr(mode, "density", mode)
-    if density is None and getattr(mode, "sphere", None) is not None:
-        from .mie import mode_tangent_field
-
-        density = mode_tangent_field(mode.sphere, system.L)
     v = TangentField.from_potentials(X=density.X, V=density.V, L=system.L, flavor="div")
     scaled = TangentField(
         ShCoeffs(system.L, system.omega * v.X.padded(system.L), True),
@@ -299,8 +296,8 @@ def resonance_sweep(grid, tau_list, delta_list, omega, order, source, p, L=None)
     indicator is evaluated on the lowest rotational mode of the unit
     sphere, the canonical weak-resonance candidate.
     """
-    from .plasmon import PlasmonMode
-
+    L = grid.L_quad if L is None else L
+    candidate = mode_tangent_field(SphereMode(2, 1, 0), L)
     rows = []
     for tau in tau_list:
         for delta in delta_list:
@@ -310,7 +307,6 @@ def resonance_sweep(grid, tau_list, delta_list, omega, order, source, p, L=None)
             system = assemble_system(grid, mats, order, L)
             sol, cond = solve_scatter(system, rhs)
             sol_norm = pair_norm(sol[0], sol[1], grid)
-            mode = PlasmonMode.from_sphere(2, 1, 0, 1.0, omega, delta)
-            indicator = weak_resonance_indicator(system, mode, grid)
+            indicator = weak_resonance_indicator(system, candidate, grid)
             rows.append((float(tau), float(delta), indicator, sol_norm, cond))
     return rows

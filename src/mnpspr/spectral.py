@@ -37,14 +37,14 @@ HALF_EXCLUSION_TOL = 1e-8
 CLUSTER_TOL = 1e-6
 
 
-def eigenvalue_clusters(lam, tol=CLUSTER_TOL):
+def eigenvalue_clusters(lam):
     """Cluster id of each entry of a sorted eigenvalue list.
 
-    A new cluster starts wherever two neighbours differ by more than tol.
+    A new cluster starts wherever two neighbours differ by more than CLUSTER_TOL.
     """
     lam = np.asarray(lam)
     ids = np.zeros(lam.size, dtype=int)
-    ids[1:] = np.cumsum(np.abs(np.diff(lam)) > tol)
+    ids[1:] = np.cumsum(np.abs(np.diff(lam)) > CLUSTER_TOL)
     return ids
 
 
@@ -61,15 +61,14 @@ class SpectralSet:
     vectors: np.ndarray
     gram: str
     L: int
-    grid_id: str
     meta: dict = field(default_factory=dict)
 
     def __len__(self):
         return self.eigenvalues.size
 
-    def clusters(self, tol=CLUSTER_TOL):
+    def clusters(self):
         """Multiplicity clusters of the (sorted) eigenvalue list."""
-        return eigenvalue_clusters(self.eigenvalues, tol)
+        return eigenvalue_clusters(self.eigenvalues)
 
     def to_json_dict(self):
         n, m = sh_degrees(self.L)
@@ -136,7 +135,6 @@ def np_spectrum(S_mat: OperatorMatrix, Kstar_mat: OperatorMatrix) -> SpectralSet
         theta,
         "inner_S",
         S_mat.L,
-        S_mat.grid_id,
         {"sym_residual": float(sym_res)},
     )
 
@@ -199,13 +197,13 @@ def mnp_spectra(np_set: SpectralSet, S_mat: OperatorMatrix, grid: SurfaceGrid):
     norms = np.sqrt(np.maximum(np.einsum("ij,ij->j", pots[1:].conj(), G1 @ pots[1:]).real, 1e-300))
     pots = pots / norms[None, :]
     curl = SpectralSet(
-        "M_curl", mu, pots, "curl_Ninv", S_mat.L, S_mat.grid_id,
+        "M_curl", mu, pots, "curl_Ninv", S_mat.L,
         {"excluded_half": int(dropped)},
     )
     order = np.argsort(-np.abs(-mu))
     grad = SpectralSet(
         "Mstar_grad", -mu[order], pots[:, order], "grad_Qinv", S_mat.L,
-        S_mat.grid_id, {"excluded_half": int(dropped)},
+        {"excluded_half": int(dropped)},
     )
     return curl, grad
 

@@ -121,16 +121,24 @@ class TestProvenance:
     def test_header_content(self, tmp_path):
         code, out = run_cli(
             tmp_path,
-            {"command": "spectrum", "surface": SPHERE8, "L": 8},
+            {"command": "calderon", "surface": SPHERE8, "L": 8, "n_tests": 1},
             extra=["--tol", "2.5e-7", "--seed", "7"],
         )
-        head = (out / "spectrum.csv").read_text().splitlines()[:12]
+        head = (out / "calderon.csv").read_text().splitlines()[:12]
         text = "\n".join(head)
         assert "rotated-polar-gl" in text
         assert "tolerance: 2.5e-07" in text
         assert "seed: 7" in text
         assert "config_hash:" in text
         assert "L_quad: 8" in text
+        # spectrum reads neither setting, so its header names neither
+        code, out = run_cli(
+            tmp_path,
+            {"command": "spectrum", "surface": SPHERE8, "L": 8},
+            extra=["--tol", "2.5e-7", "--seed", "7"],
+        )
+        head = (out / "spectrum.csv").read_text().splitlines()[:12]
+        assert not any(l.startswith(("# tolerance:", "# seed:")) for l in head)
 
     def test_header_reports_grid_degree(self, tmp_path):
         code, out = run_cli(
@@ -284,6 +292,9 @@ class TestHeaderReportsUsedSettings:
         head = (out / "mie_check.csv").read_text().splitlines()[:12]
         assert "# L_quad: 12" in head
         assert "# quadrature: surface-grid nodes (no polar rule)" in head
+        # mie-check reads --tol but not --seed
+        assert "# tolerance: default" in head
+        assert not any(l.startswith("# seed:") for l in head)
 
     def test_scatter_correction_order(self, tmp_path):
         code, out = run_cli(
@@ -303,13 +314,15 @@ class TestHeaderReportsUsedSettings:
 
 
 class TestMaterialsConfig:
+    """materials is checked by decay, one of the commands that read it; the lists by scatter."""
+
     @pytest.mark.parametrize(
         "extra, field",
         [
             ({"materials": [1]}, "materials"),
             ({"materials": {"omega": "x"}}, "materials.omega"),
             ({"materials": {"omega": 0}}, "materials.omega"),
-            ({"materials": {"delta": "0.1"}}, "materials.delta"),
+            ({"delta_list": 0.05}, "delta_list"),
             ({"tau_list": ["a"]}, "tau_list"),
             ({"tau_list": 0.5}, "tau_list"),
             ({"delta_list": [0.1, None]}, "delta_list"),
@@ -318,11 +331,24 @@ class TestMaterialsConfig:
         ],
     )
     def test_rejected_with_field(self, tmp_path, extra, field):
-        cfg = {"command": "spectrum", "surface": SPHERE8, "L": 8, **extra}
+        command = "decay" if field.startswith("materials") else "scatter"
+        cfg = {"command": command, "surface": SPHERE8, "L": 8, **extra}
         code, out = run_cli(tmp_path, cfg)
         assert code == 1
         assert json.loads((out / "error.json").read_text())["error"]["field"] == field
 
+    def test_unread_entries_are_ignored(self, tmp_path):
+        """spectrum reads no contrasts and no materials: even invalid ones change nothing."""
+        cfg = {"command": "spectrum", "surface": SPHERE8, "L": 6}
+        bodies = []
+        for i, extra in enumerate(({}, {"tau_list": [1.0], "materials": {"delta": -1}})):
+            code, out = run_cli(tmp_path, {**cfg, **extra}, name=f"cfg{i}.json")
+            assert code == 0
+            payload = json.loads((out / "spectrum.json").read_text())
+            del payload["provenance"], payload["timestamp"]
+            csv = [l for l in (out / "spectrum.csv").read_text().splitlines() if l[0] != "#"]
+            bodies.append((csv, payload))
+        assert bodies[0] == bodies[1]
 
     def test_tau_is_not_a_setting(self, tmp_path):
         """materials.tau is ignored like any unlisted key: the contrasts come from tau_list."""
@@ -397,6 +423,8 @@ class TestTypedParameters:
             ("calderon", {"n_tests": 0}, "n_tests"),
             ("decay", {"points": []}, "points"),
             ("plasmon", {"mode": {"index": 0}, "points": []}, "points"),
+            ("spectrum", {"surface": {"sphere": 1.0, "radius": [[0, 0, 3.5449077018, 0]]}},
+             "surface"),
         ],
     )
     def test_rejected_with_field(self, tmp_path, command, extra, field):
@@ -462,11 +490,7 @@ class TestPlasmonModeRange:
 class TestSettingsDefaults:
     """With only its required entries, a command's params hold the README's defaults."""
 
-    SHARED = {
-        "materials": {"omega": 1.0, "delta": 0.05},
-        "tau_list": [0.5],
-        "delta_list": [0.1, 0.05, 0.025],
-    }
+    OMEGA = {"materials": {"omega": 1.0}}
     GRID = {"surface": {"sphere": 1.0}, "L": 4}
 
     @pytest.mark.parametrize(
@@ -476,16 +500,17 @@ class TestSettingsDefaults:
             ("calderon", GRID, {"n_tests": 10}),
             ("plasmon", {**GRID, "mode": {"l": 1, "n": 1, "m": 0}},
              {"mode": {"l": 1, "n": 1, "m": 0, "radius": 1.0},
-              "points": [{"count": 20, "radius": 2.0}]}),
+              "points": [{"count": 20, "radius": 2.0}], **OMEGA}),
             ("decay", GRID, {"points": [{"count": 40, "radius": 3.0},
-                                        {"count": 10, "radius": 0.25}], "eps": 0.5}),
-            ("scatter", GRID, {"order": 2, "source": {"s": [0.0, 0.0, 6.0], "p": [1.0, 0.0, 0.0]}}),
+                                        {"count": 10, "radius": 0.25}], "eps": 0.5, **OMEGA}),
+            ("scatter", GRID, {"order": 2, "source": {"s": [0.0, 0.0, 6.0], "p": [1.0, 0.0, 0.0]},
+                               **OMEGA, "tau_list": [0.5], "delta_list": [0.1, 0.05, 0.025]}),
             ("mie-check", {}, {"n_max": 5, "k": 1.0, "radius": 1.0, "L_quad": 16}),
         ],
     )
     def test_params_hold_the_defaults(self, command, required, defaults):
         params = RunConfig.from_dict({"command": command, **required}).params
-        assert params == {**required, **defaults, **self.SHARED}
+        assert params == {**required, **defaults}
 
 
 def test_decay_point_in_tube_exits_two(tmp_path):

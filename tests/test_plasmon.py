@@ -217,28 +217,24 @@ class TestClusterInvariance:
 
 class TestAlmostSureStatistic:
     def test_inverse_j(self):
-        stat = almost_sure_statistic(
-            1.0 / np.arange(1, 2001), 0.5, [0.5, 0.25, 0.1], [500, 1000, 2000]
-        )
+        stat = almost_sure_statistic(1.0 / np.arange(1, 2001), [0.5, 0.25, 0.1], [500, 1000, 2000])
         assert stat["verdict"]
         for fr in stat["fractions"].values():
             assert fr[-1] <= 0.05
 
     def test_constant_sequence_fails(self):
-        stat = almost_sure_statistic(
-            np.ones(2000), 0.5, [0.5, 0.25, 0.1], [500, 1000, 2000]
-        )
+        stat = almost_sure_statistic(np.ones(2000), [0.5, 0.25, 0.1], [500, 1000, 2000])
         assert not stat["verdict"]
         assert all(f == 1.0 for fr in stat["fractions"].values() for f in fr)
 
     def test_square_summable_random(self):
         rng = np.random.default_rng(5)
         c = np.arange(1, 20001) ** -0.6 * rng.choice([-1.0, 1.0], 20000)
-        stat = almost_sure_statistic(c, 0.5, [0.9, 0.75, 0.6], [5000, 10000, 20000])
+        stat = almost_sure_statistic(c, [0.9, 0.75, 0.6], [5000, 10000, 20000])
         assert stat["verdict"]
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            almost_sure_statistic(np.ones(10), 0.5, [], [5])
+            almost_sure_statistic(np.ones(10), [], [5])
         with pytest.raises(ValueError):
-            almost_sure_statistic(np.ones(10), 0.5, [0.5], [50])
+            almost_sure_statistic(np.ones(10), [0.5], [50])

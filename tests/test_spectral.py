@@ -34,7 +34,7 @@ class TestNpSpectrum:
         st = np_spectrum(sphere16_ops["S"], sphere16_ops["Kstar"])
         exact = sphere_exact_np_eigs(16)
         assert np.max(np.abs(np.sort(st.eigenvalues)[::-1] - exact)) < 1e-6
-        ids = st.clusters(1e-6)
+        ids = st.clusters()
         counts = np.bincount(ids)
         n_sorted = np.arange(17)
         assert np.all(np.sort(counts) == np.sort(2 * n_sorted + 1))
@@ -211,9 +211,7 @@ class TestExports:
     def test_np_spectrum_rejects_bad_gram(self, sphere10_ops):
         from mnpspr.potentials import AssemblyAccuracyError, OperatorMatrix
 
-        bad = OperatorMatrix(
-            "S", 10, sphere10_ops["S"].entries, -sphere10_ops["S"].pairing, "x"
-        )
+        bad = OperatorMatrix("S", 10, sphere10_ops["S"].entries, -sphere10_ops["S"].pairing)
         with pytest.raises(AssemblyAccuracyError):
             np_spectrum(bad, sphere10_ops["Kstar"])
 
