@@ -12,7 +12,6 @@ failure (a point too close to the surface, or a guard or tolerance breach).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -265,17 +264,23 @@ class RunConfig:
 
 
 def config_hash(data) -> str:
-    return hashlib.sha256(
-        json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()[:16]
+    """FNV-1a 64 of data's canonical JSON, in 16 hex digits.
+
+    A fingerprint that tells configs apart, not a cryptographic digest.
+    """
+    h = 0xCBF29CE484222325
+    for byte in json.dumps(data, sort_keys=True, separators=(",", ":")).encode():
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return f"{h:016x}"
 
 
 def report_version_and_provenance(cfg=None, tol=None, seed=0, L_quad=None, L=None):
     """Provenance lines embedded in every artifact header.
 
-    cfg is the raw config dict; its command selects the quadrature line
-    and whether the tolerance (calderon, mie-check) and the seed
-    (calderon) are named, the commands that read them.  L is the run's
+    cfg is the settings the run read, {"command": ..., **RunConfig.params},
+    which the config_hash line fingerprints; its command selects the
+    quadrature line and whether the tolerance (calderon, mie-check) and the
+    seed (calderon) are named, the commands that read them.  L is the run's
     degree, written on its own line when given, at which scatter projects
     its corrections (default L_quad).
     scipy's version is named only when the run has loaded scipy.
@@ -488,7 +493,7 @@ def run(config, outdir=".", tol=None, seed=0) -> int:
         handler = _HANDLERS[cfg.command][0]
         artifacts, breach = handler(cfg, cfg.build_grid())
         header = report_version_and_provenance(
-            config, tol, seed, cfg.L_quad, cfg.params.get("L")
+            {"command": cfg.command, **cfg.params}, tol, seed, cfg.L_quad, cfg.params.get("L")
         )
         for name, body in artifacts.items():
             path = os.path.join(outdir, name)

@@ -126,15 +126,6 @@ class MaterialConfig:
 # --------------------------------------------------------------------------
 
 
-def grid_signature(grid: SurfaceGrid) -> str:
-    import hashlib
-
-    h = hashlib.sha1()
-    h.update(grid.radius_coeffs.coeffs.tobytes())
-    h.update(np.int64(grid.L_quad).tobytes())
-    return h.hexdigest()[:16]
-
-
 def _galerkin_operator(kind, grid: SurfaceGrid, G, L):
     """Mass-normalized Galerkin matrix from its pairing G_ij = int conj(Y_i) (Op Y_j) ds."""
     nc = num_coeffs(L)

@@ -36,7 +36,6 @@ from .potentials import (
     _layer_sum,
     assemble_correction,
     em_fields,
-    grid_signature,
     offboundary_eval,
     scalar_operators,
 )
@@ -63,6 +62,11 @@ class RHSVector:
         return np.concatenate([c.padded(L)[1:] for c in parts])
 
 
+def _grid_key(grid: SurfaceGrid):
+    """What defines a grid, compared exactly: its degree and radius coefficients."""
+    return grid.L_quad, grid.radius_coeffs.coeffs.tobytes()
+
+
 @dataclass
 class BlockSystem:
     """Scaled boundary system [[P, Q], [Q, P]] on stacked potentials; P is `same`, Q `cross`."""
@@ -74,7 +78,7 @@ class BlockSystem:
     tau: float
     omega: float
     L: int
-    grid_id: str
+    grid_id: tuple  # the _grid_key of the grid it was assembled on
     materials: MaterialConfig
     meta: dict = field(default_factory=dict)
 
@@ -157,7 +161,7 @@ def assemble_system(
             or True,
         )
     return BlockSystem(
-        same, cross, order, delta, tau, materials.omega, L, grid_signature(grid), materials,
+        same, cross, order, delta, tau, materials.omega, L, _grid_key(grid), materials,
         {"cross_coupling": "dropped"},
     )
 
@@ -237,7 +241,7 @@ def weak_resonance_indicator(system: BlockSystem, density: TangentField, grid: S
     density is the curl-flavor candidate phi; the pair (phi, omega phi) is
     scaled to unit stacked curl-trace norm.
     """
-    if grid_signature(grid) != system.grid_id:
+    if _grid_key(grid) != system.grid_id:
         raise ValueError("grid does not match the assembled system")
     v = TangentField.from_potentials(X=density.X, V=density.V, L=system.L, flavor="div")
     scaled = TangentField(

@@ -158,6 +158,27 @@ class TestProvenance:
         assert any("mnpspr" in l for l in lines)
         assert any("config_hash" in l for l in lines)
 
+    @staticmethod
+    def hash_line(tmp_path, config):
+        code, out = run_cli(tmp_path, config)
+        assert code == 0
+        return next(l for l in (out / "spectrum.csv").read_text().splitlines()
+                    if l.startswith("# config_hash: "))
+
+    def test_config_hash_known_answer(self, tmp_path):
+        # FNV-1a 64 of {"L":4,"command":"spectrum","surface":{"L_quad":6,"sphere":1.0}}:
+        # a change of the fingerprint or of its canonical form fails here
+        config = {"command": "spectrum", "surface": {"sphere": 1, "L_quad": 6}, "L": 4}
+        assert self.hash_line(tmp_path, config) == "# config_hash: 68d9a49fb2b9df6c"
+
+    def test_config_hash_covers_the_settings_read(self, tmp_path):
+        config = {"command": "spectrum", "surface": {"sphere": 1.0}, "L": 6}
+        line = self.hash_line(tmp_path, config)
+        # spectrum reads neither entry, so its hash is unchanged
+        unread = {**config, "tau_list": [0.7], "materials": {"delta": 0.3}}
+        assert self.hash_line(tmp_path, unread) == line
+        assert self.hash_line(tmp_path, {**config, "L": 5}) != line
+
 
 class TestOtherCommands:
     def test_calderon(self, tmp_path):

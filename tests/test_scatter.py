@@ -18,7 +18,7 @@ from mnpspr.scatter import (
 )
 from mnpspr.spectral import trace_norm
 from mnpspr.sphharm import num_coeffs
-from mnpspr.surface import ShCoeffs, TangentField
+from mnpspr.surface import ShCoeffs, TangentField, perturbed_sphere
 
 SRC = np.array([0.0, 0.0, 6.0])
 DIP = np.array([1.0, 0.5, 0.0])
@@ -191,6 +191,26 @@ class TestWeakResonanceIndicator:
         mats = MaterialConfig.negative_preset(0.5, 1.0, 0.0)
         system = assemble_system(sphere10, mats, 0)
         assert weak_resonance_indicator(system, self.CANDIDATE, sphere10) <= 1e-8
+
+
+class TestIndicatorGridCheck:
+    """The indicator refuses a grid other than the system's, compared by its defining data."""
+
+    CANDIDATE = mode_tangent_field(SphereMode(2, 1, 0), 8)
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        mats = MaterialConfig.negative_preset(0.5, 1.0, 0.05)
+        return assemble_system(perturbed_sphere(0.05, 2, 0, 8), mats, 0)
+
+    def test_refuses_another_radius(self, system):
+        # same L_quad, twice the perturbation
+        with pytest.raises(ValueError, match="does not match"):
+            weak_resonance_indicator(system, self.CANDIDATE, perturbed_sphere(0.1, 2, 0, 8))
+
+    def test_accepts_a_rebuilt_copy_of_its_grid(self, system):
+        ind = weak_resonance_indicator(system, self.CANDIDATE, perturbed_sphere(0.05, 2, 0, 8))
+        assert np.isfinite(ind) and ind > 0
 
 
 class TestScatteredFields:
