@@ -283,7 +283,6 @@ def report_version_and_provenance(cfg=None, tol=None, seed=0, L_quad=None, L=Non
     seed (calderon) are named, the commands that read them.  L is the run's
     degree, written on its own line when given, at which scatter projects
     its corrections (default L_quad).
-    scipy's version is named only when the run has loaded scipy.
     """
     command = cfg.get("command") if isinstance(cfg, dict) else None
     quadrature = "quadrature: rotated-polar-gl"
@@ -294,12 +293,9 @@ def report_version_and_provenance(cfg=None, tol=None, seed=0, L_quad=None, L=Non
         if command == "scatter":
             degree = L_quad if L is None else L
             quadrature += f", corrections (n_polar={correction_polar_order(degree)})"
-    versions = f"numpy {np.__version__}"
-    if "scipy" in sys.modules:
-        versions += f", scipy {sys.modules['scipy'].__version__}"
     lines = [
         f"mnpspr {__version__}",
-        versions,
+        f"numpy {np.__version__}",
         quadrature,
         f"L_quad: {L_quad if L_quad is not None else 'n/a'}",
         *([f"L: {L}"] if L is not None else []),
@@ -397,6 +393,10 @@ def cmd_calderon(cfg, grid):
 def cmd_plasmon(cfg, grid):
     omega, spec = cfg.params["materials"]["omega"], cfg.params["mode"]
     if "l" in spec:
+        for i, shell in enumerate(cfg.params["points"]):
+            if shell["radius"] == 0:
+                message = "a sphere mode's closed forms have no value at its centre"
+                raise ConfigError(message, f"points[{i}].radius")
         mode = PlasmonMode.from_sphere(spec["l"], spec["n"], spec["m"], spec["radius"], omega)
     else:
         L = cfg.params["L"]

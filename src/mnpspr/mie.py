@@ -15,13 +15,7 @@ import numpy as np
 
 from .potentials import NearBoundaryError
 from .sphharm import cartesian_to_angles, sh_index, ynm_matrix
-from .specfun import (
-    composite_h1,
-    composite_j,
-    spherical_h1,
-    spherical_j,
-    vector_sph_matrix,
-)
+from .specfun import radial, vector_sph_matrix
 
 
 @dataclass(frozen=True)
@@ -59,64 +53,40 @@ def sphere_mnp_eigenvalue(l: int, n: int) -> Fraction:
     raise ValueError("family index l must be 1 or 2")
 
 
-def _mode_fields(n, m, x):
-    """Y, phi_1, phi_2 and the radial direction at a point."""
-    theta, phi, r = cartesian_to_angles(np.asarray(x, dtype=float))
-    Y = ynm_matrix(theta, phi, n)[0, sh_index(n, m)]
-    p1, p2 = vector_sph_matrix(theta, phi, n)
-    xhat = np.asarray(x, dtype=float) / r[0]
-    return Y, p1[0, sh_index(n, m)], p2[0, sh_index(n, m)], xhat, float(r[0])
-
-
 def exact_sphere_potential(mode: SphereMode, k: float, x, which: str) -> np.ndarray:
     """Closed-form curl / double-curl of the vector single layer on a sphere.
 
     The density is the mode's tangential harmonic on the sphere |y| = r;
-    x must satisfy |x| != r, else NearBoundaryError.  which in {curlS, curlcurlS}.
+    x must satisfy |x| != r, else NearBoundaryError, and x != 0, else
+    ValueError.  which in {curlS, curlcurlS}.  Outside the sphere (f, F) is
+    the outgoing pair of radial() at k|x| and (g, G) the regular one at kr;
+    inside the two swap, so each (kind, family) is one expression.
     """
     if which not in ("curlS", "curlcurlS"):
         raise ValueError(f"unknown kind {which!r}")
     if k <= 0:
         raise ValueError("wavenumber must be positive")
-    n, m, r = mode.n, mode.m, mode.radius
-    Y, p1, p2, xhat, rp = _mode_fields(n, m, x)
+    n, r = mode.n, mode.radius
+    x = np.asarray(x, dtype=float)
+    theta, phi, rp = cartesian_to_angles(x)
+    rp = float(rp[0])
     if np.isclose(rp, r):
         raise NearBoundaryError(f"evaluation point at radius {rp:.6g} lies on the mode's sphere")
-    nn = np.sqrt(n * (n + 1.0))
-    outside = rp > r
-    if outside:
-        h, j = spherical_h1(n, k * rp), spherical_j(n, k * r)
-        H, J = composite_h1(n, k * rp), composite_j(n, k * r)
-        if which == "curlS" and mode.l == 1:
-            return 1j * k * r * h * J * p2
-        if which == "curlS" and mode.l == 2:
-            # sign fixed against the trace jump relation: the exterior
-            # tangential trace must be (-1/2 + lambda_{2,n}) phi_2
-            return (
-                1j * k * r**2 / rp * H * j * p1
-                + 1j * k * r**2 * nn / rp * h * j * Y * xhat
-            )
-        if which == "curlcurlS" and mode.l == 1:
-            return (
-                -1j * k * r / rp * H * J * p1
-                - 1j * k * r * nn / rp * h * J * Y * xhat
-            )
-        return -1j * k**3 * r**2 * h * j * p2
-    j_in, h_r = spherical_j(n, k * rp), spherical_h1(n, k * r)
-    J_in, H_r = composite_j(n, k * rp), composite_h1(n, k * r)
+    f, F = radial(n, k * rp, rp > r)
+    g, G = radial(n, k * r, rp < r)
+    p1, p2 = (p[0, sh_index(n, mode.m)] for p in vector_sph_matrix(theta, phi, n))
     if which == "curlS" and mode.l == 1:
-        return 1j * k * r * j_in * H_r * p2
-    if which == "curlS" and mode.l == 2:
-        return (
-            1j * k * r**2 / rp * J_in * h_r * p1
-            + 1j * k * r**2 * nn / rp * j_in * h_r * Y * xhat
-        )
-    if which == "curlcurlS" and mode.l == 1:
-        return (
-            -1j * k * r / rp * J_in * H_r * p1
-            - 1j * k * r * nn / rp * j_in * H_r * Y * xhat
-        )
-    return -1j * k**3 * r**2 * j_in * h_r * p2
+        return 1j * k * r * f * G * p2
+    if which == "curlcurlS" and mode.l == 2:
+        return -1j * k**3 * r**2 * f * g * p2
+    # curlS of family 2 and curlcurlS of family 1 share F phi_1 + sqrt(n(n+1)) f Y xhat
+    Y = ynm_matrix(theta, phi, n)[0, sh_index(n, mode.m)]
+    shared = F * p1 + np.sqrt(n * (n + 1.0)) * f * Y * x / rp
+    if which == "curlS":
+        # sign fixed against the trace jump relation: the exterior
+        # tangential trace must be (-1/2 + lambda_{2,n}) phi_2
+        return 1j * k * r**2 / rp * g * shared
+    return -1j * k * r / rp * G * shared
 
 
 def mode_tangent_field(mode: SphereMode, grid_L: int):

@@ -568,7 +568,8 @@ def test_decay_inside_the_guard_runs(tmp_path):
 
 
 class TestPlasmonNearTheSurface:
-    """plasmon by mode.index on shells inside the guard, and on the surface."""
+    """plasmon by mode.index on shells inside the guard and on the surface; a sphere mode
+    on its sphere and at its centre."""
 
     BASE = {"command": "plasmon", "surface": {"sphere": 1.0, "L_quad": 6}, "L": 4,
             "mode": {"index": 3}}
@@ -595,6 +596,16 @@ class TestPlasmonNearTheSurface:
         error = json.loads((out / "error.json").read_text())["error"]
         assert error["type"] == "NearBoundaryError"
         assert "sphere" in error["message"]
+
+    def test_sphere_mode_at_its_centre_exits_one(self, tmp_path):
+        cfg = {"command": "plasmon", "surface": {"sphere": 1.0, "L_quad": 6}, "L": 4,
+               "mode": {"l": 2, "n": 1, "m": 0},
+               "points": [{"count": 2, "radius": 2.0}, {"count": 2, "radius": 0.0}]}
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 1
+        error = json.loads((out / "error.json").read_text())["error"]
+        assert error["field"] == "points[1].radius"
+        assert "centre" in error["message"]
 
 
 def test_guard_message_names_l_quad(tmp_path):

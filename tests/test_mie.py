@@ -10,11 +10,21 @@ from mnpspr.mie import (
     sphere_mnp_eigenvalue,
 )
 from mnpspr.potentials import offboundary_eval
-from mnpspr.specfun import composite_j, spherical_h1, vector_sph_matrix
+from mnpspr.specfun import vector_sph_matrix
 from mnpspr.sphharm import cartesian_to_angles, sh_index
-from scipy.special import spherical_jn
+from scipy.special import spherical_jn, spherical_yn
 
 PROBE = np.array([0.6, 0.64, 0.48])  # unit direction off the poles
+
+
+def spherical_h1(n, z):
+    """The outgoing spherical Hankel function, from scipy."""
+    return spherical_jn(n, z) + 1j * spherical_yn(n, z)
+
+
+def composite_j(n, z):
+    """j_n(z) + z j_n'(z), from scipy."""
+    return spherical_jn(n, z) + z * spherical_jn(n, z, True)
 
 
 def phi2_at_probe(n, m):
@@ -71,6 +81,10 @@ class TestExactPotentials:
     def test_on_sphere_rejected(self):
         with pytest.raises(ValueError):
             exact_sphere_potential(SphereMode(1, 1, 0, 1.0), 1.0, PROBE, "curlS")
+
+    def test_centre_rejected(self):
+        with pytest.raises(ValueError):
+            exact_sphere_potential(SphereMode(2, 1, 0, 1.0), 1.0, np.zeros(3), "curlS")
 
     def test_radial_decay_ratio(self):
         # exterior ratio across a radius doubling approaches 2^{-(n+1)}

@@ -1,17 +1,17 @@
 """scipy and other fixed-cost modules stay off the import path of the CLI.
 
-scipy is used by the spherical Bessel functions of the sphere modes only,
-which import it where they use it: `mie-check` and a `plasmon` run with a
-sphere mode load it; `spectrum`, `decay` and `scatter` never do.  Nor do
-`decay` and `scatter` load `importlib.metadata` or `argparse`: the
-provenance header names scipy's version only when the run loaded it.
-No mnpspr module imports `hashlib`: the config hash is a pure-Python
-fingerprint and the indicator compares grids by their data, so
-`spectrum`, an eigenmode `plasmon`, `decay` and `scatter` never map
-OpenSSL's libcrypto (3.3 MB of RSS).  `calderon` and the scipy commands
-still load `_hashlib`, through `numpy.random`, whose bit generators import
-`secrets`.  The commands run in fresh processes here, so that sys.modules
-shows what each one loaded.
+No mnpspr module imports scipy, not even inside a function: the sphere
+oracle's spherical Bessel functions are the recurrences of
+`specfun.radial`, so no command loads scipy, and the provenance header
+names numpy's version alone.  Nor do `decay` and `scatter` load
+`importlib.metadata` or `argparse`.  No mnpspr module imports `hashlib`:
+the config hash is a pure-Python fingerprint and the indicator compares
+grids by their data, so `spectrum`, both kinds of `plasmon`, `decay`,
+`scatter` and `mie-check` never map OpenSSL's libcrypto (3.3 MB of RSS).
+`calderon` is the one command that still loads `_hashlib`, through
+`np.random.default_rng`, whose bit generators import `secrets`.  The
+commands run in fresh processes here, so that sys.modules shows what each
+one loaded.
 """
 
 import ast
@@ -21,13 +21,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# runs one config; reports the scipy modules loaded at the end, whether any
-# was loaded when the sphere oracle was first entered, and which of the
-# fixed-cost modules were loaded at the end
+# runs one config; reports the scipy modules loaded at import and at the
+# end, and which of the fixed-cost modules were loaded at the end
 PROBE = r"""
 import json, sys
 import mnpspr.cli as cli
@@ -35,20 +35,11 @@ import mnpspr.cli as cli
 def scipy_loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-first_entry = {}
-def watch(owner, name):
-    fn = getattr(owner, name)
-    def wrapped(*args, **kwargs):
-        first_entry.setdefault(name, scipy_loaded())
-        return fn(*args, **kwargs)
-    setattr(owner, name, wrapped)
-
-watch(cli, "exact_sphere_potential")
 at_import = scipy_loaded()
 code = cli.run(json.loads(sys.argv[1]), sys.argv[2])
 fixed_cost = [m for m in json.loads(sys.argv[3]) if m in sys.modules]
 print(json.dumps({"code": code, "at_import": at_import, "loaded": scipy_loaded(),
-                  "first_entry": first_entry, "fixed_cost": fixed_cost}))
+                  "fixed_cost": fixed_cost}))
 """
 
 SPHERE = {"sphere": 1.0, "L_quad": 8}
@@ -93,87 +84,74 @@ def run_probe(tmp_path, command):
     return report
 
 
-@pytest.mark.parametrize("command", ["spectrum", "decay", "scatter"])
-def test_command_loads_no_scipy(tmp_path, command):
-    assert run_probe(tmp_path, command)["loaded"] == []
+@pytest.fixture(scope="module")
+def probe(tmp_path_factory):
+    """(report, output directory) of a command's probe, run once per module."""
+    done = {}
+
+    def get(command):
+        if command not in done:
+            out = tmp_path_factory.mktemp(command)
+            done[command] = run_probe(out, command), out
+        return done[command]
+
+    return get
 
 
-def version_line(path):
-    return next(line for line in path.read_text().splitlines() if line.startswith("# numpy "))
+@pytest.mark.parametrize("command", list(CONFIGS))
+def test_command_loads_no_scipy(probe, command):
+    assert probe(command)[0]["loaded"] == []
+
+
+@pytest.mark.parametrize("command", list(CONFIGS))
+def test_header_names_numpy_alone(probe, command):
+    csv = next(probe(command)[1].glob("*.csv")).read_text().splitlines()
+    assert f"# numpy {np.__version__}" in csv
 
 
 @pytest.mark.parametrize("command", ["decay", "scatter"])
-def test_command_loads_no_metadata_or_argparse(tmp_path, command):
-    assert set(run_probe(tmp_path, command)["fixed_cost"]).isdisjoint(METADATA_ARGPARSE)
-    assert "scipy" not in version_line(tmp_path / f"{command}.csv")
+def test_command_loads_no_metadata_or_argparse(probe, command):
+    assert set(probe(command)[0]["fixed_cost"]).isdisjoint(METADATA_ARGPARSE)
 
 
-@pytest.mark.parametrize("command", ["spectrum", "plasmon-eigenmode", "decay", "scatter"])
-def test_command_loads_no_hash_module(tmp_path, command):
-    assert set(run_probe(tmp_path, command)["fixed_cost"]).isdisjoint(HASH_MODULES)
+@pytest.mark.parametrize("command", list(CONFIGS))
+def test_command_loads_no_hash_module(probe, command):
+    assert set(probe(command)[0]["fixed_cost"]).isdisjoint(HASH_MODULES)
 
 
-def test_mie_check_loads_special_at_its_oracle(tmp_path):
-    report = run_probe(tmp_path, "mie-check")
-    assert report["first_entry"]["exact_sphere_potential"] == []
-    assert "scipy.special" in report["loaded"]
-    import scipy
-
-    assert version_line(tmp_path / "mie_check.csv").endswith(f", scipy {scipy.__version__}")
-
-
-def test_plasmon_sphere_mode_loads_special(tmp_path):
-    """A sphere mode's radial factors are spherical Bessel functions."""
-    assert "scipy.special" in run_probe(tmp_path, "plasmon-sphere-mode")["loaded"]
-    import scipy
-
-    assert version_line(tmp_path / "plasmon.csv").endswith(f", scipy {scipy.__version__}")
-
-
-def module_level_imports(source):
-    """Names imported by statements that run when the module is imported.
-
-    Function bodies are skipped; module-level `if`/`try` blocks and class
-    bodies are not.
-    """
+def imported_names(source):
+    """Every module an import statement names, inside functions and classes too."""
     names = []
-    stack = list(ast.parse(source).body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.append(node.module)
-        stack.extend(ast.iter_child_nodes(node))
+        elif isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
     return names
 
 
-def test_scan_sees_module_level_imports():
+def test_scan_sees_every_import():
     source = (
         "import numpy\n"
         "try:\n    import scipy.linalg as sla\nexcept ImportError:\n    pass\n"
         "class A:\n    from scipy.special import gammaln\n"
         "    def f(self):\n        from scipy import integrate\n"
         "def g():\n    import scipy\n"
+        "from . import sphharm\n"
     )
-    assert sorted(module_level_imports(source)) == ["numpy", "scipy.linalg", "scipy.special"]
+    assert sorted(imported_names(source)) == [
+        "", "numpy", "scipy", "scipy", "scipy.linalg", "scipy.special"
+    ]
 
 
 @pytest.mark.parametrize("path", sorted((SRC / "mnpspr").glob("*.py")), ids=lambda p: p.name)
 def test_no_module_level_scipy_import(path):
-    names = module_level_imports(path.read_text())
+    """Not even inside a function: no command has a path that loads scipy."""
+    names = imported_names(path.read_text())
     assert not [n for n in names if n == "scipy" or n.startswith("scipy.")]
 
 
 @pytest.mark.parametrize("path", sorted((SRC / "mnpspr").glob("*.py")), ids=lambda p: p.name)
 def test_no_hashlib_import(path):
     """Not even inside a function: every command's own code stays off hashlib."""
-    names = []
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Import):
-            names += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names.append(node.module or "")
-    assert not [n for n in names if n.lstrip("_") == "hashlib"]
+    assert not [n for n in imported_names(path.read_text()) if n.lstrip("_") == "hashlib"]

@@ -1,12 +1,7 @@
 import numpy as np
+import pytest
 
-from mnpspr.specfun import (
-    composite_h1,
-    composite_j,
-    spherical_h1,
-    spherical_j,
-    vector_sph_matrix,
-)
+from mnpspr.specfun import radial, vector_sph_matrix
 from mnpspr.sphharm import cartesian_to_angles, sh_index, ynm_matrix
 from mnpspr.surface import random_band_limited, TangentField
 from scipy.special import spherical_jn, spherical_yn
@@ -91,38 +86,72 @@ class TestVectorSph:
 
 class TestRadial:
     def test_bessel_closed_form(self):
-        assert abs(spherical_j(0, 1.0) - np.sin(1.0)) < 1e-14
+        assert abs(radial(0, 1.0, False)[0] - np.sin(1.0)) < 1e-14
 
     def test_composite_closed_form(self):
         # j_0 + z j_0' = cos z
-        assert abs(composite_j(0, 1.0) - np.cos(1.0)) < 1e-14
+        assert abs(radial(0, 1.0, False)[1] - np.cos(1.0)) < 1e-14
 
     def test_hankel_closed_form(self):
-        assert abs(spherical_h1(0, 2.0) - np.exp(2j) / (2j)) < 1e-14
+        assert abs(radial(0, 2.0, True)[0] - np.exp(2j) / (2j)) < 1e-14
 
     def test_wronskian(self):
+        # j Y - J y = z (j y' - j' y) = 1/z, with capitals the composites
         for z in (0.1, 0.5, 2.0, 7.3, 20.0):
             for n in (0, 1, 5, 17, 40):
-                w = spherical_jn(n, z) * spherical_yn(n, z, True) - spherical_jn(
-                    n, z, True
-                ) * spherical_yn(n, z)
-                assert abs(w - 1.0 / z**2) < 1e-12 * abs(1.0 / z**2) + 1e-15
+                h, H = radial(n, z, True)
+                w = h.real * H.imag - H.real * h.imag
+                assert abs(w - 1.0 / z) < 1e-12 * abs(1.0 / z)
 
     def test_recurrence_consistency(self):
         for z in (0.1, 1.0, 5.0, 20.0):
             for n in range(1, 40):
-                for f in (spherical_jn, spherical_yn):
-                    lhs = f(n - 1, z) + f(n + 1, z)
-                    rhs = (2 * n + 1) * f(n, z) / z
+                for outgoing in (False, True):
+                    lhs = radial(n - 1, z, outgoing)[0] + radial(n + 1, z, outgoing)[0]
+                    rhs = (2 * n + 1) * radial(n, z, outgoing)[0] / z
                     assert abs(lhs - rhs) < 1e-10 * max(abs(rhs), 1e-280)
 
     def test_composite_h_matches_quadrature_free_form(self):
-        # cross-check composite functions against derivative formulas
+        # the composites against a central difference of the functions
         z = 1.7
         h = 1e-6
         for n in (1, 3, 8):
-            dj = (spherical_jn(n, z + h) - spherical_jn(n, z - h)) / (2 * h)
-            assert abs(composite_j(n, z) - (spherical_jn(n, z) + z * dj)) < 1e-8
-            dh = (spherical_h1(n, z + h) - spherical_h1(n, z - h)) / (2 * h)
-            ref = spherical_h1(n, z) + z * dh
-            assert abs(composite_h1(n, z) - ref) < 1e-8 * abs(ref)
+            for outgoing in (False, True):
+                f, F = radial(n, z, outgoing)
+                df = (radial(n, z + h, outgoing)[0] - radial(n, z - h, outgoing)[0]) / (2 * h)
+                assert abs(F - (f + z * df)) < 1e-8 * abs(F)
+
+    def test_table_matches_scipy(self):
+        """n = 0..60 and 200 log-spaced z in [1e-3, 100] against scipy.special.
+
+        The error is relative to hypot(j_n, y_n) for the outgoing kind or
+        for z >= n, where j_n oscillates through zeros, and to |j_n| for
+        the regular kind below the turning point; likewise for the
+        composites.
+        """
+        worst = 0.0
+        for n in range(61):
+            for z in np.logspace(-3, 2, 200):
+                j, y = spherical_jn(n, z), spherical_yn(n, z)
+                J = j + z * spherical_jn(n, z, True)
+                Y = y + z * spherical_yn(n, z, True)
+                for outgoing in (False, True):
+                    f, F = radial(n, z, outgoing)
+                    wide = outgoing or z >= n
+                    for got, regular, singular in ((f, j, y), (F, J, Y)):
+                        ref = complex(regular, singular) if outgoing else regular
+                        scale = np.hypot(regular, singular) if wide else abs(regular)
+                        worst = max(worst, abs(got - ref) / scale)
+        assert worst < 1e-12
+
+    def test_small_argument_keeps_its_range(self):
+        # j_n(z) = z^n / (2n+1)!! and j_n + z j_n' = (n+1) j_n to double precision
+        for n, z, double_factorial in ((1, 1e-200, 3), (3, 1e-100, 105), (8, 1e-30, 34459425)):
+            f, F = radial(n, z, False)
+            assert abs(f / (z**n / double_factorial) - 1) < 1e-14
+            assert abs(F / ((n + 1) * f) - 1) < 1e-14
+
+    def test_needs_positive_argument(self):
+        for z in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                radial(1, z, False)
