@@ -6,8 +6,9 @@ artifacts with a provenance header.  Artifacts are deterministic for a
 fixed config and seed: bodies are byte-identical across runs except for
 the timestamp header line.
 
-Exit codes: 0 success, 1 config validation error, 2 numerical-accuracy
-failure (a point too close to the surface, or a guard or tolerance breach).
+Exit codes: 0 success, 1 config or command-line validation error, 2
+numerical-accuracy failure (a point too close to the surface, or a guard or
+tolerance breach).
 """
 
 from __future__ import annotations
@@ -155,6 +156,8 @@ def _mode(value, name):
 
 # settings tables, key -> (conversion, rule, default), read by _entries
 _POSITIVE = (lambda x, _: x > 0, "be positive")
+# L and both L_quad entries; a grid's Grams grow as L_quad^4, 0.2 GB at 60
+_DEGREE = (lambda n, _: 1 <= n <= 60, "lie in the documented range [1, 60]")
 _AT_LEAST_1 = (lambda x, _: x >= 1, "be at least 1")
 _NONEMPTY = (lambda x, _: len(x) > 0, "not be empty")
 _THREE = (lambda x, _: len(x) == 3, "have 3 entries")
@@ -167,7 +170,7 @@ _DELTAS = (lambda deltas, _: all(d > 0 for d in deltas), "have positive entries"
 _SURFACE = {
     "sphere": (_number, _POSITIVE, None),
     "radius": (_list_of(_coefficient), _NONEMPTY, None),
-    "L_quad": (_integer, None, None),
+    "L_quad": (_integer, _DEGREE, None),
 }
 _MATERIALS = {"omega": (_number, _POSITIVE, 1.0)}
 _SHELL = {
@@ -190,7 +193,7 @@ _points = _list_of(partial(_entries, table=_SHELL))
 # entries of every command but mie-check
 _GRID = {
     "surface": (partial(_entries, table=_SURFACE), _HAS_SHAPE, _REQUIRED),
-    "L": (_integer, (lambda L, _: 1 <= L <= 60, "lie in the documented range [1, 60]"), _REQUIRED),
+    "L": (_integer, _DEGREE, _REQUIRED),
 }
 # entries of the commands that read the frequency: plasmon, decay, scatter
 _OMEGA = {"materials": (partial(_entries, table=_MATERIALS), None, {})}
@@ -219,7 +222,7 @@ _MIE_CHECK = {
     "n_max": (_integer, _AT_LEAST_1, 5),
     "k": (_number, _POSITIVE, 1.0),
     "radius": (_number, _POSITIVE, 1.0),
-    "L_quad": (_integer, _AT_LEAST_1, 16),
+    "L_quad": (_integer, _DEGREE, 16),
 }
 
 
@@ -516,6 +519,7 @@ def run(config, outdir=".", tol=None, seed=0) -> int:
 
 
 def _emit_error(outdir, code, exc):
+    """The error payload to stderr, and to outdir/error.json unless outdir is None."""
     payload = {
         "error": {
             "code": code,
@@ -525,6 +529,8 @@ def _emit_error(outdir, code, exc):
         }
     }
     sys.stderr.write(json.dumps(payload) + "\n")
+    if outdir is None:
+        return
     try:
         with open(os.path.join(outdir, "error.json"), "w") as fh:
             json.dump(payload, fh, indent=1)
@@ -533,23 +539,43 @@ def _emit_error(outdir, code, exc):
 
 
 def main(argv=None) -> int:
+    """The console script; a bad command line exits 1, like a bad config."""
     import argparse
 
-    parser = argparse.ArgumentParser(
-        prog="mnpspr", description="boundary-operator spectra and plasmon scans"
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse's own exit status, 2, means an accuracy failure
+            raise ConfigError(message)
+
+    parser = Parser(
+        prog="mnpspr", description="boundary-operator spectra and plasmon scans",
+        exit_on_error=False,
     )
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
+    parser.add_argument("--tol", type=float, default=None,
+                        help="tolerance override, a positive finite number")
+    parser.add_argument("--seed", type=int, default=0, help="random seed, at least 0")
     try:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        _emit_error(args.out, 1, ConfigError(f"cannot read config: {exc}"))
+        args = parser.parse_args(argv)
+    except (argparse.ArgumentError, ConfigError) as exc:
+        # no error.json: the output directory is not known before the flags parse
+        _emit_error(None, 1, ConfigError(str(exc), getattr(exc, "argument_name", None)))
         return 1
     os.makedirs(args.out, exist_ok=True)
+    error = None
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        error = ConfigError(f"--tol must be a positive finite number, got {args.tol}", "--tol")
+    elif args.seed < 0:
+        error = ConfigError(f"--seed must be at least 0, got {args.seed}", "--seed")
+    else:
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            error = ConfigError(f"cannot read config: {exc}")
+    if error is not None:
+        _emit_error(args.out, 1, error)
+        return 1
     return run(config, args.out, args.tol, args.seed)
 
 

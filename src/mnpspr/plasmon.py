@@ -92,9 +92,7 @@ class PlasmonMode:
         tau = resonance_tau(lam)
         mats = MaterialConfig.negative_preset(tau, omega)
         dens = TangentField.from_potentials(
-            V=ShCoeffs(curl_set.L, curl_set.vectors[:, j], True),
-            L=curl_set.L,
-            flavor="curl",
+            V=ShCoeffs(curl_set.L, curl_set.vectors[:, j]), L=curl_set.L, flavor="curl"
         )
         return cls(lam=lam, tau=tau, materials=mats, density=dens, index=j)
 

@@ -188,21 +188,13 @@ def _check_scalar_invariants(ops):
 # --------------------------------------------------------------------------
 
 
-def _drop_mean(c: np.ndarray) -> np.ndarray:
-    out = c.copy()
-    out[0] = 0.0
-    return out
-
-
 def apply_N(g: TangentField, S_mat: OperatorMatrix, grid: SurfaceGrid) -> TangentField:
     """vcurl S[curl_S g]; annihilates gradient fields, output is pure curl."""
     if g.flavor != "curl":
         raise FlavorError("N acts on curl-trace fields")
     D = grid.laplace_matrix(S_mat.L)
     pot = -(S_mat.entries @ (D @ g.V.padded(S_mat.L)))
-    return TangentField(
-        ShCoeffs.zeros(S_mat.L, True), ShCoeffs(S_mat.L, _drop_mean(pot), True), "curl"
-    )
+    return TangentField(ShCoeffs.zeros(S_mat.L), ShCoeffs(S_mat.L, pot), "curl")
 
 
 def apply_Q(f: TangentField, S_mat: OperatorMatrix, grid: SurfaceGrid) -> TangentField:
@@ -211,9 +203,7 @@ def apply_Q(f: TangentField, S_mat: OperatorMatrix, grid: SurfaceGrid) -> Tangen
         raise FlavorError("Q acts on div-trace fields")
     D = grid.laplace_matrix(S_mat.L)
     pot = S_mat.entries @ (D @ f.X.padded(S_mat.L))
-    return TangentField(
-        ShCoeffs(S_mat.L, _drop_mean(pot), True), ShCoeffs.zeros(S_mat.L, True), "div"
-    )
+    return TangentField(ShCoeffs(S_mat.L, pot), ShCoeffs.zeros(S_mat.L), "div")
 
 
 # --------------------------------------------------------------------------

@@ -73,10 +73,6 @@ class BlockSystem:
 
     same: np.ndarray
     cross: np.ndarray
-    order: int
-    delta: float
-    tau: float
-    omega: float
     L: int
     grid_id: tuple  # the _grid_key of the grid it was assembled on
     materials: MaterialConfig
@@ -160,10 +156,7 @@ def assemble_system(
             )
             or True,
         )
-    return BlockSystem(
-        same, cross, order, delta, tau, materials.omega, L, _grid_key(grid), materials,
-        {"cross_coupling": "dropped"},
-    )
+    return BlockSystem(same, cross, L, _grid_key(grid), materials, {"cross_coupling": "dropped"})
 
 
 def dipole_incident_trace(source, p, materials: MaterialConfig, grid: SurfaceGrid) -> RHSVector:
@@ -197,7 +190,7 @@ def dipole_incident_trace(source, p, materials: MaterialConfig, grid: SurfaceGri
 
 
 def _unstack(vec, L):
-    X1, V1, X2, V2 = (ShCoeffs(L, np.concatenate([[0], a]), True) for a in np.split(vec, 4))
+    X1, V1, X2, V2 = (ShCoeffs(L, np.concatenate([[0], a])) for a in np.split(vec, 4))
     return TangentField(X1, V1, "div"), TangentField(X2, V2, "div")
 
 
@@ -222,7 +215,7 @@ def solve_scatter(system: BlockSystem, rhs: RHSVector):
     except np.linalg.LinAlgError:
         raise ResonanceError(
             "scaled system singular at an exact resonance",
-            eigenvalue=resonance_shift(system.tau),
+            eigenvalue=resonance_shift(system.materials.tau),
         ) from None
     sol = 0.5 * np.concatenate([u + w, u - w]).ravel()
     norm_A = np.max(np.abs(P).sum(axis=0) + np.abs(Q).sum(axis=0))
@@ -244,9 +237,10 @@ def weak_resonance_indicator(system: BlockSystem, density: TangentField, grid: S
     if _grid_key(grid) != system.grid_id:
         raise ValueError("grid does not match the assembled system")
     v = TangentField.from_potentials(X=density.X, V=density.V, L=system.L, flavor="div")
+    omega = system.materials.omega
     scaled = TangentField(
-        ShCoeffs(system.L, system.omega * v.X.padded(system.L), True),
-        ShCoeffs(system.L, system.omega * v.V.padded(system.L), True),
+        ShCoeffs(system.L, omega * v.X.padded(system.L)),
+        ShCoeffs(system.L, omega * v.V.padded(system.L)),
         "div",
     )
     scale = pair_norm(v, scaled, grid)
@@ -286,8 +280,8 @@ def densities_from_solution(solution, omega):
     """Convert (psi, omega*phi) from the solver into (psi, phi)."""
     psi, omega_phi = solution
     phi = TangentField(
-        ShCoeffs(omega_phi.X.L, omega_phi.X.coeffs / omega, True),
-        ShCoeffs(omega_phi.V.L, omega_phi.V.coeffs / omega, True),
+        ShCoeffs(omega_phi.X.L, omega_phi.X.coeffs / omega),
+        ShCoeffs(omega_phi.V.L, omega_phi.V.coeffs / omega),
         omega_phi.flavor,
     )
     return psi, phi

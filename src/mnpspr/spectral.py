@@ -284,9 +284,7 @@ def calderon_residual(which: str, test: TangentField, ops, grid: SurfaceGrid):
         base = D @ test.V.padded(S.L)
         lhs = -(S.entries @ (Kstar.entries @ base))
         rhs = -(K.entries @ (S.entries @ base))
-        mk = lambda c: TangentField.from_potentials(
-            V=ShCoeffs(S.L, c, True), L=S.L, flavor="curl"
-        )
+        mk = lambda c: TangentField.from_potentials(V=ShCoeffs(S.L, c), L=S.L, flavor="curl")
         ref = test
     elif which == "grad":
         if test.flavor != "div":
@@ -294,9 +292,7 @@ def calderon_residual(which: str, test: TangentField, ops, grid: SurfaceGrid):
         base = D @ test.X.padded(S.L)
         lhs = -(K.entries @ (S.entries @ base))
         rhs = -(S.entries @ (Kstar.entries @ base))
-        mk = lambda c: TangentField.from_potentials(
-            X=ShCoeffs(S.L, c, True), L=S.L, flavor="div"
-        )
+        mk = lambda c: TangentField.from_potentials(X=ShCoeffs(S.L, c), L=S.L, flavor="div")
         ref = test
     else:
         raise ValueError(f"unknown identity {which!r}")

@@ -61,15 +61,12 @@ def _legendre_orders(x, s, L):
         yield blk
 
 
-def _legendre_blocks(x, s, L, derivatives=False):
-    """The blocks of `_legendre_orders` as a list over m.
+def _legendre_blocks(x, s, L):
+    """The blocks of `_legendre_orders` as a list over m, and their dPbar/dtheta.
 
-    With derivatives, returns (blocks, dblocks), dblocks holding dPbar/dtheta.
+    Returns (blocks, dblocks).
     """
     blocks = list(_legendre_orders(x, s, L))
-    if not derivatives:
-        return blocks
-
     inv_s = (1.0 / safe_sin(s))[:, None]
     dblocks = [np.zeros_like(blocks[0])]
     if L > 0:
@@ -112,9 +109,11 @@ def legendre_rows(theta, L):
     Y_n^m(theta, phi) = P[:, (n, m)] exp(i m phi), and likewise for dY/dtheta
     with dP; the negative orders carry the (-1)^m of
     Y_n^{-m} = (-1)^m conj Y_n^m.  theta is an array (P,) of colatitudes.
+    The one home of that slot layout: the grid's node basis and
+    `ynm_matrix` are these tables times the phase.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    blocks, dblocks = _legendre_blocks(np.cos(theta), np.sin(theta), L, derivatives=True)
+    blocks, dblocks = _legendre_blocks(np.cos(theta), np.sin(theta), L)
     P, dP = (np.empty((theta.size, num_coeffs(L))) for _ in range(2))
     for m in range(L + 1):
         pos, neg = _column_indices(L, m)
@@ -125,7 +124,7 @@ def legendre_rows(theta, L):
 
 
 def ynm_matrix(theta, phi, L, derivatives=False):
-    """Matrix of Y_n^m values at the given points.
+    """Matrix of Y_n^m values at the given points: `legendre_rows` times exp(i m phi).
 
     Parameters
     ----------
@@ -144,26 +143,19 @@ def ynm_matrix(theta, phi, L, derivatives=False):
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    s = np.sin(theta)
-    legendre = _legendre_blocks(np.cos(theta), s, L, derivatives)
-    blocks, dblocks = legendre if derivatives else (legendre, None)
-    nc = num_coeffs(L)
-    out = [np.empty((theta.size, nc), dtype=complex) for _ in range(3 if derivatives else 1)]
-    inv_s = (1.0 / safe_sin(s))[:, None] if derivatives else None
-    eiphi = np.exp(1j * phi)
-    eim = np.ones_like(eiphi)
-    for m in range(L + 1):
-        if m > 0:
-            eim = eim * eiphi
-        pos, neg = _column_indices(L, m)
-        vals = [blocks[m] * eim[:, None]]
-        if derivatives:
-            vals += [dblocks[m] * eim[:, None], (1j * m) * blocks[m] * eim[:, None] * inv_s]
-        for M, v in zip(out, vals):
-            M[:, pos] = v
-            if m > 0:
-                M[:, neg] = (-1.0) ** m * np.conj(v)
-    return tuple(out) if derivatives else out[0]
+    P, dP = legendre_rows(theta, L)
+    m = sh_degrees(L)[1]
+    phase = np.exp(1j * np.outer(phi, np.arange(-L, L + 1)))[:, m + L]
+    Y = P * phase
+    if not derivatives:
+        return Y
+    # P and dP are freed before the last product, which needs only Y
+    del P
+    dY_dtheta = np.multiply(dP, phase, out=phase)
+    del dP
+    dY_dphi = Y * (1j * m)
+    dY_dphi *= (1.0 / safe_sin(np.sin(theta)))[:, None]
+    return Y, dY_dtheta, dY_dphi
 
 
 def harmonic_moments(A, theta, phi, L, B=None):
@@ -234,9 +226,7 @@ def synthesis_at(coeffs, L, theta, phi):
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     shape = np.broadcast_shapes(theta.shape, phi.shape)
-    blocks, dblocks = _legendre_blocks(
-        np.cos(theta).ravel(), np.sin(theta).ravel(), L, derivatives=True
-    )
+    blocks, dblocks = _legendre_blocks(np.cos(theta).ravel(), np.sin(theta).ravel(), L)
     f, f_t, f_p = (np.zeros(shape, dtype=complex) for _ in range(3))
     eiphi = np.exp(1j * phi)
     eim = np.ones_like(eiphi)

@@ -69,7 +69,6 @@ class ShCoeffs:
 
     L: int
     coeffs: np.ndarray
-    mean_free: bool = False
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
@@ -78,13 +77,10 @@ class ShCoeffs:
                 f"expected {num_coeffs(self.L)} coefficients for L={self.L}, "
                 f"got {self.coeffs.shape}"
             )
-        if self.mean_free:
-            self.coeffs = self.coeffs.copy()
-            self.coeffs[0] = 0.0
 
     @classmethod
-    def zeros(cls, L, mean_free=False):
-        return cls(L, np.zeros(num_coeffs(L), dtype=complex), mean_free)
+    def zeros(cls, L):
+        return cls(L, np.zeros(num_coeffs(L), dtype=complex))
 
     @classmethod
     def constant(cls, value, L=0):
@@ -97,10 +93,10 @@ class ShCoeffs:
         L = n if L is None else L
         c = np.zeros(num_coeffs(L), dtype=complex)
         c[sh_index(n, m)] = amplitude
-        return cls(L, c, mean_free=(n > 0))
+        return cls(L, c)
 
     def copy(self):
-        return ShCoeffs(self.L, self.coeffs.copy(), self.mean_free)
+        return ShCoeffs(self.L, self.coeffs.copy())
 
     def padded(self, L):
         """Coefficient vector zero-extended (or validated-truncated) to degree L."""
@@ -111,16 +107,15 @@ class ShCoeffs:
         out[:k] = self.coeffs[:k]
         return out
 
-    def project_mean_free(self):
-        out = self.copy()
-        out.coeffs[0] = 0.0
-        out.mean_free = True
-        return out
-
 
 @dataclass
 class TangentField:
-    """Tangential field stored as Helmholtz potentials (both mean-free)."""
+    """Tangential field stored as Helmholtz potentials, grad_S X + vcurl_S V.
+
+    The potentials are fixed only up to constants; construction keeps
+    copies of the given ones with their means (coefficient 0) zeroed, the
+    one place where the library fixes that gauge.
+    """
 
     X: ShCoeffs
     V: ShCoeffs
@@ -129,8 +124,8 @@ class TangentField:
     def __post_init__(self):
         if self.flavor not in ("div", "curl"):
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        self.X = self.X.project_mean_free()
-        self.V = self.V.project_mean_free()
+        self.X, self.V = self.X.copy(), self.V.copy()
+        self.X.coeffs[0] = self.V.coeffs[0] = 0.0
 
     @classmethod
     def from_potentials(cls, X=None, V=None, L=None, flavor="div"):
@@ -139,8 +134,8 @@ class TangentField:
         L = L if L is not None else max(
             X.L if X is not None else 0, V.L if V is not None else 0
         )
-        X = ShCoeffs(L, X.padded(L), True) if X is not None else ShCoeffs.zeros(L, True)
-        V = ShCoeffs(L, V.padded(L), True) if V is not None else ShCoeffs.zeros(L, True)
+        X = ShCoeffs(L, X.padded(L)) if X is not None else ShCoeffs.zeros(L)
+        V = ShCoeffs(L, V.padded(L)) if V is not None else ShCoeffs.zeros(L)
         return cls(X, V, flavor)
 
 
@@ -557,11 +552,7 @@ class SurfaceGrid:
         X, V = np.zeros((2, num_coeffs(self.L_quad)), dtype=complex)
         X[1:], V[1:] = np.linalg.solve(K[1:, 1:], pairings[1:]).T
         nc = num_coeffs(L)
-        return TangentField(
-            ShCoeffs(L, X[:nc], mean_free=True),
-            ShCoeffs(L, V[:nc], mean_free=True),
-            flavor,
-        )
+        return TangentField(ShCoeffs(L, X[:nc]), ShCoeffs(L, V[:nc]), flavor)
 
 
 def radius_from_json(spec):
@@ -619,5 +610,6 @@ def random_band_limited(rng, L, smoothness=2.0, mean_free=True):
     n, _ = sh_degrees(L)
     scale = (1.0 + n) ** (-smoothness)
     c = scale * (rng.standard_normal(num_coeffs(L)) + 1j * rng.standard_normal(num_coeffs(L)))
-    coeffs = ShCoeffs(L, c)
-    return coeffs.project_mean_free() if mean_free else coeffs
+    if mean_free:
+        c[0] = 0.0
+    return ShCoeffs(L, c)

@@ -89,7 +89,7 @@ class TestLUSolve:
         system = assemble_system(sphere10, mats, 0)
         P, Q = system.same.copy(), system.cross.copy()
         P[:, 3] = Q[:, 3] = 0.0
-        singular = BlockSystem(P, Q, 0, 0.05, 0.5, 1.0, system.L, system.grid_id, mats)
+        singular = BlockSystem(P, Q, system.L, system.grid_id, mats)
         rhs = dipole_incident_trace(SRC, DIP, mats, sphere10)
         with pytest.raises(ResonanceError) as err:
             solve_scatter(singular, rhs)
@@ -102,7 +102,7 @@ class TestLUSolve:
         P, Q = system.same, system.cross.copy()
         Q[:, 3] = -sign * P[:, 3]  # zeroes column 3 of P + sign Q only
         assert np.linalg.cond(P - sign * Q, 1) < 1e8  # the other half stays invertible
-        singular = BlockSystem(P, Q, 2, 0.05, 0.5, 1.0, system.L, system.grid_id, mats)
+        singular = BlockSystem(P, Q, system.L, system.grid_id, mats)
         rhs = dipole_incident_trace(SRC, DIP, mats, sphere10)
         with pytest.raises(ResonanceError) as err:
             solve_scatter(singular, rhs)

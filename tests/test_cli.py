@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mnpspr.cli import RunConfig, main, report_version_and_provenance, run, write_csv
+from mnpspr.cli import ConfigError, RunConfig, main, report_version_and_provenance, run, write_csv
 
 SPHERE8 = {"sphere": 1.0, "L_quad": 8}
 # rho = 1 + 0.05 Re Y_2^0
@@ -532,6 +532,88 @@ class TestSettingsDefaults:
     def test_params_hold_the_defaults(self, command, required, defaults):
         params = RunConfig.from_dict({"command": command, **required}).params
         assert params == {**required, **defaults}
+
+
+class TestGridDegreeBound:
+    """Both L_quad entries lie in [1, 60], checked before any grid is built."""
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"command": "spectrum", "surface": {"sphere": 1.0, "L_quad": 100000}, "L": 4},
+             "surface.L_quad"),
+            ({"command": "spectrum", "surface": {"sphere": 1.0, "L_quad": 61}, "L": 4},
+             "surface.L_quad"),
+            ({"command": "mie-check", "L_quad": 61}, "L_quad"),
+        ],
+    )
+    def test_above_the_bound_names_the_field(self, config, field):
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict(config)
+        assert err.value.field == field
+
+    def test_the_bound_keeps_every_accepted_L(self):
+        cfg = RunConfig.from_dict(
+            {"command": "spectrum", "surface": {"sphere": 1.0, "L_quad": 60}, "L": 60}
+        )
+        assert cfg.L_quad == 60
+        assert RunConfig.from_dict({"command": "mie-check", "L_quad": 60}).L_quad == 60
+
+
+class TestCommandLineFlags:
+    """A bad command line exits 1, like a bad config, with the error payload naming the flag."""
+
+    CALDERON = {"command": "calderon", "surface": {"sphere": 1.0, "L_quad": 4}, "L": 4,
+                "n_tests": 1}
+
+    @staticmethod
+    def stderr_error(capsys):
+        return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["--tol", "abc"], "--tol"),
+            (["--seed", "x"], "--seed"),
+            (["--tol"], "--tol"),
+            (["--unknown", "1"], None),
+        ],
+    )
+    def test_usage_error_exits_one(self, tmp_path, capsys, argv, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CALDERON))
+        assert main(["--config", str(cfg), "--out", str(tmp_path), *argv]) == 1
+        error = self.stderr_error(capsys)
+        assert error["code"] == 1 and error["field"] == field
+        assert (argv[0] if field is None else field) in error["message"]
+
+    def test_missing_config_exits_one(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path)]) == 1
+        assert "--config" in self.stderr_error(capsys)["message"]
+
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            (["--tol", "nan"], "--tol"),
+            (["--tol", "inf"], "--tol"),
+            (["--tol", "0"], "--tol"),
+            (["--tol", "-0.5"], "--tol"),
+            (["--seed", "-1"], "--seed"),
+        ],
+    )
+    def test_bad_value_exits_one_with_error_json(self, tmp_path, capsys, extra, field):
+        code, out = run_cli(tmp_path, self.CALDERON, extra=extra)
+        assert code == 1
+        assert json.loads((out / "error.json").read_text())["error"]["field"] == field
+        assert self.stderr_error(capsys)["field"] == field
+        assert not (out / "calderon.csv").exists()
+
+    def test_bad_value_error_json_in_a_new_out_directory(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CALDERON))
+        out = tmp_path / "new" / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "--tol", "nan"]) == 1
+        assert json.loads((out / "error.json").read_text())["error"]["field"] == "--tol"
 
 
 def test_decay_point_in_tube_exits_two(tmp_path):

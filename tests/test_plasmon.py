@@ -68,7 +68,7 @@ class TestPlasmonField:
         mats = MaterialConfig.negative_preset(0.5)
         mode = PlasmonMode(
             lam=1 / 6, tau=0.5, materials=mats,
-            density=TangentField.from_potentials(V=ShCoeffs.zeros(8, True), flavor="curl"),
+            density=TangentField.from_potentials(V=ShCoeffs.zeros(8), flavor="curl"),
         )
         E, H = plasmon_field(mode, 2.0 * PROBE, sphere16)
         assert np.max(np.abs(E)) == 0.0 and np.max(np.abs(H)) == 0.0

@@ -220,7 +220,7 @@ class TestSymmetrizers:
 class TestOffBoundary:
     def test_zero_density(self, sphere16):
         out = offboundary_eval(
-            TangentField.from_potentials(V=ShCoeffs.zeros(8, True), flavor="curl"),
+            TangentField.from_potentials(V=ShCoeffs.zeros(8), flavor="curl"),
             1.0, np.array([0, 0, 2.0]), "curlS_vec", sphere16)
         assert np.max(np.abs(out)) == 0.0
 
@@ -456,7 +456,7 @@ class TestCorrections:
 def _lift(a, L):
     c = np.zeros(num_coeffs(L), dtype=complex)
     c[1:] = a
-    return ShCoeffs(L, c, True)
+    return ShCoeffs(L, c)
 
 
 class TestDivergenceIntertwining:

@@ -229,7 +229,7 @@ class TestScatteredFields:
     def test_zero_densities_give_incident(self, sphere10):
         mats = MaterialConfig.negative_preset(0.8, 1.0, 0.05)
         zero = TangentField.from_potentials(
-            V=ShCoeffs.zeros(sphere10.L_quad, True), flavor="div")
+            V=ShCoeffs.zeros(sphere10.L_quad), flavor="div")
         incident = self.incident_factory(mats)
         x = 2.0 * PROBE
         E, H = eval_scattered_fields((zero, zero), x, mats, sphere10, incident=incident)
@@ -245,7 +245,7 @@ class TestScatteredFields:
         mats = MaterialConfig.negative_preset(0.8, 1.0, 0.05)
         mode = SphereMode(2, 2, 1, 1.0)
         psi = mode_tangent_field(mode, sphere10.L_quad)
-        zero = TangentField.from_potentials(V=ShCoeffs.zeros(sphere10.L_quad, True), flavor="div")
+        zero = TangentField.from_potentials(V=ShCoeffs.zeros(sphere10.L_quad), flavor="div")
         x = 2.0 * PROBE
         E, H = eval_scattered_fields((psi, zero), x, mats, sphere10)
         ks = mats.delta * complex(mats.k_e).real

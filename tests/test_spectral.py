@@ -94,7 +94,7 @@ class TestMnpSpectra:
         _, curl, _ = pert12_spectra
         errs = []
         for j in range(len(curl)):
-            V = ShCoeffs(curl.L, curl.vectors[:, j], True)
+            V = ShCoeffs(curl.L, curl.vectors[:, j])
             out = pert12_ops["K"].entries @ V.padded(curl.L)
             out[0] = 0.0
             errs.append(np.max(np.abs(out - curl.eigenvalues[j] * V.coeffs)))

@@ -267,6 +267,24 @@ class TestTangentField:
         assert np.max(np.abs(out.X.coeffs - X.coeffs)) < 1e-10
         assert np.max(np.abs(out.V.coeffs - V.coeffs)) < 1e-10
 
+    @pytest.mark.parametrize("build", ["direct", "from_potentials"])
+    def test_means_zeroed_on_own_copies(self, rng, build):
+        X = random_band_limited(rng, 6, mean_free=False)
+        V = random_band_limited(rng, 6, mean_free=False)
+        given = X.coeffs.copy(), V.coeffs.copy()
+        if build == "direct":
+            f = TangentField(X, V, "curl")
+        else:
+            f = TangentField.from_potentials(X=X, V=V, flavor="curl")
+        assert f.X.coeffs[0] == 0 and f.V.coeffs[0] == 0
+        assert np.array_equal(f.X.coeffs[1:], given[0][1:])
+        assert np.array_equal(f.V.coeffs[1:], given[1][1:])
+        # the caller's potentials keep their means
+        assert given[0][0] != 0 and given[1][0] != 0
+        assert np.array_equal(X.coeffs, given[0]) and np.array_equal(V.coeffs, given[1])
+        f.X.coeffs[1] = f.V.coeffs[1] = 7.0
+        assert np.array_equal(X.coeffs, given[0]) and np.array_equal(V.coeffs, given[1])
+
 
 class TestTubularDistance:
     def test_outside_sphere(self, sphere16):
@@ -280,12 +298,20 @@ class TestTubularDistance:
 
 
 def test_harmonics_match_scipy():
+    """Y, dY/dtheta and (1/sin theta) dY/dphi of every (n, m), n <= 8, against scipy,
+    at points that include both near-pole colatitudes."""
     from scipy.special import sph_harm_y
 
-    th, ph = 1.1, 2.2
-    Y = ynm_matrix(np.array([th]), np.array([ph]), 6)
-    for n, m in ((0, 0), (3, -2), (5, 3), (6, -6)):
-        assert abs(Y[0, sh_index(n, m)] - sph_harm_y(n, m, th, ph)) < 1e-13
+    L = 8
+    th = np.array([1e-3, 0.4, 1.1, np.pi / 2, 2.5, np.pi - 1e-3])
+    ph = np.array([0.3, 5.9, 2.2, 1.0, 4.4, 3.7])
+    Y, Yt, Yp = ynm_matrix(th, ph, L, derivatives=True)
+    n, m = sh_degrees(L)
+    # the first derivatives (d/dtheta, d/dphi) come stacked on a trailing axis
+    ref, d_ref = sph_harm_y(n, m, th[:, None], ph[:, None], diff_n=1)
+    assert np.max(np.abs(Y - ref)) < 1e-13
+    assert np.max(np.abs(Yt - d_ref[..., 0])) < 1e-12
+    assert np.max(np.abs(Yp - d_ref[..., 1] / np.sin(th)[:, None])) < 1e-12
 
 
 def _real_band_limited_surface(L_quad=8):
