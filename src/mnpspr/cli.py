@@ -538,6 +538,14 @@ def _emit_error(outdir, code, exc):
         pass
 
 
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     """The console script; a bad command line exits 1, like a bad config."""
     import argparse
@@ -555,8 +563,16 @@ def main(argv=None) -> int:
     parser.add_argument("--tol", type=float, default=None,
                         help="tolerance override, a positive finite number")
     parser.add_argument("--seed", type=int, default=0, help="random seed, at least 0")
+    # argparse reads a negative number that its pattern lacks (-1e-6, -inf) as a
+    # flag; joined to its flag it reaches the range checks below
+    joined = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in ("--tol", "--seed") and _is_float(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(joined)
     except (argparse.ArgumentError, ConfigError) as exc:
         # no error.json: the output directory is not known before the flags parse
         _emit_error(None, 1, ConfigError(str(exc), getattr(exc, "argument_name", None)))

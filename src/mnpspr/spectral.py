@@ -144,8 +144,14 @@ def np_spectrum(S_mat: OperatorMatrix, Kstar_mat: OperatorMatrix) -> SpectralSet
 # --------------------------------------------------------------------------
 
 
-def _gram_cache(S_mat: OperatorMatrix, grid: SurfaceGrid):
-    """Quotient Gram "Ghat" of the grid's S, once per degree."""
+def quotient_gram_matrix(S_mat: OperatorMatrix, grid: SurfaceGrid):
+    """Positive matrix of -<pot, S^{-1} pot> on mean-free coefficients.
+
+    With G = W GS^{-1} W the pairing matrix of S^{-1} (W the mass matrix),
+    the form on potentials with the constant projected out is the Schur
+    complement of slot 0, G[1:, 0] G[0, 1:] / G[0, 0] - G[1:, 1:].  Built
+    once per grid and degree and returned as one read-only array.
+    """
 
     def build():
         nc = num_coeffs(S_mat.L)
@@ -156,20 +162,12 @@ def _gram_cache(S_mat: OperatorMatrix, grid: SurfaceGrid):
             raise RegularizationError(
                 f"single layer too ill-conditioned for inversion: cond={cond:.2e}"
             )
-        GSinv = W @ np.linalg.solve(GS, W)  # pairing matrix of S^{-1}
-        e = np.zeros(nc)
-        e[0] = 1.0
-        ge = GSinv @ e
-        P = np.eye(nc) - np.outer(e, ge.conj()) / (e @ GSinv @ e)
-        return {"Ghat": _hermitize(P.conj().T @ GSinv @ P)}
+        G = W @ np.linalg.solve(GS, W)
+        Ghat = _hermitize(np.outer(G[1:, 0], G[0, 1:]) / G[0, 0] - G[1:, 1:])
+        Ghat.flags.writeable = False
+        return Ghat
 
     return grid.cached(("gram", S_mat.L), build)
-
-
-def quotient_gram_matrix(S_mat: OperatorMatrix, grid: SurfaceGrid):
-    """Positive matrix of -<pot, S^{-1} pot> on mean-free coefficients."""
-    cache = _gram_cache(S_mat, grid)
-    return _hermitize(-cache["Ghat"][1:, 1:])
 
 
 # --------------------------------------------------------------------------
@@ -242,9 +240,10 @@ def self_adjointness_residual(op: str, grid: SurfaceGrid, ops, gram_weight="natu
 # --------------------------------------------------------------------------
 
 
-def sobolev_coeff_norm(coeffs: np.ndarray, L: int, s=-0.5):
+def sobolev_coeff_norm(coeffs: np.ndarray, L: int):
+    """H^{-1/2} norm of a coefficient vector of degree L."""
     n, _ = sh_degrees(L)
-    w = (1.0 + n * (n + 1.0)) ** s
+    w = (1.0 + n * (n + 1.0)) ** -0.5
     return float(np.sqrt(np.sum(w * np.abs(coeffs) ** 2)))
 
 
@@ -276,29 +275,17 @@ def calderon_residual(which: str, test: TangentField, ops, grid: SurfaceGrid):
     layer to (S K* - K S) applied to the Laplacian of the potential, which
     is what the assembled matrices are tested on here.
     """
-    S, K, Kstar = ops["S"], ops["K"], ops["Kstar"]
-    D = grid.laplace_matrix(S.L)
-    if which == "curl":
-        if test.flavor != "curl":
-            raise FlavorError("curl identity needs a curl-flavor test field")
-        base = D @ test.V.padded(S.L)
-        lhs = -(S.entries @ (Kstar.entries @ base))
-        rhs = -(K.entries @ (S.entries @ base))
-        mk = lambda c: TangentField.from_potentials(V=ShCoeffs(S.L, c), L=S.L, flavor="curl")
-        ref = test
-    elif which == "grad":
-        if test.flavor != "div":
-            raise FlavorError("gradient identity needs a div-flavor test field")
-        base = D @ test.X.padded(S.L)
-        lhs = -(K.entries @ (S.entries @ base))
-        rhs = -(S.entries @ (Kstar.entries @ base))
-        mk = lambda c: TangentField.from_potentials(X=ShCoeffs(S.L, c), L=S.L, flavor="div")
-        ref = test
-    else:
+    flavor = {"curl": "curl", "grad": "div"}.get(which)
+    if flavor is None:
         raise ValueError(f"unknown identity {which!r}")
-    diff = lhs - rhs
-    diff[0] = 0.0
-    return trace_norm(mk(diff), grid) / trace_norm(ref, grid)
+    if test.flavor != flavor:
+        raise FlavorError(f"{which} identity needs a {flavor}-flavor test field")
+    pot = "V" if flavor == "curl" else "X"
+    S, K, Kstar = ops["S"], ops["K"], ops["Kstar"]
+    base = grid.laplace_matrix(S.L) @ getattr(test, pot).padded(S.L)
+    diff = S.entries @ (Kstar.entries @ base) - K.entries @ (S.entries @ base)
+    fld = TangentField.from_potentials(**{pot: ShCoeffs(S.L, diff)}, L=S.L, flavor=flavor)
+    return trace_norm(fld, grid) / trace_norm(test, grid)
 
 
 def scalar_calderon_residual(ops):
@@ -316,23 +303,19 @@ def scalar_calderon_residual(ops):
 def curl_field_expansion(g: TangentField, curl_set: SpectralSet, ops, grid, J=None):
     """Expand a curl-flavor field over the inverse-symmetrizer eigenfields.
 
-    Uses the biorthogonality of {N^{-1} eigenfield} with the eigenfields
-    under the surface pairing; exact at full order on band-limited fields.
-    Returns (coefficients, reconstructed potential V at each truncation J).
+    The coefficients are the surface pairings of g with the eigenfields,
+    pot_j^H K_stiff pot_g.  The dual family has mean-free potentials
+    K_stiff^{-1} Ghat pot_j, with Ghat the quotient Gram: the eigenfield
+    potentials are Ghat-orthonormal and span the mean-free slots, so the
+    expansion is exact at full order on every band-limited field.
+    Returns (coefficients, reconstructed potential V at truncation J).
     """
     S = ops["S"]
     nc = num_coeffs(S.L)
     K_st = grid.stiffness_matrix()[:nc, :nc]
-    Wg = g.V.padded(S.L)
     pots = curl_set.vectors
-    # pairing int conj(phi_j).g = pot_j^H K_stiff pot_g
-    coeffs = pots.conj().T @ (K_st @ Wg)
-    # synthesis family: potentials of N^{-1} phi_j, dual to -phi_j
-    _gram_cache(S, grid)  # refuses an S too ill-conditioned to solve with
-    D = grid.laplace_matrix(S.L)
-    u = np.linalg.solve(S.pairing, grid.mass_matrix()[:nc, :nc] @ pots)
+    coeffs = pots.conj().T @ (K_st @ g.V.padded(S.L))
     U = np.zeros_like(pots)
-    U[1:, :] = np.linalg.solve(D[1:, 1:], -u[1:, :])
+    U[1:] = np.linalg.solve(K_st[1:, 1:], quotient_gram_matrix(S, grid) @ pots[1:])
     J = pots.shape[1] if J is None else J
-    recon = U[:, :J] @ (-coeffs[:J])
-    return coeffs, recon
+    return coeffs, U[:, :J] @ coeffs[:J]

@@ -577,6 +577,7 @@ class TestCommandLineFlags:
             (["--seed", "x"], "--seed"),
             (["--tol"], "--tol"),
             (["--unknown", "1"], None),
+            (["--seed", "-1e3"], "--seed"),  # not an integer
         ],
     )
     def test_usage_error_exits_one(self, tmp_path, capsys, argv, field):
@@ -599,13 +600,18 @@ class TestCommandLineFlags:
             (["--tol", "0"], "--tol"),
             (["--tol", "-0.5"], "--tol"),
             (["--seed", "-1"], "--seed"),
+            # negative numbers that argparse's own pattern does not match
+            (["--tol", "-1e-6"], "--tol"),
+            (["--tol", "-inf"], "--tol"),
         ],
     )
     def test_bad_value_exits_one_with_error_json(self, tmp_path, capsys, extra, field):
         code, out = run_cli(tmp_path, self.CALDERON, extra=extra)
         assert code == 1
         assert json.loads((out / "error.json").read_text())["error"]["field"] == field
-        assert self.stderr_error(capsys)["field"] == field
+        error = self.stderr_error(capsys)
+        assert error["field"] == field
+        assert ("positive finite" if field == "--tol" else "at least 0") in error["message"]
         assert not (out / "calderon.csv").exists()
 
     def test_bad_value_error_json_in_a_new_out_directory(self, tmp_path):

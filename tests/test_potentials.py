@@ -53,17 +53,17 @@ class TestOperatorLifetime:
         assert ref() is None
 
     def test_gram_data_lives_on_the_grid(self):
-        from mnpspr.spectral import _gram_cache, quotient_gram_matrix
+        from mnpspr.spectral import quotient_gram_matrix
 
         g = sphere_surface(1.0, 4)
         S = scalar_operators(g, 4)["S"]
         meta = dict(S.meta)
-        quotient_gram_matrix(S, g)
+        G = quotient_gram_matrix(S, g)
         assert S.meta == meta
-        cache = _gram_cache(S, g)
-        assert _gram_cache(S, g) is cache
-        ref = weakref.ref(cache["Ghat"])
-        del g, S, cache
+        assert quotient_gram_matrix(S, g) is G
+        assert not G.flags.writeable
+        ref = weakref.ref(G)
+        del g, S, G
         gc.collect()
         assert ref() is None
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from mnpspr.potentials import AssemblyAccuracyError, scalar_operators
+from mnpspr.potentials import AssemblyAccuracyError, FlavorError, apply_N, scalar_operators
 from mnpspr.spectral import (
     _eigh_pencil,
     _hermitize,
@@ -16,10 +16,11 @@ from mnpspr.spectral import (
     self_adjointness_residual,
     subspace_spectrum,
 )
-from mnpspr.sphharm import sh_index
+from mnpspr.sphharm import num_coeffs, sh_index
 from mnpspr.surface import (
     ShCoeffs,
     TangentField,
+    perturbed_sphere,
     random_band_limited,
     sphere_surface,
 )
@@ -147,6 +148,16 @@ class TestCalderon:
             worst = max(worst, calderon_residual("grad", t2, pert12_ops, pert12))
         assert worst <= 1e-5
 
+    def test_identity_and_flavor_checked(self, sphere10, sphere10_ops, rng):
+        curl = TangentField.from_potentials(V=random_band_limited(rng, 6, 2.0), L=10, flavor="curl")
+        div = TangentField.from_potentials(X=random_band_limited(rng, 6, 2.0), L=10, flavor="div")
+        with pytest.raises(FlavorError, match="div-flavor"):
+            calderon_residual("grad", curl, sphere10_ops, sphere10)
+        with pytest.raises(FlavorError, match="curl-flavor"):
+            calderon_residual("curl", div, sphere10_ops, sphere10)
+        with pytest.raises(ValueError, match="unknown identity"):
+            calderon_residual("div", div, sphere10_ops, sphere10)
+
     def test_scalar_identity(self, pert12_ops):
         assert scalar_calderon_residual(pert12_ops) <= 1e-6
 
@@ -164,38 +175,55 @@ class TestSelfAdjointness:
 
 
 class TestCompleteness:
+    @staticmethod
+    def full_order_errors(grid, ops, curl, rng):
+        """Worst full-order expansion error of random curl fields of degree 4, 8 and 12."""
+        errs = []
+        for degree in (4, 8, 12):
+            g = TangentField.from_potentials(V=random_band_limited(rng, degree, 2.0), L=curl.L, flavor="curl")
+            _, full = curl_field_expansion(g, curl, ops, grid)
+            errs.append(np.max(np.abs(full - g.V.padded(curl.L))) / np.max(np.abs(g.V.coeffs)))
+        return max(errs)
+
     def test_expansion_converges(self, pert12, pert12_ops, pert12_spectra, rng):
         _, curl, _ = pert12_spectra
+        assert self.full_order_errors(pert12, pert12_ops, curl, rng) <= 1e-12
         g = TangentField.from_potentials(V=random_band_limited(rng, 8, 2.0), L=12, flavor="curl")
-        _, full = curl_field_expansion(g, curl, pert12_ops, pert12)
         ref = np.max(np.abs(g.V.coeffs))
-        err_full = np.max(np.abs(full - g.V.padded(12))) / ref
-        assert err_full <= 1e-4
         errs = []
         for J in (40, 100, len(curl)):
             _, rec = curl_field_expansion(g, curl, pert12_ops, pert12, J)
             errs.append(np.max(np.abs(rec - g.V.padded(12))) / ref)
         assert errs[0] > errs[1] > errs[2]
 
-    def test_projected_adjoint_eigenfields(self, pert12, pert12_ops, pert12_spectra):
-        # the inverse-symmetrizer images of the eigenfields are eigenfields
-        # of the projected adjoint with the same eigenvalues
-        import numpy.linalg as la
+    def test_expansion_exact_on_a_strongly_perturbed_surface(self, rng):
+        grid = perturbed_sphere(0.5, 2, 0, 16)
+        ops = scalar_operators(grid, 12)
+        curl, _ = mnp_spectra(np_spectrum(ops["S"], ops["Kstar"]), ops["S"], grid)
+        assert self.full_order_errors(grid, ops, curl, rng) <= 1e-12
 
+    def test_projected_adjoint_eigenfields(self, pert12, pert12_ops, pert12_spectra):
+        # the dual potentials K_stiff^{-1} Ghat pot_j, the inverse-symmetrizer
+        # images of the eigenfields, are eigenfields of the projected adjoint
+        # with the same eigenvalues, and N maps each back to minus its eigenfield
         _, curl, _ = pert12_spectra
         S = pert12_ops["S"]
+        nc = num_coeffs(S.L)
         D = pert12.laplace_matrix(S.L)
-        Kst = pert12_ops["Kstar"].entries
+        K_st = pert12.stiffness_matrix()[:nc, :nc]
+        Kstar = pert12_ops["Kstar"].entries
+        U = np.zeros_like(curl.vectors)
+        U[1:] = np.linalg.solve(K_st[1:, 1:], quotient_gram_matrix(S, pert12) @ curl.vectors[1:])
         for j in (0, 3, 11):
-            W = curl.vectors[:, j]
-            u = la.solve(S.pairing, pert12.mass_matrix()[: W.size, : W.size] @ W)
-            U = np.zeros_like(W)
-            U[1:] = la.solve(D[1:, 1:], -u[1:])
             # projected adjoint action on the curl potentials: Lap^{-1} K* Lap
-            act = np.zeros_like(U)
-            act[1:] = la.solve(D[1:, 1:], (Kst @ (D @ U))[1:])
-            r = np.max(np.abs(act - curl.eigenvalues[j] * U)) / np.max(np.abs(U))
-            assert r <= 1e-6
+            act = np.zeros_like(U[:, j])
+            act[1:] = np.linalg.solve(D[1:, 1:], (Kstar @ (D @ U[:, j]))[1:])
+            scale = np.max(np.abs(U[:, j]))
+            assert np.max(np.abs(act - curl.eigenvalues[j] * U[:, j])) / scale <= 1e-12
+            field = TangentField.from_potentials(V=ShCoeffs(S.L, U[:, j]), flavor="curl")
+            back = apply_N(field, S, pert12).V.coeffs
+            pot = curl.vectors[:, j]
+            assert np.max(np.abs(back + pot)) / np.max(np.abs(pot)) <= 1e-12
 
 
 class TestExports:
