@@ -18,13 +18,7 @@ from numbers import Rational
 import numpy as np
 
 from .mie import SphereMode, exact_sphere_potential
-from .potentials import (
-    POINT_BLOCK,
-    MaterialConfig,
-    NearBoundaryError,
-    em_fields,
-    offboundary_eval,
-)
+from .potentials import MaterialConfig, NearBoundaryError, em_fields, offboundary_eval
 from .spectral import SpectralSet, eigenvalue_clusters
 from .surface import ShCoeffs, SurfaceGrid, TangentField, radial_gap, tubular_distance
 
@@ -173,14 +167,13 @@ class DecayReport:
 def _field_batch(modes, points, grid):
     """E, H for every (mode, point), with (mu, k) of the side of each point.
 
-    Each block of POINT_BLOCK modes takes one `offboundary_eval` call over
-    all points, with k_e on the wavenumber rows of exterior points and each
-    mode's own k_c on those of interior ones: one node `values_at` pass
-    serves both sides, and the density values alive stay within
-    POINT_BLOCK.  Exterior points take one kernel pass per point block for
-    the whole mode block, interior ones one per run of neighbouring modes
-    with equal k_c, such as a cluster of `localization_scan`.  Sphere
-    modes take the closed form point by point.
+    The general modes take one `offboundary_eval` call over all points,
+    with k_e on the wavenumber rows of exterior points and each mode's own
+    k_c on those of interior ones: both sides share each block's node
+    values, and each near point builds its patch once.  Interior points
+    take one kernel pass per run of neighbouring modes with equal k_c,
+    such as a cluster of `localization_scan`.  Sphere modes take the
+    closed form point by point.
     """
     pts = np.asarray(points, dtype=float)
     E = np.zeros((len(modes), len(pts), 3), dtype=complex)
@@ -200,18 +193,16 @@ def _field_batch(modes, points, grid):
     if not general:
         return E, H
     inside = radial_gap(pts, grid) < 0
-    for start in range(0, len(general), POINT_BLOCK):
-        batch = general[start : start + POINT_BLOCK]
-        ks = np.array([[modes[j].materials.side(side)[1] for j in batch] for side in (False, True)])
-        curl, curlcurl = offboundary_eval(
-            [modes[j].density for j in batch], ks[inside.astype(int)], pts,
-            ("curlS_vec", "curlcurlS_vec"), grid,
-        )
-        for side in (False, True):
-            cols = inside == side
-            for i, j in enumerate(batch):
-                c, cc = curl[cols, ..., i], curlcurl[cols, ..., i]
-                E[j, cols], H[j, cols] = em_fields(modes[j].materials, side, (c, c), (cc, cc))
+    ks = np.array([[modes[j].materials.side(side)[1] for j in general] for side in (False, True)])
+    curl, curlcurl = offboundary_eval(
+        [modes[j].density for j in general], ks[inside.astype(int)], pts,
+        ("curlS_vec", "curlcurlS_vec"), grid,
+    )
+    for side in (False, True):
+        cols = inside == side
+        for i, j in enumerate(general):
+            c, cc = curl[cols, ..., i], curlcurl[cols, ..., i]
+            E[j, cols], H[j, cols] = em_fields(modes[j].materials, side, (c, c), (cc, cc))
     return E, H
 
 
@@ -229,9 +220,8 @@ def localization_scan(modes, points, eps, grid: SurfaceGrid):
     partial sums of squared norms, a plateau flag (last-quartile growth at
     most PLATEAU_THRESHOLD), a fitted log-decay rate, and the
     o(j^{-KAPPA}) exceedance statistic of the electric norms.  The fields
-    are evaluated POINT_BLOCK modes at a time (`_field_batch`), so besides
-    the (modes, points) field arrays its memory does not grow with the
-    mode count.
+    take one `offboundary_eval` call (`_field_batch`), so besides the
+    (modes, points) field arrays its memory does not grow with the mode count.
     """
     pts = np.asarray(points, dtype=float)
     dists = tubular_distance(pts, grid)

@@ -233,7 +233,7 @@ def helmholtz_point_kernels(k, rvec, want_hessian=False):
     return g, grad, hess
 
 
-# points per grid-rule pass
+# points per grid-rule pass, and densities per block of values in `offboundary_eval`
 POINT_BLOCK = 32
 # polar order of the near rule; one of its polar steps is the closest radial gap it takes
 NEAR_POLAR = 320
@@ -376,26 +376,26 @@ def offboundary_eval(density, k, x, which, grid: SurfaceGrid):
     as far from it as its nearest node, 0.17 at the unit sphere's pole at
     L_quad = 6.
 
-    Memory is bounded by element count.  Every pass has one wavenumber:
-    each run of neighbouring densities that share a value in a point's row
-    takes its own passes, on a view of the densities' values (`_passes`).
-    A pass gives (P, N) kernel factors for P points and N nodes or patch
-    points: the grid rule takes POINT_BLOCK points per pass, the near rule
-    one.  Besides r and rhat, a pass holds at most four complex arrays of
-    a factor's shape: z = ikr, c = exp(z) / (4 pi r) and two factors, or,
+    Memory is bounded by element count.  The densities go POINT_BLOCK at a
+    time: the grid rule weighs each block's node values, (N, 3, block),
+    and each near point builds its patch and basis once
+    (`SurfaceGrid.frame_values`) for every block, then frees them before
+    the next point.  Each run of neighbouring densities that share a
+    wavenumber in a point's row takes its own passes (`_passes`).  A pass
+    gives (P, N) kernel factors for P points and N nodes or patch points:
+    the grid rule takes POINT_BLOCK points per pass, the near rule one.
+    Besides r and rhat, a pass holds at most four complex arrays of a
+    factor's shape: z = ikr, c = exp(z) / (4 pi r) and two factors, or,
     once z and c are freed, two factors and the workspace (`_layer_sum`).
     Together they hold no more elements than a complex (POINT_BLOCK, N, 6)
-    array on the grid rule, or a (1, N, 6) one on the near rule.  The
-    densities' values, (N, 3, J) at the nodes and at each near point's
-    patch, are the caller's to bound: `plasmon._field_batch` passes
-    POINT_BLOCK densities per call.
+    array on the grid rule, or a (1, N, 6) one on the near rule.
     """
     kinds = which if isinstance(which, tuple) else (which,)
-    tangent = {kind in ("curlS_vec", "curlcurlS_vec") for kind in kinds}
-    if len(tangent) > 1:
+    tangent, *mixed = {kind in ("curlS_vec", "curlcurlS_vec") for kind in kinds}
+    if mixed:
         raise KindError(f"kinds {kinds} need different density types")
     dens = density if isinstance(density, list) else [density]
-    want = TangentField if tangent.pop() else ShCoeffs
+    want = TangentField if tangent else ShCoeffs
     for d in dens:
         if not isinstance(d, want):
             raise KindError(f"{kinds[0]} needs {want.__name__} densities, got {type(d).__name__}")
@@ -415,21 +415,25 @@ def offboundary_eval(density, k, x, which, grid: SurfaceGrid):
                 f"rule's floor {floor:.3g} (one polar step, pi max(rho) / {NEAR_POLAR})"
             )
     out = [np.empty((P, J) if kind == "S" else (P, 3, J), dtype=complex) for kind in kinds]
-    nodes = None if near.all() else _weigh(grid.values_at(dens), grid.area_weights)
-    rows = {}  # points by wavenumber row; np.unique(axis=0) would import numpy.ma
-    for p, row in enumerate(k):
-        rows.setdefault(row.tobytes(), []).append(p)
-    for idx in map(np.array, rows.values()):
-        row = k[idx[0]]
-        far = idx[~near[idx]]
-        if far.size:
-            for o, v in zip(out, _passes(row, pts[far], grid.positions, kinds, nodes, POINT_BLOCK)):
-                o[far] = v
-        for p in idx[near[idx]]:
-            patch, w = near_singular_eval(grid, pts[p], NEAR_POLAR)
-            wd = _weigh(grid.values_at(dens, patch), w)
-            for o, v in zip(out, _passes(row, pts[p : p + 1], patch["position"], kinds, wd, 1)):
-                o[p] = v[0]
+    rows = {}  # far points by wavenumber row; np.unique(axis=0) would import numpy.ma
+    for p in np.flatnonzero(~near):
+        rows.setdefault(k[p].tobytes(), []).append(p)
+    blocks = [slice(lo, lo + POINT_BLOCK) for lo in range(0, J, POINT_BLOCK)]
+    for b in blocks if rows else ():
+        nodes = _weigh(grid.values_at(dens[b]), grid.area_weights)
+        for far in map(np.array, rows.values()):
+            part = _passes(k[far[0], b], pts[far], grid.positions, kinds, nodes, POINT_BLOCK)
+            for o, v in zip(out, part):
+                o[far, ..., b] = v
+    L = max(max(d.X.L, d.V.L) if tangent else d.L for d in dens)
+    for p in np.flatnonzero(near):
+        patch, w = near_singular_eval(grid, pts[p], NEAR_POLAR)
+        values = grid.frame_values(patch, L, tangent)
+        for b in blocks:
+            wd = _weigh(values(dens[b]), w)
+            for o, v in zip(out, _passes(k[p, b], pts[p : p + 1], patch["position"], kinds, wd, 1)):
+                o[p, ..., b] = v[0]
+        del patch, values, wd  # freed before the next point builds its own
     if not isinstance(density, list):
         out = [o[..., 0] for o in out]
     if np.asarray(x).ndim == 1:

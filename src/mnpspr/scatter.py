@@ -78,15 +78,6 @@ class BlockSystem:
     materials: MaterialConfig
     meta: dict = field(default_factory=dict)
 
-    @property
-    def matrix(self):
-        """The full matrix, for tests and inspection; the solver never forms it."""
-        return np.block([[self.same, self.cross], [self.cross, self.same]])
-
-    @property
-    def dim(self):
-        return 2 * self.same.shape[0]
-
 
 def resonance_shift(tau):
     """(1 - tau) / (2 (1 + tau)), the order-zero spectral shift."""

@@ -27,6 +27,7 @@ from .potentials import (
     FlavorError,
     OperatorMatrix,
     RegularizationError,
+    scalar_operators,
 )
 from .sphharm import num_coeffs, sh_degrees
 from .surface import ShCoeffs, SurfaceGrid, TangentField
@@ -144,19 +145,20 @@ def np_spectrum(S_mat: OperatorMatrix, Kstar_mat: OperatorMatrix) -> SpectralSet
 # --------------------------------------------------------------------------
 
 
-def quotient_gram_matrix(S_mat: OperatorMatrix, grid: SurfaceGrid):
+def quotient_gram_matrix(grid: SurfaceGrid, L: int):
     """Positive matrix of -<pot, S^{-1} pot> on mean-free coefficients.
 
-    With G = W GS^{-1} W the pairing matrix of S^{-1} (W the mass matrix),
-    the form on potentials with the constant projected out is the Schur
-    complement of slot 0, G[1:, 0] G[0, 1:] / G[0, 0] - G[1:, 1:].  Built
-    once per grid and degree and returned as one read-only array.
+    With G = W GS^{-1} W the pairing matrix of S^{-1} (W the mass matrix,
+    S the grid's own `scalar_operators` at degree L), the form on
+    potentials with the constant projected out is the Schur complement of
+    slot 0, G[1:, 0] G[0, 1:] / G[0, 0] - G[1:, 1:].  Built once per grid
+    and degree and returned as one read-only array.
     """
 
     def build():
-        nc = num_coeffs(S_mat.L)
+        nc = num_coeffs(L)
         W = grid.mass_matrix()[:nc, :nc]
-        GS = _hermitize(S_mat.pairing)
+        GS = _hermitize(scalar_operators(grid, L)["S"].pairing)
         cond = np.linalg.cond(GS)
         if cond > 1e12:
             raise RegularizationError(
@@ -167,7 +169,7 @@ def quotient_gram_matrix(S_mat: OperatorMatrix, grid: SurfaceGrid):
         Ghat.flags.writeable = False
         return Ghat
 
-    return grid.cached(("gram", S_mat.L), build)
+    return grid.cached(("gram", L), build)
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +193,7 @@ def mnp_spectra(np_set: SpectralSet, S_mat: OperatorMatrix, grid: SurfaceGrid):
     theta = np_set.vectors[:, keep]
     pots = S_mat.entries @ theta
     pots[0, :] = 0.0
-    G1 = quotient_gram_matrix(S_mat, grid)
+    G1 = quotient_gram_matrix(grid, S_mat.L)
     norms = np.sqrt(np.maximum(np.einsum("ij,ij->j", pots[1:].conj(), G1 @ pots[1:]).real, 1e-300))
     pots = pots / norms[None, :]
     curl = SpectralSet(
@@ -216,7 +218,7 @@ def _subspace_operator(op, ops, grid: SurfaceGrid):
     if op not in ("M_curl", "Mstar_grad"):
         raise ValueError(f"unknown operator {op!r}")
     A = ops["K"].entries[1:, 1:]
-    return (A if op == "M_curl" else -A), quotient_gram_matrix(ops["S"], grid)
+    return (A if op == "M_curl" else -A), quotient_gram_matrix(grid, ops["S"].L)
 
 
 def subspace_spectrum(ops, grid: SurfaceGrid, which="M_curl"):
@@ -316,6 +318,6 @@ def curl_field_expansion(g: TangentField, curl_set: SpectralSet, ops, grid, J=No
     pots = curl_set.vectors
     coeffs = pots.conj().T @ (K_st @ g.V.padded(S.L))
     U = np.zeros_like(pots)
-    U[1:] = np.linalg.solve(K_st[1:, 1:], quotient_gram_matrix(S, grid) @ pots[1:])
+    U[1:] = np.linalg.solve(K_st[1:, 1:], quotient_gram_matrix(grid, S.L) @ pots[1:])
     J = pots.shape[1] if J is None else J
     return coeffs, U[:, :J] @ coeffs[:J]

@@ -12,12 +12,13 @@ the *parameter* sphere; tangential fields by a pair of scalar potentials
     field = grad_S X  +  vcurl_S V,      vcurl_S = -normal x grad_S.
 
 `SurfaceGrid.values_at` is the one place where densities become point
-values: a list of ShCoeffs or of TangentField, at the grid nodes or at the
-points of any frame, into one stacked array.  grad_S and vcurl_S are read
-off one tangent frame (`tangent_frame`), built analytically from the first
-fundamental form of the parametrization; div, the Laplacian and the
-Helmholtz decomposition are weak forms against the basis fields grad Y_j
-and vcurl Y_j that frame gives.  Those basis fields are never stored:
+values: a list of ShCoeffs or of TangentField, at the grid nodes or at a
+frame's points, into one stacked array.  At a frame it builds one basis
+(`frame_values`), which can also serve a list's blocks in turn.  grad_S
+and vcurl_S are read off one tangent frame (`tangent_frame`), built
+analytically from the first fundamental form of the parametrization;
+div, the Laplacian and the Helmholtz decomposition are weak forms against
+the basis fields grad Y_j and vcurl Y_j that frame gives.  Those basis fields are never stored:
 each pairing dots the field with the frame's vector pair at the nodes and
 then applies the adjoint derivative transforms.
 
@@ -399,29 +400,36 @@ class SurfaceGrid:
 
         frame=None gives the grid nodes, from the per-ring factors of the
         node basis (`_node_values`), one density at a time, so a density's
-        node values do not depend on the list it comes in.  A
-        frame_at(theta, phi) dict that also holds the points' "theta" and
-        "phi" (only those two when the densities are scalar) gives its
-        points, from one basis evaluation at the list's largest degree.
-        Returns (P, J) for J scalar densities, (P, 3, J) for tangential
-        ones; each density is written into that one array.
+        node values do not depend on the list it comes in.  A frame gives
+        its points (`frame_values` at the list's largest degree).  Returns
+        (P, J) for J scalar densities, (P, 3, J) for tangential ones.
         """
         tangent = isinstance(densities[0], TangentField)
         if any(isinstance(d, TangentField) != tangent for d in densities):
             raise TypeError("values_at takes a list of ShCoeffs or a list of TangentField")
         L = max(max(d.X.L, d.V.L) if tangent else d.L for d in densities)
-        if frame is None:
-            if L > self.L_quad:
-                raise ResolutionError(f"density degree {L} exceeds grid capacity")
-            shape = (self.n_nodes, 3, len(densities)) if tangent else (self.n_nodes, len(densities))
-            out = np.empty(shape, dtype=complex)
-            C = np.empty((num_coeffs(self.L_quad), 2 if tangent else 1), dtype=complex)
-            for j, d in enumerate(densities):
-                C.fill(0.0)
-                for q, c in enumerate((d.X, d.V) if tangent else (d,)):
-                    C[: c.coeffs.size, q] = c.coeffs
-                out[..., j] = self._node_values(C, tangent)
-            return out
+        if frame is not None:
+            return self.frame_values(frame, L, tangent)(densities)
+        if L > self.L_quad:
+            raise ResolutionError(f"density degree {L} exceeds grid capacity")
+        shape = (self.n_nodes, 3, len(densities)) if tangent else (self.n_nodes, len(densities))
+        out = np.empty(shape, dtype=complex)
+        C = np.empty((num_coeffs(self.L_quad), 2 if tangent else 1), dtype=complex)
+        for j, d in enumerate(densities):
+            C.fill(0.0)
+            for q, c in enumerate((d.X, d.V) if tangent else (d,)):
+                C[: c.coeffs.size, q] = c.coeffs
+            out[..., j] = self._node_values(C, tangent)
+        return out
+
+    def frame_values(self, frame, L, tangent):
+        """values(densities) at the points of a frame, from one basis at degree L.
+
+        frame is a frame_at(theta, phi) dict that also holds the points'
+        "theta" and "phi" (only those two for scalar densities).  The basis
+        lives as long as the returned function, which takes lists of
+        degree at most L, TangentField when tangent, else ShCoeffs.
+        """
         basis = ynm_matrix(frame["theta"], frame["phi"], L, derivatives=tangent)
         if tangent:
             Yt, Yp = basis[1:]
@@ -431,22 +439,27 @@ class SurfaceGrid:
         else:
             Y = basis
         n = len(Yt if tangent else Y)
-        out = np.empty((n, 3, len(densities)) if tangent else (n, len(densities)), dtype=complex)
         step = max(1, VALUES_BLOCK // n)
-        for lo in range(0, len(densities), step):
-            block = densities[lo : lo + step]
-            b = len(block)
-            if tangent:
-                # one product per derivative for the block's [X | V] columns gives
-                # u_theta and u_phi / sin of X and of V, which weigh the frame's
-                # four fields: per point a real (3, 4) @ (4, 2 block) product
-                C = _stacked([d.X for d in block] + [d.V for d in block])
-                U = np.stack([D[:, : len(C)] @ C for D in (Yt, Yp)], axis=1).reshape(n, 4, b)
-                out[:, :, lo : lo + b] = (weights @ U.view(float)).view(complex)
-            else:
-                C = _stacked(block)
-                out[:, lo : lo + b] = Y[:, : len(C)] @ C
-        return out
+
+        def values(densities):
+            J = len(densities)
+            out = np.empty((n, 3, J) if tangent else (n, J), dtype=complex)
+            for lo in range(0, J, step):
+                block = densities[lo : lo + step]
+                b = len(block)
+                if tangent:
+                    # one product per derivative for the block's [X | V] columns gives
+                    # u_theta and u_phi / sin of X and of V, which weigh the frame's
+                    # four fields: per point a real (3, 4) @ (4, 2 block) product
+                    C = _stacked([d.X for d in block] + [d.V for d in block])
+                    U = np.stack([D[:, : len(C)] @ C for D in (Yt, Yp)], axis=1).reshape(n, 4, b)
+                    out[:, :, lo : lo + b] = (weights @ U.view(float)).view(complex)
+                else:
+                    C = _stacked(block)
+                    out[:, lo : lo + b] = Y[:, : len(C)] @ C
+            return out
+
+        return values
 
     def tangent_values(self, f: TangentField):
         """Node 3-vectors of a Helmholtz-potential field."""

@@ -135,6 +135,11 @@ def basis_arrays(grid):
     return fields(alpha, sin_beta), fields(alpha_c, sin_beta_c)
 
 
+def full_matrix(system):
+    """The full matrix [[P, Q], [Q, P]] of a scattering `BlockSystem`; the solver never forms it."""
+    return np.block([[system.same, system.cross], [system.cross, system.same]])
+
+
 def max_rel(got, ref):
     """Largest entry error over the reference's largest entry."""
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))

@@ -354,7 +354,7 @@ BOTH_SIDES = np.vstack([fibonacci_shell(6, 2.5), fibonacci_shell(4, 0.3)])
 
 
 class TestOneCallPerSide:
-    """Each block of POINT_BLOCK modes takes one call for both sides' points."""
+    """A scan takes one call for all its modes and both sides' points."""
 
     @pytest.mark.parametrize("count", [1, 7, 80])
     def test_field_batch_calls(self, pert8_family, monkeypatch, count):
@@ -363,13 +363,12 @@ class TestOneCallPerSide:
         evaluate = plasmon.offboundary_eval
 
         def counting(*args, **kwargs):
-            calls.append(args[2].shape)
+            calls.append((len(args[0]), args[2].shape))
             return evaluate(*args, **kwargs)
 
         monkeypatch.setattr(plasmon, "offboundary_eval", counting)
         E, H = plasmon._field_batch(modes[:count], BOTH_SIDES, grid)
-        assert len(calls) == -(-count // POINT_BLOCK)
-        assert all(shape == BOTH_SIDES.shape for shape in calls)
+        assert calls == [(count, BOTH_SIDES.shape)]
         assert E.shape == H.shape == (count, len(BOTH_SIDES), 3)
 
     def test_field_batch_equals_plasmon_field(self, pert8_family):
@@ -379,8 +378,70 @@ class TestOneCallPerSide:
     def test_field_batch_blocks_equal_plasmon_field(self, pert8_family, monkeypatch):
         grid, modes = pert8_family
         # 9 modes in blocks of 4: two full blocks and a partial one
-        monkeypatch.setattr(plasmon, "POINT_BLOCK", 4)
+        monkeypatch.setattr(potentials, "POINT_BLOCK", 4)
         assert_batch_equals_single(modes[::9], grid)
+
+
+def count_patch_builds(monkeypatch):
+    """Counts `near_singular_eval` calls, `ynm_matrix` sizes and the most densities in a pass."""
+    import mnpspr.surface as surface
+
+    counts = {"patches": 0, "bases": [], "block": 0}
+    near_singular_eval, ynm_matrix, passes = (
+        potentials.near_singular_eval, surface.ynm_matrix, potentials._passes
+    )
+
+    def patch(*args):
+        counts["patches"] += 1
+        return near_singular_eval(*args)
+
+    def basis(theta, *args, **kwargs):
+        counts["bases"].append(np.size(theta))
+        return ynm_matrix(theta, *args, **kwargs)
+
+    def blocked(k, targets, sources, kinds, wdens, block):
+        counts["block"] = max(counts["block"], wdens.shape[-1])
+        return passes(k, targets, sources, kinds, wdens, block)
+
+    monkeypatch.setattr(potentials, "near_singular_eval", patch)
+    monkeypatch.setattr(surface, "ynm_matrix", basis)
+    monkeypatch.setattr(potentials, "_passes", blocked)
+    return counts
+
+
+class TestOnePatchPerNearPoint:
+    """Each near point builds its patch and patch basis once for every density block."""
+
+    # an exterior point with one shared k and an interior one with a k per density
+    POINTS = np.array([[0.6, 0.0, 0.95], [0.3, 0.4, -0.75]])
+
+    def test_blocks_equal_per_density_calls(self, sphere10, rng, monkeypatch, near_polar_40):
+        dens = many_densities("curlcurlS_vec", rng)
+        assert len(dens) > POINT_BLOCK
+        assert np.all(tubular_distance(self.POINTS, sphere10) <= 3.0 * sphere10.max_spacing)
+        ks = np.array([np.full(len(dens), 1.3), TestPerDensityWavenumbers.wavenumbers(len(dens))])
+        singles = [
+            offboundary_eval(d, ks[:, i : i + 1], self.POINTS, "curlcurlS_vec", sphere10)
+            for i, d in enumerate(dens)
+        ]
+        counts = count_patch_builds(monkeypatch)
+        batched = offboundary_eval(dens, ks, self.POINTS, "curlcurlS_vec", sphere10)
+        assert counts["patches"] == len(self.POINTS)
+        assert counts["bases"] == [40 * 48] * len(self.POINTS)  # polar order x azimuths
+        assert counts["block"] == POINT_BLOCK
+        for i, one in enumerate(singles):
+            assert rel_err(batched[..., i], one) < 1e-13
+
+    def test_scan_builds_each_patch_once(self, pert8_family, monkeypatch, near_polar_40):
+        grid, modes = pert8_family
+        pts = np.array([[0.0, 0.0, 1.35], [0.0, 0.0, 0.8]])
+        assert np.all(tubular_distance(pts, grid) <= 3.0 * grid.max_spacing)
+        assert len(modes) > 2 * POINT_BLOCK
+        counts = count_patch_builds(monkeypatch)
+        plasmon._field_batch(modes, pts, grid)
+        assert counts["patches"] == len(pts)
+        assert len(counts["bases"]) == len(pts)
+        assert counts["block"] == POINT_BLOCK
 
 
 def assert_batch_equals_single(family, grid):

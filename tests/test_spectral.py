@@ -25,6 +25,9 @@ from mnpspr.surface import (
     sphere_surface,
 )
 
+from conftest import max_rel
+
+
 def sphere_exact_np_eigs(L):
     n = np.concatenate([np.full(2 * k + 1, k) for k in range(L + 1)])
     return np.sort(1.0 / (2.0 * (2.0 * n + 1.0)))[::-1]
@@ -103,7 +106,7 @@ class TestMnpSpectra:
 
     def test_gram_orthonormality(self, pert12_spectra, pert12_ops, pert12):
         _, curl, _ = pert12_spectra
-        G1 = quotient_gram_matrix(pert12_ops["S"], pert12)
+        G1 = quotient_gram_matrix(pert12, 12)
         V = curl.vectors[1:]
         Gm = V.conj().T @ (G1 @ V)
         assert np.max(np.abs(Gm - np.eye(len(curl)))) < 1e-7
@@ -121,7 +124,7 @@ class TestGram:
         # quotient form -<pot, S^{-1} pot> gives (2n+1);
         # symmetrizer form -<Lap pot, S Lap pot> gives (n(n+1))^2/(2n+1)
         S = sphere10_ops["S"]
-        G = quotient_gram_matrix(S, sphere10)
+        G = quotient_gram_matrix(sphere10, 10)
         D, GS = sphere10.laplace_matrix(10), _hermitize(S.pairing)
         for n in (1, 3, 6):
             i = sh_index(n, 0)
@@ -129,6 +132,16 @@ class TestGram:
             Dp = D @ ShCoeffs.unit(n, 0, L=10).padded(10)
             expect = (n * (n + 1.0)) ** 2 / (2.0 * n + 1.0)
             assert abs(-(Dp.conj() @ (GS @ Dp)) - expect) < 1e-6 * expect
+
+    def test_each_degree_takes_its_own_single_layer(self, pert12):
+        # the Schur complement of slot 0 of W GS^-1 W is minus the inverse of
+        # the mean-free block of its inverse, S W^-1, with S the grid's own at L
+        for L in (6, 12):
+            S = scalar_operators(pert12, L)["S"]
+            nc = num_coeffs(L)
+            pairing = S.entries @ np.linalg.inv(pert12.mass_matrix()[:nc, :nc])
+            expect = -np.linalg.inv(pairing[1:, 1:])
+            assert max_rel(quotient_gram_matrix(pert12, L), expect) < 1e-10
 
 
 class TestCalderon:
@@ -213,7 +226,7 @@ class TestCompleteness:
         K_st = pert12.stiffness_matrix()[:nc, :nc]
         Kstar = pert12_ops["Kstar"].entries
         U = np.zeros_like(curl.vectors)
-        U[1:] = np.linalg.solve(K_st[1:, 1:], quotient_gram_matrix(S, pert12) @ curl.vectors[1:])
+        U[1:] = np.linalg.solve(K_st[1:, 1:], quotient_gram_matrix(pert12, S.L) @ curl.vectors[1:])
         for j in (0, 3, 11):
             # projected adjoint action on the curl potentials: Lap^{-1} K* Lap
             act = np.zeros_like(U[:, j])
