@@ -14,10 +14,8 @@ from mnpspr import (
     PlasmonMode,
     localization_scan,
     mnp_spectra,
-    np_spectrum,
     perturbed_sphere,
     plasmon_field,
-    scalar_operators,
 )
 
 
@@ -44,8 +42,7 @@ print("the ratio approaches r/|x| = 1/2")
 print("\n== perturbed sphere: summability and the exceedance verdict ==")
 L = 12
 grid = perturbed_sphere(0.05, 2, 0, L)
-ops = scalar_operators(grid, L)
-curl, _ = mnp_spectra(np_spectrum(ops["S"], ops["Kstar"]), ops["S"], grid)
+curl, _ = mnp_spectra(grid, L)
 modes = [PlasmonMode.from_eigenmode(j, curl, omega=1.0) for j in range(len(curl))]
 points = np.vstack([shell(40, 3.0), shell(10, 0.25)])
 report = localization_scan(modes, points, eps=0.5, grid=grid)

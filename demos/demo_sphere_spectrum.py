@@ -12,7 +12,6 @@ import numpy as np
 from mnpspr import (
     mnp_spectra,
     np_spectrum,
-    scalar_operators,
     sphere_mnp_eigenvalue,
     sphere_surface,
 )
@@ -20,10 +19,10 @@ from mnpspr import (
 L = 12
 print(f"building the unit sphere at L = {L} and assembling S, K, K* ...")
 grid = sphere_surface(1.0, L)
-ops = scalar_operators(grid, L)
 
-nps = np_spectrum(ops["S"], ops["Kstar"])
-curl, grad = mnp_spectra(nps, ops["S"], grid)
+# both spectra read the operators and the scalar eigensolve the grid keeps
+nps = np_spectrum(grid, L)
+curl, grad = mnp_spectra(grid, L)
 
 print(f"\nscalar spectrum: {len(nps)} eigenvalues, "
       f"symmetrization residual {nps.meta['sym_residual']:.2e}")

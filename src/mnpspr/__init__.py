@@ -2,7 +2,7 @@
 
 Library layout:
   surface    - star-shaped grids, harmonic transforms, surface calculus
-  specfun    - spherical Bessel/Hankel functions, vector spherical harmonics
+  specfun    - spherical Bessel/Hankel functions
   potentials - layer-potential assembly, symmetrizer actions, off-boundary fields
   spectral   - symmetrized eigensolves, quotient Gram, identity residuals
   mie        - closed-form sphere backend (the oracle layer)

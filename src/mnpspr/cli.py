@@ -277,38 +277,35 @@ def config_hash(data) -> str:
     return f"{h:016x}"
 
 
-def report_version_and_provenance(cfg=None, tol=None, seed=0, L_quad=None, L=None):
+def report_version_and_provenance(cfg: RunConfig):
     """Provenance lines embedded in every artifact header.
 
-    cfg is the settings the run read, {"command": ..., **RunConfig.params},
-    which the config_hash line fingerprints; its command selects the
-    quadrature line and whether the tolerance (calderon, mie-check) and the
-    seed (calderon) are named, the commands that read them.  L is the run's
-    degree, written on its own line when given, at which scatter projects
-    its corrections (default L_quad).
+    The config_hash line fingerprints the settings the run read,
+    {"command": ..., **cfg.params}.  The command selects the quadrature
+    line and whether the tolerance (calderon, mie-check) and the seed
+    (calderon) are named, the commands that read them.  The run's degree L,
+    at which scatter projects its corrections, has its own line in every
+    command that takes one.
     """
-    command = cfg.get("command") if isinstance(cfg, dict) else None
+    L = cfg.params.get("L")
     quadrature = "quadrature: rotated-polar-gl"
-    if command == "mie-check":
+    if cfg.command == "mie-check":
         quadrature = "quadrature: surface-grid nodes (no polar rule)"
-    elif L_quad is not None:
-        quadrature += f" (n_polar={default_polar_order(L_quad)})"
-        if command == "scatter":
-            degree = L_quad if L is None else L
-            quadrature += f", corrections (n_polar={correction_polar_order(degree)})"
-    lines = [
+    else:
+        quadrature += f" (n_polar={default_polar_order(cfg.L_quad)})"
+        if cfg.command == "scatter":
+            quadrature += f", corrections (n_polar={correction_polar_order(L)})"
+    return [
         f"mnpspr {__version__}",
         f"numpy {np.__version__}",
         quadrature,
-        f"L_quad: {L_quad if L_quad is not None else 'n/a'}",
+        f"L_quad: {cfg.L_quad}",
         *([f"L: {L}"] if L is not None else []),
-        *([f"tolerance: {tol if tol is not None else 'default'}"]
-          if command in ("calderon", "mie-check") else []),
-        *([f"seed: {seed}"] if command == "calderon" else []),
+        *([f"tolerance: {cfg.tol if cfg.tol is not None else 'default'}"]
+          if cfg.command in ("calderon", "mie-check") else []),
+        *([f"seed: {cfg.seed}"] if cfg.command == "calderon" else []),
+        f"config_hash: {config_hash({'command': cfg.command, **cfg.params})}",
     ]
-    if cfg is not None:
-        lines.append(f"config_hash: {config_hash(cfg)}")
-    return lines
 
 
 @lru_cache(maxsize=None)
@@ -344,12 +341,6 @@ def _shell_points(spec):
     return np.vstack([fibonacci_shell(e["count"], e["radius"]) for e in spec])
 
 
-def _curl_set(grid, L):
-    """The symmetrized spectrum of the magnetic operator on the curl subspace."""
-    ops = scalar_operators(grid, L)
-    return mnp_spectra(np_spectrum(ops["S"], ops["Kstar"]), ops["S"], grid)[0]
-
-
 # --------------------------------------------------------------------------
 # commands: (cfg, grid) -> (artifacts, breach).  artifacts maps a file name
 # to (columns, rows) for a .csv, or to a payload for a .json; breach is None
@@ -361,10 +352,8 @@ _FIELD_COLUMNS = ["mode", "lambda", "tau", "point", "dist", "abs_E", "abs_H"]
 
 
 def cmd_spectrum(cfg, grid):
-    ops = scalar_operators(grid, cfg.params["L"])
-    nps = np_spectrum(ops["S"], ops["Kstar"])
-    curl, grad = mnp_spectra(nps, ops["S"], grid)
-    sets = (nps, curl, grad)
+    L = cfg.params["L"]
+    sets = (np_spectrum(grid, L), *mnp_spectra(grid, L))
     rows = [(st.operator, *row) for st in sets for row in st.eigenvalue_table()]
     return {
         "spectrum.csv": (["operator", "j", "lambda", "multiplicity_cluster"], rows),
@@ -374,16 +363,15 @@ def cmd_spectrum(cfg, grid):
 
 def cmd_calderon(cfg, grid):
     L = cfg.params["L"]
-    ops = scalar_operators(grid, L)
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for i in range(cfg.params["n_tests"]):
         for identity, potential, flavor in (("curl", "V", "curl"), ("grad", "X", "div")):
             coeffs = random_band_limited(rng, max(L - 3, 1), 2.5)
             t = TangentField.from_potentials(**{potential: coeffs}, L=L, flavor=flavor)
-            rows.append((identity, i, calderon_residual(identity, t, ops, grid)))
+            rows.append((identity, i, calderon_residual(identity, t, grid, L)))
     worst = max(row[2] for row in rows)
-    scal = scalar_calderon_residual(ops)
+    scal = scalar_calderon_residual(scalar_operators(grid, L))
     breach = None
     if cfg.tol is not None and worst > cfg.tol:
         breach = f"commutation residual {worst:.3e} exceeds tolerance {cfg.tol:.3e}"
@@ -403,7 +391,7 @@ def cmd_plasmon(cfg, grid):
         mode = PlasmonMode.from_sphere(spec["l"], spec["n"], spec["m"], spec["radius"], omega)
     else:
         L = cfg.params["L"]
-        curl = _curl_set(grid, L)
+        curl = mnp_spectra(grid, L)[0]
         if not 0 <= spec["index"] < len(curl):
             message = f"mode.index must lie in [0, {len(curl)}), the curl modes at L = {L}"
             raise ConfigError(message, "mode.index")
@@ -421,7 +409,7 @@ def cmd_plasmon(cfg, grid):
 
 
 def cmd_decay(cfg, grid):
-    curl = _curl_set(grid, cfg.params["L"])
+    curl = mnp_spectra(grid, cfg.params["L"])[0]
     omega = cfg.params["materials"]["omega"]
     modes = [PlasmonMode.from_eigenmode(j, curl, omega) for j in range(len(curl))]
     points = _shell_points(cfg.params["points"])
@@ -495,9 +483,7 @@ def run(config, outdir=".", tol=None, seed=0) -> int:
         cfg = RunConfig.from_dict(config, tol, seed)
         handler = _HANDLERS[cfg.command][0]
         artifacts, breach = handler(cfg, cfg.build_grid())
-        header = report_version_and_provenance(
-            {"command": cfg.command, **cfg.params}, tol, seed, cfg.L_quad, cfg.params.get("L")
-        )
+        header = report_version_and_provenance(cfg)
         for name, body in artifacts.items():
             path = os.path.join(outdir, name)
             if name.endswith(".csv"):

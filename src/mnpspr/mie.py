@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from .potentials import NearBoundaryError
-from .sphharm import cartesian_to_angles, sh_index, ynm_matrix
-from .specfun import radial, vector_sph_matrix
+from .sphharm import cartesian_to_angles, sh_index, unit_vectors, ynm_matrix
+from .specfun import radial
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,18 @@ def exact_sphere_potential(mode: SphereMode, k: float, x, which: str) -> np.ndar
         raise NearBoundaryError(f"evaluation point at radius {rp:.6g} lies on the mode's sphere")
     f, F = radial(n, k * rp, rp > r)
     g, G = radial(n, k * r, rp < r)
-    p1, p2 = (p[0, sh_index(n, mode.m)] for p in vector_sph_matrix(theta, phi, n))
+    # the mode's vector harmonics phi_1 = grad_S Y / sqrt(n(n+1)), phi_2 = xhat x phi_1
+    Y, Yt, Yp = (c[0, sh_index(n, mode.m)] for c in ynm_matrix(theta, phi, n, derivatives=True))
+    _, that, phat = (u[0] for u in unit_vectors(theta, phi))
+    scale = 1.0 / np.sqrt(n * (n + 1.0))
+    a, b = Yt * scale, Yp * scale
+    p1 = a * that + b * phat
+    p2 = a * phat - b * that
     if which == "curlS" and mode.l == 1:
         return 1j * k * r * f * G * p2
     if which == "curlcurlS" and mode.l == 2:
         return -1j * k**3 * r**2 * f * g * p2
     # curlS of family 2 and curlcurlS of family 1 share F phi_1 + sqrt(n(n+1)) f Y xhat
-    Y = ynm_matrix(theta, phi, n)[0, sh_index(n, mode.m)]
     shared = F * p1 + np.sqrt(n * (n + 1.0)) * f * Y * x / rp
     if which == "curlS":
         # sign fixed against the trace jump relation: the exterior

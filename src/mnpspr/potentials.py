@@ -188,22 +188,26 @@ def _check_scalar_invariants(ops):
 # --------------------------------------------------------------------------
 
 
-def apply_N(g: TangentField, S_mat: OperatorMatrix, grid: SurfaceGrid) -> TangentField:
-    """vcurl S[curl_S g]; annihilates gradient fields, output is pure curl."""
+def apply_N(g: TangentField, grid: SurfaceGrid, L: int) -> TangentField:
+    """vcurl S[curl_S g]; annihilates gradient fields, output is pure curl.
+
+    S is the grid's own single layer at degree L.
+    """
     if g.flavor != "curl":
         raise FlavorError("N acts on curl-trace fields")
-    D = grid.laplace_matrix(S_mat.L)
-    pot = -(S_mat.entries @ (D @ g.V.padded(S_mat.L)))
-    return TangentField(ShCoeffs.zeros(S_mat.L), ShCoeffs(S_mat.L, pot), "curl")
+    pot = -(scalar_operators(grid, L)["S"].entries @ (grid.laplace_matrix(L) @ g.V.padded(L)))
+    return TangentField(ShCoeffs.zeros(L), ShCoeffs(L, pot), "curl")
 
 
-def apply_Q(f: TangentField, S_mat: OperatorMatrix, grid: SurfaceGrid) -> TangentField:
-    """grad S[div_S f]; annihilates curl fields, output is pure gradient."""
+def apply_Q(f: TangentField, grid: SurfaceGrid, L: int) -> TangentField:
+    """grad S[div_S f]; annihilates curl fields, output is pure gradient.
+
+    S is the grid's own single layer at degree L.
+    """
     if f.flavor != "div":
         raise FlavorError("Q acts on div-trace fields")
-    D = grid.laplace_matrix(S_mat.L)
-    pot = S_mat.entries @ (D @ f.X.padded(S_mat.L))
-    return TangentField(ShCoeffs(S_mat.L, pot), ShCoeffs.zeros(S_mat.L), "div")
+    pot = scalar_operators(grid, L)["S"].entries @ (grid.laplace_matrix(L) @ f.X.padded(L))
+    return TangentField(ShCoeffs(L, pot), ShCoeffs.zeros(L), "div")
 
 
 # --------------------------------------------------------------------------

@@ -62,11 +62,6 @@ class RHSVector:
         return np.concatenate([c.padded(L)[1:] for c in parts])
 
 
-def _grid_key(grid: SurfaceGrid):
-    """What defines a grid, compared exactly: its degree and radius coefficients."""
-    return grid.L_quad, grid.radius_coeffs.coeffs.tobytes()
-
-
 @dataclass
 class BlockSystem:
     """Scaled boundary system [[P, Q], [Q, P]] on stacked potentials; P is `same`, Q `cross`."""
@@ -74,7 +69,7 @@ class BlockSystem:
     same: np.ndarray
     cross: np.ndarray
     L: int
-    grid_id: tuple  # the _grid_key of the grid it was assembled on
+    grid: SurfaceGrid  # the grid it was assembled on
     materials: MaterialConfig
     meta: dict = field(default_factory=dict)
 
@@ -147,7 +142,7 @@ def assemble_system(
             )
             or True,
         )
-    return BlockSystem(same, cross, L, _grid_key(grid), materials, {"cross_coupling": "dropped"})
+    return BlockSystem(same, cross, L, grid, materials, {"cross_coupling": "dropped"})
 
 
 def dipole_incident_trace(source, p, materials: MaterialConfig, grid: SurfaceGrid) -> RHSVector:
@@ -219,14 +214,12 @@ def pair_norm(a: TangentField, b: TangentField, grid: SurfaceGrid):
     return float(np.hypot(trace_norm(a, grid), trace_norm(b, grid)))
 
 
-def weak_resonance_indicator(system: BlockSystem, density: TangentField, grid: SurfaceGrid):
+def weak_resonance_indicator(system: BlockSystem, density: TangentField):
     """|| A(delta) (phi, omega phi) || for a normalized candidate density.
 
     density is the curl-flavor candidate phi; the pair (phi, omega phi) is
-    scaled to unit stacked curl-trace norm.
+    scaled to unit stacked curl-trace norm on the system's grid.
     """
-    if _grid_key(grid) != system.grid_id:
-        raise ValueError("grid does not match the assembled system")
     v = TangentField.from_potentials(X=density.X, V=density.V, L=system.L, flavor="div")
     omega = system.materials.omega
     scaled = TangentField(
@@ -234,12 +227,12 @@ def weak_resonance_indicator(system: BlockSystem, density: TangentField, grid: S
         ShCoeffs(system.L, omega * v.V.padded(system.L)),
         "div",
     )
-    scale = pair_norm(v, scaled, grid)
+    scale = pair_norm(v, scaled, system.grid)
     v1, v2 = np.split(RHSVector(v, scaled).stacked(system.L) / scale, 2)
     P, Q = system.same, system.cross
     out = np.concatenate([P @ v1 + Q @ v2, Q @ v1 + P @ v2])
     first, second = _unstack(out, system.L)
-    return pair_norm(first, second, grid)
+    return pair_norm(first, second, system.grid)
 
 
 def eval_scattered_fields(densities, x, materials: MaterialConfig, grid: SurfaceGrid,
@@ -296,6 +289,6 @@ def resonance_sweep(grid, tau_list, delta_list, omega, order, source, p, L=None)
             system = assemble_system(grid, mats, order, L)
             sol, cond = solve_scatter(system, rhs)
             sol_norm = pair_norm(sol[0], sol[1], grid)
-            indicator = weak_resonance_indicator(system, candidate, grid)
+            indicator = weak_resonance_indicator(system, candidate)
             rows.append((float(tau), float(delta), indicator, sol_norm, cond))
     return rows

@@ -1,20 +1,13 @@
-"""Radial special functions and vector spherical harmonics.
+"""Radial special functions.
 
 Provides the spherical Bessel function j_n and the outgoing Hankel function
 h_n with the composite f_n(z) + z f_n'(z) that appears in curl formulas of
-multipole fields, both by three-term recurrences, and the tangential
-vector harmonics
-
-    phi_1 = grad_S Y_n^m / sqrt(n(n+1)),      phi_2 = xhat x phi_1.
+multipole fields, both by three-term recurrences.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
-
-from .sphharm import num_coeffs, unit_vectors, ynm_matrix
 
 
 def radial(n, z, outgoing):
@@ -57,22 +50,3 @@ def radial(n, z, outgoing):
         f, f_prev = complex(f, y), complex(f_prev, y_prev)
     return f, z * f_prev - n * f
 
-
-def vector_sph_matrix(theta, phi, L):
-    """All phi_1 / phi_2 values at the given points.
-
-    Returns (phi1, phi2), each (P, (L+1)^2, 3) complex; degree-0 slots are 0.
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    Y, Yt, Yp = ynm_matrix(theta, phi, L, derivatives=True)
-    rhat, that, phat = unit_vectors(theta, phi)
-    n = np.concatenate([np.full(2 * k + 1, k) for k in range(L + 1)])
-    scale = np.zeros(num_coeffs(L))
-    scale[1:] = 1.0 / np.sqrt(n[1:] * (n[1:] + 1.0))
-    a = Yt * scale[None, :]
-    b = Yp * scale[None, :]
-    phi1 = a[:, :, None] * that[:, None, :] + b[:, :, None] * phat[:, None, :]
-    # xhat x theta-hat = phi-hat, xhat x phi-hat = -theta-hat
-    phi2 = a[:, :, None] * phat[:, None, :] - b[:, :, None] * that[:, None, :]
-    return phi1, phi2

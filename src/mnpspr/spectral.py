@@ -22,13 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potentials import (
-    AssemblyAccuracyError,
-    FlavorError,
-    OperatorMatrix,
-    RegularizationError,
-    scalar_operators,
-)
+from .potentials import AssemblyAccuracyError, FlavorError, RegularizationError, scalar_operators
 from .sphharm import num_coeffs, sh_degrees
 from .surface import ShCoeffs, SurfaceGrid, TangentField
 
@@ -119,25 +113,27 @@ def _eigh_pencil(A, B, what):
     return lam, np.linalg.solve(chol.conj().T, y)
 
 
-def np_spectrum(S_mat: OperatorMatrix, Kstar_mat: OperatorMatrix) -> SpectralSet:
-    """Symmetrized spectrum of the scalar adjoint double layer.
+def np_spectrum(grid: SurfaceGrid, L: int) -> SpectralSet:
+    """Symmetrized spectrum of the scalar adjoint double layer at degree L.
 
-    Generalized Hermitian eigensolve with Gram -S; eigenvectors are
-    orthonormal in that Gram and eigenvalues lie in (-1/2, 1/2].
+    Generalized Hermitian eigensolve of the grid's own `scalar_operators`
+    with Gram -S; eigenvectors are orthonormal in that Gram and eigenvalues
+    lie in (-1/2, 1/2].  Solved once per grid and degree; the returned
+    set's arrays are read-only.
     """
-    A = -S_mat.pairing @ Kstar_mat.entries
-    sym_res = np.linalg.norm(A - A.conj().T) / np.linalg.norm(A)
-    mu, theta = _eigh_pencil(_hermitize(A), _hermitize(-S_mat.pairing), "negative single layer")
-    order = np.argsort(-np.abs(mu))
-    mu, theta = mu[order], theta[:, order]
-    return SpectralSet(
-        "Kstar",
-        mu,
-        theta,
-        "inner_S",
-        S_mat.L,
-        {"sym_residual": float(sym_res)},
-    )
+
+    def build():
+        ops = scalar_operators(grid, L)
+        GS = ops["S"].pairing
+        A = -GS @ ops["Kstar"].entries
+        sym_res = np.linalg.norm(A - A.conj().T) / np.linalg.norm(A)
+        mu, theta = _eigh_pencil(_hermitize(A), _hermitize(-GS), "negative single layer")
+        order = np.argsort(-np.abs(mu))
+        mu, theta = mu[order], theta[:, order]
+        mu.flags.writeable = theta.flags.writeable = False
+        return SpectralSet("Kstar", mu, theta, "inner_S", L, {"sym_residual": float(sym_res)})
+
+    return grid.cached(("np", L), build)
 
 
 # --------------------------------------------------------------------------
@@ -177,60 +173,62 @@ def quotient_gram_matrix(grid: SurfaceGrid, L: int):
 # --------------------------------------------------------------------------
 
 
-def mnp_spectra(np_set: SpectralSet, S_mat: OperatorMatrix, grid: SurfaceGrid):
+def mnp_spectra(grid: SurfaceGrid, L: int):
     """Eigen-sets of the magnetic operator on its two Helmholtz subspaces.
 
-    Curl subspace: eigenvalue mu_j with eigenfield potential S[theta_j]
-    (the mode at 1/2 is excluded: its potential is constant and the curl
-    vanishes).  Gradient subspace: eigenvalue -mu_j with the same potential.
-    Potentials are stored mean-free, normalized in the quotient grams.
+    Curl subspace: eigenvalue mu_j of `np_spectrum(grid, L)` with eigenfield
+    potential S[theta_j] (the mode at 1/2 is excluded: its potential is
+    constant and the curl vanishes).  Gradient subspace: eigenvalue -mu_j
+    with the same potential.  Potentials are stored mean-free, normalized
+    in the quotient grams.
     """
+    np_set = np_spectrum(grid, L)
     keep = np.abs(np_set.eigenvalues - 0.5) > HALF_EXCLUSION_TOL
     dropped = np.count_nonzero(~keep)
     if dropped != 1:
         log.warning("excluded %d eigenvalue(s) at 1/2 from the curl subspace", dropped)
     mu = np_set.eigenvalues[keep]
     theta = np_set.vectors[:, keep]
-    pots = S_mat.entries @ theta
+    pots = scalar_operators(grid, L)["S"].entries @ theta
     pots[0, :] = 0.0
-    G1 = quotient_gram_matrix(grid, S_mat.L)
+    G1 = quotient_gram_matrix(grid, L)
     norms = np.sqrt(np.maximum(np.einsum("ij,ij->j", pots[1:].conj(), G1 @ pots[1:]).real, 1e-300))
     pots = pots / norms[None, :]
     curl = SpectralSet(
-        "M_curl", mu, pots, "curl_Ninv", S_mat.L,
+        "M_curl", mu, pots, "curl_Ninv", L,
         {"excluded_half": int(dropped)},
     )
     order = np.argsort(-np.abs(-mu))
     grad = SpectralSet(
-        "Mstar_grad", -mu[order], pots[:, order], "grad_Qinv", S_mat.L,
+        "Mstar_grad", -mu[order], pots[:, order], "grad_Qinv", L,
         {"excluded_half": int(dropped)},
     )
     return curl, grad
 
 
-def _subspace_operator(op, ops, grid: SurfaceGrid):
+def _subspace_operator(op, grid: SurfaceGrid, L: int):
     """Quotient potential map of a restricted magnetic operator, and its Gram.
 
-    Returns (A, G): the mean-free block of the K coefficient matrix for
-    M_curl, or of -K for Mstar_grad, and the positive Gram in which it is
-    self-adjoint.
+    Returns (A, G): the mean-free block of the grid's K coefficient matrix
+    at degree L for M_curl, or of -K for Mstar_grad, and the positive Gram
+    in which it is self-adjoint.
     """
     if op not in ("M_curl", "Mstar_grad"):
         raise ValueError(f"unknown operator {op!r}")
-    A = ops["K"].entries[1:, 1:]
-    return (A if op == "M_curl" else -A), quotient_gram_matrix(grid, ops["S"].L)
+    A = scalar_operators(grid, L)["K"].entries[1:, 1:]
+    return (A if op == "M_curl" else -A), quotient_gram_matrix(grid, L)
 
 
-def subspace_spectrum(ops, grid: SurfaceGrid, which="M_curl"):
+def subspace_spectrum(grid: SurfaceGrid, L: int, which="M_curl"):
     """Independent symmetrized eigensolve of the restricted magnetic maps."""
-    A, G = _subspace_operator(which, ops, grid)
+    A, G = _subspace_operator(which, grid, L)
     lam, _ = _eigh_pencil(_hermitize(G @ A), G, "quotient Gram")
     return lam[::-1]
 
 
-def self_adjointness_residual(op: str, grid: SurfaceGrid, ops, gram_weight="natural"):
+def self_adjointness_residual(op: str, grid: SurfaceGrid, L: int, gram_weight="natural"):
     """|| G A - A^H G || / || G A || for the restricted magnetic operators."""
-    A, G = _subspace_operator(op, ops, grid)
+    A, G = _subspace_operator(op, grid, L)
     if gram_weight == "identity":
         G = np.eye(A.shape[0])
     GA = G @ A
@@ -269,13 +267,13 @@ def trace_norm(fld: TangentField, grid: SurfaceGrid):
     return float(np.sqrt(comp) + sobolev_coeff_norm(scal, max(fld.X.L, fld.V.L)))
 
 
-def calderon_residual(which: str, test: TangentField, ops, grid: SurfaceGrid):
+def calderon_residual(which: str, test: TangentField, grid: SurfaceGrid, L: int):
     """Relative residual of the symmetrizer commutation identities.
 
     which='curl': (N M* - M N) on a curl-flavor field; which='grad':
     (M* Q - Q M) on a div-flavor field.  Both reduce through the scalar
     layer to (S K* - K S) applied to the Laplacian of the potential, which
-    is what the assembled matrices are tested on here.
+    is what the grid's assembled matrices at degree L are tested on here.
     """
     flavor = {"curl": "curl", "grad": "div"}.get(which)
     if flavor is None:
@@ -283,10 +281,11 @@ def calderon_residual(which: str, test: TangentField, ops, grid: SurfaceGrid):
     if test.flavor != flavor:
         raise FlavorError(f"{which} identity needs a {flavor}-flavor test field")
     pot = "V" if flavor == "curl" else "X"
+    ops = scalar_operators(grid, L)
     S, K, Kstar = ops["S"], ops["K"], ops["Kstar"]
-    base = grid.laplace_matrix(S.L) @ getattr(test, pot).padded(S.L)
+    base = grid.laplace_matrix(L) @ getattr(test, pot).padded(L)
     diff = S.entries @ (Kstar.entries @ base) - K.entries @ (S.entries @ base)
-    fld = TangentField.from_potentials(**{pot: ShCoeffs(S.L, diff)}, L=S.L, flavor=flavor)
+    fld = TangentField.from_potentials(**{pot: ShCoeffs(L, diff)}, L=L, flavor=flavor)
     return trace_norm(fld, grid) / trace_norm(test, grid)
 
 
@@ -302,22 +301,22 @@ def scalar_calderon_residual(ops):
 # --------------------------------------------------------------------------
 
 
-def curl_field_expansion(g: TangentField, curl_set: SpectralSet, ops, grid, J=None):
+def curl_field_expansion(g: TangentField, grid: SurfaceGrid, L: int, J=None):
     """Expand a curl-flavor field over the inverse-symmetrizer eigenfields.
 
-    The coefficients are the surface pairings of g with the eigenfields,
+    The eigenfields are those of `mnp_spectra(grid, L)` on the curl
+    subspace.  The coefficients are the surface pairings of g with them,
     pot_j^H K_stiff pot_g.  The dual family has mean-free potentials
     K_stiff^{-1} Ghat pot_j, with Ghat the quotient Gram: the eigenfield
     potentials are Ghat-orthonormal and span the mean-free slots, so the
     expansion is exact at full order on every band-limited field.
     Returns (coefficients, reconstructed potential V at truncation J).
     """
-    S = ops["S"]
-    nc = num_coeffs(S.L)
+    nc = num_coeffs(L)
     K_st = grid.stiffness_matrix()[:nc, :nc]
-    pots = curl_set.vectors
-    coeffs = pots.conj().T @ (K_st @ g.V.padded(S.L))
+    pots = mnp_spectra(grid, L)[0].vectors
+    coeffs = pots.conj().T @ (K_st @ g.V.padded(L))
     U = np.zeros_like(pots)
-    U[1:] = np.linalg.solve(K_st[1:, 1:], quotient_gram_matrix(grid, S.L) @ pots[1:])
+    U[1:] = np.linalg.solve(K_st[1:, 1:], quotient_gram_matrix(grid, L) @ pots[1:])
     J = pots.shape[1] if J is None else J
     return coeffs, U[:, :J] @ coeffs[:J]

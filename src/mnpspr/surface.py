@@ -100,7 +100,7 @@ class ShCoeffs:
         return ShCoeffs(self.L, self.coeffs.copy())
 
     def padded(self, L):
-        """Coefficient vector zero-extended (or validated-truncated) to degree L."""
+        """Coefficient vector zero-extended (or truncated) to degree L."""
         if L == self.L:
             return self.coeffs
         out = np.zeros(num_coeffs(L), dtype=complex)

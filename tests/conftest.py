@@ -8,7 +8,7 @@ import pytest
 from mnpspr.potentials import scalar_operators
 from mnpspr.spectral import mnp_spectra, np_spectrum
 from mnpspr.sphharm import fibonacci_shell  # noqa: F401  (shared by the test modules)
-from mnpspr.sphharm import ynm_matrix
+from mnpspr.sphharm import num_coeffs, unit_vectors, ynm_matrix
 from mnpspr.surface import build_surface, perturbed_sphere, radius_from_json, sphere_surface
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -95,10 +95,8 @@ def pert12_ops(pert12):
 
 
 @pytest.fixture(scope="session")
-def pert12_spectra(pert12, pert12_ops):
-    nps = np_spectrum(pert12_ops["S"], pert12_ops["Kstar"])
-    curl, grad = mnp_spectra(nps, pert12_ops["S"], pert12)
-    return nps, curl, grad
+def pert12_spectra(pert12):
+    return (np_spectrum(pert12, 12), *mnp_spectra(pert12, 12))
 
 
 @pytest.fixture()
@@ -133,6 +131,28 @@ def basis_arrays(grid):
         return Yt[:, :, None] * vec_theta[:, None] + Yp[:, :, None] * vec_phi[:, None]
 
     return fields(alpha, sin_beta), fields(alpha_c, sin_beta_c)
+
+
+def vector_sph_matrix(theta, phi, L):
+    """All tangential vector harmonics at the given points, the oracle of the sphere modes.
+
+    phi_1 = grad_S Y_n^m / sqrt(n(n+1)) and phi_2 = xhat x phi_1 for every
+    slot up to degree L.  Returns (phi1, phi2), each (P, (L+1)^2, 3)
+    complex; degree-0 slots are 0.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    Y, Yt, Yp = ynm_matrix(theta, phi, L, derivatives=True)
+    rhat, that, phat = unit_vectors(theta, phi)
+    n = np.concatenate([np.full(2 * k + 1, k) for k in range(L + 1)])
+    scale = np.zeros(num_coeffs(L))
+    scale[1:] = 1.0 / np.sqrt(n[1:] * (n[1:] + 1.0))
+    a = Yt * scale[None, :]
+    b = Yp * scale[None, :]
+    phi1 = a[:, :, None] * that[:, None, :] + b[:, :, None] * phat[:, None, :]
+    # xhat x theta-hat = phi-hat, xhat x phi-hat = -theta-hat
+    phi2 = a[:, :, None] * phat[:, None, :] - b[:, :, None] * that[:, None, :]
+    return phi1, phi2
 
 
 def full_matrix(system):

@@ -17,7 +17,6 @@ from mnpspr.potentials import (
     apply_N,
     apply_Q,
     offboundary_eval,
-    scalar_operators,
 )
 from mnpspr.scatter import (
     assemble_system,
@@ -54,10 +53,9 @@ def _report(name, ok, detail):
 def test_criterion_01_sphere_spectra():
     """K*, M_curl, M*_grad sphere eigenvalues at L=16 within 1e-6, under 30 s."""
     t0 = time.monotonic()
-    grid = sphere_surface(1.0, 16)
-    ops = scalar_operators(grid, 16)  # fresh assembly, uncached
-    nps = np_spectrum(ops["S"], ops["Kstar"])
-    curl, grad = mnp_spectra(nps, ops["S"], grid)
+    grid = sphere_surface(1.0, 16)  # a fresh grid: assembly and solves are timed
+    nps = np_spectrum(grid, 16)
+    curl, grad = mnp_spectra(grid, 16)
     elapsed = time.monotonic() - t0
 
     err = 0.0
@@ -84,19 +82,19 @@ def test_criterion_01_sphere_spectra():
     )
 
 
-def test_criterion_02_calderon_identities(sphere16, sphere16_ops, pert12, pert12_ops):
+def test_criterion_02_calderon_identities(sphere16, pert12):
     """Commutation residuals <= 1e-9 (sphere) and <= 1e-5 (perturbed, L=12)."""
     rng = np.random.default_rng(2)
     worst_s, worst_p = 0.0, 0.0
     for _ in range(10):
         ts = TangentField.from_potentials(V=random_band_limited(rng, 12, 2.5), L=16, flavor="curl")
-        worst_s = max(worst_s, calderon_residual("curl", ts, sphere16_ops, sphere16))
+        worst_s = max(worst_s, calderon_residual("curl", ts, sphere16, 16))
         ts2 = TangentField.from_potentials(X=random_band_limited(rng, 12, 2.5), L=16, flavor="div")
-        worst_s = max(worst_s, calderon_residual("grad", ts2, sphere16_ops, sphere16))
+        worst_s = max(worst_s, calderon_residual("grad", ts2, sphere16, 16))
         tp = TangentField.from_potentials(V=random_band_limited(rng, 9, 2.5), L=12, flavor="curl")
-        worst_p = max(worst_p, calderon_residual("curl", tp, pert12_ops, pert12))
+        worst_p = max(worst_p, calderon_residual("curl", tp, pert12, 12))
         tp2 = TangentField.from_potentials(X=random_band_limited(rng, 9, 2.5), L=12, flavor="div")
-        worst_p = max(worst_p, calderon_residual("grad", tp2, pert12_ops, pert12))
+        worst_p = max(worst_p, calderon_residual("grad", tp2, pert12, 12))
     ok = worst_s <= 1e-9 and worst_p <= 1e-5
     _report(
         "criterion 2 (commutation identities)",
@@ -105,11 +103,11 @@ def test_criterion_02_calderon_identities(sphere16, sphere16_ops, pert12, pert12
     )
 
 
-def test_criterion_03_symmetrization(pert12, pert12_ops):
+def test_criterion_03_symmetrization(pert12):
     """Weighted self-adjointness <= 1e-5; identity weight exceeds 1e-3."""
-    r_curl = self_adjointness_residual("M_curl", pert12, pert12_ops)
-    r_grad = self_adjointness_residual("Mstar_grad", pert12, pert12_ops)
-    r_id = self_adjointness_residual("M_curl", pert12, pert12_ops, "identity")
+    r_curl = self_adjointness_residual("M_curl", pert12, 12)
+    r_grad = self_adjointness_residual("Mstar_grad", pert12, 12)
+    r_id = self_adjointness_residual("M_curl", pert12, 12, "identity")
     ok = r_curl <= 1e-5 and r_grad <= 1e-5 and r_id > 1e-3
     _report(
         "criterion 3 (symmetrization)",
@@ -118,21 +116,21 @@ def test_criterion_03_symmetrization(pert12, pert12_ops):
     )
 
 
-def test_criterion_04_kernel_characterizations(pert12, pert12_ops):
+def test_criterion_04_kernel_characterizations(pert12):
     """N annihilates gradients and Q annihilates curls, residual <= 1e-8."""
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(10):
         X = random_band_limited(rng, 9)
         g = TangentField.from_potentials(X=X, L=12, flavor="curl")
-        out = apply_N(g, pert12_ops["S"], pert12)
+        out = apply_N(g, pert12, 12)
         worst = max(
             worst,
             float(np.max(np.abs(out.V.coeffs)) / max(np.max(np.abs(X.coeffs)), 1e-300)),
         )
         V = random_band_limited(rng, 9)
         f = TangentField.from_potentials(V=V, L=12, flavor="div")
-        outq = apply_Q(f, pert12_ops["S"], pert12)
+        outq = apply_Q(f, pert12, 12)
         worst = max(
             worst,
             float(np.max(np.abs(outq.X.coeffs)) / max(np.max(np.abs(V.coeffs)), 1e-300)),
@@ -141,15 +139,15 @@ def test_criterion_04_kernel_characterizations(pert12, pert12_ops):
     _report("criterion 4 (kernel characterizations)", ok, f"max residual {worst:.2e} <= 1e-8")
 
 
-def test_criterion_05_spectrum_identity(sphere16, sphere16_ops, pert12, pert12_ops):
+def test_criterion_05_spectrum_identity(sphere16, pert12):
     """Curl-subspace spectrum equals the scalar spectrum minus 1/2, per element."""
     worst = 0.0
-    for grid, ops in ((sphere16, sphere16_ops), (pert12, pert12_ops)):
-        nps = np_spectrum(ops["S"], ops["Kstar"])
+    for grid, L in ((sphere16, 16), (pert12, 12)):
+        nps = np_spectrum(grid, L)
         lam = np.sort(nps.eigenvalues)[::-1]
         i_half = int(np.argmin(np.abs(lam - 0.5)))
         lam_minus = np.delete(lam, i_half)
-        lam_ind = subspace_spectrum(ops, grid, "M_curl")
+        lam_ind = subspace_spectrum(grid, L, "M_curl")
         worst = max(worst, float(np.max(np.abs(np.sort(lam_minus) - np.sort(lam_ind)))))
     ok = worst <= 1e-7
     _report("criterion 5 (spectrum identity)", ok, f"max per-element deviation {worst:.2e} <= 1e-7")
@@ -205,11 +203,10 @@ def test_criterion_08_sphere_localization():
     )
 
 
-def test_criterion_09_general_localization(pert12, pert12_ops):
+def test_criterion_09_general_localization(pert12):
     """Partial sums plateau and the exceedance verdict is positive, < 5 min."""
     t0 = time.monotonic()
-    nps = np_spectrum(pert12_ops["S"], pert12_ops["Kstar"])
-    curl, _ = mnp_spectra(nps, pert12_ops["S"], pert12)
+    curl, _ = mnp_spectra(pert12, 12)
     modes = [PlasmonMode.from_eigenmode(j, curl, omega=1.0) for j in range(len(curl))]
     points = np.vstack([fibonacci_shell(40, 3.0), fibonacci_shell(10, 0.25)])
     report = localization_scan(modes, points, 0.5, pert12)
@@ -236,11 +233,11 @@ def test_criterion_10_weak_resonance_indicator(sphere10):
     for delta in deltas:
         mats = MaterialConfig.negative_preset(0.5, 1.0, float(delta))
         system = assemble_system(sphere10, mats, 2)
-        vals.append(weak_resonance_indicator(system, candidate, sphere10))
+        vals.append(weak_resonance_indicator(system, candidate))
     slope = np.polyfit(np.log(deltas), np.log(vals), 1)[0]
     mats = MaterialConfig.negative_preset(0.6, 1.0, 0.025)
     system = assemble_system(sphere10, mats, 2)
-    detuned = weak_resonance_indicator(system, candidate, sphere10)
+    detuned = weak_resonance_indicator(system, candidate)
     gap = abs(resonance_shift(0.6) - 1.0 / 6.0)
     ok = slope >= 1.0 and detuned >= 0.9 * gap
     _report(

@@ -79,6 +79,17 @@ class TestSpectrumCommand:
         code2, out2 = run_cli(tmp_path, cfg)
         assert read_csv_body(out1 / "first.csv") == read_csv_body(out2 / "spectrum.csv")
 
+    def test_one_eigensolve_per_run(self, tmp_path, monkeypatch):
+        # the scalar set and both magnetic sets come from the grid's one np_spectrum
+        from mnpspr import spectral
+
+        calls = []
+        solve = spectral._eigh_pencil
+        monkeypatch.setattr(spectral, "_eigh_pencil", lambda *a: calls.append(a[2]) or solve(*a))
+        code, _ = run_cli(tmp_path, {"command": "spectrum", "surface": SPHERE8, "L": 6})
+        assert code == 0
+        assert calls == ["negative single layer"]
+
 
 class TestValidation:
     def test_missing_L_names_field(self, tmp_path, capsys):
@@ -150,11 +161,13 @@ class TestProvenance:
         assert "# L: 8" in head
         assert "# quadrature: rotated-polar-gl (n_polar=30)" in head
         # mie-check takes no L, so its header has no L line
-        lines = report_version_and_provenance({"command": "mie-check"}, None, 0, 16)
+        lines = report_version_and_provenance(RunConfig.from_dict({"command": "mie-check"}))
         assert not any(line.startswith("L:") for line in lines)
 
     def test_provenance_lines(self):
-        lines = report_version_and_provenance({"command": "spectrum"}, None, 0, 8)
+        lines = report_version_and_provenance(
+            RunConfig.from_dict({"command": "spectrum", "surface": {"sphere": 1.0}, "L": 8})
+        )
         assert any("mnpspr" in l for l in lines)
         assert any("config_hash" in l for l in lines)
 
@@ -484,8 +497,7 @@ class TestPlasmonModeRange:
 
     def test_rows_equal_plasmon_field(self, tmp_path):
         from mnpspr.plasmon import PlasmonMode, plasmon_field
-        from mnpspr.potentials import scalar_operators
-        from mnpspr.spectral import mnp_spectra, np_spectrum
+        from mnpspr.spectral import mnp_spectra
         from mnpspr.sphharm import fibonacci_shell
         from mnpspr.surface import sphere_surface
 
@@ -497,8 +509,7 @@ class TestPlasmonModeRange:
         rows = [l.split(",") for l in read_csv_body(out / "plasmon.csv")
                 if not l.startswith("#")][1:]
         grid = sphere_surface(1.0, 6)
-        ops = scalar_operators(grid, 6)
-        curl, _ = mnp_spectra(np_spectrum(ops["S"], ops["Kstar"]), ops["S"], grid)
+        curl, _ = mnp_spectra(grid, 6)
         mode = PlasmonMode.from_eigenmode(23, curl)
         pts = np.vstack([fibonacci_shell(3, 2.0), fibonacci_shell(2, 0.2)])
         assert len(rows) == len(pts)
@@ -635,8 +646,8 @@ def test_decay_point_in_tube_exits_two(tmp_path):
 def test_decay_inside_the_guard_runs(tmp_path):
     # rho = 1 + 0.05 Re Y_2^0 at L = L_quad = 4: the grid rule's guard is 0.97, so
     # both points take the near rule; the 0.05-tube lets them through
-    from mnpspr.cli import _curl_set
     from mnpspr.plasmon import PlasmonMode, localization_scan
+    from mnpspr.spectral import mnp_spectra
     from mnpspr.sphharm import fibonacci_shell
     from mnpspr.surface import perturbed_sphere
 
@@ -646,7 +657,7 @@ def test_decay_inside_the_guard_runs(tmp_path):
     assert code == 0
     grid = perturbed_sphere(0.05, 2, 0, 4)
     pts = np.vstack([fibonacci_shell(1, 1.3), fibonacci_shell(1, 0.8)])
-    curl = _curl_set(grid, 4)
+    curl, _ = mnp_spectra(grid, 4)
     modes = [PlasmonMode.from_eigenmode(j, curl) for j in range(len(curl))]
     report = localization_scan(modes, pts, 0.05, grid)
     rows = [l.split(",") for l in read_csv_body(out / "decay.csv") if not l.startswith("#")][1:]

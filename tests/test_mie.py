@@ -10,9 +10,10 @@ from mnpspr.mie import (
     sphere_mnp_eigenvalue,
 )
 from mnpspr.potentials import offboundary_eval
-from mnpspr.specfun import vector_sph_matrix
 from mnpspr.sphharm import cartesian_to_angles, sh_index
 from scipy.special import spherical_jn, spherical_yn
+
+from conftest import vector_sph_matrix
 
 PROBE = np.array([0.6, 0.64, 0.48])  # unit direction off the poles
 

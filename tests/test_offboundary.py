@@ -18,9 +18,8 @@ from mnpspr.potentials import (
     NearBoundaryError,
     helmholtz_point_kernels,
     offboundary_eval,
-    scalar_operators,
 )
-from mnpspr.spectral import mnp_spectra, np_spectrum
+from mnpspr.spectral import mnp_spectra
 from mnpspr.surface import (
     ShCoeffs,
     perturbed_sphere,
@@ -55,8 +54,7 @@ def pert10():
 def pert8_modes():
     """rho = 1 + 0.05 Re Y_2^0 at L_quad = 8 and its curl plasmon modes."""
     grid = perturbed_sphere(0.05, 2, 0, 8)
-    ops = scalar_operators(grid, 8)
-    curl, _ = mnp_spectra(np_spectrum(ops["S"], ops["Kstar"]), ops["S"], grid)
+    curl, _ = mnp_spectra(grid, 8)
     return grid, [PlasmonMode.from_eigenmode(j, curl) for j in (0, 5)]
 
 
@@ -345,8 +343,7 @@ class TestKindTuples:
 def pert8_family():
     """Every curl plasmon mode of rho = 1 + 0.05 Re Y_2^0 at L = L_quad = 8."""
     grid = perturbed_sphere(0.05, 2, 0, 8)
-    ops = scalar_operators(grid, 8)
-    curl, _ = mnp_spectra(np_spectrum(ops["S"], ops["Kstar"]), ops["S"], grid)
+    curl, _ = mnp_spectra(grid, 8)
     return grid, [PlasmonMode.from_eigenmode(j, curl) for j in range(len(curl))]
 
 

@@ -14,8 +14,8 @@ from mnpspr.plasmon import (
     plasmon_field,
     resonance_tau,
 )
-from mnpspr.potentials import MaterialConfig, scalar_operators
-from mnpspr.spectral import mnp_spectra, np_spectrum
+from mnpspr.potentials import MaterialConfig
+from mnpspr.spectral import mnp_spectra
 from mnpspr.surface import perturbed_sphere
 
 from conftest import fd_curl, fibonacci_shell
@@ -168,8 +168,7 @@ class TestClusterInvariance:
     @pytest.fixture(scope="class")
     def axisym(self):
         grid = perturbed_sphere(0.05, 2, 0, 8)
-        ops = scalar_operators(grid, 8)
-        curl, _ = mnp_spectra(np_spectrum(ops["S"], ops["Kstar"]), ops["S"], grid)
+        curl, _ = mnp_spectra(grid, 8)
         pts = np.vstack([fibonacci_shell(12, 2.5), fibonacci_shell(4, 0.3)])
         return grid, curl, pts
 

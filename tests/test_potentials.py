@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import eval_legendre
-from conftest import basis_arrays
+from conftest import basis_arrays, vector_sph_matrix
 
 from mnpspr.mie import SphereMode, mode_tangent_field
 from mnpspr.potentials import (
@@ -23,7 +23,6 @@ from mnpspr.potentials import (
     tangent_mass_stack,
 )
 from mnpspr.sphharm import num_coeffs, polar_patch_rule, sh_degrees, sh_index, ynm_matrix
-from mnpspr.specfun import vector_sph_matrix
 from mnpspr.surface import (
     ShCoeffs,
     TangentField,
@@ -64,6 +63,18 @@ class TestOperatorLifetime:
         assert not G.flags.writeable
         ref = weakref.ref(G)
         del g, S, G
+        gc.collect()
+        assert ref() is None
+
+    def test_spectrum_lives_on_the_grid(self):
+        from mnpspr.spectral import np_spectrum
+
+        g = sphere_surface(1.0, 4)
+        st = np_spectrum(g, 4)
+        assert np_spectrum(g, 4) is st
+        assert not st.eigenvalues.flags.writeable and not st.vectors.flags.writeable
+        ref = weakref.ref(st)
+        del g, st
         gc.collect()
         assert ref() is None
 
@@ -128,10 +139,10 @@ class TestScalarAssembly:
         GK, GKs = pert12_ops["K"].pairing, pert12_ops["Kstar"].pairing
         assert np.linalg.norm(GK - GKs.conj().T) / np.linalg.norm(GK) < 1e-8
 
-    def test_perturbed_spectrum_structure(self, pert12_ops, pert12):
+    def test_perturbed_spectrum_structure(self, pert12):
         from mnpspr.spectral import np_spectrum
 
-        st = np_spectrum(pert12_ops["S"], pert12_ops["Kstar"])
+        st = np_spectrum(pert12, 12)
         assert np.all(st.eigenvalues > -0.5)
         assert np.all(st.eigenvalues <= 0.5 + 1e-12)
         assert np.count_nonzero(np.abs(st.eigenvalues - 0.5) < 1e-6) == 1
@@ -171,50 +182,50 @@ class TestSubspaceActions:
 
 
 class TestSymmetrizers:
-    def test_N_annihilates_gradients(self, pert12, pert12_ops, rng):
+    def test_N_annihilates_gradients(self, pert12, rng):
         for _ in range(3):
             g = TangentField.from_potentials(X=random_band_limited(rng, 8), L=12, flavor="curl")
-            out = apply_N(g, pert12_ops["S"], pert12)
+            out = apply_N(g, pert12, 12)
             assert np.max(np.abs(out.V.coeffs)) <= 1e-8
             assert np.max(np.abs(out.X.coeffs)) == 0.0
 
-    def test_Q_annihilates_curls(self, pert12, pert12_ops, rng):
+    def test_Q_annihilates_curls(self, pert12, rng):
         for _ in range(3):
             f = TangentField.from_potentials(V=random_band_limited(rng, 8), L=12, flavor="div")
-            out = apply_Q(f, pert12_ops["S"], pert12)
+            out = apply_Q(f, pert12, 12)
             assert np.max(np.abs(out.X.coeffs)) <= 1e-8
 
-    def test_sphere_values(self, sphere10, sphere10_ops):
+    def test_sphere_values(self, sphere10):
         for n in (1, 2, 5):
             g = TangentField.from_potentials(V=ShCoeffs.unit(n, 0, L=10), L=10, flavor="curl")
-            out = apply_N(g, sphere10_ops["S"], sphere10)
+            out = apply_N(g, sphere10, 10)
             # vcurl S curl: potential -S[Lap V] = -(n(n+1))/(2n+1) V explains
             # the sign: S has negative eigenvalues
             expect = -n * (n + 1) / (2.0 * n + 1.0)
             assert abs(out.V.coeffs[sh_index(n, 0)] - expect) < 1e-8
             f = TangentField.from_potentials(X=ShCoeffs.unit(n, 0, L=10), L=10, flavor="div")
-            outq = apply_Q(f, sphere10_ops["S"], sphere10)
+            outq = apply_Q(f, sphere10, 10)
             assert abs(outq.X.coeffs[sh_index(n, 0)] + expect) < 1e-8
 
-    def test_self_adjoint_under_surface_pairing(self, pert12, pert12_ops, rng):
+    def test_self_adjoint_under_surface_pairing(self, pert12, rng):
         # bilinear surface pairing, no conjugation
         g1 = TangentField.from_potentials(V=random_band_limited(rng, 7), L=12, flavor="curl")
         g2 = TangentField.from_potentials(V=random_band_limited(rng, 7), L=12, flavor="curl")
-        N1 = pert12.tangent_values(apply_N(g1, pert12_ops["S"], pert12))
-        N2 = pert12.tangent_values(apply_N(g2, pert12_ops["S"], pert12))
+        N1 = pert12.tangent_values(apply_N(g1, pert12, 12))
+        N2 = pert12.tangent_values(apply_N(g2, pert12, 12))
         v1 = pert12.tangent_values(g1)
         v2 = pert12.tangent_values(g2)
         a = np.sum(pert12.area_weights * np.einsum("ij,ij->i", N1, v2))
         b = np.sum(pert12.area_weights * np.einsum("ij,ij->i", v1, N2))
         assert abs(a - b) < 1e-8 * max(abs(a), 1e-30)
 
-    def test_flavor_validation(self, sphere10, sphere10_ops, rng):
+    def test_flavor_validation(self, sphere10, rng):
         g = TangentField.from_potentials(V=random_band_limited(rng, 4), L=10, flavor="div")
         with pytest.raises(FlavorError):
-            apply_N(g, sphere10_ops["S"], sphere10)
+            apply_N(g, sphere10, 10)
         with pytest.raises(FlavorError):
             apply_Q(TangentField.from_potentials(X=random_band_limited(rng, 4), L=10, flavor="curl"),
-                    sphere10_ops["S"], sphere10)
+                    sphere10, 10)
 
 
 class TestOffBoundary:

@@ -18,7 +18,7 @@ from mnpspr.scatter import (
 )
 from mnpspr.spectral import trace_norm
 from mnpspr.sphharm import num_coeffs
-from mnpspr.surface import ShCoeffs, TangentField, perturbed_sphere
+from mnpspr.surface import ShCoeffs, TangentField
 
 from conftest import full_matrix
 
@@ -177,7 +177,7 @@ class TestWeakResonanceIndicator:
         for delta in deltas:
             mats = MaterialConfig.negative_preset(0.5, 1.0, delta)
             system = assemble_system(sphere10, mats, 2)
-            vals.append(weak_resonance_indicator(system, self.CANDIDATE, sphere10))
+            vals.append(weak_resonance_indicator(system, self.CANDIDATE))
         slope = np.polyfit(np.log(deltas), np.log(vals), 1)[0]
         assert slope >= 1.0 - 0.05
         assert vals[-1] < vals[0]
@@ -185,34 +185,19 @@ class TestWeakResonanceIndicator:
     def test_detuned_lower_bound(self, sphere10):
         mats = MaterialConfig.negative_preset(0.6, 1.0, 0.025)
         system = assemble_system(sphere10, mats, 2)
-        ind = weak_resonance_indicator(system, self.CANDIDATE, sphere10)
+        ind = weak_resonance_indicator(system, self.CANDIDATE)
         gap = abs(resonance_shift(0.6) - 1.0 / 6.0)
         assert ind >= 0.9 * gap
 
     def test_vanishes_at_zero_delta(self, sphere10):
         mats = MaterialConfig.negative_preset(0.5, 1.0, 0.0)
         system = assemble_system(sphere10, mats, 0)
-        assert weak_resonance_indicator(system, self.CANDIDATE, sphere10) <= 1e-8
+        assert weak_resonance_indicator(system, self.CANDIDATE) <= 1e-8
 
-
-class TestIndicatorGridCheck:
-    """The indicator refuses a grid other than the system's, compared by its defining data."""
-
-    CANDIDATE = mode_tangent_field(SphereMode(2, 1, 0), 8)
-
-    @pytest.fixture(scope="class")
-    def system(self):
-        mats = MaterialConfig.negative_preset(0.5, 1.0, 0.05)
-        return assemble_system(perturbed_sphere(0.05, 2, 0, 8), mats, 0)
-
-    def test_refuses_another_radius(self, system):
-        # same L_quad, twice the perturbation
-        with pytest.raises(ValueError, match="does not match"):
-            weak_resonance_indicator(system, self.CANDIDATE, perturbed_sphere(0.1, 2, 0, 8))
-
-    def test_accepts_a_rebuilt_copy_of_its_grid(self, system):
-        ind = weak_resonance_indicator(system, self.CANDIDATE, perturbed_sphere(0.05, 2, 0, 8))
-        assert np.isfinite(ind) and ind > 0
+    def test_system_keeps_its_grid(self, sphere10):
+        # the indicator measures its trace norms on the grid the system was assembled on
+        system = assemble_system(sphere10, MaterialConfig.negative_preset(0.5, 1.0, 0.05), 0)
+        assert system.grid is sphere10
 
 
 class TestScatteredFields:

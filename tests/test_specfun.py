@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from mnpspr.specfun import radial, vector_sph_matrix
+from mnpspr.specfun import radial
 from mnpspr.sphharm import cartesian_to_angles, sh_index, ynm_matrix
 from mnpspr.surface import random_band_limited, TangentField
 from scipy.special import spherical_jn, spherical_yn
+
+from conftest import vector_sph_matrix
 
 
 def at_direction(d):

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from mnpspr import spectral
 from mnpspr.potentials import AssemblyAccuracyError, FlavorError, apply_N, scalar_operators
 from mnpspr.spectral import (
     _eigh_pencil,
@@ -34,8 +37,8 @@ def sphere_exact_np_eigs(L):
 
 
 class TestNpSpectrum:
-    def test_sphere_values_and_multiplicities(self, sphere16_ops):
-        st = np_spectrum(sphere16_ops["S"], sphere16_ops["Kstar"])
+    def test_sphere_values_and_multiplicities(self, sphere16):
+        st = np_spectrum(sphere16, 16)
         exact = sphere_exact_np_eigs(16)
         assert np.max(np.abs(np.sort(st.eigenvalues)[::-1] - exact)) < 1e-6
         ids = st.clusters()
@@ -46,9 +49,7 @@ class TestNpSpectrum:
     def test_scale_invariance(self):
         eigs = {}
         for r in (0.5, 2.0):
-            g = sphere_surface(r, 8)
-            ops = scalar_operators(g, 8)
-            eigs[r] = np.sort(np_spectrum(ops["S"], ops["Kstar"]).eigenvalues)
+            eigs[r] = np.sort(np_spectrum(sphere_surface(r, 8), 8).eigenvalues)
         assert np.max(np.abs(eigs[0.5] - eigs[2.0])) < 1e-8
 
     def test_perturbed_real_and_symmetric(self, pert12_spectra):
@@ -61,9 +62,9 @@ class TestNpSpectrum:
         lam = nps.eigenvalues
         assert abs(lam[-1]) < abs(lam[0]) / 10.0
 
-    def test_compactness_rate_proxy(self, sphere16_ops):
+    def test_compactness_rate_proxy(self, sphere16):
         # sorted |lambda_j| with j ~ n^2 behaves like 1/(4 sqrt(j))
-        st = np_spectrum(sphere16_ops["S"], sphere16_ops["Kstar"])
+        st = np_spectrum(sphere16, 16)
         lam = np.sort(np.abs(st.eigenvalues))[::-1]
         for n in (6, 9, 12):
             j = n * n + 2 * n  # last index of the degree-n cluster
@@ -71,9 +72,8 @@ class TestNpSpectrum:
 
 
 class TestMnpSpectra:
-    def test_sphere_eigenvalues(self, sphere16_ops, sphere16):
-        nps = np_spectrum(sphere16_ops["S"], sphere16_ops["Kstar"])
-        curl, grad = mnp_spectra(nps, sphere16_ops["S"], sphere16)
+    def test_sphere_eigenvalues(self, sphere16):
+        curl, grad = mnp_spectra(sphere16, 16)
         n = np.concatenate([np.full(2 * k + 1, k) for k in range(1, 17)])
         assert np.max(np.abs(np.sort(curl.eigenvalues) - np.sort(1 / (2 * (2 * n + 1))))) < 1e-6
         assert np.max(np.abs(np.sort(grad.eigenvalues) - np.sort(-1 / (2 * (2 * n + 1))))) < 1e-6
@@ -84,12 +84,15 @@ class TestMnpSpectra:
         assert curl.meta["excluded_half"] == 1
         assert np.max(curl.eigenvalues) < 0.5 - 1e-3
 
-    def test_unexpected_half_count_warns(self, sphere10, sphere10_ops, caplog):
-        nps = np_spectrum(sphere10_ops["S"], sphere10_ops["Kstar"])
-        nps.eigenvalues = nps.eigenvalues.copy()
-        nps.eigenvalues[1] = 0.5
+    def test_unexpected_half_count_warns(self, sphere10, caplog, monkeypatch):
+        # the cached set is read-only: a second 1/2 goes into a copy that
+        # mnp_spectra reads in place of the grid's own
+        nps = np_spectrum(sphere10, 10)
+        lam = nps.eigenvalues.copy()
+        lam[1] = 0.5
+        monkeypatch.setattr(spectral, "np_spectrum", lambda grid, L: replace(nps, eigenvalues=lam))
         with caplog.at_level("WARNING", logger="mnpspr.spectral"):
-            curl, _ = mnp_spectra(nps, sphere10_ops["S"], sphere10)
+            curl, _ = mnp_spectra(sphere10, 10)
         assert curl.meta["excluded_half"] == 2
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "excluded 2 eigenvalue(s) at 1/2" in caplog.text
@@ -104,18 +107,26 @@ class TestMnpSpectra:
             errs.append(np.max(np.abs(out - curl.eigenvalues[j] * V.coeffs)))
         assert max(errs) < 1e-6
 
-    def test_gram_orthonormality(self, pert12_spectra, pert12_ops, pert12):
+    def test_gram_orthonormality(self, pert12_spectra, pert12):
         _, curl, _ = pert12_spectra
         G1 = quotient_gram_matrix(pert12, 12)
         V = curl.vectors[1:]
         Gm = V.conj().T @ (G1 @ V)
         assert np.max(np.abs(Gm - np.eye(len(curl)))) < 1e-7
 
-    def test_spectrum_identity_independent_route(self, pert12_spectra, pert12_ops, pert12):
+    @pytest.mark.parametrize("amplitude", [0.05, 0.3])
+    def test_orthonormal_in_their_own_gram(self, amplitude):
+        # each grid's potentials in that grid's quotient Gram, at L below L_quad
+        grid = perturbed_sphere(amplitude, 2, 0, 8)
+        curl, _ = mnp_spectra(grid, 6)
+        V = curl.vectors[1:]
+        assert max_rel(V.conj().T @ (quotient_gram_matrix(grid, 6) @ V), np.eye(len(curl))) < 1e-12
+
+    def test_spectrum_identity_independent_route(self, pert12_spectra, pert12):
         nps, curl, _ = pert12_spectra
-        lam_ind = subspace_spectrum(pert12_ops, pert12, "M_curl")
+        lam_ind = subspace_spectrum(pert12, 12, "M_curl")
         assert np.max(np.abs(np.sort(lam_ind) - np.sort(curl.eigenvalues))) < 1e-7
-        lam_grad = subspace_spectrum(pert12_ops, pert12, "Mstar_grad")
+        lam_grad = subspace_spectrum(pert12, 12, "Mstar_grad")
         assert np.max(np.abs(np.sort(lam_grad) + np.sort(curl.eigenvalues)[::-1])) < 1e-7
 
 
@@ -145,75 +156,72 @@ class TestGram:
 
 
 class TestCalderon:
-    def test_sphere_residuals(self, sphere16, sphere16_ops, rng):
+    def test_sphere_residuals(self, sphere16, rng):
         for _ in range(3):
             t = TangentField.from_potentials(V=random_band_limited(rng, 12, 2.5), L=16, flavor="curl")
-            assert calderon_residual("curl", t, sphere16_ops, sphere16) <= 1e-9
+            assert calderon_residual("curl", t, sphere16, 16) <= 1e-9
             t2 = TangentField.from_potentials(X=random_band_limited(rng, 12, 2.5), L=16, flavor="div")
-            assert calderon_residual("grad", t2, sphere16_ops, sphere16) <= 1e-9
+            assert calderon_residual("grad", t2, sphere16, 16) <= 1e-9
 
-    def test_perturbed_residuals(self, pert12, pert12_ops, rng):
+    def test_perturbed_residuals(self, pert12, rng):
         worst = 0.0
         for _ in range(10):
             t = TangentField.from_potentials(V=random_band_limited(rng, 9, 2.5), L=12, flavor="curl")
-            worst = max(worst, calderon_residual("curl", t, pert12_ops, pert12))
+            worst = max(worst, calderon_residual("curl", t, pert12, 12))
             t2 = TangentField.from_potentials(X=random_band_limited(rng, 9, 2.5), L=12, flavor="div")
-            worst = max(worst, calderon_residual("grad", t2, pert12_ops, pert12))
+            worst = max(worst, calderon_residual("grad", t2, pert12, 12))
         assert worst <= 1e-5
 
-    def test_identity_and_flavor_checked(self, sphere10, sphere10_ops, rng):
+    def test_identity_and_flavor_checked(self, sphere10, rng):
         curl = TangentField.from_potentials(V=random_band_limited(rng, 6, 2.0), L=10, flavor="curl")
         div = TangentField.from_potentials(X=random_band_limited(rng, 6, 2.0), L=10, flavor="div")
         with pytest.raises(FlavorError, match="div-flavor"):
-            calderon_residual("grad", curl, sphere10_ops, sphere10)
+            calderon_residual("grad", curl, sphere10, 10)
         with pytest.raises(FlavorError, match="curl-flavor"):
-            calderon_residual("curl", div, sphere10_ops, sphere10)
+            calderon_residual("curl", div, sphere10, 10)
         with pytest.raises(ValueError, match="unknown identity"):
-            calderon_residual("div", div, sphere10_ops, sphere10)
+            calderon_residual("div", div, sphere10, 10)
 
     def test_scalar_identity(self, pert12_ops):
         assert scalar_calderon_residual(pert12_ops) <= 1e-6
 
 
 class TestSelfAdjointness:
-    def test_sphere(self, sphere16, sphere16_ops):
-        assert self_adjointness_residual("M_curl", sphere16, sphere16_ops) <= 1e-10
+    def test_sphere(self, sphere16):
+        assert self_adjointness_residual("M_curl", sphere16, 16) <= 1e-10
 
-    def test_perturbed(self, pert12, pert12_ops):
-        assert self_adjointness_residual("M_curl", pert12, pert12_ops) <= 1e-5
-        assert self_adjointness_residual("Mstar_grad", pert12, pert12_ops) <= 1e-5
+    def test_perturbed(self, pert12):
+        assert self_adjointness_residual("M_curl", pert12, 12) <= 1e-5
+        assert self_adjointness_residual("Mstar_grad", pert12, 12) <= 1e-5
 
-    def test_identity_gram_fails(self, pert12, pert12_ops):
-        assert self_adjointness_residual("M_curl", pert12, pert12_ops, "identity") > 1e-3
+    def test_identity_gram_fails(self, pert12):
+        assert self_adjointness_residual("M_curl", pert12, 12, "identity") > 1e-3
 
 
 class TestCompleteness:
     @staticmethod
-    def full_order_errors(grid, ops, curl, rng):
+    def full_order_errors(grid, L, rng):
         """Worst full-order expansion error of random curl fields of degree 4, 8 and 12."""
         errs = []
         for degree in (4, 8, 12):
-            g = TangentField.from_potentials(V=random_band_limited(rng, degree, 2.0), L=curl.L, flavor="curl")
-            _, full = curl_field_expansion(g, curl, ops, grid)
-            errs.append(np.max(np.abs(full - g.V.padded(curl.L))) / np.max(np.abs(g.V.coeffs)))
+            g = TangentField.from_potentials(V=random_band_limited(rng, degree, 2.0), L=L, flavor="curl")
+            _, full = curl_field_expansion(g, grid, L)
+            errs.append(np.max(np.abs(full - g.V.padded(L))) / np.max(np.abs(g.V.coeffs)))
         return max(errs)
 
-    def test_expansion_converges(self, pert12, pert12_ops, pert12_spectra, rng):
+    def test_expansion_converges(self, pert12, pert12_spectra, rng):
         _, curl, _ = pert12_spectra
-        assert self.full_order_errors(pert12, pert12_ops, curl, rng) <= 1e-12
+        assert self.full_order_errors(pert12, 12, rng) <= 1e-12
         g = TangentField.from_potentials(V=random_band_limited(rng, 8, 2.0), L=12, flavor="curl")
         ref = np.max(np.abs(g.V.coeffs))
         errs = []
         for J in (40, 100, len(curl)):
-            _, rec = curl_field_expansion(g, curl, pert12_ops, pert12, J)
+            _, rec = curl_field_expansion(g, pert12, 12, J)
             errs.append(np.max(np.abs(rec - g.V.padded(12))) / ref)
         assert errs[0] > errs[1] > errs[2]
 
     def test_expansion_exact_on_a_strongly_perturbed_surface(self, rng):
-        grid = perturbed_sphere(0.5, 2, 0, 16)
-        ops = scalar_operators(grid, 12)
-        curl, _ = mnp_spectra(np_spectrum(ops["S"], ops["Kstar"]), ops["S"], grid)
-        assert self.full_order_errors(grid, ops, curl, rng) <= 1e-12
+        assert self.full_order_errors(perturbed_sphere(0.5, 2, 0, 16), 12, rng) <= 1e-12
 
     def test_projected_adjoint_eigenfields(self, pert12, pert12_ops, pert12_spectra):
         # the dual potentials K_stiff^{-1} Ghat pot_j, the inverse-symmetrizer
@@ -234,7 +242,7 @@ class TestCompleteness:
             scale = np.max(np.abs(U[:, j]))
             assert np.max(np.abs(act - curl.eigenvalues[j] * U[:, j])) / scale <= 1e-12
             field = TangentField.from_potentials(V=ShCoeffs(S.L, U[:, j]), flavor="curl")
-            back = apply_N(field, S, pert12).V.coeffs
+            back = apply_N(field, pert12, S.L).V.coeffs
             pot = curl.vectors[:, j]
             assert np.max(np.abs(back + pot)) / np.max(np.abs(pot)) <= 1e-12
 
@@ -249,48 +257,39 @@ class TestExports:
         table = nps.eigenvalue_table()
         assert table[0][1] == pytest.approx(0.5, abs=1e-6)
 
-    def test_np_spectrum_rejects_bad_gram(self, sphere10_ops):
-        from mnpspr.potentials import AssemblyAccuracyError, OperatorMatrix
-
-        bad = OperatorMatrix("S", 10, sphere10_ops["S"].entries, -sphere10_ops["S"].pairing)
-        with pytest.raises(AssemblyAccuracyError):
-            np_spectrum(bad, sphere10_ops["Kstar"])
-
 
 class TestCholeskyEigensolve:
     """The Cholesky-reduced numpy eigensolve against scipy.linalg.eigh on the benchmark operators."""
 
     @pytest.fixture(scope="class", params=["decay-axisym", "spectrum-general"])
     def workload(self, request, workload_grid):
-        grid, L = workload_grid(request.param)
-        return grid, scalar_operators(grid, L)
+        return workload_grid(request.param)
 
     @staticmethod
-    def pencil(ops):
+    def pencil(grid, L):
+        ops = scalar_operators(grid, L)
         S, Kstar = ops["S"], ops["Kstar"]
         return _hermitize(-S.pairing @ Kstar.entries), _hermitize(-S.pairing)
 
     def test_eigenvalues_and_b_orthonormality(self, workload):
-        _, ops = workload
-        A, B = self.pencil(ops)
+        A, B = self.pencil(*workload)
         assert len(A) in (121, 169)
         lam, X = _eigh_pencil(A, B, "B")
         assert np.max(np.abs(lam - sla.eigh(A, B, eigvals_only=True))) <= 1e-13
         assert np.max(np.abs(X.conj().T @ B @ X - np.eye(len(B)))) <= 1e-12
         assert np.max(np.abs(A @ X - (B @ X) * lam)) <= 1e-12 * np.max(np.abs(A))
-        st = np_spectrum(ops["S"], ops["Kstar"])
+        st = np_spectrum(*workload)
         assert np.array_equal(np.sort(st.eigenvalues), lam)
 
     @pytest.mark.parametrize("which", ["M_curl", "Mstar_grad"])
     def test_subspace_spectrum_matches_scipy(self, workload, which):
-        grid, ops = workload
-        A, G = _subspace_operator(which, ops, grid)
+        grid, L = workload
+        A, G = _subspace_operator(which, grid, L)
         want = np.sort(sla.eigh(_hermitize(G @ A), G, eigvals_only=True))[::-1]
-        got = subspace_spectrum(ops, grid, which)
+        got = subspace_spectrum(grid, L, which)
         assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_negative_definite_gram_is_an_accuracy_error(self, workload):
-        _, ops = workload
-        A, B = self.pencil(ops)
+        A, B = self.pencil(*workload)
         with pytest.raises(AssemblyAccuracyError, match="not positive definite"):
             _eigh_pencil(A, -B, "B")
