@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quadrature import assemble_scalar_values, correction_polar_order, near_singular_eval, rings
-from .sphharm import harmonic_moments, num_coeffs
+from .sphharm import harmonic_moments, num_coeffs, sh_degrees
 from .surface import (
     ShCoeffs, SurfaceGrid, TangentField, radial_gap, tangent_frame, tubular_distance,
 )
@@ -67,18 +67,23 @@ VECTOR_KINDS = ("Mk2", "L1", "L2")
 
 @dataclass
 class OperatorMatrix:
-    """Dense coefficient-space matrix of a boundary operator.
+    """Coefficient-space matrix of a boundary operator.
 
     entries maps coefficient vectors to coefficient vectors (the Galerkin
     pairing composed with the inverse mass matrix); pairing holds the raw
-    L^2-surface Galerkin matrix used for Gram constructions.
+    L^2-surface Galerkin matrix used for Gram constructions.  The scalar
+    operators are dense (nc, nc) arrays, with blocks None.  The correction
+    kernels couple only slots of one block of `slot_blocks`: blocks is that
+    partition, and entries and pairing are lists with the matrix on each
+    block; entries between different blocks are zero and are not stored.
     """
 
     kind: str
     L: int
-    entries: np.ndarray
-    pairing: np.ndarray
+    entries: np.ndarray | list
+    pairing: np.ndarray | list
     meta: dict = field(default_factory=dict)
+    blocks: tuple | None = None
 
 
 @dataclass
@@ -466,37 +471,69 @@ def em_fields(materials: MaterialConfig, inside, curl, curlcurl, delta=1.0):
 # --------------------------------------------------------------------------
 
 
-def tangent_mass_stack(grid: SurfaceGrid, L: int):
-    """Gram of the stacked (grad, curl) potential basis, mean-free slots."""
-    nc = num_coeffs(L)
-    K = grid.stiffness_matrix()[:nc, :nc]
-    d = nc - 1
-    W = np.zeros((2 * d, 2 * d), dtype=complex)
-    W[:d, :d] = K[1:, 1:]
-    W[d:, d:] = K[1:, 1:]
-    return W
+def slot_blocks(grid: SurfaceGrid, L: int):
+    """The partition of the 2d stacked (grad, curl) slots of degree >= 1 into coupled blocks.
+
+    On a surface of revolution (`grid.axisymmetric`) every operator in the
+    harmonic basis couples only equal orders m: one block per m = -L..L,
+    its gradient slots then its curl slots.  On any other surface, one
+    block holding every slot.  A tuple of read-only index arrays, built
+    once per grid and degree.
+    """
+
+    def build():
+        m = np.tile(sh_degrees(L)[1][1:], 2)
+        blocks = (
+            tuple(np.flatnonzero(m == order) for order in range(-L, L + 1))
+            if grid.axisymmetric
+            else (np.arange(len(m)),)
+        )
+        for b in blocks:
+            b.flags.writeable = False
+        return blocks
+
+    return grid.cached(("blocks", L), build)
+
+
+def tangent_mass_stack(grid: SurfaceGrid, L: int, slots=None):
+    """Gram of the stacked (grad, curl) potential basis on the given stacked slots.
+
+    slots index the 2d degree >= 1 slots, gradient block first (default:
+    all of them); both halves take the stiffness Gram, and a gradient and a
+    curl slot are orthogonal.
+    """
+    d = num_coeffs(L) - 1
+    slots = np.arange(2 * d) if slots is None else slots
+    # the slot's place in the stiffness Gram, and its half
+    j, half = slots % d + 1, slots // d
+    K = grid.stiffness_matrix()[np.ix_(j, j)]
+    return np.where(half[:, None] == half[None, :], K, 0.0)
 
 
 def _test_fields(grid: SurfaceGrid, ring, L: int):
-    """Conjugated, area-weighted test fields crossed with nu_x at a ring's nodes, (n_phi, 3, 2d).
+    """Conjugated test fields crossed with nu_x at a ring's n_t targets, (n_t, 3, 2d).
 
     Columns: the curl basis fields for the gradient slots, minus the
     gradient basis fields for the curl slots (degree >= 1), each
-    Y_theta vec_theta + (Y_phi / sin) vec_phi of its frame pair.
+    Y_theta vec_theta + (Y_phi / sin) vec_phi of its frame pair.  Each
+    target's area weight is scaled by n_phi / n_t, the targets it stands for.
     """
     nc = num_coeffs(L)
-    nodes = ring.nodes
-    Yt, Yp = (np.conj(D[:, 1:nc])[:, None, :] for D in grid.ring_basis(ring.index, nc, True))
+    n_t = len(ring.normal)
+    nodes = slice(ring.nodes.start, ring.nodes.start + n_t)
+    Yt, Yp = (
+        np.conj(D[:n_t, 1:nc])[:, None, :] for D in grid.ring_basis(ring.index, nc, True)
+    )
     a, sb, a_c, sb_c = (vec[nodes, :, None] for vec in grid.tangent_frame)
     test = np.concatenate([Yt * a_c + Yp * sb_c, -(Yt * a + Yp * sb)], axis=2)
-    test *= grid.area_weights[nodes, None, None]
+    test *= ((grid.n_phi / n_t) * grid.area_weights[nodes])[:, None, None]
     return test
 
 
 def _ring_kernel_values(ring, L: int):
-    """The Mk2 and L1 kernels applied to every basis field at one ring's targets.
+    """The Mk2 and L1 kernels applied to every basis field at one ring's n_t targets.
 
-    Returns (n_phi 3, 4d): rows (target, component), columns the blocks
+    Returns (n_t 3, 4d): rows (target, component), columns the blocks
     (Mk2 grad, Mk2 curl, L1 grad, L1 curl) of degree >= 1 slots.
     """
     d = num_coeffs(L) - 1
@@ -522,8 +559,7 @@ def _ring_kernel_values(ring, L: int):
         for vecs in ((alpha, alpha_c), (sin_beta, sin_beta_c))
     )
     rows = harmonic_moments(A, ring.theta, ring.phi, L, B).reshape(4, n_t, 3, d + 1)
-    # the kernels turn with the ring: target i's rows are rotation_i @ rows
-    rows = (ring.rotation @ rows.view(float)).view(complex) * ring.phase[:, None, :]
+    rows = rows * ring.phase[:n_t, None, :]
     return rows[..., 1:].transpose(1, 2, 0, 3).reshape(-1, 4 * d)
 
 
@@ -532,7 +568,8 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
 
     Returns dict kind -> OperatorMatrix on the stacked potential basis
     (gradient block first, curl block second, degree >= 1 slots), with unit
-    material constants.  Every kernel acts as nu_x x int K(x, y) phi(y) ds(y):
+    material constants, held block by block over `slot_blocks`.  Every
+    kernel acts as nu_x x int K(x, y) phi(y) ds(y):
       Mk2 : K phi = (uhat x phi) / (8 pi)
       L1  : K phi = (1/2) [phi / r + R (R . phi) / r^3]
       L2  : K phi = (2/3) phi
@@ -544,18 +581,28 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
     one `harmonic_moments` call, as A (the pair's theta field) and B (its
     sin-scaled phi field).  The test fields are never held whole either:
     each ring forms its own from its basis rows (`SurfaceGrid.ring_basis`)
-    and the node frame.  L2's integral is the same vector (2/3) int phi_j ds
-    at every target, so its pairing is the rank-3 product
-    (2/3) (sum_x t_i x nu_x) . int phi_j ds, with the grid rule; both sums
-    are frame-weighted node moments (`SurfaceGrid._moments`).  Beyond the
-    result, memory is O(NC^2) for the stiffness Gram and O(n_phi NC) per
-    ring.  The arrays are read-only: every material
-    shares them.
+    and the node frame.
+
+    A ring adds (n_phi / n_t) sum_{t < n_t} test_t^T rows_t into each block.
+    On a surface of revolution n_t = 1: target i's test fields and rows are
+    the first target's turned about z, and times exp(-i m_j phi_i) and
+    exp(i m_k phi_i), so the turns cancel in the dot product and the sum of
+    the phases over the ring is n_phi where m_j = m_k and zero elsewhere
+    (|m_j - m_k| <= 2L < n_phi).  Elsewhere n_t = n_phi and the one block
+    takes the sum over every target.  L2's integral is the same vector
+    (2/3) int phi_j ds at every target, so its pairing is the rank-3
+    product (2/3) (sum_x t_i x nu_x) . int phi_j ds, with the grid rule;
+    both sums are frame-weighted node moments (`SurfaceGrid._moments`).
+    Each block's entries solve its slice of the stacked Gram
+    (`tangent_mass_stack`).  Beyond the result, memory is O(NC^2) for the
+    stiffness Gram and O(n_t NC) per ring.  The arrays are read-only:
+    every material shares them.
     """
 
     def build():
         nc = num_coeffs(L)
         d = nc - 1
+        blocks = slot_blocks(grid, L)
         w = grid.area_weights[:, None]
         # int grad Y_j ds and int vcurl Y_j ds by the grid rule, (d, 3) each;
         # the frame fields are real, so each is the conjugate of its moments
@@ -563,21 +610,31 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
             np.conj(grid._moments(w * a, nc, w * sb))[1:]
             for a, sb in (grid.tangent_frame[:2], grid.tangent_frame[2:])
         )
-        # pairings of the kernels side by side, in VECTOR_KINDS order
-        G = np.zeros((2 * d, 3 * 2 * d), dtype=complex)
         # L2: sum_x of the test fields times int phi_j ds, both (2d, 3)
-        test_sum = np.conj(np.concatenate([curl_int, -grad_int]))
-        G[:, 4 * d :] = (2.0 / 3.0) * test_sum @ np.concatenate([grad_int, curl_int]).T
+        test_sum = (2.0 / 3.0) * np.conj(np.concatenate([curl_int, -grad_int]))
+        phi_int = np.concatenate([grad_int, curl_int])
+        # each block's pairings of the kernels side by side, in VECTOR_KINDS order
+        G = [np.zeros((len(b), 3 * len(b)), dtype=complex) for b in blocks]
+        for g, b in zip(G, blocks):
+            g[:, 2 * len(b) :] = test_sum[b] @ phi_int[b].T
+        columns = [np.concatenate([b, 2 * d + b]) for b in blocks]
         for ring in rings(grid, L, correction_polar_order(L)):
-            test = _test_fields(grid, ring, L)
-            G[:, : 4 * d] += test.reshape(-1, 2 * d).T @ _ring_kernel_values(ring, L)
-        entries = np.linalg.solve(tangent_mass_stack(grid, L), G)
-        entries.flags.writeable = False
-        G.flags.writeable = False
-        cols = [slice(2 * d * i, 2 * d * (i + 1)) for i in range(len(VECTOR_KINDS))]
+            test = _test_fields(grid, ring, L).reshape(-1, 2 * d)
+            values = _ring_kernel_values(ring, L)
+            for g, b, c in zip(G, blocks, columns):
+                g[:, : 2 * len(b)] += test[:, b].T @ values[:, c]
+        entries = [np.linalg.solve(tangent_mass_stack(grid, L, b), g) for g, b in zip(G, blocks)]
+        for a in (*entries, *G):
+            a.flags.writeable = False
+
+        def kind_blocks(arrays, i):
+            return [a[:, len(a) * i : len(a) * (i + 1)] for a in arrays]
+
         return {
-            kind: OperatorMatrix(kind, L, entries[:, c], G[:, c])
-            for kind, c in zip(VECTOR_KINDS, cols)
+            kind: OperatorMatrix(
+                kind, L, kind_blocks(entries, i), kind_blocks(G, i), blocks=blocks
+            )
+            for i, kind in enumerate(VECTOR_KINDS)
         }
 
     return grid.cached(("corrections", L), build)
@@ -590,9 +647,10 @@ def assemble_correction(
 
     Mk2 carries the factor k^2 of the chosen wavenumber; L1/L2 carry the
     material constants C_j = i^j (k_c^{j+1} - k_e^{j+1}) / (4 pi omega (j-1)!).
-    The result is that scale times the grid's unit-scale matrix
-    (`correction_unit_matrices`).  Ordering of the stacked basis: gradient
-    potentials then curl potentials, degree >= 1 slots only.
+    The result is that scale times each block of the grid's unit-scale
+    matrices (`correction_unit_matrices`), on the same `slot_blocks`.
+    Ordering of the stacked basis: gradient potentials then curl
+    potentials, degree >= 1 slots only.
     """
     if kind not in VECTOR_KINDS:
         raise KindError(f"unknown correction kind {kind!r}")
@@ -610,7 +668,8 @@ def assemble_correction(
     return OperatorMatrix(
         kind,
         L,
-        scale * unit.entries,
-        scale * unit.pairing,
+        [scale * e for e in unit.entries],
+        [scale * p for p in unit.pairing],
         {"wavenumber": wavenumber, "scale": complex(scale)},
+        unit.blocks,
     )

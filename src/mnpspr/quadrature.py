@@ -62,19 +62,18 @@ class Ring:
     Arrays over (n_t, Q) source points: frame (frame_at keys), wjac
     (weights x jacobian), rvec = target - source and r = |rvec|; normal
     (n_t, 3) is the target normal.  n_t = n_phi in general; on a surface of
-    revolution n_t = 1, the first target's patch, which target i sees turned
-    by rotation[i].  index is the ring's place in the grid, theta, phi (Q,)
-    the reference patch angles, nodes the ring's slice of the grid, phase
-    (n_phi, nc) the azimuthal factors exp(i m phi_target) of the grid's
-    phase table and rotation (n_phi, 3, 3) each target's turn about z from
-    the first target (the identity when n_t = n_phi).
+    revolution n_t = 1, the first target's patch, which every other target
+    sees turned about z.  index is the ring's place in the grid, theta, phi
+    (Q,) the reference patch angles, nodes the ring's slice of the grid and
+    phase (n_phi, nc) the azimuthal factors exp(i m phi_target) of the
+    grid's phase table.
     """
 
-    def __init__(self, index, theta, phi, nodes, frame, wjac, rvec, r, normal, phase, rotation):
+    def __init__(self, index, theta, phi, nodes, frame, wjac, rvec, r, normal, phase):
         self.index = index
         self.theta, self.phi, self.nodes = theta, phi, nodes
         self.frame, self.wjac, self.rvec, self.r = frame, wjac, rvec, r
-        self.normal, self.phase, self.rotation = normal, phase, rotation
+        self.normal, self.phase = normal, phase
 
 
 def rings(grid: SurfaceGrid, L: int, n_polar=None):
@@ -90,25 +89,15 @@ def rings(grid: SurfaceGrid, L: int, n_polar=None):
     also carries the surface, so every target's patch is the first one's,
     turned: the geometry is evaluated for that target only (n_t = 1).
     Kernels invariant under the turn (the scalar layers) give every
-    target's rows as the first target's times phase; kernels equivariant
-    under it (vector valued) give them as rotation @ rows times phase.
-    What stays per target is the phase and the rotation.
+    target's rows as the first target's times phase.  The vector-valued
+    correction kernels turn with the ring; their Galerkin sums over the
+    ring's targets keep only equal orders m, which the first target's rows
+    give alone (`potentials.correction_unit_matrices`).
     """
     patch = PolarPatch(grid, n_polar)
     nphi = grid.n_phi
     _, mslots = sh_degrees(L)
-    # every ring has the same azimuths, so the same turns
-    turn = grid.phis[:nphi] - grid.phis[0]
-    if grid.axisymmetric:
-        n_t = 1
-        c, s = np.cos(turn), np.sin(turn)
-        rotation = np.zeros((nphi, 3, 3))
-        rotation[:, 0, 0] = rotation[:, 1, 1] = c
-        rotation[:, 0, 1], rotation[:, 1, 0] = -s, s
-        rotation[:, 2, 2] = 1.0
-    else:
-        n_t = nphi
-        rotation = np.broadcast_to(np.eye(3), (nphi, 3, 3))
+    n_t = 1 if grid.axisymmetric else nphi
     for t in range(grid.n_theta):
         nodes = slice(t * nphi, (t + 1) * nphi)
         th0, ph0 = patch.angles(grid.thetas[nodes.start], 0.0)
@@ -119,7 +108,7 @@ def rings(grid: SurfaceGrid, L: int, n_polar=None):
         yield Ring(
             t, th0, ph0, nodes, frame, patch.weights[None, :] * frame["jacobian"],
             rvec, np.linalg.norm(rvec, axis=-1), grid.normals[nodes][:n_t],
-            grid.phase[:, mslots + grid.L_quad], rotation,
+            grid.phase[:, mslots + grid.L_quad],
         )
 
 

@@ -16,10 +16,13 @@ surface assemble_system also logs a warning, once per grid.
 The system is affine in its material parameters.  Offline, once per grid
 and degree, the grid memo keeps M and the correction kernels L1, L2 and
 Mk2 at unit scale.  Online, each (tau, delta) point scales and adds those
-matrices.  The two traces enter alike, so the system is [[P, Q], [Q, P]],
-which the even/odd trace combinations split into P + Q and P - Q; one numpy
-solve per half gives its solution and inverse, and the two half inverses the
-exact 1-norm condition number.
+matrices.  Every operator couples only the slots of one block of
+`potentials.slot_blocks`: one block per azimuthal order m on a surface of
+revolution, one block of every slot elsewhere.  The system is assembled,
+solved and applied block by block.  The two traces enter alike, so each
+block is [[P, Q], [Q, P]], which the even/odd trace combinations split
+into P + Q and P - Q; one numpy solve per half gives its solution and
+inverse, and the half inverses the exact 1-norm condition number.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .potentials import (
     em_fields,
     offboundary_eval,
     scalar_operators,
+    slot_blocks,
 )
 from .sphharm import num_coeffs
 from .surface import ShCoeffs, SurfaceGrid, TangentField, radial_gap
@@ -64,10 +68,16 @@ class RHSVector:
 
 @dataclass
 class BlockSystem:
-    """Scaled boundary system [[P, Q], [Q, P]] on stacked potentials; P is `same`, Q `cross`."""
+    """Scaled boundary system [[P, Q], [Q, P]] on stacked potentials, block by block.
 
-    same: np.ndarray
-    cross: np.ndarray
+    P and Q couple only slots of one block of the partition `blocks`
+    (`slot_blocks`): same[b] and cross[b] are P and Q on the slots
+    blocks[b], and their entries between different blocks are zero.
+    """
+
+    same: list
+    cross: list
+    blocks: tuple
     L: int
     grid: SurfaceGrid  # the grid it was assembled on
     materials: MaterialConfig
@@ -120,18 +130,22 @@ def assemble_system(
     L = grid.L_quad if L is None else L
     delta = materials.delta
     M = static_magnetic_block(grid, L)
-    same = resonance_shift(tau) * np.eye(len(M)) - M
-    cross = np.zeros_like(same)
+    blocks = slot_blocks(grid, L)
+    same = [resonance_shift(tau) * np.eye(len(b)) - M[np.ix_(b, b)] for b in blocks]
+    cross = [np.zeros_like(p) for p in same]
     if order >= 1:
         denom = materials.mu_e - materials.mu_c  # equals eps_e - eps_c here
         L1 = assemble_correction("L1", grid, materials, L).entries
-        cross = (delta / denom) * L1
+        cross = [(delta / denom) * a for a in L1]
         if order >= 2:
             L2 = assemble_correction("L2", grid, materials, L).entries
-            cross = cross + (delta**2 / denom) * L2
+            cross = [q + (delta**2 / denom) * a for q, a in zip(cross, L2)]
             M2e = assemble_correction("Mk2", grid, materials, L, "e").entries
             M2c = assemble_correction("Mk2", grid, materials, L, "c").entries
-            same = same + (delta**2 / denom) * (materials.mu_c * M2c - materials.mu_e * M2e)
+            same = [
+                p + (delta**2 / denom) * (materials.mu_c * c - materials.mu_e * e)
+                for p, c, e in zip(same, M2c, M2e)
+            ]
     if not grid.spherical:
         # a property of the grid, reported once however many points a sweep takes
         grid.cached(
@@ -142,7 +156,7 @@ def assemble_system(
             )
             or True,
         )
-    return BlockSystem(same, cross, L, grid, materials, {"cross_coupling": "dropped"})
+    return BlockSystem(same, cross, blocks, L, grid, materials, {"cross_coupling": "dropped"})
 
 
 def dipole_incident_trace(source, p, materials: MaterialConfig, grid: SurfaceGrid) -> RHSVector:
@@ -181,31 +195,39 @@ def _unstack(vec, L):
 
 
 def solve_scatter(system: BlockSystem, rhs: RHSVector):
-    """Solve the scaled system; returns (psi, omega*phi) densities and cond.
+    """Solve the scaled system block by block; returns (psi, omega*phi) densities and cond.
 
     With X = (P + Q)^{-1} and Y = (P - Q)^{-1} the inverse of [[P, Q], [Q, P]]
-    is 1/2 [[X + Y, X - Y], [X - Y, X + Y]].  One numpy solve per sign gives a
-    half solution and a half inverse; cond is the exact 1-norm condition
-    number ||A||_1 ||A^{-1}||_1.  A singular half raises a resonance error
-    carrying the spectral shift.
+    is 1/2 [[X + Y, X - Y], [X - Y, X + Y]].  On each block one numpy solve
+    per sign gives a half solution and a half inverse.  The system and its
+    inverse are block diagonal, so cond, the exact 1-norm condition number
+    ||A||_1 ||A^{-1}||_1, is the largest block ||A_b||_1 times the largest
+    ||A_b^{-1}||_1.  A singular half raises a resonance error carrying the
+    spectral shift.
     """
-    P, Q = system.same, system.cross
     b1, b2 = np.split(rhs.stacked(system.L), 2)
-    eye = np.eye(len(P))
-    try:
-        # column 0: the half solution; the rest: the half inverse
-        (u, X), (w, Y) = [
-            np.split(np.linalg.solve(P + sign * Q, np.column_stack([b1 + sign * b2, eye])), [1], 1)
-            for sign in (1, -1)
-        ]
-    except np.linalg.LinAlgError:
-        raise ResonanceError(
-            "scaled system singular at an exact resonance",
-            eigenvalue=resonance_shift(system.materials.tau),
-        ) from None
-    sol = 0.5 * np.concatenate([u + w, u - w]).ravel()
-    norm_A = np.max(np.abs(P).sum(axis=0) + np.abs(Q).sum(axis=0))
-    norm_inv = 0.5 * np.max(np.abs(X + Y).sum(axis=0) + np.abs(X - Y).sum(axis=0))
+    u, w = np.empty_like(b1), np.empty_like(b2)
+    norm_A = norm_inv = 0.0
+    for b, P, Q in zip(system.blocks, system.same, system.cross):
+        eye = np.eye(len(P))
+        try:
+            # column 0: the half solution; the rest: the half inverse
+            U, W = [
+                np.linalg.solve(P + sign * Q, np.column_stack([b1[b] + sign * b2[b], eye]))
+                for sign in (1, -1)
+            ]
+        except np.linalg.LinAlgError:
+            raise ResonanceError(
+                "scaled system singular at an exact resonance",
+                eigenvalue=resonance_shift(system.materials.tau),
+            ) from None
+        u[b], w[b] = U[:, 0], W[:, 0]
+        X, Y = U[:, 1:], W[:, 1:]
+        norm_A = max(norm_A, np.max(np.abs(P).sum(axis=0) + np.abs(Q).sum(axis=0)))
+        norm_inv = max(
+            norm_inv, 0.5 * np.max(np.abs(X + Y).sum(axis=0) + np.abs(X - Y).sum(axis=0))
+        )
+    sol = 0.5 * np.concatenate([u + w, u - w])
     return _unstack(sol, system.L), float(norm_A * norm_inv)
 
 
@@ -229,9 +251,11 @@ def weak_resonance_indicator(system: BlockSystem, density: TangentField):
     )
     scale = pair_norm(v, scaled, system.grid)
     v1, v2 = np.split(RHSVector(v, scaled).stacked(system.L) / scale, 2)
-    P, Q = system.same, system.cross
-    out = np.concatenate([P @ v1 + Q @ v2, Q @ v1 + P @ v2])
-    first, second = _unstack(out, system.L)
+    out1, out2 = np.empty_like(v1), np.empty_like(v2)
+    for b, P, Q in zip(system.blocks, system.same, system.cross):
+        out1[b] = P @ v1[b] + Q @ v2[b]
+        out2[b] = Q @ v1[b] + P @ v2[b]
+    first, second = _unstack(np.concatenate([out1, out2]), system.L)
     return pair_norm(first, second, system.grid)
 
 

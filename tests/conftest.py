@@ -155,9 +155,25 @@ def vector_sph_matrix(theta, phi, L):
     return phi1, phi2
 
 
+def dense(blocks, partition):
+    """The dense matrix holding `blocks` on the slots of `partition`, zero elsewhere.
+
+    blocks[b] is the matrix on the slots partition[b] (`potentials.slot_blocks`);
+    a partition of None marks a matrix held dense already, which is returned as it is.
+    """
+    if partition is None:
+        return blocks
+    n = sum(len(b) for b in partition)
+    out = np.zeros((n, n), dtype=complex)
+    for block, b in zip(blocks, partition):
+        out[np.ix_(b, b)] = block
+    return out
+
+
 def full_matrix(system):
     """The full matrix [[P, Q], [Q, P]] of a scattering `BlockSystem`; the solver never forms it."""
-    return np.block([[system.same, system.cross], [system.cross, system.same]])
+    P, Q = (dense(x, system.blocks) for x in (system.same, system.cross))
+    return np.block([[P, Q], [Q, P]])
 
 
 def max_rel(got, ref):

@@ -3,7 +3,9 @@
 The correction kernels are projected once per grid at unit scale; every
 material scales them.  The solve splits the system [[P, Q], [Q, P]] into the
 half-size blocks P + Q and P - Q and takes the exact 1-norm condition number
-from their inverses.
+from their inverses.  Every operator is held and solved block by block over
+the slot partition: one block per azimuthal order on a surface of
+revolution, one block elsewhere.
 """
 
 import logging
@@ -12,23 +14,30 @@ import numpy as np
 import pytest
 
 import mnpspr.potentials as potentials
+from mnpspr.mie import SphereMode, mode_tangent_field
 from mnpspr.potentials import (
     MaterialConfig,
     ResonanceError,
     assemble_correction,
     correction_unit_matrices,
+    slot_blocks,
 )
 from mnpspr.scatter import (
     BlockSystem,
+    RHSVector,
+    _unstack,
     assemble_system,
     dipole_incident_trace,
+    pair_norm,
     resonance_shift,
     solve_scatter,
     static_magnetic_block,
+    weak_resonance_indicator,
 )
-from mnpspr.surface import perturbed_sphere, sphere_surface
+from mnpspr.sphharm import num_coeffs
+from mnpspr.surface import ShCoeffs, TangentField, perturbed_sphere, sphere_surface
 
-from conftest import full_matrix
+from conftest import dense, full_matrix
 
 SRC = np.array([0.0, 0.0, 6.0])
 DIP = np.array([1.0, 0.5, 0.0])
@@ -73,13 +82,16 @@ class TestUnitMatrices:
             a = assemble_correction(kind, sphere10, MATS[0], 6, wn)
             b = assemble_correction(kind, sphere10, MATS[1], 6, wn)
             ratio = expected_scale(kind, MATS[1], wn) / expected_scale(kind, MATS[0], wn)
-            for x, y in ((a.entries, b.entries), (a.pairing, b.pairing)):
+            for x, y in (
+                (dense(a.entries, a.blocks), dense(b.entries, b.blocks)),
+                (dense(a.pairing, a.blocks), dense(b.pairing, b.blocks)),
+            ):
                 assert np.max(np.abs(y - ratio * x)) <= 1e-13 * np.max(np.abs(y))
 
     def test_cached_arrays_are_read_only(self, sphere10):
         unit = correction_unit_matrices(sphere10, 6)["Mk2"]
         M = static_magnetic_block(sphere10, 6)
-        for a in (unit.entries, unit.pairing, M):
+        for a in (*unit.entries, *unit.pairing, M):
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
         assert static_magnetic_block(sphere10, 6) is M
@@ -89,9 +101,9 @@ class TestLUSolve:
     def test_exactly_singular_matrix_raises(self, sphere10):
         mats = MaterialConfig.negative_preset(0.5, 1.0, 0.05)
         system = assemble_system(sphere10, mats, 0)
-        P, Q = system.same.copy(), system.cross.copy()
+        P, Q = (dense(x, system.blocks) for x in (system.same, system.cross))
         P[:, 3] = Q[:, 3] = 0.0
-        singular = BlockSystem(P, Q, system.L, system.grid, mats)
+        singular = BlockSystem([P], [Q], (np.arange(len(P)),), system.L, system.grid, mats)
         rhs = dipole_incident_trace(SRC, DIP, mats, sphere10)
         with pytest.raises(ResonanceError) as err:
             solve_scatter(singular, rhs)
@@ -101,10 +113,10 @@ class TestLUSolve:
     def test_one_singular_half_raises(self, sphere10, sign):
         mats = MaterialConfig.negative_preset(0.5, 1.0, 0.05)
         system = assemble_system(sphere10, mats, 2)
-        P, Q = system.same, system.cross.copy()
+        P, Q = (dense(x, system.blocks) for x in (system.same, system.cross))
         Q[:, 3] = -sign * P[:, 3]  # zeroes column 3 of P + sign Q only
         assert np.linalg.cond(P - sign * Q, 1) < 1e8  # the other half stays invertible
-        singular = BlockSystem(P, Q, system.L, system.grid, mats)
+        singular = BlockSystem([P], [Q], (np.arange(len(P)),), system.L, system.grid, mats)
         rhs = dipole_incident_trace(SRC, DIP, mats, sphere10)
         with pytest.raises(ResonanceError) as err:
             solve_scatter(singular, rhs)
@@ -127,6 +139,55 @@ class TestLUSolve:
                         [f.coeffs[1:] for f in (sol[0].X, sol[0].V, sol[1].X, sol[1].V)]
                     )
                     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestAzimuthalBlocks:
+    """The block-by-block solve against a dense solve of the full system."""
+
+    @pytest.fixture(scope="class", params=["pert12", "Y21"])
+    def surface(self, request, pert12):
+        """(grid, L, number of blocks): a surface of revolution and one without symmetry."""
+        if request.param == "pert12":
+            return pert12, 12, 2 * 12 + 1
+        # the single layer's symmetry guard needs L below L_quad here
+        return perturbed_sphere(0.05, 2, 1, 8), 6, 1
+
+    @staticmethod
+    def dense_indicator(system, full, density):
+        """weak_resonance_indicator with the full matrix applied in one product."""
+        L = system.L
+        v = TangentField.from_potentials(X=density.X, V=density.V, L=L, flavor="div")
+        omega = system.materials.omega
+        scaled = TangentField(
+            ShCoeffs(L, omega * v.X.padded(L)), ShCoeffs(L, omega * v.V.padded(L)), "div"
+        )
+        stacked = RHSVector(v, scaled).stacked(L) / pair_norm(v, scaled, system.grid)
+        return pair_norm(*_unstack(full @ stacked, L), system.grid)
+
+    def test_partition_covers_every_slot_once(self, surface):
+        grid, L, n_blocks = surface
+        blocks = slot_blocks(grid, L)
+        assert len(blocks) == n_blocks
+        d = num_coeffs(L) - 1
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(2 * d))
+
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_against_the_dense_solve(self, surface, order):
+        grid, L, _ = surface
+        mats = MaterialConfig.negative_preset(0.4, 1.0, 0.1)
+        system = assemble_system(grid, mats, order, L)
+        rhs = dipole_incident_trace(SRC, DIP, mats, grid)
+        sol, cond = solve_scatter(system, rhs)
+        full = full_matrix(system)
+        ref = np.linalg.solve(full, rhs.stacked(system.L))
+        got = np.concatenate([f.coeffs[1:] for f in (sol[0].X, sol[0].V, sol[1].X, sol[1].V)])
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        exact = np.linalg.norm(full, 1) * np.linalg.norm(np.linalg.inv(full), 1)
+        assert abs(cond - exact) <= 1e-12 * exact
+        candidate = mode_tangent_field(SphereMode(2, 1, 0), system.L)
+        indicator = weak_resonance_indicator(system, candidate)
+        expect = self.dense_indicator(system, full, candidate)
+        assert abs(indicator - expect) <= 1e-12 * expect
 
 
 class TestDroppedBlockMark:

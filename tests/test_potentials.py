@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import eval_legendre
-from conftest import basis_arrays, vector_sph_matrix
+from conftest import basis_arrays, dense, vector_sph_matrix
 
 from mnpspr.mie import SphereMode, mode_tangent_field
 from mnpspr.potentials import (
@@ -336,8 +336,8 @@ class TestCorrections:
         mats = MaterialConfig(eps_c=1.0, mu_c=1.0, omega=1.0, delta=0.05)
         L1 = assemble_correction("L1", sphere10, mats, 6)
         L2 = assemble_correction("L2", sphere10, mats, 6)
-        assert np.max(np.abs(L1.entries)) == 0.0
-        assert np.max(np.abs(L2.entries)) == 0.0
+        assert np.max(np.abs(dense(L1.entries, L1.blocks))) == 0.0
+        assert np.max(np.abs(dense(L2.entries, L2.blocks))) == 0.0
 
     def test_l2_against_sphere_integrals(self, sphere10_geometries):
         # oracle: L2 pairs test field t_i with nu_x x c_j, c_j = (2/3) int phi_j ds.
@@ -357,12 +357,14 @@ class TestCorrections:
         nu_c = np.cross(sphere10.normals[:, :, None], c[None], axisa=1, axisb=1, axisc=1)
         exact = np.einsum("nic,ncj->ij", test, nu_c)
         for geometry, grid in sphere10_geometries.items():
-            got = correction_unit_matrices(grid, L)["L2"].pairing
+            L2 = correction_unit_matrices(grid, L)["L2"]
+            got = dense(L2.pairing, L2.blocks)
             assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact), geometry
 
     def test_l2_is_rank_three_off_the_sphere(self):
         grid = perturbed_sphere(0.2, 2, 0, 12)
-        P = correction_unit_matrices(grid, 12)["L2"].pairing
+        L2 = correction_unit_matrices(grid, 12)["L2"]
+        P = dense(L2.pairing, L2.blocks)
         sv = np.linalg.svd(P, compute_uv=False)
         assert np.all(sv[3:] <= 1e-13 * sv[0])
         # int vcurl Y ds = 0: the curl columns vanish on any closed surface
@@ -401,7 +403,8 @@ class TestCorrections:
         )
         ref = np.sum(w[:, None] * integrand, axis=0)
         for geometry, grid in sphere10_geometries.items():
-            out = assemble_correction("Mk2", grid, mats, 6, "e").entries @ stacked
+            Mk2 = assemble_correction("Mk2", grid, mats, 6, "e")
+            out = dense(Mk2.entries, Mk2.blocks) @ stacked
             outf = TangentField.from_potentials(
                 X=_lift(out[:d], 6), V=_lift(out[d:], 6), flavor="div")
             got = grid.tangent_values(outf)[i_node]
@@ -417,7 +420,7 @@ class TestCorrections:
         dens = mode_tangent_field(mode, 6)
         d = num_coeffs(6) - 1
         stacked = np.concatenate([dens.X.coeffs[1:], dens.V.coeffs[1:]])
-        out = L1.entries @ stacked
+        out = dense(L1.entries, L1.blocks) @ stacked
         outf = TangentField.from_potentials(X=_lift(out[:d], 6), V=_lift(out[d:], 6), flavor="div")
         i_node = 21
         got = sphere10.tangent_values(outf)[i_node]
@@ -452,7 +455,8 @@ class TestCorrections:
         from mnpspr.scatter import static_magnetic_block
 
         mats = MaterialConfig.negative_preset(0.5, omega=1.0)
-        Mk2 = assemble_correction("Mk2", sphere10, mats, 8, "e").entries
+        Mk2 = assemble_correction("Mk2", sphere10, mats, 8, "e")
+        Mk2 = dense(Mk2.entries, Mk2.blocks)
         M = static_magnetic_block(sphere10, 8)
         deltas = np.array([0.1, 0.05, 0.025])
         ratios = [np.linalg.norm(d**2 * Mk2) / np.linalg.norm(M) for d in deltas]
@@ -528,5 +532,6 @@ class TestRingGeometries:
         a, b = self.operators(shared, L), self.operators(per, L)
         for kind in ("S", "K", "Kstar", "Mk2", "L1", "L2"):
             # largest entry difference, relative to the largest entry
-            diff = np.max(np.abs(a[kind].pairing - b[kind].pairing))
-            assert diff <= 1e-13 * np.max(np.abs(b[kind].pairing)), kind
+            pa, pb = (dense(op[kind].pairing, op[kind].blocks) for op in (a, b))
+            diff = np.max(np.abs(pa - pb))
+            assert diff <= 1e-13 * np.max(np.abs(pb)), kind

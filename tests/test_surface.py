@@ -473,13 +473,6 @@ class TestRingSharedLegendre:
         for ring in rings(grid, 6):
             assert ring.r.shape == ring.wjac.shape == (n_t, q)
             assert ring.normal.shape == (n_t, 3)
-            assert ring.rotation.shape == (grid.n_phi, 3, 3)
-            if n_t == 1:
-                # the turn of target i carries the first target's node onto node i
-                first = grid.positions[ring.nodes.start]
-                assert np.allclose(ring.rotation @ first, grid.positions[ring.nodes], atol=1e-14)
-            else:
-                assert np.array_equal(ring.rotation, np.broadcast_to(np.eye(3), ring.rotation.shape))
         assert points == [n_t * q] * grid.n_theta
 
 
