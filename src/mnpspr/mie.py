@@ -16,6 +16,7 @@ import numpy as np
 from .potentials import NearBoundaryError
 from .sphharm import cartesian_to_angles, sh_index, unit_vectors, ynm_matrix
 from .specfun import radial
+from .surface import ShCoeffs, TangentField
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,6 @@ def mode_tangent_field(mode: SphereMode, grid_L: int):
     so the potential amplitude r/sqrt(n(n+1)) makes the reconstructed field
     equal phi_1 (family 1) or phi_2 (family 2) as functions of direction.
     """
-    from .surface import ShCoeffs, TangentField
-
     amp = mode.radius / np.sqrt(mode.n * (mode.n + 1.0))
     if mode.l == 1:
         X = ShCoeffs.unit(mode.n, mode.m, L=grid_L, amplitude=amp)

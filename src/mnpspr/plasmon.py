@@ -17,7 +17,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .mie import SphereMode, exact_sphere_potential
+from .mie import SphereMode, exact_sphere_potential, sphere_mnp_eigenvalue
 from .potentials import MaterialConfig, NearBoundaryError, em_fields, offboundary_eval
 from .spectral import SpectralSet, eigenvalue_clusters
 from .surface import ShCoeffs, SurfaceGrid, TangentField, radial_gap, tubular_distance
@@ -68,8 +68,6 @@ class PlasmonMode:
 
     @classmethod
     def from_sphere(cls, l, n, m, radius=1.0, omega=1.0):
-        from .mie import sphere_mnp_eigenvalue
-
         lam = sphere_mnp_eigenvalue(l, n)
         tau = resonance_tau(lam)
         mats = MaterialConfig.negative_preset(float(tau), omega)

@@ -67,23 +67,18 @@ VECTOR_KINDS = ("Mk2", "L1", "L2")
 
 @dataclass
 class OperatorMatrix:
-    """Coefficient-space matrix of a boundary operator.
+    """Coefficient-space matrix of a scalar boundary operator, dense (nc, nc).
 
     entries maps coefficient vectors to coefficient vectors (the Galerkin
     pairing composed with the inverse mass matrix); pairing holds the raw
-    L^2-surface Galerkin matrix used for Gram constructions.  The scalar
-    operators are dense (nc, nc) arrays, with blocks None.  The correction
-    kernels couple only slots of one block of `slot_blocks`: blocks is that
-    partition, and entries and pairing are lists with the matrix on each
-    block; entries between different blocks are zero and are not stored.
+    L^2-surface Galerkin matrix used for Gram constructions.
     """
 
     kind: str
     L: int
-    entries: np.ndarray | list
-    pairing: np.ndarray | list
+    entries: np.ndarray
+    pairing: np.ndarray
     meta: dict = field(default_factory=dict)
-    blocks: tuple | None = None
 
 
 @dataclass
@@ -116,9 +111,6 @@ class MaterialConfig:
     def k_c(self):
         # for the negative preset eps_c*mu_c = tau^2; take the positive root
         return self.omega * np.sqrt(complex(self.eps_c * self.mu_c))
-
-    def wavenumber(self, which: str):
-        return {"e": self.k_e, "c": self.k_c}[which]
 
     def side(self, inside):
         """(mu, k) of the interior or exterior material; k real up to round-off."""
@@ -564,12 +556,13 @@ def _ring_kernel_values(ring, L: int):
 
 
 def correction_unit_matrices(grid: SurfaceGrid, L: int):
-    """Galerkin matrices of the correction kernels at unit scale, built once per grid.
+    """Coefficient matrices of the correction kernels at unit scale, built once per grid.
 
-    Returns dict kind -> OperatorMatrix on the stacked potential basis
-    (gradient block first, curl block second, degree >= 1 slots), with unit
-    material constants, held block by block over `slot_blocks`.  Every
-    kernel acts as nu_x x int K(x, y) phi(y) ds(y):
+    Returns dict kind -> tuple with one matrix per block of `slot_blocks`,
+    on the block's slots of the stacked potential basis (gradient block
+    first, curl block second, degree >= 1 slots), with unit material
+    constants; entries between different blocks are zero and are not
+    stored.  Every kernel acts as nu_x x int K(x, y) phi(y) ds(y):
       Mk2 : K phi = (uhat x phi) / (8 pi)
       L1  : K phi = (1/2) [phi / r + R (R . phi) / r^3]
       L2  : K phi = (2/3) phi
@@ -593,10 +586,11 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
     (2/3) int phi_j ds at every target, so its pairing is the rank-3
     product (2/3) (sum_x t_i x nu_x) . int phi_j ds, with the grid rule;
     both sums are frame-weighted node moments (`SurfaceGrid._moments`).
-    Each block's entries solve its slice of the stacked Gram
-    (`tangent_mass_stack`).  Beyond the result, memory is O(NC^2) for the
-    stiffness Gram and O(n_t NC) per ring.  The arrays are read-only:
-    every material shares them.
+    Each block's matrix solves its Galerkin pairing against its slice of
+    the stacked Gram (`tangent_mass_stack`); the pairing is not kept.
+    Beyond the result, memory is O(NC^2) for the stiffness Gram and
+    O(n_t NC) per ring.  The arrays are read-only: every material shares
+    them.
     """
 
     def build():
@@ -624,39 +618,32 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
             for g, b, c in zip(G, blocks, columns):
                 g[:, : 2 * len(b)] += test[:, b].T @ values[:, c]
         entries = [np.linalg.solve(tangent_mass_stack(grid, L, b), g) for g, b in zip(G, blocks)]
-        for a in (*entries, *G):
+        for a in entries:
             a.flags.writeable = False
-
-        def kind_blocks(arrays, i):
-            return [a[:, len(a) * i : len(a) * (i + 1)] for a in arrays]
-
         return {
-            kind: OperatorMatrix(
-                kind, L, kind_blocks(entries, i), kind_blocks(G, i), blocks=blocks
-            )
+            kind: tuple(a[:, len(a) * i : len(a) * (i + 1)] for a in entries)
             for i, kind in enumerate(VECTOR_KINDS)
         }
 
     return grid.cached(("corrections", L), build)
 
 
-def assemble_correction(
-    kind: str, grid: SurfaceGrid, materials: MaterialConfig, L: int, wavenumber="e"
-):
-    """Correction-operator Galerkin matrix on the stacked potential basis.
+def assemble_correction(kind: str, grid: SurfaceGrid, materials: MaterialConfig, L: int):
+    """Correction-operator matrix on the stacked potential basis, one per block.
 
-    Mk2 carries the factor k^2 of the chosen wavenumber; L1/L2 carry the
-    material constants C_j = i^j (k_c^{j+1} - k_e^{j+1}) / (4 pi omega (j-1)!).
-    The result is that scale times each block of the grid's unit-scale
-    matrices (`correction_unit_matrices`), on the same `slot_blocks`.
-    Ordering of the stacked basis: gradient potentials then curl
-    potentials, degree >= 1 slots only.
+    Each kernel carries its interior-minus-exterior material constant:
+    Mk2 carries mu_c k_c^2 - mu_e k_e^2, and L1/L2 carry
+    C_j = i^{j+1} (k_c^{j+1} - k_e^{j+1}) / (4 pi omega (j-1)!).
+    Returns that scale times each block of the grid's unit-scale matrices
+    (`correction_unit_matrices`), on the same `slot_blocks`.  Ordering of
+    the stacked basis: gradient potentials then curl potentials, degree
+    >= 1 slots only.
     """
     if kind not in VECTOR_KINDS:
         raise KindError(f"unknown correction kind {kind!r}")
     k_e, k_c = materials.k_e, materials.k_c
     if kind == "Mk2":
-        scale = materials.wavenumber(wavenumber) ** 2
+        scale = materials.mu_c * k_c**2 - materials.mu_e * k_e**2
     elif kind == "L1":
         # constants from the direct delta-expansion of the kernel
         # difference: i^{j+1} (k_c^{j+1} - k_e^{j+1}) / (4 pi omega (j-1)!),
@@ -664,12 +651,4 @@ def assemble_correction(
         scale = -(k_c**2 - k_e**2) / (4.0 * np.pi * materials.omega)
     else:
         scale = -1j * (k_c**3 - k_e**3) / (4.0 * np.pi * materials.omega)
-    unit = correction_unit_matrices(grid, L)[kind]
-    return OperatorMatrix(
-        kind,
-        L,
-        [scale * e for e in unit.entries],
-        [scale * p for p in unit.pairing],
-        {"wavenumber": wavenumber, "scale": complex(scale)},
-        unit.blocks,
-    )
+    return [scale * a for a in correction_unit_matrices(grid, L)[kind]]

@@ -13,13 +13,14 @@ reduction and vanishes on spheres, where all quantitative sweeps run.
 Every system carries meta["cross_coupling"] = "dropped"; on any other
 surface assemble_system also logs a warning, once per grid.
 
-The system is affine in its material parameters.  Offline, once per grid
-and degree, the grid memo keeps M and the correction kernels L1, L2 and
-Mk2 at unit scale.  Online, each (tau, delta) point scales and adds those
-matrices.  Every operator couples only the slots of one block of
-`potentials.slot_blocks`: one block per azimuthal order m on a surface of
-revolution, one block of every slot elsewhere.  The system is assembled,
-solved and applied block by block.  The two traces enter alike, so each
+The system is affine in its material parameters.  Every operator couples
+only the slots of one block of `potentials.slot_blocks`: one block per
+azimuthal order m on a surface of revolution, one block of every slot
+elsewhere.  Offline, once per grid and degree, the grid memo keeps M and
+the correction kernels L1, L2 and Mk2 at unit scale, each as one matrix
+per block and nothing beside it.  Online, each (tau, delta) point scales
+and adds those matrices.  The system is assembled, solved and applied
+block by block.  The two traces enter alike, so each
 block is [[P, Q], [Q, P]], which the even/odd trace combinations split
 into P + Q and P - Q; one numpy solve per half gives its solution and
 inverse, and the half inverses the exact 1-norm condition number.
@@ -90,25 +91,27 @@ def resonance_shift(tau):
 
 
 def static_magnetic_block(grid: SurfaceGrid, L: int):
-    """Static magnetic operator on the stacked [X; V] potential pair.
+    """Static magnetic operator on the stacked [X; V] potential pair, one matrix per block.
 
-    Curl block: the K coefficient matrix; gradient block: -Lap^{-1} K* Lap
-    (from the divergence intertwining).  Block-diagonal: the gradient-to-
-    curl coupling is dropped (exact on spheres).  Built once per grid and
-    degree; the returned array is read-only.
+    Curl half: the K coefficient matrix; gradient half: -Lap^{-1} K* Lap
+    (from the divergence intertwining).  The gradient-to-curl coupling is
+    dropped (exact on spheres).  Returns the tuple of M's blocks M_b on
+    the slots of each block of `slot_blocks`; the dense M exists only
+    while they are built.  Built once per grid and degree; the blocks are
+    read-only.
     """
 
     def build():
         ops = scalar_operators(grid, L)
         d = num_coeffs(L) - 1
         D = grid.laplace_matrix(L)[1:, 1:]
-        Kst = ops["Kstar"].entries[1:, 1:]
-        Kc = ops["K"].entries[1:, 1:]
         M = np.zeros((2 * d, 2 * d), dtype=complex)
-        M[:d, :d] = -np.linalg.solve(D, Kst @ D)
-        M[d:, d:] = Kc
-        M.flags.writeable = False
-        return M
+        M[:d, :d] = -np.linalg.solve(D, ops["Kstar"].entries[1:, 1:] @ D)
+        M[d:, d:] = ops["K"].entries[1:, 1:]
+        blocks = tuple(M[np.ix_(b, b)] for b in slot_blocks(grid, L))
+        for m in blocks:
+            m.flags.writeable = False
+        return blocks
 
     return grid.cached(("magnetic", L), build)
 
@@ -124,28 +127,26 @@ def assemble_system(
         raise ValueError("correction order must be 0, 1 or 2")
     if materials.mu_e == materials.mu_c or materials.eps_e == materials.eps_c:
         raise ValueError("equal interior/exterior parameters make the scaled system singular")
+    if materials.eps_c != materials.mu_c or materials.eps_e != materials.mu_e:
+        # tau, the shared trace denominator and the even/odd split each assume eps = mu
+        raise ValueError("the scaled system needs eps_c == mu_c and eps_e == mu_e")
     tau = materials.tau
     if tau == 1.0:
         raise ValueError("tau = 1 makes the scaled system degenerate")
     L = grid.L_quad if L is None else L
     delta = materials.delta
-    M = static_magnetic_block(grid, L)
     blocks = slot_blocks(grid, L)
-    same = [resonance_shift(tau) * np.eye(len(b)) - M[np.ix_(b, b)] for b in blocks]
+    same = [resonance_shift(tau) * np.eye(len(m)) - m for m in static_magnetic_block(grid, L)]
     cross = [np.zeros_like(p) for p in same]
     if order >= 1:
         denom = materials.mu_e - materials.mu_c  # equals eps_e - eps_c here
-        L1 = assemble_correction("L1", grid, materials, L).entries
+        L1 = assemble_correction("L1", grid, materials, L)
         cross = [(delta / denom) * a for a in L1]
         if order >= 2:
-            L2 = assemble_correction("L2", grid, materials, L).entries
+            L2 = assemble_correction("L2", grid, materials, L)
             cross = [q + (delta**2 / denom) * a for q, a in zip(cross, L2)]
-            M2e = assemble_correction("Mk2", grid, materials, L, "e").entries
-            M2c = assemble_correction("Mk2", grid, materials, L, "c").entries
-            same = [
-                p + (delta**2 / denom) * (materials.mu_c * c - materials.mu_e * e)
-                for p, c, e in zip(same, M2c, M2e)
-            ]
+            Mk2 = assemble_correction("Mk2", grid, materials, L)
+            same = [p + (delta**2 / denom) * a for p, a in zip(same, Mk2)]
     if not grid.spherical:
         # a property of the grid, reported once however many points a sweep takes
         grid.cached(

@@ -198,9 +198,8 @@ def mnp_spectra(grid: SurfaceGrid, L: int):
         "M_curl", mu, pots, "curl_Ninv", L,
         {"excluded_half": int(dropped)},
     )
-    order = np.argsort(-np.abs(-mu))
     grad = SpectralSet(
-        "Mstar_grad", -mu[order], pots[:, order], "grad_Qinv", L,
+        "Mstar_grad", -mu, pots, "grad_Qinv", L,
         {"excluded_half": int(dropped)},
     )
     return curl, grad

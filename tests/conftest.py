@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mnpspr.potentials import scalar_operators
+from mnpspr.potentials import scalar_operators, slot_blocks, tangent_mass_stack
 from mnpspr.spectral import mnp_spectra, np_spectrum
 from mnpspr.sphharm import fibonacci_shell  # noqa: F401  (shared by the test modules)
 from mnpspr.sphharm import num_coeffs, unit_vectors, ynm_matrix
@@ -158,16 +158,24 @@ def vector_sph_matrix(theta, phi, L):
 def dense(blocks, partition):
     """The dense matrix holding `blocks` on the slots of `partition`, zero elsewhere.
 
-    blocks[b] is the matrix on the slots partition[b] (`potentials.slot_blocks`);
-    a partition of None marks a matrix held dense already, which is returned as it is.
+    blocks[b] is the matrix on the slots partition[b] (`potentials.slot_blocks`).
     """
-    if partition is None:
-        return blocks
     n = sum(len(b) for b in partition)
     out = np.zeros((n, n), dtype=complex)
     for block, b in zip(blocks, partition):
         out[np.ix_(b, b)] = block
     return out
+
+
+def correction_pairing(grid, L, blocks):
+    """The dense Galerkin pairing of a correction kernel held as per-block matrices.
+
+    Each block's pairing is its slice of the stacked Gram times its matrix,
+    tangent_mass_stack(grid, L, b) @ a; the library does not keep it.
+    """
+    partition = slot_blocks(grid, L)
+    pairings = [tangent_mass_stack(grid, L, b) @ a for a, b in zip(blocks, partition)]
+    return dense(pairings, partition)
 
 
 def full_matrix(system):

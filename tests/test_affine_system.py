@@ -16,6 +16,7 @@ import pytest
 import mnpspr.potentials as potentials
 from mnpspr.mie import SphereMode, mode_tangent_field
 from mnpspr.potentials import (
+    VECTOR_KINDS,
     MaterialConfig,
     ResonanceError,
     assemble_correction,
@@ -44,16 +45,22 @@ DIP = np.array([1.0, 0.5, 0.0])
 MATS = (
     MaterialConfig.negative_preset(0.4, 1.0, 0.1),
     MaterialConfig.negative_preset(0.8, 1.0, 0.025),
+    MaterialConfig.negative_preset(0.6, 2.0, 0.05),
 )
 
 
-def expected_scale(kind, mats, wavenumber):
-    """The material factor of each kernel, up to a kind-wide constant."""
-    k_e, k_c = complex(mats.k_e), complex(mats.k_c)
+def expected_scale(kind, mats):
+    """The material factor of each kernel, up to a kind-wide constant.
+
+    For the negative preset k_e = omega, k_c = omega tau, mu_e = 1 and
+    mu_c = -tau, so Mk2's mu_c k_c^2 - mu_e k_e^2 is -omega^2 (tau^3 + 1),
+    and L1's and L2's (k_c^j - k_e^j) / omega are omega^{j-1} (tau^j - 1).
+    """
+    omega, tau = mats.omega, mats.tau
     if kind == "Mk2":
-        return (k_e if wavenumber == "e" else k_c) ** 2
+        return -(omega**2) * (tau**3 + 1.0)
     power = 2 if kind == "L1" else 3
-    return (k_c**power - k_e**power) / mats.omega
+    return omega ** (power - 1) * (tau**power - 1.0)
 
 
 class TestUnitMatrices:
@@ -70,28 +77,26 @@ class TestUnitMatrices:
         assemble_correction("L1", grid, MATS[0], 6)
         units = correction_unit_matrices(grid, 6)
         for mats in MATS:
-            for kind, wn in (("L1", "e"), ("L2", "e"), ("Mk2", "e"), ("Mk2", "c")):
-                assemble_correction(kind, grid, mats, 6, wn)
+            for kind in VECTOR_KINDS:
+                assemble_correction(kind, grid, mats, 6)
         again = correction_unit_matrices(grid, 6)
         assert again is units
         assert all(again[kind] is units[kind] for kind in units)
         assert passes == [6]
 
     def test_materials_differ_by_their_scale(self, sphere10):
-        for kind, wn in (("L1", "e"), ("L2", "e"), ("Mk2", "e"), ("Mk2", "c")):
-            a = assemble_correction(kind, sphere10, MATS[0], 6, wn)
-            b = assemble_correction(kind, sphere10, MATS[1], 6, wn)
-            ratio = expected_scale(kind, MATS[1], wn) / expected_scale(kind, MATS[0], wn)
-            for x, y in (
-                (dense(a.entries, a.blocks), dense(b.entries, b.blocks)),
-                (dense(a.pairing, a.blocks), dense(b.pairing, b.blocks)),
-            ):
-                assert np.max(np.abs(y - ratio * x)) <= 1e-13 * np.max(np.abs(y))
+        blocks = slot_blocks(sphere10, 6)
+        for kind in VECTOR_KINDS:
+            x = dense(assemble_correction(kind, sphere10, MATS[0], 6), blocks)
+            for mats in MATS[1:]:
+                y = dense(assemble_correction(kind, sphere10, mats, 6), blocks)
+                ratio = expected_scale(kind, mats) / expected_scale(kind, MATS[0])
+                assert np.max(np.abs(y - ratio * x)) <= 1e-13 * np.max(np.abs(y)), kind
 
     def test_cached_arrays_are_read_only(self, sphere10):
         unit = correction_unit_matrices(sphere10, 6)["Mk2"]
         M = static_magnetic_block(sphere10, 6)
-        for a in (*unit.entries, *unit.pairing, M):
+        for a in (*unit, *M):
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
         assert static_magnetic_block(sphere10, 6) is M

@@ -9,12 +9,15 @@ oracle, and bound the memory the contraction saves.
 
 import numpy as np
 import pytest
-from conftest import arrays_in, basis_arrays, dense, max_rel, tangent_field, traced_peak_mb
+from conftest import (
+    arrays_in, basis_arrays, correction_pairing, dense, max_rel, tangent_field, traced_peak_mb,
+)
 
 from mnpspr.potentials import (
     VECTOR_KINDS,
     _ring_kernel_values,
     correction_unit_matrices,
+    slot_blocks,
     tangent_mass_stack,
 )
 from mnpspr.quadrature import correction_polar_order, rings
@@ -113,9 +116,8 @@ class TestAgainstBasisArrays:
         d = num_coeffs(L) - 1
         for i, kind in enumerate(VECTOR_KINDS):
             cols = slice(2 * d * i, 2 * d * (i + 1))
-            op = ops[kind]
-            assert max_rel(dense(op.pairing, op.blocks), G[:, cols]) <= RTOL, kind
-            assert max_rel(dense(op.entries, op.blocks), entries[:, cols]) <= RTOL, kind
+            assert max_rel(correction_pairing(grid, L, ops[kind]), G[:, cols]) <= RTOL, kind
+            assert max_rel(dense(ops[kind], slot_blocks(grid, L)), entries[:, cols]) <= RTOL, kind
 
 
 class TestMemory:
@@ -151,6 +153,15 @@ class TestMemory:
         grid.stiffness_matrix()
         f = tangent_field(grid, rng)
         assert traced_peak_mb(lambda: grid.helmholtz_decompose(f)) < 3.0
+
+    def test_sweep_holds_each_scattering_operator_once_per_block(self):
+        # M, Mk2, L1 and L2 as one matrix per azimuthal block, and no pairing or dense M
+        grid, L = perturbed_sphere(0.2, 2, 0, 8), 8
+        resonance_sweep(grid, [0.5], [0.1], 1.0, 2, np.array([0, 0, 3.0]), np.array([1.0, 0, 0]), L)
+        keys = (("magnetic", L), ("corrections", L))
+        held = [a for key in keys for a in arrays_in(grid._memo[key])]
+        assert sum(a.size for a in held) == 4 * sum(len(b) ** 2 for b in slot_blocks(grid, L))
+        assert max(len(a) for a in held) <= 2 * L
 
     def test_sweep_caches_no_basis_sized_array(self):
         grid = perturbed_sphere(0.2, 2, 0, 6)

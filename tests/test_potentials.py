@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import eval_legendre
-from conftest import basis_arrays, dense, vector_sph_matrix
+from conftest import basis_arrays, correction_pairing, dense, vector_sph_matrix
 
 from mnpspr.mie import SphereMode, mode_tangent_field
 from mnpspr.potentials import (
@@ -20,6 +20,7 @@ from mnpspr.potentials import (
     helmholtz_point_kernels,
     offboundary_eval,
     scalar_operators,
+    slot_blocks,
     tangent_mass_stack,
 )
 from mnpspr.sphharm import num_coeffs, polar_patch_rule, sh_degrees, sh_index, ynm_matrix
@@ -334,10 +335,9 @@ class TestCorrections:
 
     def test_equal_wavenumbers_kill_couplings(self, sphere10):
         mats = MaterialConfig(eps_c=1.0, mu_c=1.0, omega=1.0, delta=0.05)
-        L1 = assemble_correction("L1", sphere10, mats, 6)
-        L2 = assemble_correction("L2", sphere10, mats, 6)
-        assert np.max(np.abs(dense(L1.entries, L1.blocks))) == 0.0
-        assert np.max(np.abs(dense(L2.entries, L2.blocks))) == 0.0
+        for kind in ("L1", "L2"):
+            blocks = assemble_correction(kind, sphere10, mats, 6)
+            assert max(np.max(np.abs(a)) for a in blocks) == 0.0, kind
 
     def test_l2_against_sphere_integrals(self, sphere10_geometries):
         # oracle: L2 pairs test field t_i with nu_x x c_j, c_j = (2/3) int phi_j ds.
@@ -357,14 +357,12 @@ class TestCorrections:
         nu_c = np.cross(sphere10.normals[:, :, None], c[None], axisa=1, axisb=1, axisc=1)
         exact = np.einsum("nic,ncj->ij", test, nu_c)
         for geometry, grid in sphere10_geometries.items():
-            L2 = correction_unit_matrices(grid, L)["L2"]
-            got = dense(L2.pairing, L2.blocks)
+            got = correction_pairing(grid, L, correction_unit_matrices(grid, L)["L2"])
             assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact), geometry
 
     def test_l2_is_rank_three_off_the_sphere(self):
         grid = perturbed_sphere(0.2, 2, 0, 12)
-        L2 = correction_unit_matrices(grid, 12)["L2"]
-        P = dense(L2.pairing, L2.blocks)
+        P = correction_pairing(grid, 12, correction_unit_matrices(grid, 12)["L2"])
         sv = np.linalg.svd(P, compute_uv=False)
         assert np.all(sv[3:] <= 1e-13 * sv[0])
         # int vcurl Y ds = 0: the curl columns vanish on any closed surface
@@ -375,9 +373,8 @@ class TestCorrections:
         # oracle: direct fine polar quadrature of the curl-of-(distance *
         # density) kernel on the unit sphere, built without the assembly code.
         # The node is off its ring's first target, so the shared geometry
-        # reaches it through a turn about z.
+        # reaches it through a turn about z.  The unit matrices are Mk2 at k = 1.
         sphere10 = sphere10_geometries["shared"]
-        mats = MaterialConfig.negative_preset(0.5, omega=1.0)
         k = 1.0
         mode = SphereMode(2, 1, 0, 1.0)
         dens = mode_tangent_field(mode, 6)
@@ -403,8 +400,8 @@ class TestCorrections:
         )
         ref = np.sum(w[:, None] * integrand, axis=0)
         for geometry, grid in sphere10_geometries.items():
-            Mk2 = assemble_correction("Mk2", grid, mats, 6, "e")
-            out = dense(Mk2.entries, Mk2.blocks) @ stacked
+            Mk2 = dense(correction_unit_matrices(grid, 6)["Mk2"], slot_blocks(grid, 6))
+            out = Mk2 @ stacked
             outf = TangentField.from_potentials(
                 X=_lift(out[:d], 6), V=_lift(out[d:], 6), flavor="div")
             got = grid.tangent_values(outf)[i_node]
@@ -420,7 +417,7 @@ class TestCorrections:
         dens = mode_tangent_field(mode, 6)
         d = num_coeffs(6) - 1
         stacked = np.concatenate([dens.X.coeffs[1:], dens.V.coeffs[1:]])
-        out = dense(L1.entries, L1.blocks) @ stacked
+        out = dense(L1, slot_blocks(sphere10, 6)) @ stacked
         outf = TangentField.from_potentials(X=_lift(out[:d], 6), V=_lift(out[d:], 6), flavor="div")
         i_node = 21
         got = sphere10.tangent_values(outf)[i_node]
@@ -454,10 +451,10 @@ class TestCorrections:
     def test_correction_norm_scaling(self, sphere10):
         from mnpspr.scatter import static_magnetic_block
 
-        mats = MaterialConfig.negative_preset(0.5, omega=1.0)
-        Mk2 = assemble_correction("Mk2", sphere10, mats, 8, "e")
-        Mk2 = dense(Mk2.entries, Mk2.blocks)
-        M = static_magnetic_block(sphere10, 8)
+        # the unit matrices are Mk2 at k = 1
+        blocks = slot_blocks(sphere10, 8)
+        Mk2 = dense(correction_unit_matrices(sphere10, 8)["Mk2"], blocks)
+        M = dense(static_magnetic_block(sphere10, 8), blocks)
         deltas = np.array([0.1, 0.05, 0.025])
         ratios = [np.linalg.norm(d**2 * Mk2) / np.linalg.norm(M) for d in deltas]
         slope = np.polyfit(np.log(deltas), np.log(ratios), 1)[0]
@@ -481,7 +478,7 @@ class TestDivergenceIntertwining:
         from mnpspr.scatter import static_magnetic_block
 
         L = pert12.L_quad
-        M = static_magnetic_block(pert12, L)
+        M = dense(static_magnetic_block(pert12, L), slot_blocks(pert12, L))
         D = pert12.laplace_matrix(L)[1:, 1:]
         Kst = scalar_operators(pert12, L)["Kstar"].entries[1:, 1:]
         d = D.shape[0]
@@ -521,17 +518,19 @@ class TestRingGeometries:
         return grid, per_target(lambda: workload_grid(request.param)[0]), L
 
     @staticmethod
-    def operators(grid, L):
-        ops = dict(scalar_operators(grid, L))
-        ops.update(correction_unit_matrices(grid, L))
-        return ops
+    def pairings(grid, L):
+        """Every operator's dense Galerkin pairing, by kind."""
+        out = {kind: op.pairing for kind, op in scalar_operators(grid, L).items()}
+        for kind, blocks in correction_unit_matrices(grid, L).items():
+            out[kind] = correction_pairing(grid, L, blocks)
+        return out
 
     def test_operators_agree(self, grids):
         shared, per, L = grids
         assert shared.axisymmetric and not per.axisymmetric
-        a, b = self.operators(shared, L), self.operators(per, L)
+        a, b = self.pairings(shared, L), self.pairings(per, L)
         for kind in ("S", "K", "Kstar", "Mk2", "L1", "L2"):
             # largest entry difference, relative to the largest entry
-            pa, pb = (dense(op[kind].pairing, op[kind].blocks) for op in (a, b))
+            pa, pb = a[kind], b[kind]
             diff = np.max(np.abs(pa - pb))
             assert diff <= 1e-13 * np.max(np.abs(pb)), kind

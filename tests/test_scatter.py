@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from mnpspr.mie import SphereMode, mode_tangent_field
-from mnpspr.potentials import MaterialConfig, helmholtz_point_kernels, slot_blocks
+from mnpspr.potentials import (
+    MaterialConfig, helmholtz_point_kernels, scalar_operators, slot_blocks,
+)
 from mnpspr.scatter import (
     BlockSystem,
     RHSVector,
@@ -13,7 +15,6 @@ from mnpspr.scatter import (
     pair_norm,
     resonance_shift,
     solve_scatter,
-    static_magnetic_block,
     weak_resonance_indicator,
 )
 from mnpspr.spectral import trace_norm
@@ -40,11 +41,17 @@ class TestAssembleSystem:
         d2 = len(full) // 2
         off = full[:d2, d2:]
         assert np.max(np.abs(off)) == 0.0
-        M = static_magnetic_block(sphere10, sphere10.L_quad)
+        # the dense M by the library's formula, which keeps only its blocks
+        L, d = sphere10.L_quad, d2 // 2
+        ops = scalar_operators(sphere10, L)
+        D = sphere10.laplace_matrix(L)[1:, 1:]
+        M = np.zeros((d2, d2), dtype=complex)
+        M[:d, :d] = -np.linalg.solve(D, ops["Kstar"].entries[1:, 1:] @ D)
+        M[d:, d:] = ops["K"].entries[1:, 1:]
         expect = resonance_shift(0.5) * np.eye(d2) - M
         # P is shift I - M on every azimuthal block; M's entries between blocks are round-off
         on = np.zeros((d2, d2), dtype=bool)
-        for b in slot_blocks(sphere10, sphere10.L_quad):
+        for b in slot_blocks(sphere10, L):
             on[np.ix_(b, b)] = True
         assert np.max(np.abs(full[:d2, :d2] - expect)[on]) == 0.0
         assert np.max(np.abs(full[:d2, :d2])[~on]) == 0.0
@@ -76,6 +83,15 @@ class TestAssembleSystem:
         mats = MaterialConfig(eps_c=1.0, mu_c=1.0, omega=1.0, delta=0.1)
         with pytest.raises(ValueError):
             assemble_system(sphere10, mats, 1)
+
+    def test_unequal_eps_and_mu_rejected(self, sphere10):
+        # tau, the shared trace denominator and the even/odd split assume eps = mu on each side
+        for mats in (
+            MaterialConfig(eps_c=-2.0, mu_c=-3.0, delta=0.1),
+            MaterialConfig(eps_c=-2.0, mu_c=-2.0, delta=0.1, eps_e=2.0),
+        ):
+            with pytest.raises(ValueError, match="eps_c == mu_c and eps_e == mu_e"):
+                assemble_system(sphere10, mats, 2)
 
     def test_order_validation(self, sphere10):
         mats = MaterialConfig.negative_preset(0.5)
