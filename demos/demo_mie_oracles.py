@@ -9,14 +9,8 @@ the normal derivative of the scalar single layer by extrapolation.
 
 import numpy as np
 
-from mnpspr import (
-    ShCoeffs,
-    SphereMode,
-    exact_sphere_potential,
-    mode_tangent_field,
-    offboundary_eval,
-    sphere_surface,
-)
+from mnpspr import ShCoeffs, offboundary_eval, sphere_surface
+from mnpspr.mie import sphere_oracle_errors
 from mnpspr.sphharm import cartesian_to_angles
 
 grid = sphere_surface(1.0, 16)
@@ -24,17 +18,8 @@ xhat = np.array([0.6, 0.64, 0.48])
 
 print("== dual-path comparison of the eight closed forms (k = 1) ==")
 print(" family  kind        side      n=1..4 worst rel err")
-for l in (1, 2):
-    for which in ("curlS", "curlcurlS"):
-        for side, rfac in (("exterior", 2.0), ("interior", 0.5)):
-            worst = 0.0
-            for n in range(1, 5):
-                mode = SphereMode(l, n, min(1, n), 1.0)
-                dens = mode_tangent_field(mode, 12)
-                num = offboundary_eval(dens, 1.0, rfac * xhat, which + "_vec", grid)
-                ref = exact_sphere_potential(mode, 1.0, rfac * xhat, which)
-                worst = max(worst, np.max(np.abs(num - ref)) / np.max(np.abs(ref)))
-            print(f"   {l}     {which:<10s}  {side:<8s}  {worst:.2e}")
+for (l, which, side), worst in sphere_oracle_errors(grid, 4, 1.0, 1.0, 12).items():
+    print(f"   {l}     {which:<10s}  {side:<8s}  {worst:.2e}")
 
 print("\n== jump of the normal derivative of the scalar single layer ==")
 print(" n   exterior extrap   interior extrap   +-1/2 + 1/(2(2n+1))")

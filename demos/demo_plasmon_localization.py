@@ -34,7 +34,7 @@ print(" n    |E_n|(2r)       ratio to previous")
 prev = None
 for n in range(6, 13):
     mode = PlasmonMode.from_sphere(2, n, 0, 1.0, omega=1.0)
-    val = np.linalg.norm(plasmon_field(mode, x, None)[0])
+    val = np.linalg.norm(plasmon_field(mode, x)[0])
     print(f"{n:2d}   {val:.6e}   " + (f"{val/prev:.4f}" if prev else "  -"))
     prev = val
 print("the ratio approaches r/|x| = 1/2")
@@ -43,9 +43,9 @@ print("\n== perturbed sphere: summability and the exceedance verdict ==")
 L = 12
 grid = perturbed_sphere(0.05, 2, 0, L)
 curl, _ = mnp_spectra(grid, L)
-modes = [PlasmonMode.from_eigenmode(j, curl, omega=1.0) for j in range(len(curl))]
+modes = [PlasmonMode.from_eigenmode(j, grid, L, omega=1.0) for j in range(len(curl))]
 points = np.vstack([shell(40, 3.0), shell(10, 0.25)])
-report = localization_scan(modes, points, eps=0.5, grid=grid)
+report = localization_scan(modes, points, eps=0.5)
 
 sums = report.partial_sums
 print(f"modes: {len(modes)}, probe points: {points.shape[0]}")

@@ -30,7 +30,7 @@ print("== weak-resonance indicator at tau = 1/2, mode (2,1,0) ==")
 print(" delta     indicator")
 vals, deltas = [], (0.1, 0.05, 0.025)
 for delta in deltas:
-    mats = MaterialConfig.negative_preset(0.5, 1.0, delta)
+    mats = MaterialConfig(0.5, 1.0, delta)
     system = assemble_system(grid, mats, order=2)
     v = weak_resonance_indicator(system, candidate)
     vals.append(v)
@@ -39,7 +39,7 @@ slope = np.polyfit(np.log(deltas), np.log(vals), 1)[0]
 print(f"log-log slope: {slope:.3f} (the residual is first order in the size)")
 
 print("\n== detuned contrast: the indicator stays bounded below ==")
-mats = MaterialConfig.negative_preset(0.6, 1.0, 0.025)
+mats = MaterialConfig(0.6, 1.0, 0.025)
 system = assemble_system(grid, mats, order=2)
 gap = abs(resonance_shift(0.6) - 1.0 / 6.0)
 print(f"indicator {weak_resonance_indicator(system, candidate):.4e} vs spectral gap {gap:.4e}")
@@ -47,7 +47,7 @@ print(f"indicator {weak_resonance_indicator(system, candidate):.4e} vs spectral 
 print("\n== amplification of a dipole-driven solve near resonance ==")
 print(" eta        |solution|      |solution| * gap")
 for eta in (1e-1, 1e-2, 1e-3):
-    mats = MaterialConfig.negative_preset(0.5 + eta, 1.0, 0.02)
+    mats = MaterialConfig(0.5 + eta, 1.0, 0.02)
     system = assemble_system(grid, mats, order=0)
     rhs = dipole_incident_trace(src, p, mats, grid)
     sol, cond = solve_scatter(system, rhs)

@@ -24,14 +24,13 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import __version__
-from .mie import SphereMode, exact_sphere_potential, mode_tangent_field
+from .mie import sphere_oracle_errors
 from .plasmon import PlasmonMode, _field_batch, localization_scan
 from .potentials import (
     AssemblyAccuracyError,
     NearBoundaryError,
     RegularizationError,
     ResonanceError,
-    offboundary_eval,
     scalar_operators,
 )
 from .quadrature import correction_polar_order, default_polar_order
@@ -52,7 +51,6 @@ from .surface import (
     build_surface,
     radius_from_json,
     random_band_limited,
-    tubular_distance,
 )
 
 
@@ -391,14 +389,14 @@ def cmd_plasmon(cfg, grid):
         mode = PlasmonMode.from_sphere(spec["l"], spec["n"], spec["m"], spec["radius"], omega)
     else:
         L = cfg.params["L"]
-        curl = mnp_spectra(grid, L)[0]
-        if not 0 <= spec["index"] < len(curl):
-            message = f"mode.index must lie in [0, {len(curl)}), the curl modes at L = {L}"
+        count = len(mnp_spectra(grid, L)[0])
+        if not 0 <= spec["index"] < count:
+            message = f"mode.index must lie in [0, {count}), the curl modes at L = {L}"
             raise ConfigError(message, "mode.index")
-        mode = PlasmonMode.from_eigenmode(spec["index"], curl, omega)
+        mode = PlasmonMode.from_eigenmode(spec["index"], grid, L, omega)
     points = _shell_points(cfg.params["points"])
-    E, H = _field_batch([mode], points, grid)
-    dists = tubular_distance(points, grid)
+    E, H = _field_batch([mode], points)
+    dists = mode.distance(points)
     mode_id = str(mode.index if mode.index is not None else mode.sphere)
     rows = [
         (mode_id, mode.lam, mode.tau, p_id, float(dists[p_id]),
@@ -409,11 +407,11 @@ def cmd_plasmon(cfg, grid):
 
 
 def cmd_decay(cfg, grid):
-    curl = mnp_spectra(grid, cfg.params["L"])[0]
-    omega = cfg.params["materials"]["omega"]
-    modes = [PlasmonMode.from_eigenmode(j, curl, omega) for j in range(len(curl))]
+    L, omega = cfg.params["L"], cfg.params["materials"]["omega"]
+    count = len(mnp_spectra(grid, L)[0])
+    modes = [PlasmonMode.from_eigenmode(j, grid, L, omega) for j in range(count)]
     points = _shell_points(cfg.params["points"])
-    report = localization_scan(modes, points, cfg.params["eps"], grid)
+    report = localization_scan(modes, points, cfg.params["eps"])
     return {
         # the rows are made as write_csv writes them, never held as a table
         "decay.csv": (_FIELD_COLUMNS, report.csv_rows()),
@@ -434,22 +432,8 @@ def cmd_scatter(cfg, grid):
 def cmd_mie_check(cfg, grid):
     n_max, k, radius = cfg.params["n_max"], cfg.params["k"], cfg.params["radius"]
     tol = 1e-6 if cfg.tol is None else cfg.tol
-    rows = []
-    kinds = ("curlS", "curlcurlS")
-    for l in (1, 2):
-        # kind-major, the row order of the artifact
-        errs = {(which, side): 0.0 for which in kinds for side in ("exterior", "interior")}
-        for side, rfac in (("exterior", 2.0), ("interior", 0.5)):
-            x = rfac * radius * np.array([0.6, 0.64, 0.48])
-            for n in range(1, n_max + 1):
-                mode = SphereMode(l, n, min(1, n), radius)
-                dens = mode_tangent_field(mode, min(cfg.L_quad, n_max + 7))
-                nums = offboundary_eval(dens, k, x, tuple(w + "_vec" for w in kinds), grid)
-                for which, num in zip(kinds, nums):
-                    ex = exact_sphere_potential(mode, k, x, which)
-                    err = float(np.max(np.abs(num - ex)) / np.max(np.abs(ex)))
-                    errs[which, side] = max(errs[which, side], err)
-        rows += [(l, which, side, err, err <= tol) for (which, side), err in errs.items()]
+    errs = sphere_oracle_errors(grid, n_max, k, radius, min(cfg.L_quad, n_max + 7))
+    rows = [(l, which, side, err, err <= tol) for (l, which, side), err in errs.items()]
     worst = max(row[3] for row in rows)
     n_pass = sum(row[4] for row in rows)
     breach = None

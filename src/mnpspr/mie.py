@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .potentials import NearBoundaryError
+from .potentials import NearBoundaryError, offboundary_eval
 from .sphharm import cartesian_to_angles, sh_index, unit_vectors, ynm_matrix
 from .specfun import radial
 from .surface import ShCoeffs, TangentField
@@ -108,3 +108,26 @@ def mode_tangent_field(mode: SphereMode, grid_L: int):
         return TangentField.from_potentials(X=X, L=grid_L, flavor="curl")
     V = ShCoeffs.unit(mode.n, mode.m, L=grid_L, amplitude=-amp)
     return TangentField.from_potentials(V=V, L=grid_L, flavor="curl")
+
+
+def sphere_oracle_errors(grid, n_max: int, k: float, radius: float, L: int):
+    """{(l, kind, side): worst relative error} of `offboundary_eval` against the closed forms.
+
+    grid is the sphere of the given radius; for n = 1..n_max the density is
+    the degree-L field of SphereMode(l, n, min(1, n), radius), probed at
+    2 and 0.5 times radius (0.6, 0.64, 0.48).  Family-major, then kind-major.
+    """
+    kinds, sides = ("curlS", "curlcurlS"), ("exterior", "interior")
+    errs = {(l, which, side): 0.0 for l in (1, 2) for which in kinds for side in sides}
+    for l in (1, 2):
+        for side, rfac in (("exterior", 2.0), ("interior", 0.5)):
+            x = rfac * radius * np.array([0.6, 0.64, 0.48])
+            for n in range(1, n_max + 1):
+                mode = SphereMode(l, n, min(1, n), radius)
+                dens = mode_tangent_field(mode, L)
+                nums = offboundary_eval(dens, k, x, tuple(w + "_vec" for w in kinds), grid)
+                for which, num in zip(kinds, nums):
+                    ex = exact_sphere_potential(mode, k, x, which)
+                    err = float(np.max(np.abs(num - ex)) / np.max(np.abs(ex)))
+                    errs[l, which, side] = max(errs[l, which, side], err)
+    return errs

@@ -12,14 +12,13 @@ statistic for o(j^{-kappa}) behavior.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
 
 from .mie import SphereMode, exact_sphere_potential, sphere_mnp_eigenvalue
 from .potentials import MaterialConfig, NearBoundaryError, em_fields, offboundary_eval
-from .spectral import SpectralSet, eigenvalue_clusters
+from .spectral import eigenvalue_clusters, mnp_spectra
 from .surface import ShCoeffs, SurfaceGrid, TangentField, radial_gap, tubular_distance
 
 
@@ -36,18 +35,14 @@ def resonance_tau(lam):
     """Contrast tau solving (1 - tau) / (2 (1 + tau)) = lam.
 
     Exact rational in, exact rational out.  lam must lie in (-1/2, 1/2);
-    lam = 0 gives tau = 1, which the material presets exclude.
+    lam = 0 gives tau = 1, which the material model excludes.
     """
-    if isinstance(lam, Rational):
-        two = Fraction(2)
-        if not (-Fraction(1, 2) < lam < Fraction(1, 2)):
-            raise ResonanceExclusionError(f"eigenvalue {lam} outside (-1/2, 1/2)")
-        tau = (1 - two * lam) / (1 + two * lam)
-    else:
+    if not isinstance(lam, Rational):
         lam = float(lam)
-        if not (-0.5 < lam < 0.5):
-            raise ResonanceExclusionError(f"eigenvalue {lam} outside (-1/2, 1/2)")
-        tau = (1.0 - 2.0 * lam) / (1.0 + 2.0 * lam)
+    # a Fraction compares with 1/2 and combines with the integers exactly
+    if not (-0.5 < lam < 0.5):
+        raise ResonanceExclusionError(f"eigenvalue {lam} outside (-1/2, 1/2)")
+    tau = (1 - 2 * lam) / (1 + 2 * lam)
     if tau == 1:
         raise ResonanceExclusionError(
             "lam = 0 gives tau = 1, excluded by the material assumptions"
@@ -57,56 +52,69 @@ def resonance_tau(lam):
 
 @dataclass
 class PlasmonMode:
-    """A weak-resonance mode: eigenvalue, resonant contrast, density."""
+    """A weak-resonance mode: eigenvalue, resonant materials, density and surface.
+
+    A general mode keeps its grid; a sphere mode's surface is its sphere.
+    Mode fields are those of the unit-size particle: delta = 1.
+    """
 
     lam: float
-    tau: float
     materials: MaterialConfig
     density: TangentField = None
     sphere: SphereMode = None
     index: int = None
+    grid: SurfaceGrid = None
+
+    @classmethod
+    def _resonant(cls, lam, omega, **where):
+        """The mode of eigenvalue lam at its resonant contrast."""
+        tau = float(resonance_tau(lam))
+        return cls(lam=float(lam), materials=MaterialConfig(tau, omega, delta=1.0), **where)
 
     @classmethod
     def from_sphere(cls, l, n, m, radius=1.0, omega=1.0):
-        lam = sphere_mnp_eigenvalue(l, n)
-        tau = resonance_tau(lam)
-        mats = MaterialConfig.negative_preset(float(tau), omega)
-        return cls(
-            lam=float(lam),
-            tau=float(tau),
-            materials=mats,
-            sphere=SphereMode(l, n, m, radius),
-        )
+        return cls._resonant(sphere_mnp_eigenvalue(l, n), omega, sphere=SphereMode(l, n, m, radius))
 
     @classmethod
-    def from_eigenmode(cls, j, curl_set: SpectralSet, omega=1.0):
-        lam = float(curl_set.eigenvalues[j])
-        tau = resonance_tau(lam)
-        mats = MaterialConfig.negative_preset(tau, omega)
-        dens = TangentField.from_potentials(
-            V=ShCoeffs(curl_set.L, curl_set.vectors[:, j]), L=curl_set.L, flavor="curl"
-        )
-        return cls(lam=lam, tau=tau, materials=mats, density=dens, index=j)
+    def from_eigenmode(cls, j, grid: SurfaceGrid, L: int, omega=1.0):
+        """Curl eigenmode j of `mnp_spectra(grid, L)`, kept with its grid."""
+        curl = mnp_spectra(grid, L)[0]
+        dens = TangentField.from_potentials(V=ShCoeffs(L, curl.vectors[:, j]), L=L, flavor="curl")
+        return cls._resonant(curl.eigenvalues[j], omega, density=dens, index=j, grid=grid)
+
+    @property
+    def tau(self):
+        return self.materials.tau
 
     def at_eigenvalue(self, lam):
-        """The same density at the resonant contrast of eigenvalue lam.
-
-        The interior material becomes the negative preset at the new tau;
-        omega and the exterior are kept.
-        """
+        """The same density at the resonant contrast of eigenvalue lam; omega and delta kept."""
         if lam == self.lam:
             return self
-        tau = resonance_tau(lam)
-        mats = replace(self.materials, eps_c=-tau, mu_c=-tau)
-        return replace(self, lam=float(lam), tau=tau, materials=mats)
+        mats = replace(self.materials, tau=resonance_tau(lam))
+        return replace(self, lam=float(lam), materials=mats)
+
+    def distance(self, points):
+        """Distance of points (P, 3) from the mode's surface: `tubular_distance` on a grid,
+        the exact | |x| - radius | on a sphere."""
+        if self.sphere is None:
+            return tubular_distance(points, self.grid)
+        return np.abs(np.linalg.norm(points, axis=-1) - self.sphere.radius)
 
 
-def plasmon_field(mode: PlasmonMode, x, grid: SurfaceGrid):
+def _shared_surface(modes):
+    """modes[0], whose grid, or sphere radius, every mode shares; else ValueError."""
+    surfaces = {(id(m.grid), None if m.sphere is None else m.sphere.radius) for m in modes}
+    if len(surfaces) != 1:
+        raise ValueError(f"a mode family needs one surface; these modes lie on {len(surfaces)}")
+    return modes[0]
+
+
+def plasmon_field(mode: PlasmonMode, x):
     """Electric and magnetic mode fields at a point off the boundary.
 
     `_field_batch` for one mode at one point.
     """
-    E, H = _field_batch([mode], np.asarray(x, dtype=float)[None], grid)
+    E, H = _field_batch([mode], np.asarray(x, dtype=float)[None])
     return E[0, 0], H[0, 0]
 
 
@@ -162,49 +170,43 @@ class DecayReport:
                 )
 
 
-def _field_batch(modes, points, grid):
+def _field_batch(modes, points):
     """E, H for every (mode, point), with (mu, k) of the side of each point.
 
-    The general modes take one `offboundary_eval` call over all points,
-    with k_e on the wavenumber rows of exterior points and each mode's own
-    k_c on those of interior ones: both sides share each block's node
-    values, and each near point builds its patch once.  Interior points
-    take one kernel pass per run of neighbouring modes with equal k_c,
-    such as a cluster of `localization_scan`.  Sphere modes take the
-    closed form point by point.
+    The modes share one surface (`_shared_surface`).  Sphere modes take the
+    closed form point by point.  General modes take one `offboundary_eval`
+    call over all points, with k_e on the wavenumber rows of exterior
+    points and each mode's own k_c on those of interior ones: both sides
+    share each block's node values, and each near point builds its patch
+    once.  Interior points take one kernel pass per run of neighbouring
+    modes with equal k_c, such as a cluster of `localization_scan`.
     """
+    grid = _shared_surface(modes).grid
     pts = np.asarray(points, dtype=float)
     E = np.zeros((len(modes), len(pts), 3), dtype=complex)
     H = np.zeros_like(E)
-    general = []
-    for j, m in enumerate(modes):
-        if m.sphere is None:
-            general.append(j)
-            continue
-        for p, x in enumerate(pts):
-            inside = np.linalg.norm(x) < m.sphere.radius
-            k = m.materials.side(inside)[1]
-            curl, curlcurl = (
-                exact_sphere_potential(m.sphere, k, x, w) for w in ("curlS", "curlcurlS")
-            )
-            E[j, p], H[j, p] = em_fields(m.materials, inside, (curl, curl), (curlcurl, curlcurl))
-    if not general:
+    if grid is None:
+        for j, m in enumerate(modes):
+            for p, x in enumerate(pts):
+                inside = np.linalg.norm(x) < m.sphere.radius
+                k = m.materials.side(inside)[1]
+                c, cc = (exact_sphere_potential(m.sphere, k, x, w) for w in ("curlS", "curlcurlS"))
+                E[j, p], H[j, p] = em_fields(m.materials, inside, (c, c), (cc, cc))
         return E, H
     inside = radial_gap(pts, grid) < 0
-    ks = np.array([[modes[j].materials.side(side)[1] for j in general] for side in (False, True)])
-    curl, curlcurl = offboundary_eval(
-        [modes[j].density for j in general], ks[inside.astype(int)], pts,
-        ("curlS_vec", "curlcurlS_vec"), grid,
-    )
+    ks = np.array([[m.materials.side(side)[1] for m in modes] for side in (False, True)])
+    dens = [m.density for m in modes]
+    kinds = ("curlS_vec", "curlcurlS_vec")
+    curl, curlcurl = offboundary_eval(dens, ks[inside.astype(int)], pts, kinds, grid)
     for side in (False, True):
         cols = inside == side
-        for i, j in enumerate(general):
-            c, cc = curl[cols, ..., i], curlcurl[cols, ..., i]
-            E[j, cols], H[j, cols] = em_fields(modes[j].materials, side, (c, c), (cc, cc))
+        for j, m in enumerate(modes):
+            c, cc = curl[cols, ..., j], curlcurl[cols, ..., j]
+            E[j, cols], H[j, cols] = em_fields(m.materials, side, (c, c), (cc, cc))
     return E, H
 
 
-def localization_scan(modes, points, eps, grid: SurfaceGrid):
+def localization_scan(modes, points, eps):
     """Field-norm survey of a mode family over a fixed point cloud.
 
     Modes, at least two, are ordered by |eigenvalue| descending and
@@ -212,8 +214,9 @@ def localization_scan(modes, points, eps, grid: SurfaceGrid):
     of a cluster is evaluated at the cluster's mean eigenvalue, so with one
     contrast, and reports the cluster's RMS point magnitudes: a unitary
     change of basis inside a cluster leaves the report unchanged up to
-    round-off.  Every point must keep `tubular_distance` > eps, and a radial
-    gap above the near rule's floor (`offboundary_eval`), or
+    round-off.  The modes must share one surface (`_shared_surface`).  Every
+    point must keep a distance from it (`PlasmonMode.distance`) above eps,
+    and a radial gap above the near rule's floor (`offboundary_eval`), or
     NearBoundaryError is raised.  The report carries per-mode norms, the
     partial sums of squared norms, a plateau flag (last-quartile growth at
     most PLATEAU_THRESHOLD), a fitted log-decay rate, and the
@@ -222,7 +225,7 @@ def localization_scan(modes, points, eps, grid: SurfaceGrid):
     (modes, points) field arrays its memory does not grow with the mode count.
     """
     pts = np.asarray(points, dtype=float)
-    dists = tubular_distance(pts, grid)
+    dists = _shared_surface(modes).distance(pts)
     if np.any(dists <= eps):
         bad = int(np.argmin(dists))
         raise NearBoundaryError(
@@ -237,7 +240,7 @@ def localization_scan(modes, points, eps, grid: SurfaceGrid):
     size = np.bincount(cluster)
     lam_c = np.bincount(cluster, lam) / size
     shared = [m.at_eigenvalue(lam_c[c]) for m, c in zip(modes, cluster)]
-    E, H = _field_batch(shared, pts, grid)
+    E, H = _field_batch(shared, pts)
 
     def cluster_rms(F):
         sq = np.zeros((size.size, len(pts)))

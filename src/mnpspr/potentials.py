@@ -81,41 +81,30 @@ class OperatorMatrix:
     meta: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaterialConfig:
-    """Exterior/interior material parameters and the size parameter."""
+    """The material model: eps = mu = -tau inside (tau > 0, tau != 1, checked when built),
+    vacuum outside, frequency omega and size delta; so k_e = omega and k_c = omega tau."""
 
-    eps_c: complex
-    mu_c: complex
+    tau: float
     omega: float = 1.0
     delta: float = 0.05
-    eps_e: complex = 1.0
-    mu_e: complex = 1.0
 
-    @classmethod
-    def negative_preset(cls, tau, omega=1.0, delta=0.05):
-        """eps_e = mu_e = 1, eps_c = mu_c = -tau with tau > 0, tau != 1."""
-        if tau <= 0 or tau == 1:
-            raise ValueError("preset needs tau > 0 and tau != 1")
-        return cls(eps_c=-tau, mu_c=-tau, omega=omega, delta=delta)
-
-    @property
-    def tau(self):
-        return -complex(self.eps_c).real
+    def __post_init__(self):
+        if not (self.tau > 0 and self.tau != 1):
+            raise ValueError(f"the material model needs tau > 0 and tau != 1, got {self.tau}")
 
     @property
     def k_e(self):
-        return self.omega * np.sqrt(complex(self.eps_e * self.mu_e))
+        return self.omega
 
     @property
     def k_c(self):
-        # for the negative preset eps_c*mu_c = tau^2; take the positive root
-        return self.omega * np.sqrt(complex(self.eps_c * self.mu_c))
+        return self.omega * self.tau
 
     def side(self, inside):
-        """(mu, k) of the interior or exterior material; k real up to round-off."""
-        mu, k = (self.mu_c, complex(self.k_c)) if inside else (self.mu_e, complex(self.k_e))
-        return mu, (k.real if abs(k.imag) < 1e-14 else k)
+        """(mu, k) of the interior or exterior material."""
+        return (-self.tau, self.k_c) if inside else (1.0, self.k_e)
 
 
 # --------------------------------------------------------------------------
@@ -442,17 +431,18 @@ def offboundary_eval(density, k, x, which, grid: SurfaceGrid):
     return tuple(out) if isinstance(which, tuple) else out[0]
 
 
-def em_fields(materials: MaterialConfig, inside, curl, curlcurl, delta=1.0):
+def em_fields(materials: MaterialConfig, inside, curl, curlcurl):
     """Electric and magnetic fields of a density pair (psi, phi) on one side.
 
     curl = (curl S[psi], curl S[phi]) and curlcurl likewise: vector single
     layers at the side's wavenumber, on the reference geometry.  With
-    (mu, k) of the side,
+    (mu, k) of the side and delta = materials.delta,
         E = mu curl S[psi] + curlcurl S[phi] / delta,
         H = -(i / (omega delta)) curlcurl S[psi] - (i k^2 / (omega mu)) curl S[phi].
-    A plasmon mode field is the case psi = phi, delta = 1.
+    A plasmon mode field is the case psi = phi.
     """
     mu, k = materials.side(inside)
+    delta = materials.delta
     E = mu * curl[0] + curlcurl[1] / delta
     H = -1j / (materials.omega * delta) * curlcurl[0] - 1j * k**2 / (materials.omega * mu) * curl[1]
     return E, H
@@ -632,7 +622,7 @@ def assemble_correction(kind: str, grid: SurfaceGrid, materials: MaterialConfig,
     """Correction-operator matrix on the stacked potential basis, one per block.
 
     Each kernel carries its interior-minus-exterior material constant:
-    Mk2 carries mu_c k_c^2 - mu_e k_e^2, and L1/L2 carry
+    Mk2 carries -tau k_c^2 - k_e^2 (mu = -tau inside, 1 outside), and L1/L2 carry
     C_j = i^{j+1} (k_c^{j+1} - k_e^{j+1}) / (4 pi omega (j-1)!).
     Returns that scale times each block of the grid's unit-scale matrices
     (`correction_unit_matrices`), on the same `slot_blocks`.  Ordering of
@@ -643,7 +633,7 @@ def assemble_correction(kind: str, grid: SurfaceGrid, materials: MaterialConfig,
         raise KindError(f"unknown correction kind {kind!r}")
     k_e, k_c = materials.k_e, materials.k_c
     if kind == "Mk2":
-        scale = materials.mu_c * k_c**2 - materials.mu_e * k_e**2
+        scale = -materials.tau * k_c**2 - k_e**2
     elif kind == "L1":
         # constants from the direct delta-expansion of the kernel
         # difference: i^{j+1} (k_c^{j+1} - k_e^{j+1}) / (4 pi omega (j-1)!),

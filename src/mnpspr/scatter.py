@@ -57,7 +57,10 @@ class SourcePlacementError(ValueError):
 
 @dataclass
 class RHSVector:
-    """Scaled incident traces: (nu x E / (mu_e - mu_c), i nu x H / (eps_e - eps_c))."""
+    """Scaled incident traces: (nu x E / (1 + tau), i nu x H / (1 + tau)).
+
+    1 + tau is the exterior minus the interior mu, and eps, of the material model.
+    """
 
     first: TangentField
     second: TangentField
@@ -125,21 +128,14 @@ def assemble_system(
     """
     if order not in (0, 1, 2):
         raise ValueError("correction order must be 0, 1 or 2")
-    if materials.mu_e == materials.mu_c or materials.eps_e == materials.eps_c:
-        raise ValueError("equal interior/exterior parameters make the scaled system singular")
-    if materials.eps_c != materials.mu_c or materials.eps_e != materials.mu_e:
-        # tau, the shared trace denominator and the even/odd split each assume eps = mu
-        raise ValueError("the scaled system needs eps_c == mu_c and eps_e == mu_e")
     tau = materials.tau
-    if tau == 1.0:
-        raise ValueError("tau = 1 makes the scaled system degenerate")
     L = grid.L_quad if L is None else L
     delta = materials.delta
     blocks = slot_blocks(grid, L)
     same = [resonance_shift(tau) * np.eye(len(m)) - m for m in static_magnetic_block(grid, L)]
     cross = [np.zeros_like(p) for p in same]
     if order >= 1:
-        denom = materials.mu_e - materials.mu_c  # equals eps_e - eps_c here
+        denom = 1.0 + tau  # exterior minus interior mu, and eps
         L1 = assemble_correction("L1", grid, materials, L)
         cross = [(delta / denom) * a for a in L1]
         if order >= 2:
@@ -163,11 +159,11 @@ def assemble_system(
 def dipole_incident_trace(source, p, materials: MaterialConfig, grid: SurfaceGrid) -> RHSVector:
     """Scaled tangential traces of a point-dipole incident field.
 
-    E = -(1/k_e^2) curl curl (G(delta k_e; x, s) p), which for the real
-    exterior k_e is -(1/k_e^2) grad div (G p) - delta^2 G p, and
-    H = (i delta/(omega mu_e)) curl (G p), both from one `_layer_sum` pass
-    with the dipole as its one source; the returned pair carries the
-    material denominators of the scaled system.
+    E = -(1/k_e^2) curl curl (G(delta k_e; x, s) p), which is
+    -(1/k_e^2) grad div (G p) - delta^2 G p, and H = (i delta/omega) curl (G p)
+    (mu = 1 outside), both from one `_layer_sum` pass with the dipole as its one
+    source; the returned pair carries the denominator 1 + tau of the
+    scaled system.
     """
     s = np.asarray(source, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -177,16 +173,15 @@ def dipole_incident_trace(source, p, materials: MaterialConfig, grid: SurfaceGri
             f"dipole source must lie outside the particle, beyond radius {reach:.6g}"
         )
     delta = materials.delta
-    k = delta * complex(materials.k_e).real
+    k = delta * materials.k_e
     curl, curlcurl = _layer_sum(
         k, grid.positions, s[None], ("curlS_vec", "curlcurlS_vec"), p[None, :, None]
     )
-    E = -curlcurl[..., 0] / complex(materials.k_e) ** 2
-    H = 1j * delta / (materials.omega * materials.mu_e) * curl[..., 0]
-    nuE = np.cross(grid.normals, E)
-    nuH = np.cross(grid.normals, H)
-    first = grid.helmholtz_decompose(nuE / (materials.mu_e - materials.mu_c), flavor="curl")
-    second = grid.helmholtz_decompose(1j * nuH / (materials.eps_e - materials.eps_c), flavor="curl")
+    E = -curlcurl[..., 0] / materials.k_e**2
+    H = 1j * delta / materials.omega * curl[..., 0]
+    denom = 1.0 + materials.tau
+    first = grid.helmholtz_decompose(np.cross(grid.normals, E) / denom, flavor="curl")
+    second = grid.helmholtz_decompose(1j * np.cross(grid.normals, H) / denom, flavor="curl")
     return RHSVector(first, second)
 
 
@@ -272,12 +267,12 @@ def eval_scattered_fields(densities, x, materials: MaterialConfig, grid: Surface
     psi, phi = densities
     x = np.asarray(x, dtype=float)
     inside = radial_gap(x, grid) < 0
-    delta = materials.delta
-    ks = delta * materials.side(inside)[1]  # the reference geometry carries the scaled wavenumber
+    # the reference geometry carries the scaled wavenumber
+    ks = materials.delta * materials.side(inside)[1]
     curl, curlcurl = offboundary_eval([psi, phi], ks, x, ("curlS_vec", "curlcurlS_vec"), grid)
     # the trailing axis is (psi, phi)
     pairs = (np.moveaxis(curl, -1, 0), np.moveaxis(curlcurl, -1, 0))
-    E, H = em_fields(materials, inside, *pairs, delta)
+    E, H = em_fields(materials, inside, *pairs)
     if incident is not None and not inside:
         Ei, Hi = incident(x)
         E = E + Ei
@@ -308,7 +303,7 @@ def resonance_sweep(grid, tau_list, delta_list, omega, order, source, p, L=None)
     rows = []
     for tau in tau_list:
         for delta in delta_list:
-            mats = MaterialConfig.negative_preset(tau, omega, delta)
+            mats = MaterialConfig(tau, omega, delta)
             # first: it rejects a source inside the particle before any assembly
             rhs = dipole_incident_trace(source, p, mats, grid)
             system = assemble_system(grid, mats, order, L)

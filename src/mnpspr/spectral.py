@@ -180,29 +180,31 @@ def mnp_spectra(grid: SurfaceGrid, L: int):
     potential S[theta_j] (the mode at 1/2 is excluded: its potential is
     constant and the curl vanishes).  Gradient subspace: eigenvalue -mu_j
     with the same potential.  Potentials are stored mean-free, normalized
-    in the quotient grams.
+    in the quotient grams.  Built once per grid and degree; both sets share
+    one read-only potential array.
     """
-    np_set = np_spectrum(grid, L)
-    keep = np.abs(np_set.eigenvalues - 0.5) > HALF_EXCLUSION_TOL
-    dropped = np.count_nonzero(~keep)
-    if dropped != 1:
-        log.warning("excluded %d eigenvalue(s) at 1/2 from the curl subspace", dropped)
-    mu = np_set.eigenvalues[keep]
-    theta = np_set.vectors[:, keep]
-    pots = scalar_operators(grid, L)["S"].entries @ theta
-    pots[0, :] = 0.0
-    G1 = quotient_gram_matrix(grid, L)
-    norms = np.sqrt(np.maximum(np.einsum("ij,ij->j", pots[1:].conj(), G1 @ pots[1:]).real, 1e-300))
-    pots = pots / norms[None, :]
-    curl = SpectralSet(
-        "M_curl", mu, pots, "curl_Ninv", L,
-        {"excluded_half": int(dropped)},
-    )
-    grad = SpectralSet(
-        "Mstar_grad", -mu, pots, "grad_Qinv", L,
-        {"excluded_half": int(dropped)},
-    )
-    return curl, grad
+
+    def build():
+        np_set = np_spectrum(grid, L)
+        keep = np.abs(np_set.eigenvalues - 0.5) > HALF_EXCLUSION_TOL
+        dropped = np.count_nonzero(~keep)
+        if dropped != 1:
+            log.warning("excluded %d eigenvalue(s) at 1/2 from the curl subspace", dropped)
+        mu = np_set.eigenvalues[keep]
+        theta = np_set.vectors[:, keep]
+        pots = scalar_operators(grid, L)["S"].entries @ theta
+        pots[0, :] = 0.0
+        G1 = quotient_gram_matrix(grid, L)
+        norms = np.einsum("ij,ij->j", pots[1:].conj(), G1 @ pots[1:]).real
+        pots /= np.sqrt(np.maximum(norms, 1e-300))[None, :]
+        meta = {"excluded_half": int(dropped)}
+        curl = SpectralSet("M_curl", mu, pots, "curl_Ninv", L, meta)
+        grad = SpectralSet("Mstar_grad", -mu, pots, "grad_Qinv", L, dict(meta))
+        for a in (curl.eigenvalues, grad.eigenvalues, pots):
+            a.flags.writeable = False
+        return curl, grad
+
+    return grid.cached(("mnp", L), build)
 
 
 def _subspace_operator(op, grid: SurfaceGrid, L: int):

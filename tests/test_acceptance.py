@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mnpspr.mie import SphereMode, exact_sphere_potential, mode_tangent_field
+from mnpspr.mie import SphereMode, mode_tangent_field, sphere_oracle_errors
 from mnpspr.plasmon import PlasmonMode, localization_scan, plasmon_field, resonance_tau
 from mnpspr.potentials import (
     MaterialConfig,
@@ -155,20 +155,8 @@ def test_criterion_05_spectrum_identity(sphere16, pert12):
 
 def test_criterion_06_mie_oracle(sphere16):
     """All 8 closed-form layer-potential actions match quadrature <= 1e-6."""
-    worst = 0.0
-    for l in (1, 2):
-        for n in range(1, 6):
-            for which in ("curlS", "curlcurlS"):
-                for rfac in (2.0, 0.5):
-                    mode = SphereMode(l, n, min(1, n), 1.0)
-                    x = rfac * PROBE
-                    num = offboundary_eval(
-                        mode_tangent_field(mode, 12), 1.0, x, which + "_vec", sphere16
-                    )
-                    ex = exact_sphere_potential(mode, 1.0, x, which)
-                    worst = max(
-                        worst, float(np.max(np.abs(num - ex)) / np.max(np.abs(ex)))
-                    )
+    # n <= 5, k = 1, the unit sphere at L_quad = 16, degree-12 densities
+    worst = max(sphere_oracle_errors(sphere16, 5, 1.0, 1.0, 12).values())
     ok = worst <= 1e-6
     _report("criterion 6 (oracle equivalence)", ok, f"8 formulas, n<=5: worst rel {worst:.2e} <= 1e-6")
 
@@ -190,8 +178,8 @@ def test_criterion_08_sphere_localization():
     ext, inte = [], []
     for n in ns:
         mode = PlasmonMode.from_sphere(2, int(n), 0, 1.0, omega=1.0)
-        ext.append(np.linalg.norm(plasmon_field(mode, 2.0 * PROBE, None)[0]))
-        inte.append(np.linalg.norm(plasmon_field(mode, 0.5 * PROBE, None)[0]))
+        ext.append(np.linalg.norm(plasmon_field(mode, 2.0 * PROBE)[0]))
+        inte.append(np.linalg.norm(plasmon_field(mode, 0.5 * PROBE)[0]))
     s_ext = np.polyfit(ns, np.log(ext), 1)[0]
     s_int = np.polyfit(ns, np.log(inte), 1)[0]
     tgt = np.log(0.5)
@@ -207,9 +195,9 @@ def test_criterion_09_general_localization(pert12):
     """Partial sums plateau and the exceedance verdict is positive, < 5 min."""
     t0 = time.monotonic()
     curl, _ = mnp_spectra(pert12, 12)
-    modes = [PlasmonMode.from_eigenmode(j, curl, omega=1.0) for j in range(len(curl))]
+    modes = [PlasmonMode.from_eigenmode(j, pert12, 12, omega=1.0) for j in range(len(curl))]
     points = np.vstack([fibonacci_shell(40, 3.0), fibonacci_shell(10, 0.25)])
-    report = localization_scan(modes, points, 0.5, pert12)
+    report = localization_scan(modes, points, 0.5)
     elapsed = time.monotonic() - t0
     ok = (
         report.plateau
@@ -231,11 +219,11 @@ def test_criterion_10_weak_resonance_indicator(sphere10):
     candidate = mode_tangent_field(SphereMode(2, 1, 0), 10)
     vals = []
     for delta in deltas:
-        mats = MaterialConfig.negative_preset(0.5, 1.0, float(delta))
+        mats = MaterialConfig(0.5, 1.0, float(delta))
         system = assemble_system(sphere10, mats, 2)
         vals.append(weak_resonance_indicator(system, candidate))
     slope = np.polyfit(np.log(deltas), np.log(vals), 1)[0]
-    mats = MaterialConfig.negative_preset(0.6, 1.0, 0.025)
+    mats = MaterialConfig(0.6, 1.0, 0.025)
     system = assemble_system(sphere10, mats, 2)
     detuned = weak_resonance_indicator(system, candidate)
     gap = abs(resonance_shift(0.6) - 1.0 / 6.0)
@@ -253,7 +241,7 @@ def test_criterion_11_scattering_amplification(sphere10):
     p = np.array([1.0, 0.5, 0.0])
     products = []
     for eta in (1e-1, 1e-2, 1e-3):
-        mats = MaterialConfig.negative_preset(0.5 + eta, 1.0, 0.02)
+        mats = MaterialConfig(0.5 + eta, 1.0, 0.02)
         system = assemble_system(sphere10, mats, 0)
         rhs = dipole_incident_trace(src, p, mats, sphere10)
         sol, _ = solve_scatter(system, rhs)

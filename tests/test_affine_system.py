@@ -43,16 +43,16 @@ from conftest import dense, full_matrix
 SRC = np.array([0.0, 0.0, 6.0])
 DIP = np.array([1.0, 0.5, 0.0])
 MATS = (
-    MaterialConfig.negative_preset(0.4, 1.0, 0.1),
-    MaterialConfig.negative_preset(0.8, 1.0, 0.025),
-    MaterialConfig.negative_preset(0.6, 2.0, 0.05),
+    MaterialConfig(0.4, 1.0, 0.1),
+    MaterialConfig(0.8, 1.0, 0.025),
+    MaterialConfig(0.6, 2.0, 0.05),
 )
 
 
 def expected_scale(kind, mats):
     """The material factor of each kernel, up to a kind-wide constant.
 
-    For the negative preset k_e = omega, k_c = omega tau, mu_e = 1 and
+    For the material model k_e = omega, k_c = omega tau, mu_e = 1 and
     mu_c = -tau, so Mk2's mu_c k_c^2 - mu_e k_e^2 is -omega^2 (tau^3 + 1),
     and L1's and L2's (k_c^j - k_e^j) / omega are omega^{j-1} (tau^j - 1).
     """
@@ -104,7 +104,7 @@ class TestUnitMatrices:
 
 class TestLUSolve:
     def test_exactly_singular_matrix_raises(self, sphere10):
-        mats = MaterialConfig.negative_preset(0.5, 1.0, 0.05)
+        mats = MaterialConfig(0.5, 1.0, 0.05)
         system = assemble_system(sphere10, mats, 0)
         P, Q = (dense(x, system.blocks) for x in (system.same, system.cross))
         P[:, 3] = Q[:, 3] = 0.0
@@ -116,7 +116,7 @@ class TestLUSolve:
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["P+Q", "P-Q"])
     def test_one_singular_half_raises(self, sphere10, sign):
-        mats = MaterialConfig.negative_preset(0.5, 1.0, 0.05)
+        mats = MaterialConfig(0.5, 1.0, 0.05)
         system = assemble_system(sphere10, mats, 2)
         P, Q = (dense(x, system.blocks) for x in (system.same, system.cross))
         Q[:, 3] = -sign * P[:, 3]  # zeroes column 3 of P + sign Q only
@@ -132,7 +132,7 @@ class TestLUSolve:
         for grid in (sphere10, pert12):
             for order in (0, 1, 2):
                 for tau in (0.4, 0.8):
-                    mats = MaterialConfig.negative_preset(tau, 1.0, 0.05)
+                    mats = MaterialConfig(tau, 1.0, 0.05)
                     system = assemble_system(grid, mats, order)
                     rhs = dipole_incident_trace(SRC, DIP, mats, grid)
                     sol, cond = solve_scatter(system, rhs)
@@ -179,7 +179,7 @@ class TestAzimuthalBlocks:
     @pytest.mark.parametrize("order", [0, 2])
     def test_against_the_dense_solve(self, surface, order):
         grid, L, _ = surface
-        mats = MaterialConfig.negative_preset(0.4, 1.0, 0.1)
+        mats = MaterialConfig(0.4, 1.0, 0.1)
         system = assemble_system(grid, mats, order, L)
         rhs = dipole_incident_trace(SRC, DIP, mats, grid)
         sol, cond = solve_scatter(system, rhs)
@@ -202,7 +202,7 @@ class TestDroppedBlockMark:
         grid = perturbed_sphere(0.05, 2, 0, 8)
         with caplog.at_level(logging.WARNING, logger="mnpspr.scatter"):
             for tau in (0.5, 0.8):
-                mats = MaterialConfig.negative_preset(tau, 1.0, 0.05)
+                mats = MaterialConfig(tau, 1.0, 0.05)
                 system = assemble_system(grid, mats, 0)
                 assert system.meta["cross_coupling"] == "dropped"
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
@@ -210,7 +210,7 @@ class TestDroppedBlockMark:
         assert "gradient-to-curl" in warnings[0].getMessage()
 
     def test_sphere_is_silent(self, sphere10, caplog):
-        mats = MaterialConfig.negative_preset(0.5, 1.0, 0.05)
+        mats = MaterialConfig(0.5, 1.0, 0.05)
         with caplog.at_level(logging.WARNING, logger="mnpspr.scatter"):
             system = assemble_system(sphere10, mats, 0)
         assert system.meta["cross_coupling"] == "dropped"

@@ -497,7 +497,6 @@ class TestPlasmonModeRange:
 
     def test_rows_equal_plasmon_field(self, tmp_path):
         from mnpspr.plasmon import PlasmonMode, plasmon_field
-        from mnpspr.spectral import mnp_spectra
         from mnpspr.sphharm import fibonacci_shell
         from mnpspr.surface import sphere_surface
 
@@ -508,13 +507,11 @@ class TestPlasmonModeRange:
         assert code == 0
         rows = [l.split(",") for l in read_csv_body(out / "plasmon.csv")
                 if not l.startswith("#")][1:]
-        grid = sphere_surface(1.0, 6)
-        curl, _ = mnp_spectra(grid, 6)
-        mode = PlasmonMode.from_eigenmode(23, curl)
+        mode = PlasmonMode.from_eigenmode(23, sphere_surface(1.0, 6), 6)
         pts = np.vstack([fibonacci_shell(3, 2.0), fibonacci_shell(2, 0.2)])
         assert len(rows) == len(pts)
         for row, x in zip(rows, pts):
-            E, H = plasmon_field(mode, x, grid)
+            E, H = plasmon_field(mode, x)
             assert abs(float(row[5]) - np.linalg.norm(E)) <= 1e-12 * np.linalg.norm(E)
             assert abs(float(row[6]) - np.linalg.norm(H)) <= 1e-12 * np.linalg.norm(H)
 
@@ -658,8 +655,8 @@ def test_decay_inside_the_guard_runs(tmp_path):
     grid = perturbed_sphere(0.05, 2, 0, 4)
     pts = np.vstack([fibonacci_shell(1, 1.3), fibonacci_shell(1, 0.8)])
     curl, _ = mnp_spectra(grid, 4)
-    modes = [PlasmonMode.from_eigenmode(j, curl) for j in range(len(curl))]
-    report = localization_scan(modes, pts, 0.05, grid)
+    modes = [PlasmonMode.from_eigenmode(j, grid, 4) for j in range(len(curl))]
+    report = localization_scan(modes, pts, 0.05)
     rows = [l.split(",") for l in read_csv_body(out / "decay.csv") if not l.startswith("#")][1:]
     assert len(rows) == report.e_point_mags.size
     for row, e, h in zip(rows, report.e_point_mags.ravel(), report.h_point_mags.ravel()):
@@ -686,6 +683,20 @@ class TestPlasmonNearTheSurface:
         error = json.loads((out / "error.json").read_text())["error"]
         assert error["type"] == "NearBoundaryError"
         assert "floor" in error["message"]
+
+    def test_sphere_mode_dist_reads_its_own_sphere(self, tmp_path):
+        # the mode's sphere has radius 2, the surface entry radius 1: dist is the
+        # exact distance to the mode's sphere, 2.5 - 2
+        cfg = {"command": "plasmon", "surface": {"sphere": 1.0, "L_quad": 8}, "L": 6,
+               "mode": {"l": 2, "n": 3, "m": 0, "radius": 2.0},
+               "points": [{"count": 3, "radius": 2.5}]}
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 0
+        rows = [l.split(",") for l in read_csv_body(out / "plasmon.csv")
+                if not l.startswith("#")][1:]
+        assert len(rows) == 3
+        for row in rows:  # the mode id holds commas: dist is the third column from the end
+            assert abs(float(row[-3]) - 0.5) <= 1e-14
 
     def test_sphere_mode_on_its_sphere_exits_two(self, tmp_path):
         cfg = {"command": "plasmon", "surface": {"sphere": 1.0, "L_quad": 6}, "L": 4,

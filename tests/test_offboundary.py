@@ -54,8 +54,7 @@ def pert10():
 def pert8_modes():
     """rho = 1 + 0.05 Re Y_2^0 at L_quad = 8 and its curl plasmon modes."""
     grid = perturbed_sphere(0.05, 2, 0, 8)
-    curl, _ = mnp_spectra(grid, 8)
-    return grid, [PlasmonMode.from_eigenmode(j, curl) for j in (0, 5)]
+    return grid, [PlasmonMode.from_eigenmode(j, grid, 8) for j in (0, 5)]
 
 
 def densities(kind, rng):
@@ -143,19 +142,19 @@ class TestScanUsesOffboundaryPath:
         x = np.array([1.0 - radial_gap(np.array([1.0, 0.0, 0.0]), grid) + 0.5 * floor, 0.0, 0.0])
         assert 0.01 < tubular_distance(x, grid)  # outside the 0.01-tube, below the floor
         with pytest.raises(NearBoundaryError, match="floor"):
-            plasmon_field(modes[0], x, grid)
+            plasmon_field(modes[0], x)
         with pytest.raises(NearBoundaryError, match="floor"):
-            localization_scan(modes, x[None, :], 0.01, grid)
+            localization_scan(modes, x[None, :], 0.01)
 
     def test_near_rule_reaches_exterior_points(self, pert8_modes, near_polar_40):
         grid, modes = pert8_modes
         pts = np.array([[0.0, 0.0, 1.35], [0.9, 0.9, 0.2]])
         assert np.all(tubular_distance(pts, grid) <= 3.0 * grid.max_spacing)
-        rep = localization_scan(modes, pts, 0.1, grid)
+        rep = localization_scan(modes, pts, 0.1)
         for row, mid in enumerate(rep.mode_ids):
             mode = next(m for m in modes if m.index == mid)
             for p, x in enumerate(pts):
-                E, H = plasmon_field(mode, x, grid)
+                E, H = plasmon_field(mode, x)
                 assert abs(rep.e_point_mags[row, p] - np.linalg.norm(E)) <= 1e-10 * np.linalg.norm(E)
                 assert abs(rep.h_point_mags[row, p] - np.linalg.norm(H)) <= 1e-10 * np.linalg.norm(H)
 
@@ -344,7 +343,7 @@ def pert8_family():
     """Every curl plasmon mode of rho = 1 + 0.05 Re Y_2^0 at L = L_quad = 8."""
     grid = perturbed_sphere(0.05, 2, 0, 8)
     curl, _ = mnp_spectra(grid, 8)
-    return grid, [PlasmonMode.from_eigenmode(j, curl) for j in range(len(curl))]
+    return grid, [PlasmonMode.from_eigenmode(j, grid, 8) for j in range(len(curl))]
 
 
 BOTH_SIDES = np.vstack([fibonacci_shell(6, 2.5), fibonacci_shell(4, 0.3)])
@@ -355,7 +354,7 @@ class TestOneCallPerSide:
 
     @pytest.mark.parametrize("count", [1, 7, 80])
     def test_field_batch_calls(self, pert8_family, monkeypatch, count):
-        grid, modes = pert8_family
+        _, modes = pert8_family
         calls = []
         evaluate = plasmon.offboundary_eval
 
@@ -364,19 +363,19 @@ class TestOneCallPerSide:
             return evaluate(*args, **kwargs)
 
         monkeypatch.setattr(plasmon, "offboundary_eval", counting)
-        E, H = plasmon._field_batch(modes[:count], BOTH_SIDES, grid)
+        E, H = plasmon._field_batch(modes[:count], BOTH_SIDES)
         assert calls == [(count, BOTH_SIDES.shape)]
         assert E.shape == H.shape == (count, len(BOTH_SIDES), 3)
 
     def test_field_batch_equals_plasmon_field(self, pert8_family):
-        grid, modes = pert8_family
-        assert_batch_equals_single(modes[::9], grid)
+        _, modes = pert8_family
+        assert_batch_equals_single(modes[::9])
 
     def test_field_batch_blocks_equal_plasmon_field(self, pert8_family, monkeypatch):
-        grid, modes = pert8_family
+        _, modes = pert8_family
         # 9 modes in blocks of 4: two full blocks and a partial one
         monkeypatch.setattr(potentials, "POINT_BLOCK", 4)
-        assert_batch_equals_single(modes[::9], grid)
+        assert_batch_equals_single(modes[::9])
 
 
 def count_patch_builds(monkeypatch):
@@ -435,16 +434,16 @@ class TestOnePatchPerNearPoint:
         assert np.all(tubular_distance(pts, grid) <= 3.0 * grid.max_spacing)
         assert len(modes) > 2 * POINT_BLOCK
         counts = count_patch_builds(monkeypatch)
-        plasmon._field_batch(modes, pts, grid)
+        plasmon._field_batch(modes, pts)
         assert counts["patches"] == len(pts)
         assert len(counts["bases"]) == len(pts)
         assert counts["block"] == POINT_BLOCK
 
 
-def assert_batch_equals_single(family, grid):
-    E, H = plasmon._field_batch(family, BOTH_SIDES, grid)
+def assert_batch_equals_single(family):
+    E, H = plasmon._field_batch(family, BOTH_SIDES)
     for j, mode in enumerate(family):
-        Ep, Hp = np.array([plasmon_field(mode, x, grid) for x in BOTH_SIDES]).transpose(1, 0, 2)
+        Ep, Hp = np.array([plasmon_field(mode, x) for x in BOTH_SIDES]).transpose(1, 0, 2)
         # relative to the mode's largest field: a point far below it sits at
         # the cancellation floor of the node sum, where round-off is all there is
         for batch, single in ((E[j], Ep), (H[j], Hp)):
@@ -500,10 +499,10 @@ class TestScanMemory:
         pts = np.vstack([fibonacci_shell(n, r) for n, r in shells])
         near = tubular_distance(pts, grid) <= 3.0 * grid.max_spacing
         assert near.all() if rule == "near" else not near.any()
-        localization_scan(modes[:2], pts, 0.1, grid)  # the grid's lazy caches
+        localization_scan(modes[:2], pts, 0.1)  # the grid's lazy caches
         tracemalloc.start()
         try:
-            localization_scan(modes, pts, 0.1, grid)
+            localization_scan(modes, pts, 0.1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

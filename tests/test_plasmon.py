@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mnpspr.mie import SphereMode
+from mnpspr.mie import SphereMode, mode_tangent_field
 from mnpspr.plasmon import (
     PlasmonMode,
     ResonanceExclusionError,
@@ -16,7 +16,7 @@ from mnpspr.plasmon import (
 )
 from mnpspr.potentials import MaterialConfig
 from mnpspr.spectral import mnp_spectra
-from mnpspr.surface import perturbed_sphere
+from mnpspr.surface import ShCoeffs, TangentField, perturbed_sphere
 
 from conftest import fd_curl, fibonacci_shell
 
@@ -52,44 +52,40 @@ class TestPlasmonField:
         for l, n in ((2, 1), (1, 2), (2, 4)):
             mode = PlasmonMode.from_sphere(l, n, min(1, n), 1.0, omega=1.0)
             gen = PlasmonMode(
-                lam=mode.lam, tau=mode.tau, materials=mode.materials,
-                density=__import__("mnpspr.mie", fromlist=["mode_tangent_field"]).mode_tangent_field(
-                    SphereMode(l, n, min(1, n), 1.0), 12),
+                lam=mode.lam, materials=mode.materials,
+                density=mode_tangent_field(SphereMode(l, n, min(1, n), 1.0), 12), grid=sphere16,
             )
             for x in (2.0 * PROBE, 0.4 * PROBE):
-                Ea, Ha = plasmon_field(mode, x, sphere16)
-                Eb, Hb = plasmon_field(gen, x, sphere16)
+                Ea, Ha = plasmon_field(mode, x)
+                Eb, Hb = plasmon_field(gen, x)
                 assert np.max(np.abs(Ea - Eb)) < 1e-6 * np.max(np.abs(Ea))
                 assert np.max(np.abs(Ha - Hb)) < 1e-6 * np.max(np.abs(Ha))
 
     def test_zero_density(self, sphere16):
-        from mnpspr.surface import ShCoeffs, TangentField
-
-        mats = MaterialConfig.negative_preset(0.5)
         mode = PlasmonMode(
-            lam=1 / 6, tau=0.5, materials=mats,
+            lam=1 / 6, materials=MaterialConfig(0.5, delta=1.0),
             density=TangentField.from_potentials(V=ShCoeffs.zeros(8), flavor="curl"),
+            grid=sphere16,
         )
-        E, H = plasmon_field(mode, 2.0 * PROBE, sphere16)
+        E, H = plasmon_field(mode, 2.0 * PROBE)
         assert np.max(np.abs(E)) == 0.0 and np.max(np.abs(H)) == 0.0
 
-    def test_faraday_by_fd(self, sphere16):
+    def test_faraday_by_fd(self):
         mode = PlasmonMode.from_sphere(2, 2, 1, 1.0, omega=1.0)
         x = 2.0 * PROBE
-        E = lambda y: plasmon_field(mode, y, sphere16)[0]
-        _, H = plasmon_field(mode, x, sphere16)
+        E = lambda y: plasmon_field(mode, y)[0]
+        _, H = plasmon_field(mode, x)
         curlE = fd_curl(E, x)
-        ref = 1j * mode.materials.omega * mode.materials.mu_e * H
+        ref = 1j * mode.materials.omega * mode.materials.side(False)[0] * H
         assert np.max(np.abs(curlE - ref)) < 1e-3 * np.max(np.abs(ref))
 
 
 class TestSphereLocalization:
     def test_exterior_geometric_ratio(self):
-        g = None
         vals = []
         for n in range(8, 15):
             m = PlasmonMode.from_sphere(2, n, 0, 1.0, omega=1.0)
-            E, _ = plasmon_field(m, 2.0 * PROBE, g)
+            E, _ = plasmon_field(m, 2.0 * PROBE)
             vals.append(np.linalg.norm(E))
         ratios = np.array(vals[1:]) / np.array(vals[:-1])
         assert np.all(np.abs(ratios - 0.5) < 0.05)
@@ -98,7 +94,7 @@ class TestSphereLocalization:
         vals = []
         for n in range(8, 15):
             m = PlasmonMode.from_sphere(2, n, 0, 1.0, omega=1.0)
-            E, _ = plasmon_field(m, 0.5 * PROBE, None)
+            E, _ = plasmon_field(m, 0.5 * PROBE)
             vals.append(np.linalg.norm(E))
         ratios = np.array(vals[1:]) / np.array(vals[:-1])
         assert np.all(np.abs(ratios - 0.5) < 0.05)
@@ -106,7 +102,7 @@ class TestSphereLocalization:
     def test_exponential_slope(self):
         ns = np.arange(8, 15)
         vals = [
-            np.linalg.norm(plasmon_field(PlasmonMode.from_sphere(2, n, 0, 1.0), 2.0 * PROBE, None)[0])
+            np.linalg.norm(plasmon_field(PlasmonMode.from_sphere(2, n, 0, 1.0), 2.0 * PROBE)[0])
             for n in ns
         ]
         slope = np.polyfit(ns, np.log(vals), 1)[0]
@@ -116,36 +112,60 @@ class TestSphereLocalization:
 class TestLocalizationScan:
     def test_perturbed_plateau_and_verdict(self, pert12, pert12_spectra):
         _, curl, _ = pert12_spectra
-        modes = [PlasmonMode.from_eigenmode(j, curl) for j in range(len(curl))]
+        modes = [PlasmonMode.from_eigenmode(j, pert12, 12) for j in range(len(curl))]
         pts = np.vstack([fibonacci_shell(40, 3.0), fibonacci_shell(10, 0.25)])
-        rep = localization_scan(modes, pts, 0.5, pert12)
+        rep = localization_scan(modes, pts, 0.5)
         assert rep.plateau
         assert rep.plateau_fraction <= 0.05
         assert rep.statistic["verdict"]
         assert np.all(np.diff(rep.partial_sums) >= 0)
         assert rep.fitted_rate < -0.5  # far faster than the borderline power
 
-    def test_tube_guard(self, pert12, pert12_spectra):
-        _, curl, _ = pert12_spectra
-        modes = [PlasmonMode.from_eigenmode(0, curl)]
+    def test_tube_guard(self, pert12):
+        modes = [PlasmonMode.from_eigenmode(0, pert12, 12)]
         with pytest.raises(ValueError):
-            localization_scan(modes, np.array([[1.2, 0.0, 0.0]]), 0.5, pert12)
+            localization_scan(modes, np.array([[1.2, 0.0, 0.0]]), 0.5)
 
-    def test_one_mode_has_no_decay_rate(self, pert12, pert12_spectra):
-        _, curl, _ = pert12_spectra
-        modes = [PlasmonMode.from_eigenmode(0, curl)]
+    def test_one_mode_has_no_decay_rate(self, pert12):
+        modes = [PlasmonMode.from_eigenmode(0, pert12, 12)]
         with pytest.raises(ValueError, match="at least two modes"):
-            localization_scan(modes, fibonacci_shell(5, 3.0), 0.5, pert12)
+            localization_scan(modes, fibonacci_shell(5, 3.0), 0.5)
 
-    def test_csv_rows_shape(self, pert12, pert12_spectra):
-        _, curl, _ = pert12_spectra
-        modes = [PlasmonMode.from_eigenmode(j, curl) for j in (0, 1)]
+    def test_csv_rows_shape(self, pert12):
+        modes = [PlasmonMode.from_eigenmode(j, pert12, 12) for j in (0, 1)]
         pts = fibonacci_shell(5, 3.0)
-        rep = localization_scan(modes, pts, 0.5, pert12)
+        rep = localization_scan(modes, pts, 0.5)
         rows = list(rep.csv_rows())
         assert len(rows) == 10
         d = rep.to_json_dict()
         assert set(d) >= {"eigenvalues", "taus", "partial_sums", "plateau", "statistic"}
+
+
+class TestOneSurface:
+    """A mode keeps its surface, and a family is evaluated on the one surface its modes share."""
+
+    @pytest.fixture(scope="class")
+    def two_grids(self):
+        return perturbed_sphere(0.05, 2, 0, 8), perturbed_sphere(0.3, 2, 0, 8)
+
+    def test_family_from_two_grids_raises(self, two_grids):
+        pts = fibonacci_shell(4, 2.5)
+        a, b = (PlasmonMode.from_eigenmode(j, g, 6) for j, g in zip((0, 1), two_grids))
+        assert a.grid is two_grids[0] and b.grid is two_grids[1]
+        sphere = PlasmonMode.from_sphere(2, 1, 0)
+        for family in ([a, b], [a, sphere], [sphere, PlasmonMode.from_sphere(2, 2, 0, 2.0)]):
+            with pytest.raises(ValueError, match="one surface"):
+                _field_batch(family, pts)
+            with pytest.raises(ValueError, match="one surface"):
+                localization_scan(family, pts, 0.5)
+        # one grid's modes share their surface
+        E, _ = _field_batch([a, PlasmonMode.from_eigenmode(1, two_grids[0], 6)], pts)
+        assert E.shape == (2, 4, 3)
+
+    def test_sphere_mode_distance_is_exact(self):
+        mode = PlasmonMode.from_sphere(2, 3, 0, 2.0)
+        pts = np.vstack([fibonacci_shell(3, 2.5), fibonacci_shell(2, 0.5)])
+        assert np.allclose(mode.distance(pts), [0.5, 0.5, 0.5, 1.5, 1.5], rtol=0, atol=1e-15)
 
 
 def _assert_same_body(got, want, rtol):
@@ -173,8 +193,16 @@ class TestClusterInvariance:
         return grid, curl, pts
 
     @staticmethod
-    def modes(curl):
-        return [PlasmonMode.from_eigenmode(j, curl) for j in range(len(curl))]
+    def modes(grid, vectors=None):
+        """Every curl mode of grid at L = 8; vectors, if given, replaces their potentials."""
+        modes = [PlasmonMode.from_eigenmode(j, grid, 8) for j in range(len(mnp_spectra(grid, 8)[0]))]
+        if vectors is None:
+            return modes
+        return [
+            replace(m, density=TangentField.from_potentials(
+                V=ShCoeffs(8, vectors[:, j]), L=8, flavor="curl"))
+            for j, m in enumerate(modes)
+        ]
 
     def test_gram_unitary_rotation_leaves_report(self, axisym):
         grid, curl, pts = axisym
@@ -186,19 +214,18 @@ class TestClusterInvariance:
             cols = np.flatnonzero(ids == c)
             z = rng.normal(size=(cols.size,) * 2) + 1j * rng.normal(size=(cols.size,) * 2)
             vectors[:, cols] = vectors[:, cols] @ np.linalg.qr(z)[0]
-        turned = replace(curl, vectors=vectors)
-        want = localization_scan(self.modes(curl), pts, 0.5, grid).to_json_dict()
-        got = localization_scan(self.modes(turned), pts, 0.5, grid).to_json_dict()
+        want = localization_scan(self.modes(grid), pts, 0.5).to_json_dict()
+        got = localization_scan(self.modes(grid, vectors), pts, 0.5).to_json_dict()
         _assert_same_body(got, want, 1e-12)
         # the single modes do move: the rotation is not the identity on them
-        single = [np.linalg.norm(_field_batch(self.modes(s), pts, grid)[0], axis=(1, 2))
-                  for s in (curl, turned)]
+        single = [np.linalg.norm(_field_batch(self.modes(grid, v), pts)[0], axis=(1, 2))
+                  for v in (curl.vectors, vectors)]
         assert np.max(np.abs(single[0] - single[1]) / single[0]) > 1e-3
 
     def test_members_share_contrast_and_cluster_sums(self, axisym):
         grid, curl, pts = axisym
-        modes = self.modes(curl)
-        rep = localization_scan(modes, pts, 0.5, grid)
+        modes = self.modes(grid)
+        rep = localization_scan(modes, pts, 0.5)
         ids = curl.clusters()
         assert np.array_equal(rep.eigenvalues, curl.eigenvalues)
         assert np.array_equal(rep.taus, [m.tau for m in modes])
@@ -206,7 +233,7 @@ class TestClusterInvariance:
         shared = [m.at_eigenvalue(mean[c]) for m, c in zip(modes, ids)]
         pair = np.flatnonzero(ids == np.argmax(np.bincount(ids)))
         assert pair.size >= 2 and len({shared[j].tau for j in pair}) == 1
-        E, H = _field_batch(shared, pts, grid)
+        E, H = _field_batch(shared, pts)
         for F, norms in ((E, rep.e_norms), (H, rep.h_norms)):
             sq = np.bincount(ids, np.sum(np.abs(F) ** 2, axis=(1, 2)))
             assert np.allclose(np.bincount(ids, norms**2), sq, rtol=1e-12, atol=0)

@@ -84,15 +84,27 @@ class TestMnpSpectra:
         assert curl.meta["excluded_half"] == 1
         assert np.max(curl.eigenvalues) < 0.5 - 1e-3
 
-    def test_unexpected_half_count_warns(self, sphere10, caplog, monkeypatch):
+    def test_built_once_per_grid_and_degree(self):
+        grid = sphere_surface(1.0, 6)
+        sets = mnp_spectra(grid, 6)
+        assert mnp_spectra(grid, 6) is sets
+        curl, grad = sets
+        assert grad.vectors is curl.vectors
+        for a in (curl.eigenvalues, grad.eigenvalues, curl.vectors):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_unexpected_half_count_warns(self, caplog, monkeypatch):
         # the cached set is read-only: a second 1/2 goes into a copy that
-        # mnp_spectra reads in place of the grid's own
-        nps = np_spectrum(sphere10, 10)
+        # mnp_spectra reads in place of the grid's own, on a fresh grid whose
+        # memo holds no magnetic sets yet
+        grid = sphere_surface(1.0, 6)
+        nps = np_spectrum(grid, 6)
         lam = nps.eigenvalues.copy()
         lam[1] = 0.5
         monkeypatch.setattr(spectral, "np_spectrum", lambda grid, L: replace(nps, eigenvalues=lam))
         with caplog.at_level("WARNING", logger="mnpspr.spectral"):
-            curl, _ = mnp_spectra(sphere10, 10)
+            curl, _ = mnp_spectra(grid, 6)
         assert curl.meta["excluded_half"] == 2
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "excluded 2 eigenvalue(s) at 1/2" in caplog.text
