@@ -35,7 +35,7 @@ from .potentials import (
 )
 from .quadrature import correction_polar_order, default_polar_order
 from .scatter import SourcePlacementError, resonance_sweep
-from .sphharm import fibonacci_shell
+from .sphharm import fibonacci_shell, sh_degrees
 from .spectral import (
     calderon_residual,
     mnp_spectra,
@@ -146,10 +146,14 @@ def _entries(spec, name, table):
     return out
 
 
+def _sphere_mode(value):
+    """Whether a mode entry is a sphere mode, one with l, rather than an eigenmode."""
+    return isinstance(value, dict) and "l" in value
+
+
 def _mode(value, name):
     """A sphere mode {l, n, m[, radius]} or an eigenmode {index}."""
-    sphere = isinstance(value, dict) and "l" in value
-    return _entries(value, name, _SPHERE_MODE if sphere else _EIGENMODE)
+    return _entries(value, name, _SPHERE_MODE if _sphere_mode(value) else _EIGENMODE)
 
 
 # settings tables, key -> (conversion, rule, default), read by _entries
@@ -188,7 +192,7 @@ _SOURCE = {
 }
 _points = _list_of(partial(_entries, table=_SHELL))
 
-# entries of every command but mie-check
+# entries of the commands that build a grid: all but mie-check and a sphere-mode plasmon
 _GRID = {
     "surface": (partial(_entries, table=_SURFACE), _HAS_SHAPE, _REQUIRED),
     "L": (_integer, _DEGREE, _REQUIRED),
@@ -196,12 +200,13 @@ _GRID = {
 # entries of the commands that read the frequency: plasmon, decay, scatter
 _OMEGA = {"materials": (partial(_entries, table=_MATERIALS), None, {})}
 _CALDERON = {**_GRID, "n_tests": (_integer, _AT_LEAST_1, 10)}
-_PLASMON = {
-    **_GRID,
+# a sphere mode's closed forms read no grid
+_SPHERE_PLASMON = {
     "mode": (_mode, None, _REQUIRED),
     "points": (_points, _NONEMPTY, [{"count": 20, "radius": 2.0}]),
     **_OMEGA,
 }
+_PLASMON = {**_GRID, **_SPHERE_PLASMON}
 _DECAY = {
     **_GRID,
     "points": (_points, _NONEMPTY, [{"count": 40, "radius": 3.0}, {"count": 10, "radius": 0.25}]),
@@ -217,10 +222,11 @@ _SCATTER = {
     "delta_list": (_numbers, _DELTAS, [0.1, 0.05, 0.025]),
 }
 _MIE_CHECK = {
-    "n_max": (_integer, _AT_LEAST_1, 5),
+    "L_quad": (_integer, _DEGREE, 16),
+    # the run's degree min(L_quad, n_max + 7) must hold every mode n = 1..n_max
+    "n_max": (_integer, (lambda n, e: 1 <= n <= e["L_quad"], "lie in [1, L_quad]"), 5),
     "k": (_number, _POSITIVE, 1.0),
     "radius": (_number, _POSITIVE, 1.0),
-    "L_quad": (_integer, _DEGREE, 16),
 }
 
 
@@ -232,6 +238,7 @@ class RunConfig:
     with the defaults of its tables filled in.  surface is the typed surface
     spec, for mie-check the sphere of its radius.  L_quad is the grid degree:
     the surface's L_quad raised to L if below, or mie-check's L_quad entry.
+    A sphere-mode plasmon builds no grid: its surface and L_quad are None.
     """
 
     command: str
@@ -248,15 +255,20 @@ class RunConfig:
         command = data.get("command")
         if command not in COMMANDS:
             raise ConfigError(f"unknown or missing command {command!r}", "command")
-        params = _entries(data, None, _HANDLERS[command][1])
+        table = _HANDLERS[command][1]
+        if command == "plasmon" and _sphere_mode(data.get("mode")):
+            table = _SPHERE_PLASMON
+        params = _entries(data, None, table)
+        surface, L_quad = params.get("surface"), None
         if command == "mie-check":
             surface, L_quad = {"sphere": params["radius"]}, params["L_quad"]
-        else:
-            surface, L = params["surface"], params["L"]
-            L_quad = max(surface.get("L_quad", L), L)
+        elif surface is not None:
+            L_quad = max(surface.get("L_quad", params["L"]), params["L"])
         return cls(command, params, surface, L_quad, tol, seed)
 
     def build_grid(self) -> SurfaceGrid:
+        if self.surface is None:
+            return None
         if "sphere" in self.surface:
             radius = ShCoeffs.constant(self.surface["sphere"])
         else:
@@ -283,21 +295,21 @@ def report_version_and_provenance(cfg: RunConfig):
     line and whether the tolerance (calderon, mie-check) and the seed
     (calderon) are named, the commands that read them.  The run's degree L,
     at which scatter projects its corrections, has its own line in every
-    command that takes one.
+    command that takes one.  A run without a grid (a sphere-mode plasmon)
+    has no quadrature and no L_quad line.
     """
     L = cfg.params.get("L")
-    quadrature = "quadrature: rotated-polar-gl"
     if cfg.command == "mie-check":
         quadrature = "quadrature: surface-grid nodes (no polar rule)"
-    else:
-        quadrature += f" (n_polar={default_polar_order(cfg.L_quad)})"
+    elif cfg.L_quad is not None:
+        quadrature = f"quadrature: rotated-polar-gl (n_polar={default_polar_order(cfg.L_quad)})"
         if cfg.command == "scatter":
             quadrature += f", corrections (n_polar={correction_polar_order(L)})"
+    grid = [quadrature, f"L_quad: {cfg.L_quad}"] if cfg.L_quad is not None else []
     return [
         f"mnpspr {__version__}",
         f"numpy {np.__version__}",
-        quadrature,
-        f"L_quad: {cfg.L_quad}",
+        *grid,
         *([f"L: {L}"] if L is not None else []),
         *([f"tolerance: {cfg.tol if cfg.tol is not None else 'default'}"]
           if cfg.command in ("calderon", "mie-check") else []),
@@ -327,11 +339,9 @@ def write_csv(path, header_lines, columns, rows):
 
 
 def write_json(path, header_lines, payload):
-    out = {"provenance": header_lines, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
-    out.update(payload)
+    out = {"provenance": header_lines, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), **payload}
     with open(path, "w") as fh:
-        json.dump(out, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(out, sort_keys=True) + "\n")
 
 
 def _shell_points(spec):
@@ -353,9 +363,10 @@ def cmd_spectrum(cfg, grid):
     L = cfg.params["L"]
     sets = (np_spectrum(grid, L), *mnp_spectra(grid, L))
     rows = [(st.operator, *row) for st in sets for row in st.eigenvalue_table()]
+    slots = np.stack(sh_degrees(L), axis=1).tolist()
     return {
         "spectrum.csv": (["operator", "j", "lambda", "multiplicity_cluster"], rows),
-        "spectrum.json": {"sets": [st.to_json_dict() for st in sets]},
+        "spectrum.json": {"slots": slots, "sets": [st.to_json_dict() for st in sets]},
     }, None
 
 

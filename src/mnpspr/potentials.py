@@ -459,20 +459,16 @@ def slot_blocks(grid: SurfaceGrid, L: int):
     On a surface of revolution (`grid.axisymmetric`) every operator in the
     harmonic basis couples only equal orders m: one block per m = -L..L,
     its gradient slots then its curl slots.  On any other surface, one
-    block holding every slot.  A tuple of read-only index arrays, built
-    once per grid and degree.
+    block holding every slot.  Read-only index arrays, once per grid and degree.
     """
 
     def build():
         m = np.tile(sh_degrees(L)[1][1:], 2)
-        blocks = (
+        return (
             tuple(np.flatnonzero(m == order) for order in range(-L, L + 1))
             if grid.axisymmetric
             else (np.arange(len(m)),)
         )
-        for b in blocks:
-            b.flags.writeable = False
-        return blocks
 
     return grid.cached(("blocks", L), build)
 
@@ -579,8 +575,7 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
     Each block's matrix solves its Galerkin pairing against its slice of
     the stacked Gram (`tangent_mass_stack`); the pairing is not kept.
     Beyond the result, memory is O(NC^2) for the stiffness Gram and
-    O(n_t NC) per ring.  The arrays are read-only: every material shares
-    them.
+    O(n_t NC) per ring.  Every material shares the read-only arrays.
     """
 
     def build():
@@ -608,8 +603,6 @@ def correction_unit_matrices(grid: SurfaceGrid, L: int):
             for g, b, c in zip(G, blocks, columns):
                 g[:, : 2 * len(b)] += test[:, b].T @ values[:, c]
         entries = [np.linalg.solve(tangent_mass_stack(grid, L, b), g) for g, b in zip(G, blocks)]
-        for a in entries:
-            a.flags.writeable = False
         return {
             kind: tuple(a[:, len(a) * i : len(a) * (i + 1)] for a in entries)
             for i, kind in enumerate(VECTOR_KINDS)

@@ -100,8 +100,7 @@ def static_magnetic_block(grid: SurfaceGrid, L: int):
     (from the divergence intertwining).  The gradient-to-curl coupling is
     dropped (exact on spheres).  Returns the tuple of M's blocks M_b on
     the slots of each block of `slot_blocks`; the dense M exists only
-    while they are built.  Built once per grid and degree; the blocks are
-    read-only.
+    while they are built.  Built once per grid and degree, read-only.
     """
 
     def build():
@@ -111,10 +110,7 @@ def static_magnetic_block(grid: SurfaceGrid, L: int):
         M = np.zeros((2 * d, 2 * d), dtype=complex)
         M[:d, :d] = -np.linalg.solve(D, ops["Kstar"].entries[1:, 1:] @ D)
         M[d:, d:] = ops["K"].entries[1:, 1:]
-        blocks = tuple(M[np.ix_(b, b)] for b in slot_blocks(grid, L))
-        for m in blocks:
-            m.flags.writeable = False
-        return blocks
+        return tuple(M[np.ix_(b, b)] for b in slot_blocks(grid, L))
 
     return grid.cached(("magnetic", L), build)
 

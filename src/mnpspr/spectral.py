@@ -66,21 +66,12 @@ class SpectralSet:
         return eigenvalue_clusters(self.eigenvalues)
 
     def to_json_dict(self):
-        n, m = sh_degrees(self.L)
-        modes = []
-        for j in range(len(self)):
-            col = self.vectors[:, j]
-            modes.append(
-                [
-                    [int(nn), int(mm), float(c.real), float(c.imag)]
-                    for nn, mm, c in zip(n, m, col)
-                ]
-            )
+        """The set as JSON; potentials {re, im} hold one row of slot coefficients per mode."""
         return {
             "operator": self.operator,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
+            "eigenvalues": self.eigenvalues.tolist(),
             "gram": self.gram,
-            "potentials": modes,
+            "potentials": {"re": self.vectors.real.T.tolist(), "im": self.vectors.imag.T.tolist()},
         }
 
     def eigenvalue_table(self):
@@ -118,8 +109,7 @@ def np_spectrum(grid: SurfaceGrid, L: int) -> SpectralSet:
 
     Generalized Hermitian eigensolve of the grid's own `scalar_operators`
     with Gram -S; eigenvectors are orthonormal in that Gram and eigenvalues
-    lie in (-1/2, 1/2].  Solved once per grid and degree; the returned
-    set's arrays are read-only.
+    lie in (-1/2, 1/2].  Solved once per grid and degree, read-only.
     """
 
     def build():
@@ -129,9 +119,8 @@ def np_spectrum(grid: SurfaceGrid, L: int) -> SpectralSet:
         sym_res = np.linalg.norm(A - A.conj().T) / np.linalg.norm(A)
         mu, theta = _eigh_pencil(_hermitize(A), _hermitize(-GS), "negative single layer")
         order = np.argsort(-np.abs(mu))
-        mu, theta = mu[order], theta[:, order]
-        mu.flags.writeable = theta.flags.writeable = False
-        return SpectralSet("Kstar", mu, theta, "inner_S", L, {"sym_residual": float(sym_res)})
+        meta = {"sym_residual": float(sym_res)}
+        return SpectralSet("Kstar", mu[order], theta[:, order], "inner_S", L, meta)
 
     return grid.cached(("np", L), build)
 
@@ -147,8 +136,8 @@ def quotient_gram_matrix(grid: SurfaceGrid, L: int):
     With G = W GS^{-1} W the pairing matrix of S^{-1} (W the mass matrix,
     S the grid's own `scalar_operators` at degree L), the form on
     potentials with the constant projected out is the Schur complement of
-    slot 0, G[1:, 0] G[0, 1:] / G[0, 0] - G[1:, 1:].  Built once per grid
-    and degree and returned as one read-only array.
+    slot 0, G[1:, 0] G[0, 1:] / G[0, 0] - G[1:, 1:], one read-only array
+    per grid and degree.
     """
 
     def build():
@@ -161,9 +150,7 @@ def quotient_gram_matrix(grid: SurfaceGrid, L: int):
                 f"single layer too ill-conditioned for inversion: cond={cond:.2e}"
             )
         G = W @ np.linalg.solve(GS, W)
-        Ghat = _hermitize(np.outer(G[1:, 0], G[0, 1:]) / G[0, 0] - G[1:, 1:])
-        Ghat.flags.writeable = False
-        return Ghat
+        return _hermitize(np.outer(G[1:, 0], G[0, 1:]) / G[0, 0] - G[1:, 1:])
 
     return grid.cached(("gram", L), build)
 
@@ -200,8 +187,6 @@ def mnp_spectra(grid: SurfaceGrid, L: int):
         meta = {"excluded_half": int(dropped)}
         curl = SpectralSet("M_curl", mu, pots, "curl_Ninv", L, meta)
         grad = SpectralSet("Mstar_grad", -mu, pots, "grad_Qinv", L, dict(meta))
-        for a in (curl.eigenvalues, grad.eigenvalues, pots):
-            a.flags.writeable = False
         return curl, grad
 
     return grid.cached(("mnp", L), build)

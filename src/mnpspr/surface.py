@@ -33,7 +33,7 @@ accumulate ring by ring from one ring's basis rows (`ring_basis`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -54,6 +54,18 @@ from .sphharm import (
 # values_at turns at most this many (point, density) pairs of a frame into
 # values per pass, which bounds the (points, 3, densities) temporaries
 VALUES_BLOCK = 1 << 17
+
+
+def _read_only(value):
+    """value, with every array in it made read-only: value itself, or any array in
+    its tuple and list items, dict values and dataclass fields, at any depth."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list, dict)) or is_dataclass(value):
+        items = vars(value) if is_dataclass(value) else value
+        for item in items.values() if isinstance(items, dict) else items:
+            _read_only(item)
+    return value
 
 
 class StarShapeError(ValueError):
@@ -231,12 +243,13 @@ class SurfaceGrid:
         self._m = sh_degrees(self.L_quad)[1]
         # meridian node spacing, the resolution scale of near-boundary guards
         self.max_spacing = float(np.max(self.rho) * np.pi / self.n_theta)
+        _read_only(vars(self))
         self._memo = {}
 
     def cached(self, key, build):
-        """build() memoized under key; the value lives as long as the grid."""
+        """build() memoized under key, its arrays read-only; it lives as long as the grid."""
         if key not in self._memo:
-            self._memo[key] = build()
+            self._memo[key] = _read_only(build())
         return self._memo[key]
 
     # -- radial function and frames at arbitrary parameter points ----------

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from mnpspr.cli import ConfigError, RunConfig, main, report_version_and_provenance, run, write_csv
+from mnpspr.spectral import mnp_spectra, np_spectrum
+from mnpspr.sphharm import sh_degrees
 
 SPHERE8 = {"sphere": 1.0, "L_quad": 8}
 # rho = 1 + 0.05 Re Y_2^0
@@ -90,6 +92,27 @@ class TestSpectrumCommand:
         assert code == 0
         assert calls == ["negative single layer"]
 
+    def test_json_round_trips_the_sets(self, tmp_path):
+        """spectrum.json: one line with sorted keys, each slot's [n, m] once, and every
+        set's eigenvalues and vectors bit for bit."""
+        cfg = {"command": "spectrum", "surface": {"radius": PERT_RADIUS, "L_quad": 6}, "L": 5}
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 0
+        text = (out / "spectrum.json").read_text()
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        payload = json.loads(text)
+        assert payload["slots"] == np.stack(sh_degrees(5), axis=1).tolist()
+        grid = RunConfig.from_dict(cfg).build_grid()
+        sets = (np_spectrum(grid, 5), *mnp_spectra(grid, 5))
+        assert len(payload["sets"]) == len(sets)
+        for st, entry in zip(sets, payload["sets"]):
+            assert sorted(entry) == ["eigenvalues", "gram", "operator", "potentials"]
+            assert (entry["operator"], entry["gram"]) == (st.operator, st.gram)
+            assert np.array_equal(entry["eigenvalues"], st.eigenvalues)
+            vectors = np.zeros(st.vectors.shape[::-1], dtype=complex)
+            vectors.real, vectors.imag = entry["potentials"]["re"], entry["potentials"]["im"]
+            assert np.array_equal(vectors.T, st.vectors)
+
 
 class TestValidation:
     def test_missing_L_names_field(self, tmp_path, capsys):
@@ -126,6 +149,38 @@ class TestMieCheck:
         assert code == 2
         err = json.loads((out / "error.json").read_text())
         assert err["error"]["code"] == 2
+
+
+class TestSphereModePlasmon:
+    """A sphere mode's closed forms read no grid: it needs no surface or L, builds no
+    grid and reports none."""
+
+    CONFIG = {"command": "plasmon", "mode": {"l": 2, "n": 1, "m": 0},
+              "points": [{"count": 4, "radius": 2.0}]}
+
+    def test_runs_without_surface_or_L(self, tmp_path, monkeypatch):
+        from mnpspr import cli
+
+        monkeypatch.setattr(cli, "build_surface", None)  # a grid build would fail
+        code, out = run_cli(tmp_path, self.CONFIG)
+        assert code == 0
+        lines = read_csv_body(out / "plasmon.csv")
+        assert not any(l.startswith(("# quadrature:", "# L_quad:", "# L:")) for l in lines)
+        assert len([l for l in lines if not l.startswith("#")]) == 5  # header + 4
+
+    def test_surface_and_L_are_ignored(self, tmp_path):
+        bodies = []
+        for i, extra in enumerate(({}, {"surface": SPHERE8, "L": 8})):
+            code, out = run_cli(tmp_path, {**self.CONFIG, **extra}, name=f"cfg{i}.json")
+            assert code == 0
+            bodies.append(read_csv_body(out / "plasmon.csv"))
+        # the config hash too: it covers only the settings the run reads
+        assert bodies[0] == bodies[1]
+
+    def test_eigenmode_needs_a_surface(self, tmp_path):
+        code, out = run_cli(tmp_path, {**self.CONFIG, "mode": {"index": 0}})
+        assert code == 1
+        assert json.loads((out / "error.json").read_text())["error"]["field"] == "surface"
 
 
 class TestProvenance:
@@ -459,6 +514,8 @@ class TestTypedParameters:
             ("plasmon", {"mode": {"index": 0}, "points": []}, "points"),
             ("spectrum", {"surface": {"sphere": 1.0, "radius": [[0, 0, 3.5449077018, 0]]}},
              "surface"),
+            # the run's degree min(L_quad, n_max + 7) cannot hold the modes of degree n_max
+            ("mie-check", {"n_max": 10, "L_quad": 8}, "n_max"),
         ],
     )
     def test_rejected_with_field(self, tmp_path, command, extra, field):
@@ -527,7 +584,8 @@ class TestSettingsDefaults:
         [
             ("spectrum", GRID, {}),
             ("calderon", GRID, {"n_tests": 10}),
-            ("plasmon", {**GRID, "mode": {"l": 1, "n": 1, "m": 0}},
+            # a sphere mode reads no grid: its params hold no surface and no L
+            ("plasmon", {"mode": {"l": 1, "n": 1, "m": 0}},
              {"mode": {"l": 1, "n": 1, "m": 0, "radius": 1.0},
               "points": [{"count": 20, "radius": 2.0}], **OMEGA}),
             ("decay", GRID, {"points": [{"count": 40, "radius": 3.0},
@@ -566,6 +624,8 @@ class TestGridDegreeBound:
         )
         assert cfg.L_quad == 60
         assert RunConfig.from_dict({"command": "mie-check", "L_quad": 60}).L_quad == 60
+        params = RunConfig.from_dict({"command": "mie-check", "n_max": 8, "L_quad": 8}).params
+        assert params["n_max"] == 8
 
 
 class TestCommandLineFlags:

@@ -264,8 +264,9 @@ class TestExports:
         nps, curl, _ = pert12_spectra
         d = curl.to_json_dict()
         assert d["operator"] == "M_curl" and d["gram"] == "curl_Ninv"
-        assert len(d["potentials"]) == len(curl)
-        assert len(d["potentials"][0]) == (curl.L + 1) ** 2
+        for part in ("re", "im"):
+            assert len(d["potentials"][part]) == len(curl)
+            assert {len(row) for row in d["potentials"][part]} == {(curl.L + 1) ** 2}
         table = nps.eigenvalue_table()
         assert table[0][1] == pytest.approx(0.5, abs=1e-6)
 

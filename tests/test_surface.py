@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
-from conftest import basis_arrays
+from conftest import arrays_in, basis_arrays
 
+from mnpspr.potentials import correction_unit_matrices, scalar_operators, slot_blocks
+from mnpspr.scatter import static_magnetic_block
+from mnpspr.spectral import mnp_spectra, np_spectrum, quotient_gram_matrix
 from mnpspr.sphharm import harmonic_moments, sh_degrees, sh_index, ynm_matrix
 from mnpspr.surface import (
     ResolutionError,
@@ -490,3 +493,49 @@ class TestSymmetryFlags:
         grid = make()
         assert grid.axisymmetric is axisymmetric
         assert grid.spherical is spherical
+
+
+class TestReadOnlyMemos:
+    """Every array a grid holds, its own or inside a memoized value, refuses writes.
+
+    A writable memo is shared state: doubling the memoized K* entries in place
+    doubled every later np_spectrum eigenvalue of the same grid.
+    """
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return perturbed_sphere(0.05, 2, 0, 6)
+
+    @pytest.mark.parametrize(
+        "memo",
+        [
+            lambda g: {k: v for k, v in vars(g).items() if k != "_memo"},
+            lambda g: g.mass_matrix(),
+            lambda g: g.stiffness_matrix(),
+            lambda g: g.laplace_matrix(4),
+            lambda g: g.cached("node_tables", g._node_tables),
+            lambda g: scalar_operators(g, 6),
+            lambda g: np_spectrum(g, 6),
+            lambda g: quotient_gram_matrix(g, 6),
+            lambda g: mnp_spectra(g, 6),
+            lambda g: slot_blocks(g, 4),
+            lambda g: correction_unit_matrices(g, 4),
+            lambda g: static_magnetic_block(g, 4),
+        ],
+        ids=[
+            "grid", "mass", "stiffness", "laplace", "node_tables", "scalar_operators",
+            "np_spectrum", "quotient_gram", "mnp_spectra", "slot_blocks", "corrections",
+            "static_magnetic",
+        ],
+    )
+    def test_writes_raise(self, grid, memo):
+        arrays = list(arrays_in(memo(grid)))
+        assert arrays
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = a
+
+    def test_spectrum_keeps_its_operators(self, grid):
+        with pytest.raises(ValueError):
+            scalar_operators(grid, 6)["Kstar"].entries[:] *= 2
+        assert np_spectrum(grid, 6).eigenvalues[0] == pytest.approx(0.5, abs=1e-6)
