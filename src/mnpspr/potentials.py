@@ -74,8 +74,6 @@ class OperatorMatrix:
     L^2-surface Galerkin matrix used for Gram constructions.
     """
 
-    kind: str
-    L: int
     entries: np.ndarray
     pairing: np.ndarray
     meta: dict = field(default_factory=dict)
@@ -112,61 +110,60 @@ class MaterialConfig:
 # --------------------------------------------------------------------------
 
 
-def _galerkin_operator(kind, grid: SurfaceGrid, G, L):
-    """Mass-normalized Galerkin matrix from its pairing G_ij = int conj(Y_i) (Op Y_j) ds."""
-    nc = num_coeffs(L)
-    W = grid.mass_matrix()[:nc, :nc]
-    return OperatorMatrix(kind, L, np.linalg.solve(W, G), G)
-
-
 def scalar_operators(grid: SurfaceGrid, L: int):
     """The static scalar operators S, K, K* at degree L, built once per grid.
 
-    The residuals of the invariant guard are logged at DEBUG and kept in
-    each operator's meta.
+    One mass-matrix solve normalizes the three pairings.  The guard's
+    residuals and the condition number of S are logged at DEBUG and kept
+    in one meta dict that the three operators share.
     """
 
     def build():
         if L > grid.L_quad:
             raise ValueError(f"operator degree {L} exceeds grid capacity")
-        pairings = assemble_scalar_values(grid, L)
-        ops = {
-            kind: _galerkin_operator(kind, grid, pairings[kind], L) for kind in ("S", "K", "Kstar")
-        }
-        residuals = _check_scalar_invariants(ops)
+        nc = num_coeffs(L)
+        G = assemble_scalar_values(grid, L)
+        pairings, entries = (
+            dict(zip(("S", "Kstar", "K"), np.split(a, 3, axis=1)))
+            for a in (G, np.linalg.solve(grid.mass_matrix()[:nc, :nc], G))
+        )
+        meta = _check_scalar_invariants(pairings)
         log.debug(
             "scalar operators at L=%d, L_quad=%d: %s", L, grid.L_quad,
-            ", ".join(f"{key} {value:.2e}" for key, value in residuals.items()),
+            ", ".join(f"{key} {value:.2e}" for key, value in meta.items()),
         )
-        for op in ops.values():
-            op.meta.update(residuals)
-        return ops
+        return {kind: OperatorMatrix(entries[kind], p, meta) for kind, p in pairings.items()}
 
     return grid.cached(("scalar", L), build)
 
 
-def _check_scalar_invariants(ops):
+def _check_scalar_invariants(pairings):
     """Raise AssemblyAccuracyError unless S is Hermitian and negative definite
-    and K, K* are discrete adjoints; return the three residuals."""
-    GS = ops["S"].pairing
+    and K, K* are discrete adjoints; return the three residuals and the
+    condition number of S, from one eigen-decomposition of -sym(S)."""
+    GS = pairings["S"]
     herm = np.linalg.norm(GS - GS.conj().T) / np.linalg.norm(GS)
     if herm > 1e-8:
         raise AssemblyAccuracyError(
             f"single layer not symmetric: {herm:.2e}; raise surface.L_quad above L"
         )
-    mineig = np.linalg.eigvalsh(-0.5 * (GS + GS.conj().T))[0]
+    eig = np.linalg.eigvalsh(-0.5 * (GS + GS.conj().T))
+    mineig = eig[0]
     if mineig <= 0:
         raise AssemblyAccuracyError(
             f"negative single layer lost definiteness: smallest eigenvalue {mineig:.2e}; "
             "raise surface.L_quad above L"
         )
-    dual = np.linalg.norm(ops["K"].pairing - ops["Kstar"].pairing.conj().T)
-    dual /= np.linalg.norm(ops["K"].pairing)
+    dual = np.linalg.norm(pairings["K"] - pairings["Kstar"].conj().T)
+    dual /= np.linalg.norm(pairings["K"])
     if dual > 1e-8:
         raise AssemblyAccuracyError(
             f"K / K* discrete duality violated: {dual:.2e}; raise surface.L_quad above L"
         )
-    return {"S_hermiticity": float(herm), "negS_min_eig": float(mineig), "K_duality": float(dual)}
+    return {
+        "S_hermiticity": float(herm), "negS_min_eig": float(mineig), "K_duality": float(dual),
+        "S_condition": float(eig[-1] / mineig),
+    }
 
 
 # --------------------------------------------------------------------------

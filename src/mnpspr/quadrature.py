@@ -119,11 +119,12 @@ def assemble_scalar_values(grid: SurfaceGrid, L: int):
       S     : G(x, y)
       Kstar : dG/dnu_x = nu_x . (x - y) / (4 pi |x-y|^3)
       K     : dG/dnu_y = nu_y . (y - x) / (4 pi |x-y|^3)
-    Returns dict of ((L+1)^2, (L+1)^2) complex arrays.  The densities are the
-    parameter-sphere harmonics; integration is in the surface measure.  The
-    outer integral is the grid rule, accumulated one ring at a time as
-    conj(Y_ring)^T (w . rows . phase): no operator's node values are held
-    beyond one ring's (n_phi, 3 (L+1)^2).
+    Returns the pairings side by side in one complex ((L+1)^2, 3 (L+1)^2)
+    array, S then Kstar then K.  The densities are the parameter-sphere
+    harmonics; integration is in the surface measure.  The outer integral is
+    the grid rule, accumulated one ring at a time as conj(Y_ring)^T
+    (w . rows . phase): no operator's node values are held beyond one
+    ring's (n_phi, 3 (L+1)^2).
     """
     kinds = ("S", "Kstar", "K")
     nc = num_coeffs(L)
@@ -144,7 +145,7 @@ def assemble_scalar_values(grid: SurfaceGrid, L: int):
         rows = rows * (grid.area_weights[ring.nodes, None] * ring.phase)[:, None, :]
         test = np.conj(grid.ring_basis(ring.index, nc))
         G += test.T @ rows.reshape(len(rows), -1)
-    return {kind: G[:, i * nc : (i + 1) * nc] for i, kind in enumerate(kinds)}
+    return G
 
 
 def near_singular_eval(grid: SurfaceGrid, x, n_polar):

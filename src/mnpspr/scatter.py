@@ -11,7 +11,7 @@ scalar reductions (curl block: K, gradient block: -Lap^{-1} K* Lap); the
 cross coupling from gradients into the curl subspace has no scalar
 reduction and vanishes on spheres, where all quantitative sweeps run.
 Every system carries meta["cross_coupling"] = "dropped"; on any other
-surface assemble_system also logs a warning, once per grid.
+surface static_magnetic_block also logs a warning, once per grid and degree.
 
 The system is affine in its material parameters.  Every operator couples
 only the slots of one block of `potentials.slot_blocks`: one block per
@@ -98,12 +98,18 @@ def static_magnetic_block(grid: SurfaceGrid, L: int):
 
     Curl half: the K coefficient matrix; gradient half: -Lap^{-1} K* Lap
     (from the divergence intertwining).  The gradient-to-curl coupling is
-    dropped (exact on spheres).  Returns the tuple of M's blocks M_b on
-    the slots of each block of `slot_blocks`; the dense M exists only
-    while they are built.  Built once per grid and degree, read-only.
+    dropped (exact on spheres; elsewhere the build logs a warning).  Returns
+    the tuple of M's blocks M_b on the slots of each block of `slot_blocks`;
+    the dense M exists only while they are built.  Built once per grid and
+    degree, read-only.
     """
 
     def build():
+        if not grid.spherical:
+            log.warning(
+                "non-spherical surface: the gradient-to-curl block of M is dropped, "
+                "so the scattering system is approximate"
+            )
         ops = scalar_operators(grid, L)
         d = num_coeffs(L) - 1
         D = grid.laplace_matrix(L)[1:, 1:]
@@ -139,16 +145,6 @@ def assemble_system(
             cross = [q + (delta**2 / denom) * a for q, a in zip(cross, L2)]
             Mk2 = assemble_correction("Mk2", grid, materials, L)
             same = [p + (delta**2 / denom) * a for p, a in zip(same, Mk2)]
-    if not grid.spherical:
-        # a property of the grid, reported once however many points a sweep takes
-        grid.cached(
-            ("cross_coupling_warned",),
-            lambda: log.warning(
-                "non-spherical surface: the gradient-to-curl block of M is dropped, "
-                "so the scattering system is approximate"
-            )
-            or True,
-        )
     return BlockSystem(same, cross, blocks, L, grid, materials, {"cross_coupling": "dropped"})
 
 

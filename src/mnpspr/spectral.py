@@ -55,7 +55,6 @@ class SpectralSet:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     gram: str
-    L: int
     meta: dict = field(default_factory=dict)
 
     def __len__(self):
@@ -120,7 +119,7 @@ def np_spectrum(grid: SurfaceGrid, L: int) -> SpectralSet:
         mu, theta = _eigh_pencil(_hermitize(A), _hermitize(-GS), "negative single layer")
         order = np.argsort(-np.abs(mu))
         meta = {"sym_residual": float(sym_res)}
-        return SpectralSet("Kstar", mu[order], theta[:, order], "inner_S", L, meta)
+        return SpectralSet("Kstar", mu[order], theta[:, order], "inner_S", meta)
 
     return grid.cached(("np", L), build)
 
@@ -137,19 +136,19 @@ def quotient_gram_matrix(grid: SurfaceGrid, L: int):
     S the grid's own `scalar_operators` at degree L), the form on
     potentials with the constant projected out is the Schur complement of
     slot 0, G[1:, 0] G[0, 1:] / G[0, 0] - G[1:, 1:], one read-only array
-    per grid and degree.
+    per grid and degree, refused where S.meta["S_condition"] exceeds 1e12.
     """
 
     def build():
         nc = num_coeffs(L)
         W = grid.mass_matrix()[:nc, :nc]
-        GS = _hermitize(scalar_operators(grid, L)["S"].pairing)
-        cond = np.linalg.cond(GS)
+        S = scalar_operators(grid, L)["S"]
+        cond = S.meta["S_condition"]
         if cond > 1e12:
             raise RegularizationError(
                 f"single layer too ill-conditioned for inversion: cond={cond:.2e}"
             )
-        G = W @ np.linalg.solve(GS, W)
+        G = W @ np.linalg.solve(_hermitize(S.pairing), W)
         return _hermitize(np.outer(G[1:, 0], G[0, 1:]) / G[0, 0] - G[1:, 1:])
 
     return grid.cached(("gram", L), build)
@@ -185,8 +184,8 @@ def mnp_spectra(grid: SurfaceGrid, L: int):
         norms = np.einsum("ij,ij->j", pots[1:].conj(), G1 @ pots[1:]).real
         pots /= np.sqrt(np.maximum(norms, 1e-300))[None, :]
         meta = {"excluded_half": int(dropped)}
-        curl = SpectralSet("M_curl", mu, pots, "curl_Ninv", L, meta)
-        grad = SpectralSet("Mstar_grad", -mu, pots, "grad_Qinv", L, dict(meta))
+        curl = SpectralSet("M_curl", mu, pots, "curl_Ninv", meta)
+        grad = SpectralSet("Mstar_grad", -mu, pots, "grad_Qinv", dict(meta))
         return curl, grad
 
     return grid.cached(("mnp", L), build)

@@ -197,8 +197,8 @@ class TestAzimuthalBlocks:
 
 class TestDroppedBlockMark:
     def test_non_sphere_warns_once(self, caplog):
-        # the warning belongs to the grid: a second sweep point adds none.  The
-        # grid is the test's own, so that no earlier test has spent its warning.
+        # the warning comes with M, built once per grid and degree: a second sweep
+        # point adds none.  The grid is the test's own, so no earlier test has built M on it.
         grid = perturbed_sphere(0.05, 2, 0, 8)
         with caplog.at_level(logging.WARNING, logger="mnpspr.scatter"):
             for tau in (0.5, 0.8):

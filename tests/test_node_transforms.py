@@ -104,10 +104,10 @@ class TestAgainstDenseBasis:
         values = np.zeros((3, grid.n_nodes, nc), dtype=complex)
         for ring, rows in zip(quadrature.rings(grid, L), recorded):
             values[:, ring.nodes] = np.moveaxis(rows.reshape(-1, 3, nc), 1, 0) * ring.phase
-        for kind, vals in zip(("S", "Kstar", "K"), values):
+        assert got.shape == (nc, 3 * nc)
+        for kind, vals, pairing in zip(("S", "Kstar", "K"), values, np.split(got, 3, axis=1)):
             ref = np.conj(Y[:, :nc]).T @ (grid.area_weights[:, None] * vals)
-            assert got[kind].shape == (nc, nc)
-            assert max_rel(got[kind], ref) <= RTOL, kind
+            assert max_rel(pairing, ref) <= RTOL, kind
 
 
 class TestGridMemory:

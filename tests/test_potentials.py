@@ -82,7 +82,7 @@ class TestOperatorLifetime:
 
 
 class TestInvariantGuard:
-    KEYS = ("S_hermiticity", "negS_min_eig", "K_duality")
+    KEYS = ("S_hermiticity", "negS_min_eig", "K_duality", "S_condition")
 
     def test_residuals_logged_and_kept(self, caplog):
         grid = sphere_surface(1.0, 4)
@@ -98,6 +98,26 @@ class TestInvariantGuard:
         assert record.levelno == logging.DEBUG
         for key in self.KEYS:
             assert f"{key} {meta[key]:.2e}" in record.getMessage()
+
+    def test_one_mass_solve_and_one_meta(self, monkeypatch):
+        # S, K and K* come from one solve against the mass matrix and share the guard's dict
+        grid = sphere_surface(1.0, 4)
+        calls, solve = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(a) or solve(*a))
+        ops = scalar_operators(grid, 4)
+        assert len(calls) == 1
+        assert ops["S"].meta is ops["K"].meta is ops["Kstar"].meta
+
+    @pytest.mark.parametrize("surface", ["pert12", "decay-axisym"])
+    def test_condition_of_S(self, surface, request, workload_grid):
+        # the guard's eigenvalues give the 2-norm condition number of the hermitized pairing
+        if surface == "pert12":
+            grid, L = request.getfixturevalue("pert12"), 12
+        else:
+            grid, L = workload_grid(surface)
+        S = scalar_operators(grid, L)["S"]
+        expect = np.linalg.cond(0.5 * (S.pairing + S.pairing.conj().T))
+        assert abs(S.meta["S_condition"] - expect) <= 1e-12 * expect
 
 
 class TestScalarAssembly:

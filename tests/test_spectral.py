@@ -1,11 +1,15 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from mnpspr import spectral
-from mnpspr.potentials import AssemblyAccuracyError, FlavorError, apply_N, scalar_operators
+from mnpspr import potentials, spectral
+from mnpspr.cli import run
+from mnpspr.potentials import (
+    AssemblyAccuracyError, FlavorError, RegularizationError, apply_N, scalar_operators,
+)
 from mnpspr.spectral import (
     _eigh_pencil,
     _hermitize,
@@ -112,9 +116,10 @@ class TestMnpSpectra:
     def test_apply_and_compare(self, pert12_spectra, pert12_ops):
         _, curl, _ = pert12_spectra
         errs = []
+        # the fixtures' degree, 12
         for j in range(len(curl)):
-            V = ShCoeffs(curl.L, curl.vectors[:, j])
-            out = pert12_ops["K"].entries @ V.padded(curl.L)
+            V = ShCoeffs(12, curl.vectors[:, j])
+            out = pert12_ops["K"].entries @ V.padded(12)
             out[0] = 0.0
             errs.append(np.max(np.abs(out - curl.eigenvalues[j] * V.coeffs)))
         assert max(errs) < 1e-6
@@ -165,6 +170,35 @@ class TestGram:
             pairing = S.entries @ np.linalg.inv(pert12.mass_matrix()[:nc, :nc])
             expect = -np.linalg.inv(pairing[1:, 1:])
             assert max_rel(quotient_gram_matrix(pert12, L), expect) < 1e-10
+
+
+class TestConditionGuard:
+    """The Gram refuses an S whose condition number, recorded by its guard, exceeds 1e12."""
+
+    @pytest.fixture()
+    def ill_conditioned(self, monkeypatch):
+        check = potentials._check_scalar_invariants
+        monkeypatch.setattr(
+            potentials, "_check_scalar_invariants", lambda *a: {**check(*a), "S_condition": 2e12}
+        )
+
+    def test_gram_decomposes_S_no_more(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("S decomposed a second time")
+
+        monkeypatch.setattr(np.linalg, "cond", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        quotient_gram_matrix(sphere_surface(1.0, 4), 4)
+
+    def test_gram_refuses(self, ill_conditioned):
+        with pytest.raises(RegularizationError, match=r"cond=2\.00e\+12"):
+            quotient_gram_matrix(sphere_surface(1.0, 4), 4)
+
+    def test_spectrum_exits_two(self, ill_conditioned, tmp_path):
+        config = {"command": "spectrum", "surface": {"sphere": 1.0, "L_quad": 4}, "L": 4}
+        assert run(config, str(tmp_path)) == 2
+        error = json.loads((tmp_path / "error.json").read_text())["error"]
+        assert error["code"] == 2 and error["type"] == "RegularizationError"
 
 
 class TestCalderon:
@@ -240,21 +274,21 @@ class TestCompleteness:
         # images of the eigenfields, are eigenfields of the projected adjoint
         # with the same eigenvalues, and N maps each back to minus its eigenfield
         _, curl, _ = pert12_spectra
-        S = pert12_ops["S"]
-        nc = num_coeffs(S.L)
-        D = pert12.laplace_matrix(S.L)
+        L = 12  # the fixtures' degree
+        nc = num_coeffs(L)
+        D = pert12.laplace_matrix(L)
         K_st = pert12.stiffness_matrix()[:nc, :nc]
         Kstar = pert12_ops["Kstar"].entries
         U = np.zeros_like(curl.vectors)
-        U[1:] = np.linalg.solve(K_st[1:, 1:], quotient_gram_matrix(pert12, S.L) @ curl.vectors[1:])
+        U[1:] = np.linalg.solve(K_st[1:, 1:], quotient_gram_matrix(pert12, L) @ curl.vectors[1:])
         for j in (0, 3, 11):
             # projected adjoint action on the curl potentials: Lap^{-1} K* Lap
             act = np.zeros_like(U[:, j])
             act[1:] = np.linalg.solve(D[1:, 1:], (Kstar @ (D @ U[:, j]))[1:])
             scale = np.max(np.abs(U[:, j]))
             assert np.max(np.abs(act - curl.eigenvalues[j] * U[:, j])) / scale <= 1e-12
-            field = TangentField.from_potentials(V=ShCoeffs(S.L, U[:, j]), flavor="curl")
-            back = apply_N(field, pert12, S.L).V.coeffs
+            field = TangentField.from_potentials(V=ShCoeffs(L, U[:, j]), flavor="curl")
+            back = apply_N(field, pert12, L).V.coeffs
             pot = curl.vectors[:, j]
             assert np.max(np.abs(back + pot)) / np.max(np.abs(pot)) <= 1e-12
 
@@ -266,7 +300,7 @@ class TestExports:
         assert d["operator"] == "M_curl" and d["gram"] == "curl_Ninv"
         for part in ("re", "im"):
             assert len(d["potentials"][part]) == len(curl)
-            assert {len(row) for row in d["potentials"][part]} == {(curl.L + 1) ** 2}
+            assert {len(row) for row in d["potentials"][part]} == {(12 + 1) ** 2}
         table = nps.eigenvalue_table()
         assert table[0][1] == pytest.approx(0.5, abs=1e-6)
 
