@@ -50,7 +50,6 @@ from .plasmon import (
 )
 from .scatter import (
     BlockSystem,
-    RHSVector,
     assemble_system,
     dipole_incident_trace,
     eval_scattered_fields,

@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from . import __version__
+from . import __version__, potentials
 from .mie import sphere_oracle_errors
 from .plasmon import PlasmonMode, _field_batch, localization_scan
 from .potentials import (
@@ -292,20 +292,23 @@ def report_version_and_provenance(cfg: RunConfig):
 
     The config_hash line fingerprints the settings the run read,
     {"command": ..., **cfg.params}.  The command selects the quadrature
-    line and whether the tolerance (calderon, mie-check) and the seed
-    (calderon) are named, the commands that read them.  The run's degree L,
-    at which scatter projects its corrections, has its own line in every
-    command that takes one.  A run without a grid (a sphere-mode plasmon)
-    has no quadrature and no L_quad line.
+    lines, the operators' rule unless it assembles none (mie-check) and
+    the off-boundary rule if it evaluates fields there (decay, plasmon,
+    mie-check), and whether the tolerance (calderon, mie-check) and the
+    seed (calderon) are named.  The run's degree L, at which scatter
+    projects its corrections, has its own line in every command that
+    takes one.  A run without a grid (a sphere-mode plasmon) has no
+    quadrature and no L_quad line.
     """
-    L = cfg.params.get("L")
-    if cfg.command == "mie-check":
-        quadrature = "quadrature: surface-grid nodes (no polar rule)"
-    elif cfg.L_quad is not None:
-        quadrature = f"quadrature: rotated-polar-gl (n_polar={default_polar_order(cfg.L_quad)})"
-        if cfg.command == "scatter":
-            quadrature += f", corrections (n_polar={correction_polar_order(L)})"
-    grid = [quadrature, f"L_quad: {cfg.L_quad}"] if cfg.L_quad is not None else []
+    L, grid = cfg.params.get("L"), []
+    if cfg.L_quad is not None and cfg.command != "mie-check":
+        grid.append(f"quadrature: rotated-polar-gl (n_polar={default_polar_order(cfg.L_quad)})")
+    if cfg.command == "scatter":
+        grid[0] += f", corrections (n_polar={correction_polar_order(L)})"
+    if cfg.L_quad is not None and cfg.command in ("decay", "plasmon", "mie-check"):
+        grid.append(f"off-boundary: surface-grid nodes beyond {potentials.NEAR_GUARD:g} x "
+                    f"max_spacing, near rule (n_polar={potentials.NEAR_POLAR}) inside")
+    grid += [f"L_quad: {cfg.L_quad}"] if cfg.L_quad is not None else []
     return [
         f"mnpspr {__version__}",
         f"numpy {np.__version__}",

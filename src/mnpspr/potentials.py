@@ -224,6 +224,8 @@ def helmholtz_point_kernels(k, rvec, want_hessian=False):
 POINT_BLOCK = 32
 # polar order of the near rule; one of its polar steps is the closest radial gap it takes
 NEAR_POLAR = 320
+# the near rule takes points within NEAR_GUARD x grid.max_spacing of the surface
+NEAR_GUARD = 3.0
 
 
 # kind -> its radial factors, each c (coef[0] z^d + ... + coef[d]) / r^power
@@ -354,8 +356,8 @@ def offboundary_eval(density, k, x, which, grid: SurfaceGrid):
     Points with equal rows share their passes; a row of equal entries is a
     shared wavenumber.  The caller's arrays are not modified.
 
-    Beyond the guard, 3 x `grid.max_spacing` of `tubular_distance`, the
-    grid nodes are the quadrature.  Inside it the near rule puts a polar
+    Beyond the guard, NEAR_GUARD x `grid.max_spacing` of `tubular_distance`,
+    the grid nodes are the quadrature.  Inside it the near rule puts a polar
     patch of order NEAR_POLAR under the point (`near_singular_eval`), down
     to a floor of one polar step, pi max(rho) / NEAR_POLAR, of radial gap
     (`radial_gap`); at or below the floor NearBoundaryError is raised.
@@ -392,7 +394,7 @@ def offboundary_eval(density, k, x, which, grid: SurfaceGrid):
     if k.ndim == 1 and k.shape != (J,):
         raise ValueError(f"{k.size} wavenumbers for {J} densities")
     k = np.broadcast_to(k, (P, J))
-    near = tubular_distance(pts, grid) <= 3.0 * grid.max_spacing
+    near = tubular_distance(pts, grid) <= NEAR_GUARD * grid.max_spacing
     if near.any():
         floor = np.pi * np.max(grid.rho) / NEAR_POLAR
         gap = np.abs(radial_gap(pts[near], grid))

@@ -20,10 +20,10 @@ elsewhere.  Offline, once per grid and degree, the grid memo keeps M and
 the correction kernels L1, L2 and Mk2 at unit scale, each as one matrix
 per block and nothing beside it.  Online, each (tau, delta) point scales
 and adds those matrices.  The system is assembled, solved and applied
-block by block.  The two traces enter alike, so each
-block is [[P, Q], [Q, P]], which the even/odd trace combinations split
-into P + Q and P - Q; one numpy solve per half gives its solution and
-inverse, and the half inverses the exact 1-norm condition number.
+block by block.  The two traces enter alike, so each block is
+[[P, Q], [Q, P]], which the even/odd trace combinations split into P + Q
+and P - Q; one numpy solve per half gives its solution and inverse, and
+the half inverses the exact 1-norm condition number.
 """
 
 from __future__ import annotations
@@ -53,21 +53,6 @@ log = logging.getLogger(__name__)
 
 class SourcePlacementError(ValueError):
     """A dipole source lies inside the sphere that bounds the particle."""
-
-
-@dataclass
-class RHSVector:
-    """Scaled incident traces: (nu x E / (1 + tau), i nu x H / (1 + tau)).
-
-    1 + tau is the exterior minus the interior mu, and eps, of the material model.
-    """
-
-    first: TangentField
-    second: TangentField
-
-    def stacked(self, L):
-        parts = (self.first.X, self.first.V, self.second.X, self.second.V)
-        return np.concatenate([c.padded(L)[1:] for c in parts])
 
 
 @dataclass
@@ -130,9 +115,8 @@ def assemble_system(
     """
     if order not in (0, 1, 2):
         raise ValueError("correction order must be 0, 1 or 2")
-    tau = materials.tau
+    tau, delta = materials.tau, materials.delta
     L = grid.L_quad if L is None else L
-    delta = materials.delta
     blocks = slot_blocks(grid, L)
     same = [resonance_shift(tau) * np.eye(len(m)) - m for m in static_magnetic_block(grid, L)]
     cross = [np.zeros_like(p) for p in same]
@@ -148,17 +132,17 @@ def assemble_system(
     return BlockSystem(same, cross, blocks, L, grid, materials, {"cross_coupling": "dropped"})
 
 
-def dipole_incident_trace(source, p, materials: MaterialConfig, grid: SurfaceGrid) -> RHSVector:
-    """Scaled tangential traces of a point-dipole incident field.
+def dipole_incident_trace(source, p, materials: MaterialConfig, grid: SurfaceGrid):
+    """Scaled tangential traces (nu x E / (1 + tau), i nu x H / (1 + tau)) of a point dipole.
 
     E = -(1/k_e^2) curl curl (G(delta k_e; x, s) p), which is
     -(1/k_e^2) grad div (G p) - delta^2 G p, and H = (i delta/omega) curl (G p)
     (mu = 1 outside), both from one `_layer_sum` pass with the dipole as its one
-    source; the returned pair carries the denominator 1 + tau of the
-    scaled system.
+    source.  1 + tau is the exterior minus the interior mu, and eps, of the
+    material model.  Returns the pair of curl-flavor TangentFields that
+    `solve_scatter` takes.
     """
-    s = np.asarray(source, dtype=float)
-    p = np.asarray(p, dtype=float)
+    s, p = np.asarray(source, dtype=float), np.asarray(p, dtype=float)
     reach = np.max(grid.rho)
     if np.linalg.norm(s) <= reach:
         raise SourcePlacementError(
@@ -172,9 +156,13 @@ def dipole_incident_trace(source, p, materials: MaterialConfig, grid: SurfaceGri
     E = -curlcurl[..., 0] / materials.k_e**2
     H = 1j * delta / materials.omega * curl[..., 0]
     denom = 1.0 + materials.tau
-    first = grid.helmholtz_decompose(np.cross(grid.normals, E) / denom, flavor="curl")
-    second = grid.helmholtz_decompose(1j * np.cross(grid.normals, H) / denom, flavor="curl")
-    return RHSVector(first, second)
+    traces = (np.cross(grid.normals, E), 1j * np.cross(grid.normals, H))
+    return tuple(grid.helmholtz_decompose(t / denom, flavor="curl") for t in traces)
+
+
+def _stack(fields, L):
+    """The system's vector of a list of fields: X then V of each, past slot 0."""
+    return np.concatenate([c.padded(L)[1:] for f in fields for c in (f.X, f.V)])
 
 
 def _unstack(vec, L):
@@ -182,8 +170,8 @@ def _unstack(vec, L):
     return TangentField(X1, V1, "div"), TangentField(X2, V2, "div")
 
 
-def solve_scatter(system: BlockSystem, rhs: RHSVector):
-    """Solve the scaled system block by block; returns (psi, omega*phi) densities and cond.
+def solve_scatter(system: BlockSystem, rhs):
+    """Solve the system for a field pair rhs, block by block; returns (psi, omega*phi) and cond.
 
     With X = (P + Q)^{-1} and Y = (P - Q)^{-1} the inverse of [[P, Q], [Q, P]]
     is 1/2 [[X + Y, X - Y], [X - Y, X + Y]].  On each block one numpy solve
@@ -193,7 +181,7 @@ def solve_scatter(system: BlockSystem, rhs: RHSVector):
     ||A_b^{-1}||_1.  A singular half raises a resonance error carrying the
     spectral shift.
     """
-    b1, b2 = np.split(rhs.stacked(system.L), 2)
+    b1, b2 = np.split(_stack(rhs, system.L), 2)
     u, w = np.empty_like(b1), np.empty_like(b2)
     norm_A = norm_inv = 0.0
     for b, P, Q in zip(system.blocks, system.same, system.cross):
@@ -215,8 +203,7 @@ def solve_scatter(system: BlockSystem, rhs: RHSVector):
         norm_inv = max(
             norm_inv, 0.5 * np.max(np.abs(X + Y).sum(axis=0) + np.abs(X - Y).sum(axis=0))
         )
-    sol = 0.5 * np.concatenate([u + w, u - w])
-    return _unstack(sol, system.L), float(norm_A * norm_inv)
+    return _unstack(0.5 * np.concatenate([u + w, u - w]), system.L), float(norm_A * norm_inv)
 
 
 def pair_norm(a: TangentField, b: TangentField, grid: SurfaceGrid):
@@ -228,59 +215,42 @@ def weak_resonance_indicator(system: BlockSystem, density: TangentField):
     """|| A(delta) (phi, omega phi) || for a normalized candidate density.
 
     density is the curl-flavor candidate phi; the pair (phi, omega phi) is
-    scaled to unit stacked curl-trace norm on the system's grid.
+    scaled to unit stacked curl-trace norm on the system's grid.  trace_norm
+    is absolutely homogeneous, so that norm is hypot(1, omega) ||phi||.
     """
     v = TangentField.from_potentials(X=density.X, V=density.V, L=system.L, flavor="div")
     omega = system.materials.omega
-    scaled = TangentField(
-        ShCoeffs(system.L, omega * v.X.padded(system.L)),
-        ShCoeffs(system.L, omega * v.V.padded(system.L)),
-        "div",
-    )
-    scale = pair_norm(v, scaled, system.grid)
-    v1, v2 = np.split(RHSVector(v, scaled).stacked(system.L) / scale, 2)
+    scale = np.hypot(1.0, omega) * trace_norm(v, system.grid)
+    u = _stack([v], system.L)
+    v1, v2 = u / scale, omega * u / scale
     out1, out2 = np.empty_like(v1), np.empty_like(v2)
     for b, P, Q in zip(system.blocks, system.same, system.cross):
         out1[b] = P @ v1[b] + Q @ v2[b]
         out2[b] = Q @ v1[b] + P @ v2[b]
-    first, second = _unstack(np.concatenate([out1, out2]), system.L)
-    return pair_norm(first, second, system.grid)
+    return pair_norm(*_unstack(np.concatenate([out1, out2]), system.L), system.grid)
 
 
-def eval_scattered_fields(densities, x, materials: MaterialConfig, grid: SurfaceGrid,
+def eval_scattered_fields(solution, x, materials: MaterialConfig, grid: SurfaceGrid,
                           incident=None):
     """Total (E, H) from the solved densities at a point off the boundary.
 
-    densities = (psi, phi) tangential fields (note: solve_scatter returns
-    (psi, omega*phi); divide the second by omega before calling, or pass it
-    through `densities_from_solution`).  incident, if given, is a callable
+    solution is the (psi, omega*phi) pair of TangentFields that
+    `solve_scatter` returns; the layers are linear, so phi's fields are the
+    second layer's divided by omega.  incident, if given, is a callable
     x -> (E_i, H_i) added on the exterior side.
     """
-    psi, phi = densities
     x = np.asarray(x, dtype=float)
     inside = radial_gap(x, grid) < 0
     # the reference geometry carries the scaled wavenumber
     ks = materials.delta * materials.side(inside)[1]
-    curl, curlcurl = offboundary_eval([psi, phi], ks, x, ("curlS_vec", "curlcurlS_vec"), grid)
-    # the trailing axis is (psi, phi)
-    pairs = (np.moveaxis(curl, -1, 0), np.moveaxis(curlcurl, -1, 0))
-    E, H = em_fields(materials, inside, *pairs)
+    fields = offboundary_eval(list(solution), ks, x, ("curlS_vec", "curlcurlS_vec"), grid)
+    # the trailing axis is (psi, omega phi)
+    curl, curlcurl = ((f[..., 0], f[..., 1] / materials.omega) for f in fields)
+    E, H = em_fields(materials, inside, curl, curlcurl)
     if incident is not None and not inside:
         Ei, Hi = incident(x)
-        E = E + Ei
-        H = H + Hi
+        E, H = E + Ei, H + Hi
     return E, H
-
-
-def densities_from_solution(solution, omega):
-    """Convert (psi, omega*phi) from the solver into (psi, phi)."""
-    psi, omega_phi = solution
-    phi = TangentField(
-        ShCoeffs(omega_phi.X.L, omega_phi.X.coeffs / omega),
-        ShCoeffs(omega_phi.V.L, omega_phi.V.coeffs / omega),
-        omega_phi.flavor,
-    )
-    return psi, phi
 
 
 def resonance_sweep(grid, tau_list, delta_list, omega, order, source, p, L=None):
@@ -300,7 +270,6 @@ def resonance_sweep(grid, tau_list, delta_list, omega, order, source, p, L=None)
             rhs = dipole_incident_trace(source, p, mats, grid)
             system = assemble_system(grid, mats, order, L)
             sol, cond = solve_scatter(system, rhs)
-            sol_norm = pair_norm(sol[0], sol[1], grid)
             indicator = weak_resonance_indicator(system, candidate)
-            rows.append((float(tau), float(delta), indicator, sol_norm, cond))
+            rows.append((float(tau), float(delta), indicator, pair_norm(*sol, grid), cond))
     return rows

@@ -25,7 +25,7 @@ from mnpspr.potentials import (
 )
 from mnpspr.scatter import (
     BlockSystem,
-    RHSVector,
+    _stack,
     _unstack,
     assemble_system,
     dipole_incident_trace,
@@ -139,7 +139,7 @@ class TestLUSolve:
                     full = full_matrix(system)
                     exact = np.linalg.cond(full, 1)
                     assert abs(cond - exact) <= 1e-10 * exact
-                    ref = np.linalg.solve(full, rhs.stacked(system.L))
+                    ref = np.linalg.solve(full, _stack(rhs, system.L))
                     got = np.concatenate(
                         [f.coeffs[1:] for f in (sol[0].X, sol[0].V, sol[1].X, sol[1].V)]
                     )
@@ -166,7 +166,7 @@ class TestAzimuthalBlocks:
         scaled = TangentField(
             ShCoeffs(L, omega * v.X.padded(L)), ShCoeffs(L, omega * v.V.padded(L)), "div"
         )
-        stacked = RHSVector(v, scaled).stacked(L) / pair_norm(v, scaled, system.grid)
+        stacked = _stack([v, scaled], L) / pair_norm(v, scaled, system.grid)
         return pair_norm(*_unstack(full @ stacked, L), system.grid)
 
     def test_partition_covers_every_slot_once(self, surface):
@@ -184,7 +184,7 @@ class TestAzimuthalBlocks:
         rhs = dipole_incident_trace(SRC, DIP, mats, grid)
         sol, cond = solve_scatter(system, rhs)
         full = full_matrix(system)
-        ref = np.linalg.solve(full, rhs.stacked(system.L))
+        ref = np.linalg.solve(full, _stack(rhs, system.L))
         got = np.concatenate([f.coeffs[1:] for f in (sol[0].X, sol[0].V, sol[1].X, sol[1].V)])
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         exact = np.linalg.norm(full, 1) * np.linalg.norm(np.linalg.inv(full), 1)

@@ -375,15 +375,54 @@ class TestConfigTypes:
 
 
 class TestHeaderReportsUsedSettings:
+    OFFBOUNDARY = (
+        "# off-boundary: surface-grid nodes beyond 3 x max_spacing, near rule (n_polar=320) inside"
+    )
+
     def test_mie_check_grid_and_rule(self, tmp_path):
         code, out = run_cli(tmp_path, {"command": "mie-check", "n_max": 1, "L_quad": 12})
         assert code == 0
         head = (out / "mie_check.csv").read_text().splitlines()[:12]
         assert "# L_quad: 12" in head
-        assert "# quadrature: surface-grid nodes (no polar rule)" in head
+        # mie-check assembles no operator: its one rule is the off-boundary one
+        assert self.OFFBOUNDARY in head
+        assert not any(l.startswith("# quadrature:") for l in head)
         # mie-check reads --tol but not --seed
         assert "# tolerance: default" in head
         assert not any(l.startswith("# seed:") for l in head)
+
+    def test_mie_check_names_the_near_rule(self, tmp_path, monkeypatch):
+        # at L_quad = 8 the probes at 0.5 x radius lie inside the 0.524 guard,
+        # so they take the near rule at its polar order
+        from mnpspr import potentials
+
+        near = []
+        real = potentials.near_singular_eval
+        monkeypatch.setattr(
+            potentials, "near_singular_eval", lambda g, x, n: near.append(n) or real(g, x, n)
+        )
+        cfg = {"command": "mie-check", "n_max": 2, "L_quad": 8}
+        code, out = run_cli(tmp_path, cfg, extra=["--tol", "1e-3"])
+        assert code == 0
+        assert near == [potentials.NEAR_POLAR] * 4
+        head = (out / "mie_check.csv").read_text().splitlines()[:12]
+        assert any("n_polar=320" in l for l in head)
+
+    def test_offboundary_commands_name_the_rule(self, tmp_path):
+        configs = {
+            "decay.csv": {"command": "decay", "surface": SPHERE8, "L": 6,
+                          "points": [{"count": 2, "radius": 2.5}]},
+            "plasmon.csv": {"command": "plasmon", "surface": SPHERE8, "L": 6,
+                            "mode": {"index": 0}, "points": [{"count": 2, "radius": 2.5}]},
+            "spectrum.csv": {"command": "spectrum", "surface": SPHERE8, "L": 6},
+        }
+        for i, (name, cfg) in enumerate(configs.items()):
+            code, out = run_cli(tmp_path, cfg, name=f"cfg{i}.json")
+            assert code == 0
+            head = (out / name).read_text().splitlines()[:12]
+            assert "# quadrature: rotated-polar-gl (n_polar=26)" in head
+            # spectrum evaluates no field off the boundary
+            assert (self.OFFBOUNDARY in head) == (name != "spectrum.csv")
 
     def test_scatter_correction_order(self, tmp_path):
         code, out = run_cli(
